@@ -54,7 +54,7 @@ def _load_config(args) -> MissionConfig:
 
 def _plan_mission(config: MissionConfig):
     grid = generate_waypoints(config.region, config.camera)
-    plan = plan_routes(config.fleet, grid.points, grid=grid)
+    plan = plan_routes(config.fleet, grid.points)
     return grid, plan
 
 

@@ -7,6 +7,7 @@ the offending path; invariant violations surface the violated rule.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .geodesy import GeoPoint
@@ -59,7 +60,13 @@ def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise _fail(path, f"expected a finite number, got {number}")
+    return number
 
 
 def _geopoint(value, path: str, default_alt: float = 0.0) -> GeoPoint:

@@ -72,21 +72,23 @@ def export_geojson(grid: WaypointGrid, plan: RoutePlan) -> dict:
 
 
 def dumps_geojson(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """Strict JSON: a NaN or infinite coordinate raises ValueError."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def write_observation_log(log: EventLog) -> str:
     """Line-delimited JSON: one header line, then one line per event.
 
     Line count is 1 + 2 * agents + observations (takeoff and route-complete
-    per agent, one observation per waypoint).
+    per agent, one observation per waypoint). Output is strict JSON: a NaN
+    or infinite value raises ValueError.
     """
     header = {
         "mission_id": log.mission_id,
         "config_digest": log.config_digest,
         "event_count": len(log.events),
     }
-    lines = [json.dumps(header, separators=(",", ":"))]
+    lines = [json.dumps(header, separators=(",", ":"), allow_nan=False)]
     for event in log.events:
         rec: dict = {"event": event.kind, "t": event.t, "agent_id": event.agent_id}
         if event.kind == WAYPOINT_REACHED:
@@ -104,5 +106,5 @@ def write_observation_log(log: EventLog) -> str:
                     "lattice_index": None if meta.lattice_index is None else list(meta.lattice_index),
                 },
             )
-        lines.append(json.dumps(rec, separators=(",", ":")))
+        lines.append(json.dumps(rec, separators=(",", ":"), allow_nan=False))
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .geodesy import GeoPoint, distance_m
+from .geodesy import METERS_PER_DEG_LAT, GeoPoint, distance_m
 
 CostFunction = Callable[[GeoPoint, GeoPoint], float]
 
@@ -44,14 +44,12 @@ class RoutePlan:
 
     ``homes`` records each agent's launch point (routes themselves exclude
     it); ``visit_sequence`` is the global claim order the planner produced
-    (interleaved across agents); ``grid`` is the source grid, when planning
-    started from one.
+    (interleaved across agents).
     """
 
     routes: dict[str, list]
     homes: dict[str, GeoPoint] = field(default_factory=dict)
     visit_sequence: list = field(default_factory=list)
-    grid: object | None = None
 
 
 def position_of(waypoint) -> GeoPoint:
@@ -65,13 +63,92 @@ def _check_fleet(agents: Sequence[Agent]) -> None:
         raise ValueError("agent ids must be unique within a fleet")
 
 
-def plan_routes(agents: Sequence[Agent], waypoints, cost: CostFunction = distance_m, *, grid=None) -> RoutePlan:
+# The ring lower bound is scaled by this before pruning. Rounding in the
+# cell indices and in distance_m is orders of magnitude below 1e-9 relative.
+_RING_SLACK = 1.0 - 1e-9
+# Infinite cell sizes map every point to cell (0, 0): the plain scan.
+_ONE_CELL = (0.0, 0.0, 0.0, math.inf, math.inf, 1, 1)
+
+
+def _cell_layout(points: list[GeoPoint], n: int, cost: CostFunction):
+    """Cell grid for exact nearest queries: ``(cell_m, lat0, lon0, dlat, dlon, rows, cols)``.
+
+    ``points`` holds the ``n`` waypoints and the homes, so every query point
+    falls inside the grid. A cell is ``cell_m`` tall and, at the largest
+    |latitude| in ``points``, ``cell_m`` wide. ``distance_m`` scales
+    longitude by cos(midpoint latitude), which is never smaller, and the
+    vertical term only adds, so a point ``r`` cell rings from a query is at
+    least ``(r - 1) * cell_m`` away. Near a pole the longitude cells widen to
+    a single column. The argument needs ``distance_m`` and no longitude
+    wrap-around; without them, or when the grid would be large for ``n``,
+    everything goes into one cell.
+    """
+    if cost is not distance_m or n < 2:
+        return _ONE_CELL
+    lats = [p.lat_deg for p in points]
+    lons = [p.lon_deg for p in points]
+    lat0, lon0 = min(lats), min(lons)
+    lon_span = max(lons) - lon0
+    if lon_span >= 180.0:
+        return _ONE_CELL
+    cos_min = math.cos(math.radians(max(map(abs, lats))))
+    height_m = (max(lats) - lat0) * METERS_PER_DEG_LAT
+    width_m = lon_span * METERS_PER_DEG_LAT * cos_min
+    # About two waypoints per cell of the bounding box; a line-like extent
+    # falls back to n cells along its length.
+    cell_m = max(math.sqrt(2.0 * height_m * width_m / n), max(height_m, width_m) / n)
+    if not cell_m > 0.0:
+        return _ONE_CELL
+    dlat = cell_m / METERS_PER_DEG_LAT
+    dlon = cell_m / (METERS_PER_DEG_LAT * cos_min)
+    rows = int((max(lats) - lat0) / dlat) + 1
+    cols = int(lon_span / dlon) + 1
+    if rows * cols > 4 * n + 64:
+        return _ONE_CELL
+    return cell_m, lat0, lon0, dlat, dlon, rows, cols
+
+
+def _ring(cells: list[list[int]], rows: int, cols: int, i: int, j: int, r: int):
+    """Waypoint indices in the cells at Chebyshev distance ``r`` from (i, j)."""
+    if r == 0:
+        yield from cells[i * cols + j]
+        return
+    lo, hi = max(j - r, 0), min(j + r, cols - 1)
+    for row in (i - r, i + r):
+        if 0 <= row < rows:
+            for cell in cells[row * cols + lo: row * cols + hi + 1]:
+                yield from cell
+    for col in (j - r, j + r):
+        if 0 <= col < cols:
+            for row in range(max(i - r + 1, 0), min(i + r, rows)):
+                yield from cells[row * cols + col]
+
+
+def plan_routes(agents: Sequence[Agent], waypoints, cost: CostFunction = distance_m) -> RoutePlan:
     """Assign every waypoint to exactly one agent by round-robin nearest neighbor.
 
     Each agent's path is seeded at its home. On its turn an agent claims the
     unvisited waypoint cheapest to reach from its current path end, then the
-    turn passes to the next agent. Ties go to the lowest lattice index when
-    all waypoints carry one, then to input order.
+    turn passes to the next agent. Waypoints are ordered by lattice index
+    when all of them carry one, else kept in input order; the claim is the
+    waypoint with the smallest ``(cost, position in that order)``, exactly
+    what a scan over all remaining waypoints that keeps the first strict
+    minimum picks.
+
+    The remaining waypoints are bucketed on a lat/lon grid of about two per
+    cell. A claim searches rings of cells outward from the cell of the path
+    end and stops when the next ring cannot hold a waypoint as cheap as the
+    best so far; the claimed waypoint leaves its cell. On the campus lattice
+    scaled 1x to 16x a claim visits about 10 cells and makes about 13 cost
+    evaluations, so planning n waypoints takes close to O(n) time against
+    O(n^2) for the scan. Sparse or clustered layouts visit more empty cells,
+    never more than the grid holds.
+
+    Every waypoint goes into one cell, and the search is that scan, when
+    ``cost`` is not ``distance_m`` (any cost works, constant and NaN-valued
+    ones included), when the waypoints and homes span 180 degrees of
+    longitude or more, when they all share one latitude/longitude, or when
+    the grid would need more than 4n + 64 cells.
     """
     agents = list(agents)
     if not agents:
@@ -89,28 +166,41 @@ def plan_routes(agents: Sequence[Agent], waypoints, cost: CostFunction = distanc
             raise ValueError(f"duplicate waypoint at {key}; each point must be visited exactly once")
         seen.add(key)
 
+    homes = {a.id: a.home for a in agents}
+    cell_m, lat0, lon0, dlat, dlon, rows, cols = _cell_layout(positions + list(homes.values()), len(positions), cost)
+
+    def cell_of(p: GeoPoint) -> tuple[int, int]:
+        return int((p.lat_deg - lat0) / dlat), int((p.lon_deg - lon0) / dlon)
+
+    cells: list[list[int]] = [[] for _ in range(rows * cols)]
+    for k, p in enumerate(positions):
+        i, j = cell_of(p)
+        cells[i * cols + j].append(k)  # ascending k within every cell
+
     routes: dict[str, list] = {a.id: [] for a in agents}
-    ends = {a.id: a.home for a in agents}
+    ends = dict(homes)
     visit_sequence: list = []
-    remaining = list(range(len(order)))
-    turn = 0
-    while remaining:
+    for turn in range(len(order)):
         agent = agents[turn % len(agents)]
         here = ends[agent.id]
-        best_k = remaining[0]
-        best_cost = cost(here, positions[best_k])
-        for k in remaining[1:]:
-            c = cost(here, positions[k])
-            if c < best_cost:
-                best_cost = c
-                best_k = k
+        qi, qj = cell_of(here)
+        last_ring = max(qi, rows - 1 - qi, qj, cols - 1 - qj)
+        best_k = -1
+        best_cost = 0.0
+        for r in range(last_ring + 1):
+            if best_k >= 0 and (r - 1) * cell_m * _RING_SLACK > best_cost:
+                break
+            for k in _ring(cells, rows, cols, qi, qj, r):
+                c = cost(here, positions[k])
+                if best_k < 0 or c < best_cost or (c == best_cost and k < best_k):
+                    best_cost = c
+                    best_k = k
         routes[agent.id].append(order[best_k])
         visit_sequence.append(order[best_k])
         ends[agent.id] = positions[best_k]
-        remaining.remove(best_k)
-        turn += 1
-    homes = {a.id: a.home for a in agents}
-    return RoutePlan(routes=routes, homes=homes, visit_sequence=visit_sequence, grid=grid)
+        i, j = cell_of(positions[best_k])
+        cells[i * cols + j].remove(best_k)
+    return RoutePlan(routes=routes, homes=homes, visit_sequence=visit_sequence)
 
 
 def route_length(home: GeoPoint, route, cost: CostFunction = distance_m) -> float:

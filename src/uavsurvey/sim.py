@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -16,7 +17,7 @@ from typing import Sequence
 from .geodesy import GeoPoint, distance_m
 from .grid import CameraModel, footprint_width
 from .radiation import NoiseSpec, RadiationSource, sample_reading, total_intensity
-from .routing import Agent, RoutePlan, position_of
+from .routing import Agent, RoutePlan, _check_fleet, position_of
 
 TAKEOFF = "takeoff"
 WAYPOINT_REACHED = "waypoint_reached"
@@ -122,14 +123,13 @@ def simulate(
     defaults to zero. Noise draws use one generator per agent keyed on
     (seed, agent id), so per-agent results do not depend on fleet order.
     """
+    _check_fleet(fleet)
     by_id = {a.id: a for a in fleet}
-    if len(by_id) != len(list(fleet)):
-        raise ValueError("agent ids must be unique within a fleet")
     unknown = [aid for aid in plan.routes if aid not in by_id]
     if unknown:
         raise ValueError(f"plan references agents not in the fleet: {unknown}")
-    if dwell_s < 0.0:
-        raise ValueError(f"dwell_s must be >= 0, got {dwell_s}")
+    if not (math.isfinite(dwell_s) and dwell_s >= 0.0):
+        raise ValueError(f"dwell_s must be finite and >= 0, got {dwell_s}")
     altitudes = {position_of(w).alt_m for route in plan.routes.values() for w in route}
     if len(altitudes) > 1:
         raise ValueError(f"waypoints must share the mission altitude, got {sorted(altitudes)}")

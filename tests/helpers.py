@@ -7,7 +7,8 @@ import math
 import random
 from pathlib import Path
 
-from uavsurvey import EnuOffset, GeoPoint, PolygonRegion, gps_offset
+from uavsurvey import EnuOffset, GeoPoint, PolygonRegion, distance_m, gps_offset
+from uavsurvey.routing import position_of
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "campus_mission.json"
 
@@ -82,6 +83,43 @@ def permutation_path_cost(points, cost, start=None) -> float:
         if total < best:
             best = total
     return best
+
+
+# ---------------------------------------------------------------------------
+# planner reference
+
+def scan_plan_routes(agents, waypoints, cost=distance_m):
+    """Round-robin nearest neighbor by a full scan of every remaining waypoint.
+
+    The quadratic loop ``plan_routes`` used before it bucketed waypoints; the
+    first strictly cheaper candidate in (lattice index, input) order wins.
+    Returns ``(routes, visit_sequence)``.
+    """
+    order = list(waypoints)
+    if order and all(hasattr(w, "index") for w in order):
+        order.sort(key=lambda w: w.index)
+    positions = [position_of(w) for w in order]
+    routes = {a.id: [] for a in agents}
+    ends = {a.id: a.home for a in agents}
+    visit_sequence = []
+    remaining = list(range(len(order)))
+    turn = 0
+    while remaining:
+        agent = agents[turn % len(agents)]
+        here = ends[agent.id]
+        best_k = remaining[0]
+        best_cost = cost(here, positions[best_k])
+        for k in remaining[1:]:
+            c = cost(here, positions[k])
+            if c < best_cost:
+                best_cost = c
+                best_k = k
+        routes[agent.id].append(order[best_k])
+        visit_sequence.append(order[best_k])
+        ends[agent.id] = positions[best_k]
+        remaining.remove(best_k)
+        turn += 1
+    return routes, visit_sequence
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from uavsurvey import (
     simulate,
     write_observation_log,
 )
+from uavsurvey.sim import TAKEOFF, Event, EventLog
 
 MINIMAL = """
 {
@@ -105,6 +106,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seed"):
             parse_mission_config(json.dumps(doc))
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400])
+    def test_non_finite_dwell_rejected(self, token):
+        text = MINIMAL.rstrip().rstrip("}") + f', "dwell_s": {token}}}'
+        with pytest.raises(ConfigError, match="dwell_s: expected a finite number"):
+            parse_mission_config(text)
+
+    def test_non_finite_nested_number_named(self):
+        text = MINIMAL.replace('"velocity_mps": 5.0', '"velocity_mps": Infinity')
+        with pytest.raises(ConfigError, match=r"fleet\[0\]\.velocity_mps: expected a finite number, got inf"):
+            parse_mission_config(text)
+
     def test_sources_parsed(self):
         doc = json.loads(MINIMAL)
         doc["sources"] = [{"position": [53.0005, -9.001, 0.0], "sigma": 90.0}]
@@ -154,7 +166,7 @@ def small_mission():
     cam = CameraModel(45.0, 0.2, 32.0)
     grid = generate_waypoints(region, cam)
     fleet = [Agent("rav-1", GeoPoint(0.0, 0.0, 0.0), 5.0), Agent("rav-2", GeoPoint(0.0, 0.0, 0.0), 5.0)]
-    plan = plan_routes(fleet, grid.points, grid=grid)
+    plan = plan_routes(fleet, grid.points)
     return grid, plan, fleet
 
 
@@ -202,6 +214,13 @@ class TestExportGeojson:
         with pytest.raises(ValueError, match="grid"):
             export_geojson(grid, stray)
 
+    def test_non_finite_value_rejected(self):
+        grid, plan, _ = small_mission()
+        doc = export_geojson(grid, plan)
+        doc["features"][0]["properties"]["total_length_m"] = float("nan")
+        with pytest.raises(ValueError, match="JSON compliant"):
+            dumps_geojson(doc)
+
     def test_dumps_deterministic(self):
         grid, plan, _ = small_mission()
         assert dumps_geojson(export_geojson(grid, plan)) == dumps_geojson(export_geojson(grid, plan))
@@ -238,6 +257,11 @@ class TestObservationLog:
         assert hits[0]["lon"] == wp.lon_deg
         assert "radiation_usv_s" in hits[0]
         assert "camera" in hits[0]
+
+    def test_non_finite_value_rejected(self):
+        log = EventLog("m", "0" * 64, [Event(t=float("inf"), agent_id="rav-1", kind=TAKEOFF)])
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_observation_log(log)
 
     def test_reserialization_identical(self):
         grid, plan, fleet = small_mission()

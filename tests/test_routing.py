@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from helpers import permutation_path_cost, permutation_tour_cost, random_points
+from helpers import permutation_path_cost, permutation_tour_cost, random_points, scan_plan_routes
 from uavsurvey import (
     Agent,
     EnuOffset,
@@ -22,6 +22,7 @@ from uavsurvey import (
     route_length,
     tsp_optimal,
 )
+from uavsurvey.routing import _RING_SLACK, _cell_layout
 
 HOME = GeoPoint(0.0, 0.0, 0.0)
 
@@ -114,6 +115,155 @@ class TestPlanRoutes:
         second = plan_routes(fleet, pts)
         assert first.routes == second.routes
         assert first.visit_sequence == second.visit_sequence
+
+
+def _fleet(rng: random.Random, homes: list[GeoPoint]) -> list[Agent]:
+    return [Agent(f"a{k}", rng.choice(homes), rng.uniform(1.0, 10.0)) for k in range(rng.randint(1, 4))]
+
+
+def lattice_instance(rng: random.Random):
+    """Shuffled dyadic lattice: coordinate differences are exact, so
+    mirror-image neighbors tie exactly. Homes sit on lattice nodes."""
+    step = 2.0 ** -rng.randint(12, 16)
+    lat0 = rng.choice([0.0, 45.0, -60.0, 53.25, 84.5])
+    lon0 = rng.choice([0.0, -9.0625, 120.5])
+    rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+    nodes = [(i, j) for i in range(rows) for j in range(cols)]
+    keep = rng.sample(nodes, rng.randint(1, len(nodes)))
+    if rng.random() < 0.5:
+        points = [Waypoint(GeoPoint(lat0 + i * step, lon0 + j * step, 32.0), (i, j)) for i, j in keep]
+    else:
+        points = [GeoPoint(lat0 + i * step, lon0 + j * step, 32.0) for i, j in keep]
+    rng.shuffle(points)
+    homes = [GeoPoint(lat0 + i * step, lon0 + j * step) for i, j in (rng.choice(nodes), rng.choice(nodes))]
+    return _fleet(rng, homes), points, distance_m
+
+
+def scattered_instance(rng: random.Random):
+    """Mixed altitudes, homes up to 20 km outside, sometimes all on one line."""
+    origin = GeoPoint(rng.uniform(-70.0, 70.0), rng.uniform(-170.0, 170.0))
+    span = 10.0 ** rng.uniform(0.0, 4.0)
+    line = rng.random() < 0.2
+    points = []
+    for _ in range(rng.randint(0, 80)):
+        north = 0.0 if line else rng.uniform(-span, span)
+        offset = EnuOffset(rng.uniform(-span, span), north, rng.choice([0.0, 12.5, 32.0, 80.0]))
+        points.append(gps_offset(origin, offset))
+    points = list({(p.lat_deg, p.lon_deg, p.alt_m): p for p in points}.values())
+    far = 20000.0 * rng.random()
+    homes = [origin, gps_offset(origin, EnuOffset(rng.uniform(-far, far), rng.uniform(-far, far), 0.0))]
+    return _fleet(rng, homes), points, distance_m
+
+
+def polar_instance(rng: random.Random):
+    """|lat| > 85 degrees, longitudes spread up to 40 degrees, poles included."""
+    sign = rng.choice([-1.0, 1.0])
+    lat_lo = rng.uniform(85.0, 89.99)
+    lon0, lon_span = rng.uniform(-170.0, 120.0), rng.uniform(0.001, 40.0)
+    coords = {(round(rng.uniform(lat_lo, 90.0), 7), round(lon0 + rng.uniform(0.0, lon_span), 7))
+              for _ in range(rng.randint(1, 60))}
+    if rng.random() < 0.3:
+        coords.add((90.0, lon0))
+    points = [GeoPoint(sign * lat, lon, 20.0) for lat, lon in coords]
+    homes = [GeoPoint(sign * lat_lo, lon0), GeoPoint(sign * 90.0, lon0 + lon_span)]
+    return _fleet(rng, homes), points, distance_m
+
+
+def antimeridian_instance(rng: random.Random):
+    """Clusters at +-180 degrees longitude, straddling or just short of it."""
+    lat0 = rng.uniform(-60.0, 60.0)
+    straddle = rng.random() < 0.7
+    width = 10.0 ** rng.uniform(-4.0, -1.0)
+    coords = set()
+    for _ in range(rng.randint(1, 60)):
+        lon = 180.0 - rng.uniform(0.0, width)
+        if straddle and rng.random() < 0.5:
+            lon = -lon
+        coords.add((lat0 + rng.uniform(0.0, width), lon))
+    points = [GeoPoint(lat, lon, 32.0) for lat, lon in coords]
+    homes = [GeoPoint(lat0, 179.99), GeoPoint(lat0, -179.99 if straddle else 179.9)]
+    return _fleet(rng, homes), points, distance_m
+
+
+def custom_cost_instance(rng: random.Random):
+    """Non-geodesic costs: lattice Manhattan (many ties), constant, NaN."""
+    fleet, points, _ = lattice_instance(rng)
+    cost = rng.choice([
+        lambda a, b: abs(a.lat_deg - b.lat_deg) + abs(a.lon_deg - b.lon_deg),
+        lambda a, b: 1.0,
+        lambda a, b: math.nan,
+    ])
+    return fleet, points, cost
+
+
+class TestMatchesFullScan:
+    """The bucketed planner claims exactly what the full scan claims."""
+
+    @pytest.mark.parametrize(
+        "family",
+        [lattice_instance, scattered_instance, polar_instance, antimeridian_instance, custom_cost_instance],
+    )
+    def test_identical_routes_and_sequence(self, family):
+        rng = random.Random(f"scan:{family.__name__}")
+        for _ in range(60):
+            fleet, points, cost = family(rng)
+            plan = plan_routes(fleet, points, cost)
+            routes, sequence = scan_plan_routes(fleet, points, cost)
+            assert [id(w) for w in plan.visit_sequence] == [id(w) for w in sequence]
+            for aid, route in routes.items():
+                assert [id(w) for w in plan.routes[aid]] == [id(w) for w in route]
+
+    def test_ring_bound_at_closest_cell_edges(self):
+        """Points r cell rings apart are at least (r - 1) * cell_m * slack apart.
+
+        Probed with the closest pairs the grid allows: the facing edges of two
+        cells, along latitude, and along longitude at the extreme latitude
+        where cos(latitude) is smallest.
+        """
+
+        def edge(start: float, origin: float, step: float, index: int, direction: float) -> float:
+            # The float nearest `start` (moving against `direction`) whose cell is `index`.
+            x = start
+            while int((x - origin) / step) != index:
+                x = math.nextafter(x, -direction * math.inf)
+            while int((math.nextafter(x, direction * math.inf) - origin) / step) == index:
+                x = math.nextafter(x, direction * math.inf)
+            return x
+
+        rng = random.Random(11)
+        probes = 0
+        for _ in range(200):
+            origin = GeoPoint(rng.uniform(-85.0, 85.0), rng.uniform(-179.0, 170.0))
+            pts = random_points(rng, origin, 40, 10.0 ** rng.uniform(1.0, 4.0))
+            cell_m, lat0, lon0, dlat, dlon, rows, cols = _cell_layout(pts, len(pts), distance_m)
+            polar_lat = max((p.lat_deg for p in pts), key=abs)
+            for size, origin_deg, step in ((rows, lat0, dlat), (cols, lon0, dlon)):
+                if size < 3:
+                    continue
+                r = rng.randint(2, size - 1)
+                low = rng.randrange(size - r)
+                near = edge(origin_deg + (low + 1) * step, origin_deg, step, low, 1.0)
+                far = edge(origin_deg + (low + r) * step, origin_deg, step, low + r, -1.0)
+                if step is dlat:
+                    a, b = GeoPoint(near, origin.lon_deg), GeoPoint(far, origin.lon_deg)
+                else:
+                    a, b = GeoPoint(polar_lat, near), GeoPoint(polar_lat, far)
+                bound = (r - 1) * cell_m
+                assert bound * _RING_SLACK <= distance_m(a, b) <= bound * (1.0 + 1e-6)
+                probes += 1
+        assert probes > 200
+
+    def test_one_cell_cases(self):
+        home = GeoPoint(10.0, 20.0)
+        pts = [gps_offset(home, EnuOffset(100.0 * k, 50.0 * (k % 3), 0.0)) for k in range(40)]
+        assert _cell_layout(pts + [home], len(pts), distance_m)[5:] != (1, 1)
+        assert _cell_layout(pts + [home], len(pts), lambda a, b: 0.0)[5:] == (1, 1)
+        straddle = [GeoPoint(0.0, 179.9999), GeoPoint(0.0, -179.9999), GeoPoint(0.001, 179.9999)]
+        assert _cell_layout(straddle, 3, distance_m)[5:] == (1, 1)
+        # cos(90 deg) rounds to 6e-17, not 0: at a pole the longitude cells
+        # widen to one column and only latitude rows prune.
+        pole = [GeoPoint(90.0, 0.0), GeoPoint(89.999, 1.0), GeoPoint(89.999, 2.0)]
+        assert _cell_layout(pole, 3, distance_m)[6] == 1
 
 
 class TestMakespan:

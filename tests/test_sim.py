@@ -174,6 +174,12 @@ class TestSimulate:
         assert first == pytest.approx(20.0, rel=1e-9)
         assert second == pytest.approx(47.0, rel=1e-9)
 
+    @pytest.mark.parametrize("dwell", [-1.0, float("nan"), float("inf")])
+    def test_bad_dwell_rejected(self, dwell):
+        fleet = fleet_of(1)
+        with pytest.raises(ValueError, match="dwell_s must be finite and >= 0"):
+            simulate(plan_routes(fleet, []), fleet, dwell_s=dwell)
+
     def test_plan_fleet_mismatch(self):
         fleet = fleet_of(2)
         plan = plan_routes(fleet, [])
