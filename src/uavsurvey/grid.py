@@ -2,14 +2,16 @@
 
 Pipeline: axis-aligned bounding rectangle, camera-driven spacing, lattice
 with one spacing of overhang past the north/east edges, then a ray-casting
-point-in-polygon filter.
+point-in-polygon filter applied one lattice row at a time.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress, groupby
 
 from .geodesy import GeoPoint, meters_per_degree
 
@@ -186,32 +188,61 @@ def point_in_polygon(p: GeoPoint, region: PolygonRegion) -> bool:
 
     Boundary points count as inside. Vertex hits are resolved by the half-open
     rule: an edge is crossed iff exactly one endpoint is strictly north of the
-    ray latitude.
+    ray latitude. This is the row filter of :func:`generate_waypoints` on a
+    one-point row.
     """
-    lat, lon = p.lat_deg, p.lon_deg
-    inside = False
-    prev = region.vertices[-1]
-    for cur in region.vertices:
-        alat, alon = prev.lat_deg, prev.lon_deg
-        blat, blon = cur.lat_deg, cur.lon_deg
-        if _on_edge(lat, lon, alat, alon, blat, blon):
-            return True
-        if (alat > lat) != (blat > lat):
-            lon_cross = alon + (lat - alat) * (blon - alon) / (blat - alat)
-            if lon_cross > lon:
-                inside = not inside
-        prev = cur
-    return inside
+    return _row_inside(_edges(region), p.lat_deg, (p.lon_deg,))[0]
 
 
-def _on_edge(lat: float, lon: float, alat: float, alon: float, blat: float, blon: float) -> bool:
-    cross = (blat - alat) * (lon - alon) - (blon - alon) * (lat - alat)
-    if cross != 0.0:
-        return False
-    return (
-        min(alat, blat) <= lat <= max(alat, blat)
-        and min(alon, blon) <= lon <= max(alon, blon)
-    )
+def _edges(region: PolygonRegion) -> list[tuple[float, float, float, float]]:
+    """The polygon's edges as ``(alat, alon, blat, blon)`` tuples."""
+    v = region.vertices
+    return [(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg) for a, b in zip(v[-1:] + v[:-1], v)]
+
+
+def _row_inside(edges, lat: float, lons) -> list[bool]:
+    """:func:`point_in_polygon` for every point ``(lat, lon)`` of one row.
+
+    The edges whose latitude range holds ``lat`` and their ray crossings are
+    found once per row, so a point costs a bisect for the crossing parity
+    plus on-edge tests against those edges only: O(V + k) per row and point
+    instead of O(V) per point, for k edges touching the row.
+    """
+    touching = []  # (west lon, east lon, edge)
+    crossings = []
+    for edge in edges:
+        alat, alon, blat, blon = edge
+        if min(alat, blat) <= lat <= max(alat, blat):
+            touching.append((min(alon, blon), max(alon, blon), edge))
+            if (alat > lat) != (blat > lat):
+                crossings.append(alon + (lat - alat) * (blon - alon) / (blat - alat))
+    crossings.sort()
+    n = len(crossings)
+    # Inside: an odd number of crossings strictly east of lon, or on a
+    # touching edge: within its longitude range and collinear with it (cross
+    # product exactly 0); its latitude range holds lat by selection.
+    return [
+        (n - bisect_right(crossings, lon)) % 2 == 1
+        or any(
+            west <= lon <= east and (blat - alat) * (lon - alon) - (blon - alon) * (lat - alat) == 0.0
+            for west, east, (alat, alon, blat, blon) in touching
+        )
+        for lon in lons
+    ]
+
+
+def _filter_lattice(region: PolygonRegion, lattice: list[Waypoint]) -> tuple[Waypoint, ...]:
+    """The lattice points inside or on the polygon, in lattice order.
+
+    Consecutive points of one exact latitude (a lattice row) are filtered
+    together by :func:`_row_inside`.
+    """
+    edges = _edges(region)
+    kept: list[Waypoint] = []
+    for lat, row in groupby(lattice, key=lambda wp: wp.point.lat_deg):
+        row = list(row)
+        kept.extend(compress(row, _row_inside(edges, lat, [wp.point.lon_deg for wp in row])))
+    return tuple(kept)
 
 
 def generate_waypoints(region: PolygonRegion, camera: CameraModel) -> WaypointGrid:
@@ -219,8 +250,7 @@ def generate_waypoints(region: PolygonRegion, camera: CameraModel) -> WaypointGr
     down to the points inside or on the polygon."""
     rect = bounding_rectangle(region)
     spacing = grid_spacing(camera)
-    lattice = generate_lattice(rect, spacing, camera.altitude_m)
-    kept = tuple(wp for wp in lattice if point_in_polygon(wp.point, region))
+    kept = _filter_lattice(region, generate_lattice(rect, spacing, camera.altitude_m))
     if not kept:
         warnings.warn(
             "no lattice point falls inside the region; grid is empty",

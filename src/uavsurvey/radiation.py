@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .geodesy import GeoPoint, distance_m
+from .geodesy import GeoPoint, distance_m, distances_to_rows
 
 # Distances clamp here to keep readings finite near the emitter; a drone
 # never physically reaches the point source.
@@ -66,7 +66,34 @@ def strength_at(source: RadiationSource, p: GeoPoint) -> float:
 
 def total_intensity(sources, p: GeoPoint) -> float:
     """Superposed level at p from all sources; zero for an empty list."""
-    return sum((strength_at(s, p) for s in sources), 0.0)
+    return field_levels(sources, (p,))[0]
+
+
+def field_levels(sources, points) -> list[float]:
+    """:func:`total_intensity` at every point of the sequence ``points``, in order.
+
+    Points are grouped into rows of one exact latitude and altitude, so each
+    source's terms that depend on them are computed once per row (lattice
+    rows share one latitude). Each level adds the sources' ``strength_at``
+    terms left to right with ``+=``: its bits do not depend on the Python
+    version, as those of ``sum()`` do (compensated for floats from 3.12).
+    """
+    groups: dict[tuple[float, float], list[int]] = {}
+    for k, p in enumerate(points):
+        groups.setdefault((p.lat_deg, p.alt_m), []).append(k)
+    rows = [(lat, alt, [points[k].lon_deg for k in members]) for (lat, alt), members in groups.items()]
+    acc = [0.0] * len(points)
+    for s in sources:
+        sigma = s.sigma
+        ceiling = sigma / (MIN_DISTANCE_M * MIN_DISTANCE_M)
+        acc = [
+            t + (ceiling if d < MIN_DISTANCE_M else sigma / (d * d))
+            for t, d in zip(acc, distances_to_rows(s.position, rows))
+        ]
+    levels = [0.0] * len(points)
+    for k, t in zip((k for members in groups.values() for k in members), acc):
+        levels[k] = t
+    return levels
 
 
 def sample_reading(intensity: float, noise: NoiseSpec, rng: random.Random | None = None) -> float:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .geodesy import GeoPoint, distance_m
 from .grid import CameraModel, footprint_width
-from .radiation import NoiseSpec, RadiationSource, sample_reading, total_intensity
+from .radiation import NoiseSpec, RadiationSource, field_levels, sample_reading
 from .routing import Agent, RoutePlan, _check_fleet, position_of
 
 TAKEOFF = "takeoff"
@@ -141,6 +141,9 @@ def simulate(
     half_fov = camera.half_fov_deg if camera is not None else None
     footprint = footprint_width(camera) if camera is not None else None
 
+    positions = [position_of(w) for route in plan.routes.values() for w in route]
+    levels = iter(field_levels(sources, positions))
+
     events: list[Event] = []
     for aid, route in plan.routes.items():
         agent = by_id[aid]
@@ -151,7 +154,7 @@ def simulate(
         for wp in route:
             p = position_of(wp)
             t += leg_duration(here, p, agent.velocity_mps)
-            reading = sample_reading(total_intensity(sources, p), noise, rng)
+            reading = sample_reading(next(levels), noise, rng)
             meta = CameraMeta(
                 altitude_m=p.alt_m,
                 half_fov_deg=half_fov,

@@ -7,7 +7,7 @@ import math
 import random
 from pathlib import Path
 
-from uavsurvey import EnuOffset, GeoPoint, PolygonRegion, distance_m, gps_offset
+from uavsurvey import EnuOffset, GeoPoint, PolygonRegion, distance_m, gps_offset, strength_at
 from uavsurvey.routing import position_of
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "campus_mission.json"
@@ -46,6 +46,45 @@ def convex_contains(lat: float, lon: float, vertices) -> bool:
         elif cross < 0:
             neg = True
     return not (pos and neg)
+
+
+def ray_cast_point_in_polygon(p: GeoPoint, region: PolygonRegion) -> bool:
+    """Ray casting one edge at a time, boundary inclusive.
+
+    The per-point loop ``point_in_polygon`` used before the grid filtered a
+    lattice row at a time: an edge touching the point returns True, and an
+    edge is crossed iff exactly one endpoint is strictly north of the point.
+    """
+    lat, lon = p.lat_deg, p.lon_deg
+    inside = False
+    prev = region.vertices[-1]
+    for cur in region.vertices:
+        alat, alon = prev.lat_deg, prev.lon_deg
+        blat, blon = cur.lat_deg, cur.lon_deg
+        cross = (blat - alat) * (lon - alon) - (blon - alon) * (lat - alat)
+        if (
+            cross == 0.0
+            and min(alat, blat) <= lat <= max(alat, blat)
+            and min(alon, blon) <= lon <= max(alon, blon)
+        ):
+            return True
+        if (alat > lat) != (blat > lat):
+            lon_cross = alon + (lat - alat) * (blon - alon) / (blat - alat)
+            if lon_cross > lon:
+                inside = not inside
+        prev = cur
+    return inside
+
+
+# ---------------------------------------------------------------------------
+# radiation reference
+
+def loop_total_intensity(sources, p: GeoPoint) -> float:
+    """The sources' ``strength_at`` terms added left to right, one at a time."""
+    total = 0.0
+    for s in sources:
+        total += strength_at(s, p)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,13 @@ import random
 
 import pytest
 
-from helpers import convex_contains, random_convex_polygon, random_star_polygon, winding_number_inside
+from helpers import (
+    convex_contains,
+    random_convex_polygon,
+    random_star_polygon,
+    ray_cast_point_in_polygon,
+    winding_number_inside,
+)
 from uavsurvey import (
     CameraModel,
     CircumRectangle,
@@ -24,6 +30,7 @@ from uavsurvey import (
     meters_per_degree,
     point_in_polygon,
 )
+from uavsurvey.grid import _filter_lattice
 
 
 def poly(*lat_lon: tuple[float, float]) -> PolygonRegion:
@@ -278,3 +285,73 @@ class TestGenerateWaypoints:
                     assert e2 - e1 == pytest.approx(grid.spacing_m, abs=1e-6)
                     checked += 1
         assert checked > 0
+
+
+class TestRowFilterMatchesRayCast:
+    """The row filter keeps exactly the lattice points the per-edge ray cast keeps."""
+
+    CAM = CameraModel(half_fov_deg=45.0, overlap_fraction=0.2, altitude_m=16.0)
+
+    def assert_same_as_ray_cast(self, region, lattice):
+        expected = tuple(wp for wp in lattice if ray_cast_point_in_polygon(wp.point, region))
+        assert _filter_lattice(region, lattice) == expected
+        return expected
+
+    def test_star_polygons(self):
+        rng = random.Random(4242)
+        for _ in range(20):
+            center = GeoPoint(rng.uniform(-60.0, 60.0), rng.uniform(-170.0, 170.0))
+            region = random_star_polygon(rng, center, rng.randint(8, 96), 40.0, 300.0)
+            grid = generate_waypoints(region, self.CAM)
+            lattice = generate_lattice(grid.rect, grid.spacing_m, self.CAM.altitude_m)
+            assert grid.points == self.assert_same_as_ray_cast(region, lattice)
+
+    def test_convex_polygons(self):
+        rng = random.Random(4243)
+        for _ in range(20):
+            center = GeoPoint(rng.uniform(-60.0, 60.0), rng.uniform(-170.0, 170.0))
+            region = random_convex_polygon(rng, center, rng.randint(3, 40), 300.0)
+            grid = generate_waypoints(region, self.CAM)
+            lattice = generate_lattice(grid.rect, grid.spacing_m, self.CAM.altitude_m)
+            assert grid.points == self.assert_same_as_ray_cast(region, lattice)
+
+    def test_single_points_at_vertices_and_edges(self):
+        rng = random.Random(4244)
+        for _ in range(30):
+            region = random_star_polygon(rng, GeoPoint(48.0, 11.0), rng.randint(3, 24), 50.0, 400.0)
+            v = region.vertices
+            probes = list(v)
+            probes += [GeoPoint(0.5 * (a.lat_deg + b.lat_deg), 0.5 * (a.lon_deg + b.lon_deg)) for a, b in zip(v, v[1:])]
+            probes += [GeoPoint(a.lat_deg, b.lon_deg) for a, b in zip(v, v[1:])]
+            for p in probes:
+                assert point_in_polygon(p, region) == ray_cast_point_in_polygon(p, region)
+
+    def test_rectangles_with_first_row_and_column_on_the_boundary(self):
+        # As in the benchmark's bound runs: the lattice starts at the SW
+        # corner, so row 0 runs along the south edge and column 0 along the
+        # west edge; the far edges sit half a spacing past the last ones.
+        rng = random.Random(4245)
+        for _ in range(60):
+            cam = CameraModel(rng.uniform(30.0, 60.0), rng.uniform(0.1, 0.6), rng.uniform(5.0, 60.0))
+            spacing = grid_spacing(cam)
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            lat, lon = rng.uniform(-60.0, 60.0), rng.uniform(-170.0, 170.0)
+            m_lat, m_lon = meters_per_degree(lat)
+            top, east = lat + (rows - 0.5) * spacing / m_lat, lon + (cols - 0.5) * spacing / m_lon
+            region = poly((lat, lon), (lat, east), (top, east), (top, lon))
+            grid = generate_waypoints(region, cam)
+            lattice = generate_lattice(grid.rect, grid.spacing_m, cam.altitude_m)
+            assert grid.points == self.assert_same_as_ray_cast(region, lattice)
+            assert len(grid.points) == rows * cols
+
+    @pytest.mark.parametrize("step_deg", [1.0, 0.5, 0.25])
+    def test_u_notch_rows_through_vertices_and_horizontal_edges(self, step_deg):
+        # At latitude 0 the spacing step_deg * m_lat is exactly step_deg
+        # degrees on both axes, so rows 0, 1 and 3 run along the polygon's
+        # horizontal edges and through its vertices.
+        spacing = step_deg * meters_per_degree(0.0)[0]
+        lattice = generate_lattice(bounding_rectangle(U_NOTCH), spacing, 32.0)
+        assert {wp.point.lat_deg for wp in lattice} >= {0.0, 1.0, 3.0}
+        kept = {(wp.point.lat_deg, wp.point.lon_deg) for wp in self.assert_same_as_ray_cast(U_NOTCH, lattice)}
+        assert {(0.0, 2.0), (1.0, 2.0), (3.0, 0.0), (3.0, 1.0), (3.0, 3.0), (3.0, 4.0)} <= kept
+        assert (2.0, 2.0) not in kept

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from helpers import loop_total_intensity
 from uavsurvey import (
     EnuOffset,
     GeoPoint,
@@ -18,7 +19,7 @@ from uavsurvey import (
     strength_at,
     total_intensity,
 )
-from uavsurvey.radiation import MIN_DISTANCE_M
+from uavsurvey.radiation import MIN_DISTANCE_M, field_levels
 
 ORIGIN = GeoPoint(0.0, 0.0, 0.0)
 
@@ -99,6 +100,87 @@ class TestTotalIntensity:
         assert total_intensity(sources_a + sources_b, p) == pytest.approx(
             total_intensity(sources_a, p) + total_intensity(sources_b, p), rel=1e-12
         )
+
+
+    def test_many_sources_add_left_to_right(self):
+        # Python 3.12's sum() compensates float rounding; readings must keep
+        # the plain left-to-right bits on every version.
+        rng = random.Random(24)
+        for _ in range(200):
+            center = GeoPoint(rng.uniform(-60.0, 60.0), rng.uniform(-170.0, 170.0))
+            sources = [
+                RadiationSource(
+                    gps_offset(center, EnuOffset(rng.uniform(-300, 300), rng.uniform(-300, 300), 0.0)),
+                    rng.uniform(10.0, 500.0),
+                )
+                for _ in range(100)
+            ]
+            p = gps_offset(center, EnuOffset(rng.uniform(-200, 200), rng.uniform(-200, 200), 32.0))
+            assert total_intensity(sources, p) == loop_total_intensity(sources, p)
+
+
+class TestFieldLevels:
+    """field_levels equals a per-source strength_at loop at every point, bit for bit."""
+
+    @staticmethod
+    def assert_matches(sources, points):
+        assert field_levels(sources, points) == [loop_total_intensity(sources, p) for p in points]
+
+    @staticmethod
+    def lattice(lat0, lon0, rows, cols, step_deg=1e-4, alt=32.0):
+        return [GeoPoint(lat0 + i * step_deg, lon0 + j * step_deg, alt) for i in range(rows) for j in range(cols)]
+
+    @staticmethod
+    def sources_near(rng, p, n, span_m=200.0):
+        return [
+            RadiationSource(
+                gps_offset(p, EnuOffset(rng.uniform(-span_m, span_m), rng.uniform(-span_m, span_m), -p.alt_m)),
+                rng.uniform(0.0, 500.0),
+            )
+            for _ in range(n)
+        ]
+
+    def test_no_sources(self):
+        points = self.lattice(53.3, -9.0, 3, 4)
+        assert field_levels([], points) == [0.0] * len(points)
+        assert field_levels(self.sources_near(random.Random(1), points[0], 5), []) == []
+
+    def test_rows_in_route_order(self):
+        rng = random.Random(25)
+        points = self.lattice(53.3, -9.0, 6, 7)
+        rng.shuffle(points)
+        self.assert_matches(self.sources_near(rng, points[0], 70), points)
+
+    def test_source_at_a_waypoint_clamps(self):
+        rng = random.Random(26)
+        points = self.lattice(-33.9, 151.2, 4, 5)
+        sources = self.sources_near(rng, points[0], 20)
+        sources += [RadiationSource(points[7], 50.0), RadiationSource(points[7], 80.0)]
+        sources.append(RadiationSource(gps_offset(points[12], EnuOffset(0.05, 0.0, 0.0)), 10.0))
+        levels = field_levels(sources, points)
+        self.assert_matches(sources, points)
+        assert levels[7] >= 130.0 / (MIN_DISTANCE_M * MIN_DISTANCE_M)
+
+    def test_antimeridian(self):
+        rng = random.Random(27)
+        points = [GeoPoint(lat, lon, 32.0) for lat in (12.0, 12.0001) for lon in (179.9998, 179.9999, -180.0, -179.9999, -179.9998)]
+        sources = [
+            RadiationSource(GeoPoint(12.0 + rng.uniform(-1e-3, 1e-3), rng.choice([1, -1]) * rng.uniform(179.998, 180.0)), rng.uniform(1.0, 100.0))
+            for _ in range(40)
+        ]
+        self.assert_matches(sources, points)
+
+    def test_distinct_latitudes(self):
+        rng = random.Random(28)
+        center = GeoPoint(48.1, 11.6, 32.0)
+        points = [gps_offset(center, EnuOffset(rng.uniform(-300, 300), rng.uniform(-300, 300), 0.0)) for _ in range(60)]
+        assert len({p.lat_deg for p in points}) == len(points)
+        self.assert_matches(self.sources_near(rng, center, 90), points)
+
+    def test_mixed_altitudes_in_one_row(self):
+        rng = random.Random(29)
+        points = [GeoPoint(0.5, 0.5 + 1e-4 * j, alt) for j in range(4) for alt in (0.0, 32.0, 100.0)]
+        self.assert_matches(self.sources_near(rng, points[0], 30), points)
 
 
 class TestSampleReading:
