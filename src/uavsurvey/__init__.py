@@ -35,7 +35,6 @@ from .grid import (
 )
 from .radiation import (
     NoiseSpec,
-    RadiationReading,
     RadiationSource,
     sample_reading,
     strength_at,
@@ -75,7 +74,6 @@ __all__ = [
     "NoiseSpec",
     "ObservationRecord",
     "PolygonRegion",
-    "RadiationReading",
     "RadiationSource",
     "RoutePlan",
     "Waypoint",

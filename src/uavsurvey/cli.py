@@ -6,6 +6,7 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, MissionConfig, parse_mission_config
@@ -45,10 +46,10 @@ def _load_config(args) -> MissionConfig:
             raise ConfigError(f"--agents must be >= 1, got {agents}")
         if agents > len(config.fleet):
             raise ConfigError(f"--agents {agents} exceeds fleet size {len(config.fleet)}")
-        config.fleet = config.fleet[:agents]
+        config = replace(config, fleet=config.fleet[:agents])
     seed = getattr(args, "seed", None)
     if seed is not None:
-        config.seed = seed
+        config = replace(config, seed=seed)
     return config
 
 

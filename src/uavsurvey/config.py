@@ -13,20 +13,24 @@ from dataclasses import dataclass, field
 from .geodesy import GeoPoint
 from .grid import CameraModel, PolygonRegion
 from .radiation import NoiseSpec, RadiationSource
-from .routing import Agent
+from .routing import Agent, _check_fleet
 
-_TOP_KEYS = {"mission_id", "region", "camera", "fleet", "sources", "noise", "seed", "dwell_s"}
-_CAMERA_KEYS = {"half_fov_deg", "overlap_fraction", "altitude_m"}
-_AGENT_KEYS = {"id", "home", "velocity_mps"}
-_SOURCE_KEYS = {"position", "sigma"}
-_NOISE_KEYS = {"kind", "relative_sd"}
+# Each config object's allowed keys, then its required keys in the order checked.
+_TOP_KEYS = (
+    {"mission_id", "region", "camera", "fleet", "sources", "noise", "seed", "dwell_s"},
+    ("region", "fleet"),
+)
+_CAMERA_KEYS = {"half_fov_deg", "overlap_fraction", "altitude_m"}, ()
+_AGENT_KEYS = {"id", "home", "velocity_mps"}, ("id", "home", "velocity_mps")
+_SOURCE_KEYS = {"position", "sigma"}, ("position", "sigma")
+_NOISE_KEYS = {"kind", "relative_sd"}, ()
 
 
 class ConfigError(ValueError):
     """A mission config failed schema or invariant validation."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class MissionConfig:
     """Everything one survey mission needs, validated."""
 
@@ -40,21 +44,35 @@ class MissionConfig:
     mission_id: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.fleet:
-            raise ValueError("fleet must be non-empty")
-        ids = [a.id for a in self.fleet]
-        if len(set(ids)) != len(ids):
-            raise ValueError("agent ids must be unique within the fleet")
+        _check_fleet(self.fleet)
 
 
 def _fail(path: str, message) -> ConfigError:
     return ConfigError(f"{path}: {message}")
 
 
-def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
-    extra = set(obj) - allowed
+def _object(value, path: str, keys, expected: str = "an object") -> dict:
+    """``value`` checked as the config object at ``path`` ("" for the top
+    level): its type, then unknown keys, then ``keys``' required keys."""
+    allowed, required = keys
+    where = path or "top level"
+    if not isinstance(value, dict):
+        raise _fail(where, f"expected {expected}")
+    extra = set(value) - allowed
     if extra:
-        raise _fail(path, f"unknown key(s) {sorted(extra)}; allowed: {sorted(allowed)}")
+        raise _fail(where, f"unknown key(s) {sorted(extra)}; allowed: {sorted(allowed)}")
+    for key in required:
+        if key not in value:
+            raise _fail(f"{path}.{key}" if path else key, "required key is missing")
+    return value
+
+
+def _build(path: str, make):
+    """``make()``, with the path prefixed to any ValueError it raises."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise _fail(path, exc) from None
 
 
 def _number(value, path: str) -> float:
@@ -69,13 +87,13 @@ def _number(value, path: str) -> float:
     return number
 
 
-def _geopoint(value, path: str, default_alt: float = 0.0) -> GeoPoint:
+def _geopoint(value, path: str) -> GeoPoint:
     if not isinstance(value, list) or len(value) not in (2, 3):
         raise _fail(path, "expected [lat_deg, lon_deg] or [lat_deg, lon_deg, alt_m]")
     lat = _number(value[0], f"{path}[0]")
     lon = _number(value[1], f"{path}[1]")
-    alt = _number(value[2], f"{path}[2]") if len(value) == 3 else default_alt
-    try:
+    alt = _number(value[2], f"{path}[2]") if len(value) == 3 else 0.0
+    try:  # not _build: a closure per vertex and source shows in parse time
         return GeoPoint(lat, lon, alt)
     except ValueError as exc:
         raise _fail(path, exc) from None
@@ -91,56 +109,33 @@ def parse_mission_config(text: str) -> MissionConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("top level: expected an object")
-    _require_keys(raw, _TOP_KEYS, "top level")
+    _object(raw, "", _TOP_KEYS)
 
-    if "region" not in raw:
-        raise ConfigError("region: required key is missing")
     region_raw = raw["region"]
     if not isinstance(region_raw, list):
         raise _fail("region", "expected a list of vertices")
     vertices = tuple(
         _geopoint(v, f"region[{k}]") for k, v in enumerate(region_raw)
     )
-    try:
-        region = PolygonRegion(vertices)
-    except ValueError as exc:
-        raise _fail("region", exc) from None
+    region = _build("region", lambda: PolygonRegion(vertices))
 
-    camera_raw = raw.get("camera", {})
-    if not isinstance(camera_raw, dict):
-        raise _fail("camera", "expected an object")
-    _require_keys(camera_raw, _CAMERA_KEYS, "camera")
+    camera_raw = _object(raw.get("camera", {}), "camera", _CAMERA_KEYS)
     camera_kwargs = {k: _number(v, f"camera.{k}") for k, v in camera_raw.items()}
-    try:
-        camera = CameraModel(**camera_kwargs)
-    except ValueError as exc:
-        raise _fail("camera", exc) from None
+    camera = _build("camera", lambda: CameraModel(**camera_kwargs))
 
-    if "fleet" not in raw:
-        raise ConfigError("fleet: required key is missing")
     fleet_raw = raw["fleet"]
     if not isinstance(fleet_raw, list):
         raise _fail("fleet", "expected a list of agents")
-    if not fleet_raw:
-        raise _fail("fleet", "must be non-empty")
     fleet = []
     for k, item in enumerate(fleet_raw):
         path = f"fleet[{k}]"
-        if not isinstance(item, dict):
-            raise _fail(path, "expected an object")
-        _require_keys(item, _AGENT_KEYS, path)
-        for key in ("id", "home", "velocity_mps"):
-            if key not in item:
-                raise _fail(f"{path}.{key}", "required key is missing")
+        _object(item, path, _AGENT_KEYS)
         if not isinstance(item["id"], str):
             raise _fail(f"{path}.id", "expected a string")
         home = _geopoint(item["home"], f"{path}.home")
-        try:
-            fleet.append(Agent(item["id"], home, _number(item["velocity_mps"], f"{path}.velocity_mps")))
-        except ValueError as exc:
-            raise _fail(path, exc) from None
+        fleet.append(_build(path, lambda: Agent(
+            item["id"], home, _number(item["velocity_mps"], f"{path}.velocity_mps"),
+        )))
 
     sources_raw = raw.get("sources", [])
     if not isinstance(sources_raw, list):
@@ -148,33 +143,19 @@ def parse_mission_config(text: str) -> MissionConfig:
     sources = []
     for k, item in enumerate(sources_raw):
         path = f"sources[{k}]"
-        if not isinstance(item, dict):
-            raise _fail(path, "expected an object")
-        _require_keys(item, _SOURCE_KEYS, path)
-        for key in ("position", "sigma"):
-            if key not in item:
-                raise _fail(f"{path}.{key}", "required key is missing")
-        try:
-            sources.append(
-                RadiationSource(_geopoint(item["position"], f"{path}.position"),
-                                _number(item["sigma"], f"{path}.sigma"))
-            )
-        except ValueError as exc:
-            raise _fail(path, exc) from None
+        _object(item, path, _SOURCE_KEYS)
+        sources.append(_build(path, lambda: RadiationSource(
+            _geopoint(item["position"], f"{path}.position"), _number(item["sigma"], f"{path}.sigma"),
+        )))
 
     noise_raw = raw.get("noise", "none")
     if isinstance(noise_raw, str):
         noise_raw = {"kind": noise_raw}
-    if not isinstance(noise_raw, dict):
-        raise _fail("noise", "expected 'none', 'gaussian', or an object")
-    _require_keys(noise_raw, _NOISE_KEYS, "noise")
-    try:
-        noise = NoiseSpec(
-            kind=noise_raw.get("kind", "none"),
-            relative_sd=_number(noise_raw.get("relative_sd", 0.0), "noise.relative_sd"),
-        )
-    except ValueError as exc:
-        raise _fail("noise", exc) from None
+    _object(noise_raw, "noise", _NOISE_KEYS, expected="'none', 'gaussian', or an object")
+    noise = _build("noise", lambda: NoiseSpec(
+        kind=noise_raw.get("kind", "none"),
+        relative_sd=_number(noise_raw.get("relative_sd", 0.0), "noise.relative_sd"),
+    ))
 
     seed = raw.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):

@@ -67,16 +67,21 @@ class PolygonRegion:
         if len(self.vertices) < 3:
             raise ValueError(f"polygon needs at least 3 vertices, got {len(self.vertices)}")
         pts = [_xy(v) for v in self.vertices]
+        lon_span = max(pts)[0] - min(pts)[0]  # (lon, lat) tuples order by longitude first
+        if lon_span >= 180.0:
+            raise ValueError(
+                f"vertex longitudes span {lon_span} degrees; a region must span less than "
+                "180 degrees of longitude, and one across the antimeridian is not supported"
+            )
         n = len(pts)
         for k in range(n):
             if pts[k] == pts[(k + 1) % n]:
                 raise ValueError(f"repeated consecutive vertex at position {k}")
-        # Non-adjacent edges must not touch or cross.
+        # Non-adjacent edges must not touch or cross. Edge i's neighbours are
+        # i + 1 and, for edge 0, the closing edge n - 1.
         for i in range(n):
             a1, a2 = pts[i], pts[(i + 1) % n]
-            for j in range(i + 1, n):
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                    continue
+            for j in range(i + 2, n - 1 if i == 0 else n):
                 if _segments_intersect(a1, a2, pts[j], pts[(j + 1) % n]):
                     raise ValueError(f"polygon edges {i} and {j} intersect; region must be simple")
 
@@ -154,7 +159,7 @@ def generate_lattice(rect: CircumRectangle, spacing_m: float, origin_alt_m: floa
 
     Rows and columns extend one spacing past the north/east edges so tiles may
     overhang the rectangle. Degree increments are fixed, converted once at the
-    rectangle's southern latitude.
+    rectangle's southern latitude. A row north of 90 degrees is refused.
     """
     if not spacing_m > 0.0:
         raise ValueError(f"spacing_m must be > 0, got {spacing_m}")
@@ -174,6 +179,11 @@ def generate_lattice(rect: CircumRectangle, spacing_m: float, origin_alt_m: floa
     i = 0
     while rect.min_lat + i * dlat < rect.max_lat + dlat:
         lat = rect.min_lat + i * dlat
+        if lat > 90.0:
+            raise ValueError(
+                f"lattice row at {lat} degrees passes the north pole: the region ends within "
+                f"one grid spacing ({spacing_m:.3f} m) of 90 degrees north"
+            )
         j = 0
         while rect.min_lon + j * dlon < rect.max_lon + dlon:
             points.append(Waypoint(GeoPoint(lat, rect.min_lon + j * dlon, origin_alt_m), (i, j)))

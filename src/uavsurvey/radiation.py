@@ -44,18 +44,6 @@ class NoiseSpec:
             raise ValueError(f"relative_sd must be finite and >= 0, got {self.relative_sd}")
 
 
-@dataclass(frozen=True)
-class RadiationReading:
-    """One sampled field level at a position."""
-
-    intensity: float
-    position: GeoPoint
-
-    def __post_init__(self) -> None:
-        if self.intensity < 0.0:
-            raise ValueError(f"intensity must be >= 0, got {self.intensity}")
-
-
 def strength_at(source: RadiationSource, p: GeoPoint) -> float:
     """Field level at p: sigma / d^2, with d clamped at MIN_DISTANCE_M."""
     d = distance_m(source.position, p)

@@ -57,10 +57,18 @@ def position_of(waypoint) -> GeoPoint:
     return waypoint.point if hasattr(waypoint, "point") else waypoint
 
 
-def _check_fleet(agents: Sequence[Agent]) -> None:
-    ids = [a.id for a in agents]
-    if len(set(ids)) != len(ids):
-        raise ValueError("agent ids must be unique within a fleet")
+def _check_fleet(agents: Sequence[Agent], plan: RoutePlan | None = None) -> None:
+    """The fleet rules: at least one agent, unique ids and, given a plan, no
+    route of an agent outside the fleet."""
+    if not agents:
+        raise ValueError("fleet must have at least one agent")
+    ids = {a.id for a in agents}
+    if len(ids) != len(agents):
+        raise ValueError("agent ids must be unique within the fleet")
+    if plan is not None:
+        unknown = [aid for aid in plan.routes if aid not in ids]
+        if unknown:
+            raise ValueError(f"plan references agents not in the fleet: {unknown}")
 
 
 # The ring lower bound is scaled by this before pruning. Rounding in the
@@ -151,8 +159,6 @@ def plan_routes(agents: Sequence[Agent], waypoints, cost: CostFunction = distanc
     the grid would need more than 4n + 64 cells.
     """
     agents = list(agents)
-    if not agents:
-        raise ValueError("at least one agent is required")
     _check_fleet(agents)
 
     order = list(waypoints)
@@ -219,11 +225,8 @@ def makespan(plan: RoutePlan, agents: Sequence[Agent], cost: CostFunction = dist
 
     Per agent: (home-to-first leg plus consecutive legs) / velocity.
     """
+    _check_fleet(agents, plan)
     by_id = {a.id: a for a in agents}
-    _check_fleet(agents)
-    unknown = [aid for aid in plan.routes if aid not in by_id]
-    if unknown:
-        raise ValueError(f"plan references agents not in the fleet: {unknown}")
     worst = 0.0
     for aid, route in plan.routes.items():
         agent = by_id[aid]
@@ -233,14 +236,11 @@ def makespan(plan: RoutePlan, agents: Sequence[Agent], cost: CostFunction = dist
     return worst
 
 
-def tsp_optimal(points, cost: CostFunction = distance_m, mode: str = "tour", start=None) -> float:
-    """Exact minimum Hamiltonian tour or open-path cost via Held-Karp.
+def tsp_optimal(points, cost: CostFunction = distance_m) -> float:
+    """Exact minimum Hamiltonian tour cost via Held-Karp.
 
-    ``mode="tour"`` closes the cycle; ``mode="path"`` leaves it open and may
-    fix a start point. Limited to HELD_KARP_MAX_POINTS.
+    Limited to HELD_KARP_MAX_POINTS.
     """
-    if mode not in ("tour", "path"):
-        raise ValueError(f"mode must be 'tour' or 'path', got {mode!r}")
     pts = [position_of(p) for p in points]
     n = len(pts)
     if n > HELD_KARP_MAX_POINTS:
@@ -248,15 +248,6 @@ def tsp_optimal(points, cost: CostFunction = distance_m, mode: str = "tour", sta
             f"tsp_optimal supports at most {HELD_KARP_MAX_POINTS} points, got {n}; "
             "use mtsp_lower_bound at desk scale only"
         )
-    starts = range(n)
-    if start is not None:
-        if mode != "path":
-            raise ValueError("start applies to path mode only")
-        target = position_of(start)
-        matches = [k for k, p in enumerate(pts) if p == target]
-        if not matches:
-            raise ValueError("start point is not among the input points")
-        starts = matches[:1]
     if n <= 1:
         return 0.0
 
@@ -264,62 +255,38 @@ def tsp_optimal(points, cost: CostFunction = distance_m, mode: str = "tour", sta
     size = 1 << n
     inf = math.inf
     dp = [inf] * (size * n)
-
-    if mode == "tour":
-        # Anchor the cycle at vertex 0; dp[mask*n + k] = cheapest path 0 -> k
-        # visiting exactly `mask` (mask includes bits 0 and k).
-        for k in range(1, n):
-            dp[((1 | (1 << k)) * n) + k] = c[0][k]
-        for mask in range(size):
-            if not mask & 1:
-                continue
-            base = mask * n
-            for k in range(1, n):
-                kbit = 1 << k
-                if not mask & kbit:
-                    continue
-                prev = mask ^ kbit
-                if prev == 1:
-                    continue  # base case already seeded
-                pbase = prev * n
-                best = inf
-                for j in range(1, n):
-                    if prev & (1 << j):
-                        v = dp[pbase + j] + c[j][k]
-                        if v < best:
-                            best = v
-                dp[base + k] = best
-        full = (size - 1) * n
-        return min(dp[full + k] + c[k][0] for k in range(1, n))
-
-    for s in starts:
-        dp[((1 << s) * n) + s] = 0.0
+    # Anchor the cycle at vertex 0; dp[mask*n + k] = cheapest path 0 -> k
+    # visiting exactly `mask` (mask includes bits 0 and k).
+    for k in range(1, n):
+        dp[((1 | (1 << k)) * n) + k] = c[0][k]
     for mask in range(size):
+        if not mask & 1:
+            continue
         base = mask * n
-        for k in range(n):
+        for k in range(1, n):
             kbit = 1 << k
             if not mask & kbit:
                 continue
             prev = mask ^ kbit
-            if prev == 0:
-                continue
+            if prev == 1:
+                continue  # base case already seeded
             pbase = prev * n
-            best = dp[base + k]
-            for j in range(n):
+            best = inf
+            for j in range(1, n):
                 if prev & (1 << j):
                     v = dp[pbase + j] + c[j][k]
                     if v < best:
                         best = v
             dp[base + k] = best
     full = (size - 1) * n
-    return min(dp[full + k] for k in range(n))
+    return min(dp[full + k] + c[k][0] for k in range(1, n))
 
 
 def mtsp_lower_bound(points, n_agents: int, cost: CostFunction = distance_m) -> float:
     """Optimal single-agent tour cost divided by the agent count."""
     if n_agents < 1:
         raise ValueError(f"n_agents must be >= 1, got {n_agents}")
-    return tsp_optimal(points, cost, mode="tour") / n_agents
+    return tsp_optimal(points, cost) / n_agents
 
 
 def brute_force_mtsp(points, agents: Sequence[Agent], cost: CostFunction = distance_m):
@@ -331,8 +298,6 @@ def brute_force_mtsp(points, agents: Sequence[Agent], cost: CostFunction = dista
     and ORACLE_MAX_AGENTS agents.
     """
     agents = list(agents)
-    if not agents:
-        raise ValueError("at least one agent is required")
     _check_fleet(agents)
     wps = list(points)
     n = len(wps)

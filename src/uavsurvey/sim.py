@@ -123,11 +123,8 @@ def simulate(
     defaults to zero. Noise draws use one generator per agent keyed on
     (seed, agent id), so per-agent results do not depend on fleet order.
     """
-    _check_fleet(fleet)
+    _check_fleet(fleet, plan)
     by_id = {a.id: a for a in fleet}
-    unknown = [aid for aid in plan.routes if aid not in by_id]
-    if unknown:
-        raise ValueError(f"plan references agents not in the fleet: {unknown}")
     if not (math.isfinite(dwell_s) and dwell_s >= 0.0):
         raise ValueError(f"dwell_s must be finite and >= 0, got {dwell_s}")
     altitudes = {position_of(w).alt_m for route in plan.routes.values() for w in route}

@@ -105,25 +105,6 @@ def permutation_tour_cost(points, cost) -> float:
     return best
 
 
-def permutation_path_cost(points, cost, start=None) -> float:
-    """Minimum open Hamiltonian path cost by enumerating permutations."""
-    pts = list(points)
-    if len(pts) <= 1:
-        return 0.0
-    if start is not None:
-        rest = list(pts)
-        rest.remove(start)
-        orders = ((start, *perm) for perm in itertools.permutations(rest))
-    else:
-        orders = itertools.permutations(pts)
-    best = math.inf
-    for order in orders:
-        total = sum(cost(order[k], order[k + 1]) for k in range(len(order) - 1))
-        if total < best:
-            best = total
-    return best
-
-
 # ---------------------------------------------------------------------------
 # planner reference
 

@@ -119,7 +119,7 @@ def test_criterion_4_oracle_dominance_and_bound():
         assert nn_makespan >= optimum - 1e-9 * max(optimum, 1.0)
 
         # Held-Karp against permutation brute force on every instance <= 8 points.
-        hk = tsp_optimal(pts, mode="tour")
+        hk = tsp_optimal(pts)
         assert hk == pytest.approx(permutation_tour_cost(pts, distance_m), rel=1e-9)
         checked_hk += 1
 

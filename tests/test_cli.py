@@ -87,6 +87,16 @@ class TestSimulate:
         lines = (tmp_path / "observations.jsonl").read_text().strip().splitlines()
         assert len(lines) > 80
 
+    def test_region_at_north_pole_refused(self, tmp_path, capsys):
+        doc = dict(TINY, region=[[89.9997, 0.0], [89.99995, 0.0], [89.99995, 10.0]])
+        path = tmp_path / "pole.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: lattice row at 90.0000")
+        assert "passes the north pole" in err and "(42.667 m)" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestBound:
     def test_reports_all_references(self, tiny_config, capsys):

@@ -1,0 +1,84 @@
+"""One set of fleet rules for every entry point that takes a fleet, and the
+immutable mission config the CLI derives its overrides from."""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+
+from helpers import REPO_CONFIG
+from uavsurvey import (
+    Agent,
+    GeoPoint,
+    MissionConfig,
+    PolygonRegion,
+    brute_force_mtsp,
+    dumps_geojson,
+    export_geojson,
+    generate_waypoints,
+    makespan,
+    parse_mission_config,
+    plan_routes,
+    simulate,
+    write_observation_log,
+)
+from uavsurvey.cli import main
+
+HOME = GeoPoint(0.0, 0.0)
+POINTS = [GeoPoint(0.0, 0.0001), GeoPoint(0.0001, 0.0)]
+REGION = PolygonRegion((GeoPoint(0.0, 0.0), GeoPoint(0.0, 0.001), GeoPoint(0.001, 0.0)))
+PLAN = plan_routes([Agent("A", HOME, 2.0), Agent("B", HOME, 3.0)], POINTS)
+
+# Each entry point called with a given fleet.
+ENTRY_POINTS = {
+    "plan_routes": lambda fleet: plan_routes(fleet, POINTS),
+    "brute_force_mtsp": lambda fleet: brute_force_mtsp(POINTS, fleet),
+    "makespan": lambda fleet: makespan(PLAN, fleet),
+    "simulate": lambda fleet: simulate(PLAN, fleet),
+    "MissionConfig": lambda fleet: MissionConfig(region=REGION, fleet=tuple(fleet)),
+}
+FLEETS = {
+    "empty": ([], "fleet must have at least one agent"),
+    "duplicate-ids": (
+        [Agent("A", HOME, 2.0), Agent("B", HOME, 3.0), Agent("A", HOME, 4.0)],
+        "agent ids must be unique within the fleet",
+    ),
+}
+
+
+@pytest.mark.parametrize("fleet, message", FLEETS.values(), ids=FLEETS)
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+def test_same_fleet_rule_everywhere(call, fleet, message):
+    with pytest.raises(ValueError) as info:
+        call(fleet)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", ["makespan", "simulate"])
+def test_plan_naming_an_agent_outside_the_fleet(name):
+    with pytest.raises(ValueError) as info:
+        ENTRY_POINTS[name]([Agent("A", HOME, 2.0)])
+    assert str(info.value) == "plan references agents not in the fleet: ['B']"
+
+
+def test_mission_config_is_frozen():
+    config = parse_mission_config(REPO_CONFIG.read_text(encoding="utf-8"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.seed = 7
+
+
+def test_cli_overrides_match_the_api(tmp_path):
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(REPO_CONFIG), "--out", str(out), "--agents", "1", "--seed", "7"]
+    assert main(argv) == 0
+
+    parsed = parse_mission_config(REPO_CONFIG.read_text(encoding="utf-8"))
+    assert len(parsed.fleet) > 1 and parsed.seed != 7  # both overrides change something
+    config = dataclasses.replace(parsed, fleet=parsed.fleet[:1], seed=7)
+    grid = generate_waypoints(config.region, config.camera)
+    plan = plan_routes(config.fleet, grid.points)
+    log = simulate(plan, config.fleet, config.sources, config.noise, config.seed,
+                   camera=config.camera, dwell_s=config.dwell_s, mission_id=config.mission_id)
+    assert (out / "plan.geojson").read_text(encoding="utf-8") == dumps_geojson(export_geojson(grid, plan))
+    assert (out / "observations.jsonl").read_text(encoding="utf-8") == write_observation_log(log)

@@ -55,6 +55,11 @@ class TestPolygonRegion:
         with pytest.raises(ValueError, match="repeated"):
             poly((0.0, 0.0), (0.0, 0.0), (1.0, 1.0), (1.0, 0.0))
 
+    def test_rejects_longitude_span_of_half_the_globe(self):
+        poly((0.0, -89.95), (1.0, -89.95), (1.0, 90.0))  # 179.95 degrees: accepted
+        with pytest.raises(ValueError, match="span 180.0 degrees"):
+            poly((0.0, -90.0), (1.0, -90.0), (1.0, 90.0))
+
     def test_rejects_self_intersection(self):
         # bowtie
         with pytest.raises(ValueError, match="intersect"):
@@ -158,6 +163,12 @@ class TestGenerateLattice:
         rect = CircumRectangle(0.0, 0.001, 0.0, 0.001)
         for wp in generate_lattice(rect, 40.0, 32.0):
             assert wp.point.alt_m == 32.0
+
+    def test_row_past_north_pole_refused(self):
+        # The overhang row above 89.99995 N would sit at 90.0000833 N.
+        region = poly((89.9997, 0.0), (89.99995, 0.0), (89.99995, 10.0))
+        with pytest.raises(ValueError, match=r"passes the north pole.*\(42\.667 m\)"):
+            generate_waypoints(region, CameraModel())
 
 
 class TestPointInPolygon:

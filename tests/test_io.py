@@ -100,6 +100,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="noise"):
             parse_mission_config(json.dumps(doc))
 
+    def test_region_across_antimeridian_rejected(self):
+        # A 110 m box whose bounding rectangle would span 359.999 degrees of
+        # longitude and hold millions of lattice points.
+        doc = json.loads(MINIMAL)
+        doc["region"] = [[0.0, 179.9995], [0.001, 179.9995], [0.001, -179.9995], [0.0, -179.9995]]
+        with pytest.raises(ConfigError, match=r"^region: vertex longitudes span 359\.99"):
+            parse_mission_config(json.dumps(doc))
+
     def test_seed_must_be_integer(self):
         doc = json.loads(MINIMAL)
         doc["seed"] = 1.5

@@ -12,7 +12,6 @@ from uavsurvey import (
     EnuOffset,
     GeoPoint,
     NoiseSpec,
-    RadiationReading,
     RadiationSource,
     gps_offset,
     sample_reading,
@@ -215,11 +214,3 @@ class TestSampleReading:
             NoiseSpec("poisson")
         with pytest.raises(ValueError, match="relative_sd"):
             NoiseSpec("gaussian", -0.5)
-
-    def test_reading_type_invariant(self):
-        src = RadiationSource(ORIGIN, 100.0)
-        p = at_distance(4.0)
-        reading = RadiationReading(intensity=strength_at(src, p), position=p)
-        assert reading.intensity == pytest.approx(6.25, rel=1e-12)
-        with pytest.raises(ValueError, match="intensity"):
-            RadiationReading(intensity=-0.1, position=p)

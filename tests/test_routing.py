@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from helpers import permutation_path_cost, permutation_tour_cost, random_points, scan_plan_routes
+from helpers import permutation_tour_cost, random_points, scan_plan_routes
 from uavsurvey import (
     Agent,
     EnuOffset,
@@ -308,44 +308,17 @@ class TestMakespan:
 class TestTspOptimal:
     def test_single_point(self):
         pts = east_points(3.0)
-        assert tsp_optimal(pts, mode="tour") == 0.0
-        assert tsp_optimal(pts, mode="path") == 0.0
+        assert tsp_optimal(pts) == 0.0
         assert tsp_optimal([]) == 0.0
 
     def test_two_points(self):
         pts = east_points(0.0, 5.0)
         d = distance_m(pts[0], pts[1])
-        assert tsp_optimal(pts, mode="tour") == pytest.approx(2.0 * d, rel=1e-12)
-        assert tsp_optimal(pts, mode="path") == pytest.approx(d, rel=1e-12)
+        assert tsp_optimal(pts) == pytest.approx(2.0 * d, rel=1e-12)
 
     def test_unit_square_tour(self):
         # Brute force over the 3 distinct tours of 4 points gives 4.
-        assert tsp_optimal(unit_square_points(), mode="tour") == pytest.approx(4.0, rel=1e-9)
-
-    def test_unit_square_path(self):
-        assert tsp_optimal(unit_square_points(), mode="path") == pytest.approx(3.0, rel=1e-9)
-
-    def test_fixed_start_path(self):
-        pts = east_points(0.0, 1.0, 10.0)
-        # Starting at the middle point forces a detour.
-        free = tsp_optimal(pts, mode="path")
-        fixed = tsp_optimal(pts, mode="path", start=pts[1])
-        assert free == pytest.approx(10.0, rel=1e-9)
-        assert fixed == pytest.approx(11.0, rel=1e-9)
-
-    def test_start_not_in_points(self):
-        pts = east_points(0.0, 1.0)
-        with pytest.raises(ValueError, match="start"):
-            tsp_optimal(pts, mode="path", start=east_points(99.0)[0])
-
-    def test_start_with_tour_rejected(self):
-        pts = east_points(0.0, 1.0)
-        with pytest.raises(ValueError, match="path"):
-            tsp_optimal(pts, mode="tour", start=pts[0])
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            tsp_optimal([], mode="loop")
+        assert tsp_optimal(unit_square_points()) == pytest.approx(4.0, rel=1e-9)
 
     def test_size_cap(self):
         rng = random.Random(8)
@@ -357,22 +330,13 @@ class TestTspOptimal:
         rng = random.Random(9)
         for _ in range(40):
             pts = random_points(rng, HOME, rng.randint(2, 7), 300.0)
-            assert tsp_optimal(pts, mode="tour") == pytest.approx(
-                permutation_tour_cost(pts, distance_m), rel=1e-9
-            )
-            assert tsp_optimal(pts, mode="path") == pytest.approx(
-                permutation_path_cost(pts, distance_m), rel=1e-9
-            )
-            start = pts[rng.randrange(len(pts))]
-            assert tsp_optimal(pts, mode="path", start=start) == pytest.approx(
-                permutation_path_cost(pts, distance_m, start=start), rel=1e-9
-            )
+            assert tsp_optimal(pts) == pytest.approx(permutation_tour_cost(pts, distance_m), rel=1e-9)
 
 
 class TestLowerBound:
     def test_single_agent_equals_tour(self):
         pts = unit_square_points()
-        assert mtsp_lower_bound(pts, 1) == tsp_optimal(pts, mode="tour")
+        assert mtsp_lower_bound(pts, 1) == tsp_optimal(pts)
 
     def test_unit_square_two_agents(self):
         assert mtsp_lower_bound(unit_square_points(), 2) == pytest.approx(2.0, rel=1e-9)
