@@ -45,6 +45,10 @@ class MissionConfig:
 
     def __post_init__(self) -> None:
         _check_fleet(self.fleet)
+        if not math.isfinite(self.dwell_s):
+            raise ValueError(f"dwell_s: expected a finite number, got {self.dwell_s}")
+        if self.dwell_s < 0.0:
+            raise ValueError("dwell_s: must be >= 0")
 
 
 def _fail(path: str, message) -> ConfigError:
@@ -68,9 +72,12 @@ def _object(value, path: str, keys, expected: str = "an object") -> dict:
 
 
 def _build(path: str, make):
-    """``make()``, with the path prefixed to any ValueError it raises."""
+    """``make()``, with the path prefixed to any ValueError it raises other
+    than a ConfigError, which already names its own path."""
     try:
         return make()
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise _fail(path, exc) from None
 
@@ -162,8 +169,6 @@ def parse_mission_config(text: str) -> MissionConfig:
         raise _fail("seed", f"expected an integer, got {type(seed).__name__}")
 
     dwell_s = _number(raw.get("dwell_s", 0.0), "dwell_s")
-    if dwell_s < 0.0:
-        raise _fail("dwell_s", "must be >= 0")
 
     mission_id = raw.get("mission_id")
     if mission_id is not None and not isinstance(mission_id, str):
@@ -206,4 +211,4 @@ def serialize_mission_config(config: MissionConfig) -> str:
     doc["noise"] = {"kind": config.noise.kind, "relative_sd": config.noise.relative_sd}
     doc["seed"] = config.seed
     doc["dwell_s"] = config.dwell_s
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"

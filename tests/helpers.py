@@ -1,14 +1,16 @@
-"""Shared test utilities: independent geometry oracles and random instance builders."""
+"""Shared test utilities: independent geometry oracles, reference writers and random instance builders."""
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from pathlib import Path
 
 from uavsurvey import EnuOffset, GeoPoint, PolygonRegion, distance_m, gps_offset, strength_at
 from uavsurvey.routing import position_of
+from uavsurvey.sim import WAYPOINT_REACHED
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "campus_mission.json"
 
@@ -140,6 +142,45 @@ def scan_plan_routes(agents, waypoints, cost=distance_m):
         remaining.remove(best_k)
         turn += 1
     return routes, visit_sequence
+
+
+# ---------------------------------------------------------------------------
+# writer references
+
+def json_dumps_geojson(doc: dict) -> str:
+    """``plan.geojson`` as ``json.dumps`` writes it, the way ``dumps_geojson``
+    did before it filled templates."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def json_observation_log(log) -> str:
+    """``observations.jsonl`` with one compact ``json.dumps`` per record, the
+    way ``write_observation_log`` did before it filled templates."""
+    header = {
+        "mission_id": log.mission_id,
+        "config_digest": log.config_digest,
+        "event_count": len(log.events),
+    }
+    lines = [json.dumps(header, separators=(",", ":"), allow_nan=False)]
+    for event in log.events:
+        rec: dict = {"event": event.kind, "t": event.t, "agent_id": event.agent_id}
+        if event.kind == WAYPOINT_REACHED:
+            obs = event.observation
+            meta = obs.camera
+            rec.update(
+                lat=obs.position.lat_deg,
+                lon=obs.position.lon_deg,
+                alt=obs.position.alt_m,
+                radiation_usv_s=obs.radiation_usv_s,
+                camera={
+                    "altitude_m": meta.altitude_m,
+                    "half_fov_deg": meta.half_fov_deg,
+                    "footprint_width_m": meta.footprint_width_m,
+                    "lattice_index": None if meta.lattice_index is None else list(meta.lattice_index),
+                },
+            )
+        lines.append(json.dumps(rec, separators=(",", ":"), allow_nan=False))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -110,9 +110,9 @@ CASES = [
     ("fleet-home-wrong-type", put("fleet", 0, "home", "base"),
      "fleet[0].home: expected [lat_deg, lon_deg] or [lat_deg, lon_deg, alt_m]"),
     ("fleet-velocity-wrong-type", put("fleet", 0, "velocity_mps", "fast"),
-     "fleet[0]: fleet[0].velocity_mps: expected a number, got str"),
+     "fleet[0].velocity_mps: expected a number, got str"),
     ("fleet-velocity-non-finite", put("fleet", 0, "velocity_mps", INF),
-     "fleet[0]: fleet[0].velocity_mps: expected a finite number, got inf"),
+     "fleet[0].velocity_mps: expected a finite number, got inf"),
     ("fleet-velocity-invariant", put("fleet", 0, "velocity_mps", 0),
      "fleet[0]: velocity_mps must be positive and finite, got 0.0"),
     ("fleet-empty-id", put("fleet", 0, "id", ""), "fleet[0]: agent id must be non-empty"),
@@ -130,13 +130,13 @@ CASES = [
     ("sources-missing-sigma", put("sources", [{"position": [53.0, -9.0]}]),
      "sources[0].sigma: required key is missing"),
     ("sources-sigma-wrong-type", put("sources", [{**SOURCE, "sigma": "hot"}]),
-     "sources[0]: sources[0].sigma: expected a number, got str"),
+     "sources[0].sigma: expected a number, got str"),
     ("sources-sigma-non-finite", put("sources", [{**SOURCE, "sigma": NAN}]),
-     "sources[0]: sources[0].sigma: expected a finite number, got nan"),
+     "sources[0].sigma: expected a finite number, got nan"),
     ("sources-sigma-invariant", put("sources", [{**SOURCE, "sigma": -2.0}]),
      "sources[0]: sigma must be finite and >= 0, got -2.0"),
     ("sources-position-out-of-range", put("sources", [{**SOURCE, "position": [99.0, 0.0]}]),
-     "sources[0]: sources[0].position: lat_deg must be within [-90, 90], got 99.0"),
+     "sources[0].position: lat_deg must be within [-90, 90], got 99.0"),
     # noise
     ("noise-not-object", put("noise", 3), "noise: expected 'none', 'gaussian', or an object"),
     ("noise-unknown-key", put("noise", {"kind": "gaussian", "sd": 0.1}),
@@ -146,9 +146,9 @@ CASES = [
     ("noise-kind-wrong-type", put("noise", {"kind": 3}),
      "noise: noise kind must be 'none' or 'gaussian', got 3"),
     ("noise-sd-wrong-type", put("noise", {"kind": "gaussian", "relative_sd": "high"}),
-     "noise: noise.relative_sd: expected a number, got str"),
+     "noise.relative_sd: expected a number, got str"),
     ("noise-sd-non-finite", put("noise", {"kind": "gaussian", "relative_sd": INF}),
-     "noise: noise.relative_sd: expected a finite number, got inf"),
+     "noise.relative_sd: expected a finite number, got inf"),
     ("noise-sd-invariant", put("noise", {"kind": "gaussian", "relative_sd": -0.5}),
      "noise: relative_sd must be finite and >= 0, got -0.5"),
     # seed

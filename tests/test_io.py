@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
+import re
 
 import pytest
 
@@ -159,6 +161,27 @@ class TestParseConfig:
                 region=PolygonRegion((GeoPoint(0, 0), GeoPoint(0, 1), GeoPoint(1, 0))),
                 fleet=(),
             )
+
+    @pytest.mark.parametrize(
+        "dwell, message",
+        [
+            (float("nan"), "dwell_s: expected a finite number, got nan"),
+            (float("inf"), "dwell_s: expected a finite number, got inf"),
+            (-1.0, "dwell_s: must be >= 0"),
+        ],
+    )
+    def test_dwell_invariant_in_dataclass(self, dwell, message):
+        config = parse_mission_config(MINIMAL)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MissionConfig(region=config.region, fleet=config.fleet, dwell_s=dwell)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(config, dwell_s=dwell)
+
+    def test_serialized_config_is_strict_json(self):
+        config = parse_mission_config(MINIMAL)
+        object.__setattr__(config, "dwell_s", float("nan"))  # past the dataclass check
+        with pytest.raises(ValueError, match="JSON compliant"):
+            serialize_mission_config(config)
 
 
 def small_mission():

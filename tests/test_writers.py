@@ -1,0 +1,344 @@
+"""The template writers against the ``json.dumps`` references.
+
+``dumps_geojson`` and ``write_observation_log`` must emit byte for byte what
+``json.dumps(indent=2, allow_nan=False)`` and per-record compact
+``json.dumps(allow_nan=False)`` emit (``tests/helpers.py``), on seeded
+missions and on hand-built documents and logs that leave the shapes the
+templates cover, and must refuse a non-finite number in every float slot.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+from types import SimpleNamespace
+
+import pytest
+
+from helpers import json_dumps_geojson, json_observation_log, random_star_polygon
+from uavsurvey import (
+    Agent,
+    CameraModel,
+    GeoPoint,
+    NoiseSpec,
+    RadiationSource,
+    dumps_geojson,
+    export_geojson,
+    generate_waypoints,
+    plan_routes,
+    simulate,
+    write_observation_log,
+)
+from uavsurvey.grid import Waypoint, WaypointGrid, bounding_rectangle
+from uavsurvey.sim import WAYPOINT_REACHED, Event, EventLog
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+ORIGIN = GeoPoint(53.28, -9.06)
+
+
+def assert_same_bytes(doc: dict | None = None, log: EventLog | None = None) -> None:
+    if doc is not None:
+        assert dumps_geojson(doc) == json_dumps_geojson(doc)
+    if log is not None:
+        assert write_observation_log(log) == json_observation_log(log)
+
+
+def random_mission(rng: random.Random):
+    region = random_star_polygon(rng, ORIGIN, rng.randint(3, 24), 60.0, rng.uniform(80.0, 250.0))
+    camera = CameraModel(rng.uniform(20.0, 60.0), rng.uniform(0.0, 0.5), rng.uniform(10.0, 40.0))
+    grid = generate_waypoints(region, camera)
+    fleet = [
+        Agent(f"rav-{k}", GeoPoint(ORIGIN.lat_deg + rng.uniform(-1e-3, 1e-3), ORIGIN.lon_deg), rng.uniform(2.0, 12.0))
+        for k in range(rng.randint(1, 6))
+    ]
+    sources = [
+        RadiationSource(GeoPoint(ORIGIN.lat_deg + rng.uniform(-2e-3, 2e-3), ORIGIN.lon_deg), rng.uniform(10.0, 300.0))
+        for _ in range(rng.randint(0, 4))
+    ]
+    noise = NoiseSpec("gaussian", rng.uniform(0.0, 0.3)) if rng.random() < 0.5 else NoiseSpec()
+    plan = plan_routes(fleet, grid.points)
+    dwell_s = rng.choice([0.0, 1.5])
+    log = simulate(plan, fleet, sources, noise, rng.randint(0, 99), camera=camera, dwell_s=dwell_s)
+    return grid, plan, log
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_missions_match_json_dumps(seed):
+    grid, plan, log = random_mission(random.Random(seed))
+    assert grid.points
+    assert_same_bytes(export_geojson(grid, plan), log)
+
+
+def int_grid():
+    """Three waypoints with int coordinates, the way ``GeoPoint(0, 0, 0)`` keeps them."""
+    points = tuple(Waypoint(GeoPoint(i, j, 0), (i, j)) for i, j in ((0, 0), (0, 1), (1, 0)))
+    rect = bounding_rectangle(SimpleNamespace(vertices=[w.point for w in points]))
+    return WaypointGrid(1.0, rect, points)
+
+
+def random_json_value(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(8 if depth < 2 else 6)
+    if kind == 0:
+        return rng.choice([0.0, -0.0, 1e300, -2.5e-308, 32.0, rng.uniform(-180.0, 180.0)])
+    if kind == 1:
+        return rng.choice([0, -1, 7, 10**20])
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind == 3:
+        return "".join(rng.choice('ab"\\é\x1f\n/\U0001f681') for _ in range(rng.randint(0, 4)))
+    if kind == 4:
+        return [rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.choice([32.0, 0, -0.0])]
+    if kind == 5:
+        return rng.choice([[], {}, ()])
+    items = [random_json_value(rng, depth + 1) for _ in range(rng.randint(1, 3))]
+    if kind == 6:
+        return items if rng.random() < 0.7 else tuple(items)
+    return {rng.choice(["type", "coordinates", "agent_id", "k", 1, 2.5, True, None]): v for v in items}
+
+
+def _slots(node):
+    """Every (container, key) in a JSON tree, so one value can be swapped."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = range(len(node))
+    else:
+        return
+    for key in keys:
+        yield node, key
+        yield from _slots(node[key])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mutated_documents_match_json_dumps(seed):
+    """Random values swapped into an exported document, one at a time, so
+    that each template meets near misses of the shape it fills."""
+    rng = random.Random(seed)
+    grid, plan, _ = random_mission(rng)
+    doc = export_geojson(grid, plan)
+    doc["features"][8:-3] = []  # a few Points, then the routes
+    for _ in range(150):
+        slots = list(_slots(doc))
+        container, key = rng.choice(slots)
+        value = random_json_value(rng)
+        if isinstance(container, dict) and rng.random() < 0.3:
+            # move the key to the end, or add one, so that key order changes too
+            value = container.pop(key) if rng.random() < 0.5 else value
+            key = key if rng.random() < 0.5 else "extra"
+        container[key] = value
+        assert_same_bytes(doc)
+
+
+EVENT_SLOTS = {
+    "t": (), "agent_id": (), "kind": (),
+    "radiation_usv_s": ("observation",),
+    "lat_deg": ("observation", "position"), "lon_deg": ("observation", "position"),
+    "alt_m": ("observation", "position"),
+    "altitude_m": ("observation", "camera"), "half_fov_deg": ("observation", "camera"),
+    "footprint_width_m": ("observation", "camera"), "lattice_index": ("observation", "camera"),
+}
+
+
+def _namespace(value):
+    """A mutable copy of an event, observation, position or camera record."""
+    if not dataclasses.is_dataclass(value):
+        return value
+    return SimpleNamespace(**{f.name: _namespace(getattr(value, f.name)) for f in dataclasses.fields(value)})
+
+
+def _outcome(write, log):
+    try:
+        return write(log)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mutated_logs_match_json_dumps(seed):
+    """Random values swapped into the events of a simulated log, one at a time."""
+    rng = random.Random(seed)
+    _, _, log = random_mission(rng)
+    events = [_namespace(e) for e in log.events[:40]]
+    log = EventLog(log.mission_id, log.config_digest, events)
+    for _ in range(150):
+        field = rng.choice(list(EVENT_SLOTS))
+        event = rng.choice([e for e in events if e.observation is not None or not EVENT_SLOTS[field]])
+        target = event
+        for name in EVENT_SLOTS[field]:
+            target = getattr(target, name)
+        old = getattr(target, field)
+        setattr(target, field, random_json_value(rng))
+        outcome = _outcome(json_observation_log, log)
+        assert _outcome(write_observation_log, log) == outcome
+        if not isinstance(outcome, str):
+            setattr(target, field, old)  # keep the log writable for the next swap
+
+
+class TestEdgeCases:
+    def test_int_coordinates(self):
+        grid = int_grid()
+        fleet = [Agent("rav-1", GeoPoint(0, 0, 0), 5)]
+        plan = plan_routes(fleet, grid.points)
+        log = simulate(plan, fleet)
+        doc = export_geojson(grid, plan)
+        assert '"coordinates": [\n          0,\n          0,\n          0\n        ]' in dumps_geojson(doc)
+        assert_same_bytes(doc, log)
+
+    @pytest.mark.parametrize("aid", ['say "hi"', "back\\slash", "räv-é", "tab\tnul\x00", "\U0001f681"])
+    def test_awkward_agent_ids(self, aid):
+        rng = random.Random(3)
+        grid, _, _ = random_mission(rng)
+        fleet = [Agent(aid, ORIGIN, 5.0), Agent(aid + "-2", ORIGIN, 6.0)]
+        plan = plan_routes(fleet, grid.points)
+        assert_same_bytes(export_geojson(grid, plan), simulate(plan, fleet, camera=CameraModel()))
+
+    def test_unassigned_waypoints_and_empty_route(self):
+        grid, _, _ = random_mission(random.Random(4))
+        fleet = [Agent(f"rav-{k}", ORIGIN, 5.0) for k in range(4)]
+        plan = plan_routes(fleet, grid.points[:2])  # two agents fly nothing
+        doc = export_geojson(grid, plan)
+        assert any(f["properties"].get("visit_order", 0) is None for f in doc["features"])
+        assert_same_bytes(doc, simulate(plan, fleet, camera=CameraModel()))
+
+    def test_bare_geopoint_routes_without_camera(self):
+        rng = random.Random(5)
+        fleet = [Agent("rav-1", ORIGIN, 5.0), Agent("rav-2", ORIGIN, 7.0)]
+        points = [
+            GeoPoint(ORIGIN.lat_deg + rng.uniform(0, 1e-3), ORIGIN.lon_deg + rng.uniform(0, 1e-3), 20.0)
+            for _ in range(9)
+        ]
+        log = simulate(plan_routes(fleet, points), fleet, [RadiationSource(ORIGIN, 50.0)])
+        text = write_observation_log(log)
+        assert '"half_fov_deg":null,"footprint_width_m":null,"lattice_index":null' in text
+        assert_same_bytes(log=log)
+
+    def test_point_with_added_property(self):
+        grid, plan, _ = random_mission(random.Random(6))
+        doc = export_geojson(grid, plan)
+        doc["features"][0]["properties"]["note"] = ["x", 1, None, True, {"k": 2.5}]
+        doc["features"][1]["properties"]["lattice_index"] = [1, 2.0]
+        doc["features"][-1]["properties"]["leg_count"] = False
+        assert_same_bytes(doc)
+
+    def test_other_shapes(self):
+        grid, plan, _ = random_mission(random.Random(7))
+        doc = export_geojson(grid, plan)
+        doc["features"][0]["geometry"]["coordinates"] = [1.5, -2.5]
+        doc["features"][1]["geometry"] = {"coordinates": [0.0, 0.0, 0.0], "type": "Point"}
+        doc["features"][2]["geometry"]["type"] = "MultiPoint"
+        doc["features"][3] = {"type": "Feature", "geometry": None, "properties": {}}
+        line = doc["features"][-1]["geometry"]["coordinates"]
+        line[1:4] = [(-0.0, 0.0, 1e300), [-0.0, 0.0, 5.0], [0.0, -0.0, 5.0]]
+        doc["features"].append([])
+        assert_same_bytes(doc)
+        doc["bbox"] = [0.0, 1.0]
+        assert_same_bytes(doc)
+
+    def test_empty_features(self):
+        assert_same_bytes({"type": "FeatureCollection", "features": []})
+        grid = int_grid()
+        fleet = [Agent("rav-1", GeoPoint(0, 0, 0), 5.0)]
+        empty = WaypointGrid(1.0, grid.rect, ())
+        plan = plan_routes(fleet, [])
+        assert_same_bytes(export_geojson(empty, plan), simulate(plan, fleet))
+
+    def test_hand_built_events(self):
+        obs = SimpleNamespace(
+            position=SimpleNamespace(lat_deg=1, lon_deg=-0.0, alt_m=True),
+            radiation_usv_s=0,
+            camera=SimpleNamespace(
+                altitude_m=2, half_fov_deg=None, footprint_width_m=0.0, lattice_index=[3, (4,)]
+            ),
+        )
+        log = EventLog(
+            'id "q"',
+            "0" * 64,
+            [Event(0, "a", "takeoff"), Event(1.0, "a", WAYPOINT_REACHED, obs), Event(2.0, None, "custom é")],
+        )
+        assert_same_bytes(log=log)
+
+    def test_unsupported_type_raises_type_error(self):
+        grid, plan, log = random_mission(random.Random(8))
+        doc = export_geojson(grid, plan)
+        doc["features"][0]["properties"]["agent_id"] = object()
+        with pytest.raises(TypeError):
+            dumps_geojson(doc)
+        event = next(e for e in log.events if e.kind == WAYPOINT_REACHED)
+        obs = dataclasses.replace(event.observation, radiation_usv_s=1j)
+        bad = dataclasses.replace(event, observation=obs)
+        with pytest.raises(TypeError):
+            write_observation_log(EventLog("m", "0" * 64, [bad]))
+
+
+# --------------------------------------------------------------------------
+# non-finite numbers in every float slot
+
+
+def _exported():
+    grid, plan, _ = random_mission(random.Random(9))
+    return export_geojson(grid, plan)
+
+
+def _first(doc, kind):
+    return next(k for k, f in enumerate(doc["features"]) if f["geometry"]["type"] == kind)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+@pytest.mark.parametrize(
+    "slot", ["point.lon", "point.lat", "point.alt", "line.lon", "line.lat", "line.alt", "total_length_m"]
+)
+def test_geojson_float_slots_refuse_non_finite(slot, value):
+    doc = _exported()
+    kind, _, field = slot.partition(".")
+    if slot == "total_length_m":
+        doc["features"][_first(doc, "LineString")]["properties"]["total_length_m"] = value
+    else:
+        axis = ["lon", "lat", "alt"].index(field)
+        geometry = doc["features"][_first(doc, "Point" if kind == "point" else "LineString")]["geometry"]
+        position = geometry["coordinates"] if kind == "point" else geometry["coordinates"][-1]
+        position[axis] = value
+    with pytest.raises(ValueError, match="JSON compliant"):
+        json_dumps_geojson(doc)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        dumps_geojson(doc)
+
+
+POSITION_FIELDS = {"lat": "lat_deg", "lon": "lon_deg", "alt": "alt_m"}
+
+
+def _with_slot(event: Event, slot: str, value: float) -> Event:
+    obs = event.observation
+    if slot == "t":
+        return dataclasses.replace(event, t=value)
+    if slot in POSITION_FIELDS:
+        p = obs.position  # a GeoPoint refuses non-finite fields, so stand in for it
+        fields = {"lat_deg": p.lat_deg, "lon_deg": p.lon_deg, "alt_m": p.alt_m, POSITION_FIELDS[slot]: value}
+        obs = dataclasses.replace(obs, position=SimpleNamespace(**fields))
+    elif slot == "radiation_usv_s":
+        obs = dataclasses.replace(obs, radiation_usv_s=value)
+    else:
+        obs = dataclasses.replace(obs, camera=dataclasses.replace(obs.camera, **{slot: value}))
+    return dataclasses.replace(event, observation=obs)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+@pytest.mark.parametrize(
+    "slot", ["t", "lat", "lon", "alt", "radiation_usv_s", "altitude_m", "half_fov_deg", "footprint_width_m"]
+)
+def test_log_float_slots_refuse_non_finite(slot, value):
+    _, _, log = random_mission(random.Random(10))
+    events = list(log.events)
+    k = next(k for k, e in enumerate(events) if e.kind == WAYPOINT_REACHED)
+    events[k] = _with_slot(events[k], slot, value)
+    bad = EventLog(log.mission_id, log.config_digest, events)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        json_observation_log(bad)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_observation_log(bad)
+
+
+def test_bookend_time_refuses_non_finite():
+    for value in NON_FINITE:
+        log = EventLog("m", "0" * 64, [Event(t=value, agent_id="rav-1", kind="takeoff")])
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_observation_log(log)
