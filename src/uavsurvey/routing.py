@@ -3,22 +3,24 @@
 ``plan_routes`` implements round-robin nearest-neighbor assignment: agents
 take turns claiming the cheapest unvisited waypoint reachable from the end of
 their route so far. The remaining operations are desk-scale evaluation tools:
-exact TSP by Held-Karp dynamic programming, an exhaustive min-makespan
-oracle, and the optimal-tour / n lower bound.
+exact TSP by Held-Karp, an exact min-makespan oracle (both subset dynamic
+programs), and the optimal-tour / n figure.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from operator import add
 from typing import Callable, Sequence
 
 from .geodesy import METERS_PER_DEG_LAT, GeoPoint, distance_m
 
 CostFunction = Callable[[GeoPoint, GeoPoint], float]
 
-HELD_KARP_MAX_POINTS = 18  # 2^18 * 18 table; larger instances have no exact reference
+# Held-Karp keeps 2^(n-1) rows of n-1 floats; at n = 18 the tracemalloc peak
+# is about 60 MB. Larger instances have no exact reference.
+HELD_KARP_MAX_POINTS = 18
 ORACLE_MAX_POINTS = 8
 ORACLE_MAX_AGENTS = 3
 
@@ -236,66 +238,130 @@ def makespan(plan: RoutePlan, agents: Sequence[Agent], cost: CostFunction = dist
     return worst
 
 
+def _require_finite(matrix: list[list[float]], row_label: str) -> None:
+    """Refuse a NaN or infinite cost, naming the pair: ``matrix[i][j]`` is the
+    cost from ``row_label.format(i)`` to ``points[j]``.
+
+    The subset DPs pad rows with ``inf`` and take minima: a NaN would make a
+    minimum depend on the order of its arguments, and ``-inf`` plus the
+    padding is NaN.
+    """
+    for i, row in enumerate(matrix):
+        for j, value in enumerate(row):
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"cost({row_label.format(i)}, points[{j}]) is {value}; the exact references need finite costs"
+                )
+
+
+def _path_rows(first: list[float], pair: list[list[float]]) -> list[list[float] | None]:
+    """Open-path subset DP over ``m = len(first)`` points.
+
+    ``rows[s][k]`` is the cheapest path that starts with the leg ``first[k0]``
+    into some point ``k0``, visits exactly the points of bit set ``s`` and ends
+    at ``k``, its legs (``pair[j][k]`` from j to k) added left to right; a
+    point outside ``s`` holds ``inf``, so each entry is one C-level
+    reduction, ``min(map(add, rows[s ^ (1 << k)], cols[k]))``. ``rows[0]``
+    is None. Float addition is monotone, so taking the minimum before adding
+    the next leg gives the same float as minimising over every order.
+    """
+    m = len(first)
+    inf = math.inf
+    cols = [list(col) for col in zip(*pair)]
+    bits = [(k, 1 << k) for k in range(m)]
+    rows: list[list[float] | None] = [None] * (1 << m)
+    for k, b in bits:
+        row = [inf] * m
+        row[k] = first[k]
+        rows[b] = row
+    for s in range(3, 1 << m):
+        if s & (s - 1):
+            rows[s] = [min(map(add, rows[s ^ b], cols[k])) if s & b else inf for k, b in bits]
+    return rows
+
+
 def tsp_optimal(points, cost: CostFunction = distance_m) -> float:
     """Exact minimum Hamiltonian tour cost via Held-Karp.
 
-    Limited to HELD_KARP_MAX_POINTS.
+    The tour is anchored at point 0; ``_path_rows`` keeps one row of n - 1
+    floats per subset of the other points. Limited to HELD_KARP_MAX_POINTS.
+    Raises ValueError if ``cost`` returns NaN or an infinity for any pair.
     """
     pts = [position_of(p) for p in points]
     n = len(pts)
     if n > HELD_KARP_MAX_POINTS:
         raise ValueError(
             f"tsp_optimal supports at most {HELD_KARP_MAX_POINTS} points, got {n}; "
-            "use mtsp_lower_bound at desk scale only"
+            "instances above HELD_KARP_MAX_POINTS have no exact reference"
         )
     if n <= 1:
         return 0.0
 
     c = [[cost(a, b) for b in pts] for a in pts]
-    size = 1 << n
-    inf = math.inf
-    dp = [inf] * (size * n)
-    # Anchor the cycle at vertex 0; dp[mask*n + k] = cheapest path 0 -> k
-    # visiting exactly `mask` (mask includes bits 0 and k).
-    for k in range(1, n):
-        dp[((1 | (1 << k)) * n) + k] = c[0][k]
-    for mask in range(size):
-        if not mask & 1:
-            continue
-        base = mask * n
-        for k in range(1, n):
-            kbit = 1 << k
-            if not mask & kbit:
-                continue
-            prev = mask ^ kbit
-            if prev == 1:
-                continue  # base case already seeded
-            pbase = prev * n
-            best = inf
-            for j in range(1, n):
-                if prev & (1 << j):
-                    v = dp[pbase + j] + c[j][k]
-                    if v < best:
-                        best = v
-            dp[base + k] = best
-    full = (size - 1) * n
-    return min(dp[full + k] + c[k][0] for k in range(1, n))
+    _require_finite(c, "points[{}]")
+    full = _path_rows(c[0][1:], [row[1:] for row in c[1:]])[-1]
+    return min(map(add, full, [row[0] for row in c[1:]]))
 
 
 def mtsp_lower_bound(points, n_agents: int, cost: CostFunction = distance_m) -> float:
-    """Optimal single-agent tour cost divided by the agent count."""
+    """Optimal single-agent tour cost divided by the agent count, in metres.
+
+    It ignores the legs from the agents' homes, so it is not a proven lower
+    bound on the makespan.
+    """
     if n_agents < 1:
         raise ValueError(f"n_agents must be >= 1, got {n_agents}")
     return tsp_optimal(points, cost) / n_agents
 
 
+def _covers(rest: int, parts: int):
+    """Every split of bit set ``rest`` into ``parts`` disjoint masks, as tuples."""
+    if parts == 1:
+        yield (rest,)
+        return
+    sub = rest
+    while True:
+        for tail in _covers(rest ^ sub, parts - 1):
+            yield (sub, *tail)
+        if not sub:
+            return
+        sub = (sub - 1) & rest
+
+
+def _cheapest_order(rows: list[list[float] | None], pair: list[list[float]], s: int) -> list[int]:
+    """A visit order of bit set ``s`` whose left-to-right cost is ``min(rows[s])``.
+
+    Walking back, each step takes the first point whose row entry plus the
+    leg reproduces the stored value exactly, so the order costs that float.
+    """
+    if not s:
+        return []
+    members = [k for k in range(len(pair)) if s >> k & 1]
+    k = min(members, key=rows[s].__getitem__)
+    order = [k]
+    while s & (s - 1):
+        value = rows[s][k]
+        s ^= 1 << k
+        prev = rows[s]
+        k = next(j for j in members if s >> j & 1 and prev[j] + pair[j][k] == value)
+        order.append(k)
+    order.reverse()
+    return order
+
+
 def brute_force_mtsp(points, agents: Sequence[Agent], cost: CostFunction = distance_m):
-    """Exhaustive min-makespan reference: every assignment of points to agents,
-    every visiting order, agents starting from their homes.
+    """Exact min-makespan reference, agents starting from their homes.
+
+    For each agent an open-path subset DP (``_path_rows``) gives the cheapest
+    path from its home over every subset of the points; every assignment of
+    the points to the agents, as disjoint subset masks, is then scored by its
+    slowest agent. The value is the float that enumerating every visiting
+    order gives; on ties the partition may be another optimal one.
 
     Returns ``(makespan_seconds, partition)`` where partition maps agent id to
     its optimally ordered waypoint list. Limited to ORACLE_MAX_POINTS points
-    and ORACLE_MAX_AGENTS agents.
+    and ORACLE_MAX_AGENTS agents. Raises ValueError if ``cost`` returns NaN or
+    an infinity for any pair.
     """
     agents = list(agents)
     _check_fleet(agents)
@@ -309,45 +375,19 @@ def brute_force_mtsp(points, agents: Sequence[Agent], cost: CostFunction = dista
     positions = [position_of(w) for w in wps]
     home_cost = [[cost(a.home, p) for p in positions] for a in agents]
     pair_cost = [[cost(p, q) for q in positions] for p in positions]
+    _require_finite(home_cost, "agents[{}].home")
+    _require_finite(pair_cost, "points[{}]")
 
-    best_path_cache: dict[tuple[int, tuple[int, ...]], tuple[float, tuple[int, ...]]] = {}
+    tables = [_path_rows(first, pair_cost) for first in home_cost]
+    durations = [
+        [0.0] + [min(rows[s]) / a.velocity_mps for s in range(1, 1 << n)] for a, rows in zip(agents, tables)
+    ]
 
-    def best_path(ai: int, bucket: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
-        if not bucket:
-            return 0.0, ()
-        key = (ai, bucket)
-        hit = best_path_cache.get(key)
-        if hit is not None:
-            return hit
-        from_home = home_cost[ai]
-        best = (math.inf, bucket)
-        for perm in itertools.permutations(bucket):
-            here = perm[0]
-            total = from_home[here]
-            for k in perm[1:]:
-                total += pair_cost[here][k]
-                here = k
-            if total < best[0]:
-                best = (total, perm)
-        best_path_cache[key] = best
-        return best
+    def slowest(cover: tuple[int, ...]) -> float:
+        return max(0.0, *map(list.__getitem__, durations, cover))
 
-    best_value = math.inf
-    best_orders: list[tuple[int, ...]] = [()] * len(agents)
-    for assignment in itertools.product(range(len(agents)), repeat=n):
-        buckets: list[list[int]] = [[] for _ in agents]
-        for point_idx, ai in enumerate(assignment):
-            buckets[ai].append(point_idx)
-        worst = 0.0
-        orders: list[tuple[int, ...]] = []
-        for ai, bucket in enumerate(buckets):
-            length, order = best_path(ai, tuple(bucket))
-            orders.append(order)
-            duration = length / agents[ai].velocity_mps
-            if duration > worst:
-                worst = duration
-        if worst < best_value:
-            best_value = worst
-            best_orders = orders
-    partition = {agents[ai].id: [wps[k] for k in best_orders[ai]] for ai in range(len(agents))}
-    return best_value, partition
+    cover = min(_covers((1 << n) - 1, len(agents)), key=slowest)
+    partition = {
+        a.id: [wps[k] for k in _cheapest_order(rows, pair_cost, s)] for a, rows, s in zip(agents, tables, cover)
+    }
+    return slowest(cover), partition

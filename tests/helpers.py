@@ -90,7 +90,7 @@ def loop_total_intensity(sources, p: GeoPoint) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive TSP references
+# TSP and min-makespan references
 
 def permutation_tour_cost(points, cost) -> float:
     """Minimum Hamiltonian cycle cost by enumerating permutations."""
@@ -105,6 +105,105 @@ def permutation_tour_cost(points, cost) -> float:
         if total < best:
             best = total
     return best
+
+
+def loop_tsp_optimal(points, cost=distance_m) -> float:
+    """Held-Karp over a flat ``2^n * n`` table with a Python loop per predecessor.
+
+    The body ``tsp_optimal`` had before its rows became one C-level
+    reduction per entry; the subset DP must return the same float.
+    """
+    pts = [position_of(p) for p in points]
+    n = len(pts)
+    if n <= 1:
+        return 0.0
+    c = [[cost(a, b) for b in pts] for a in pts]
+    size = 1 << n
+    inf = math.inf
+    dp = [inf] * (size * n)
+    # Anchor the cycle at vertex 0; dp[mask*n + k] = cheapest path 0 -> k
+    # visiting exactly `mask` (mask includes bits 0 and k).
+    for k in range(1, n):
+        dp[((1 | (1 << k)) * n) + k] = c[0][k]
+    for mask in range(size):
+        if not mask & 1:
+            continue
+        base = mask * n
+        for k in range(1, n):
+            kbit = 1 << k
+            if not mask & kbit:
+                continue
+            prev = mask ^ kbit
+            if prev == 1:
+                continue  # base case already seeded
+            pbase = prev * n
+            best = inf
+            for j in range(1, n):
+                if prev & (1 << j):
+                    v = dp[pbase + j] + c[j][k]
+                    if v < best:
+                        best = v
+            dp[base + k] = best
+    full = (size - 1) * n
+    return min(dp[full + k] + c[k][0] for k in range(1, n))
+
+
+def permutation_brute_force_mtsp(points, agents, cost=distance_m):
+    """Min-makespan oracle over every assignment and every visiting order.
+
+    The body ``brute_force_mtsp`` had before the per-agent subset DP: each
+    bucket's orders come from ``itertools.permutations``, the first strictly
+    cheaper order and the first strictly better assignment win. Returns
+    ``(makespan_seconds, partition)``.
+    """
+    agents = list(agents)
+    wps = list(points)
+    n = len(wps)
+    positions = [position_of(w) for w in wps]
+    home_cost = [[cost(a.home, p) for p in positions] for a in agents]
+    pair_cost = [[cost(p, q) for q in positions] for p in positions]
+
+    best_path_cache = {}
+
+    def best_path(ai, bucket):
+        if not bucket:
+            return 0.0, ()
+        key = (ai, bucket)
+        hit = best_path_cache.get(key)
+        if hit is not None:
+            return hit
+        from_home = home_cost[ai]
+        best = (math.inf, bucket)
+        for perm in itertools.permutations(bucket):
+            here = perm[0]
+            total = from_home[here]
+            for k in perm[1:]:
+                total += pair_cost[here][k]
+                here = k
+            if total < best[0]:
+                best = (total, perm)
+        best_path_cache[key] = best
+        return best
+
+    best_value = math.inf
+    best_orders = [()] * len(agents)
+    for assignment in itertools.product(range(len(agents)), repeat=n):
+        buckets = [[] for _ in agents]
+        for point_idx, ai in enumerate(assignment):
+            buckets[ai].append(point_idx)
+        worst = 0.0
+        orders = []
+        for ai, bucket in enumerate(buckets):
+            length, order = best_path(ai, tuple(bucket))
+            orders.append(order)
+            duration = length / agents[ai].velocity_mps
+            if duration > worst:
+                worst = duration
+        if worst < best_value:
+            best_value = worst
+            best_orders = orders
+    partition = {agents[ai].id: [wps[k] for k in best_orders[ai]] for ai in range(len(agents))}
+    return best_value, partition
 
 
 # ---------------------------------------------------------------------------

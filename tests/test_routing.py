@@ -323,7 +323,7 @@ class TestTspOptimal:
     def test_size_cap(self):
         rng = random.Random(8)
         pts = random_points(rng, HOME, 19, 100.0)
-        with pytest.raises(ValueError, match="mtsp_lower_bound"):
+        with pytest.raises(ValueError, match="no exact reference"):
             tsp_optimal(pts)
 
     def test_matches_permutation_oracle(self):
