@@ -42,7 +42,6 @@ from .radiation import (
 )
 from .routing import (
     Agent,
-    CostFunction,
     RoutePlan,
     brute_force_mtsp,
     makespan,
@@ -61,7 +60,6 @@ __all__ = [
     "CameraModel",
     "CircumRectangle",
     "ConfigError",
-    "CostFunction",
     "DegenerateGridWarning",
     "EmptyGridWarning",
     "EnuOffset",

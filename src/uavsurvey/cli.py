@@ -29,6 +29,9 @@ def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
+        umask = os.umask(0)  # mkstemp creates 0600; give the file the mode open() would
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
@@ -40,16 +43,15 @@ def _atomic_write(path: Path, text: str) -> None:
 def _load_config(args) -> MissionConfig:
     text = Path(args.config).read_text(encoding="utf-8")
     config = parse_mission_config(text)
-    agents = getattr(args, "agents", None)
+    agents = args.agents
     if agents is not None:
         if agents < 1:
             raise ConfigError(f"--agents must be >= 1, got {agents}")
         if agents > len(config.fleet):
             raise ConfigError(f"--agents {agents} exceeds fleet size {len(config.fleet)}")
         config = replace(config, fleet=config.fleet[:agents])
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        config = replace(config, seed=seed)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
     return config
 
 
@@ -135,6 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="uavsurvey",
         description="Plan, evaluate, and simulate multi-drone survey missions.",
     )
+    parser.set_defaults(agents=None, seed=None)  # for the commands without these options
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, out=False, seed=False, agents=False):
@@ -142,9 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", default=".", help="output directory (default: current)")
         if seed:
-            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+            p.add_argument("--seed", type=int, help="override the config seed")
         if agents:
-            p.add_argument("--agents", type=int, default=None, help="use only the first N fleet agents")
+            p.add_argument("--agents", type=int, help="use only the first N fleet agents")
 
     p = sub.add_parser("validate", help="parse and lint a mission config")
     add_common(p)

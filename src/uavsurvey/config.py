@@ -14,6 +14,7 @@ from .geodesy import GeoPoint
 from .grid import CameraModel, PolygonRegion
 from .radiation import NoiseSpec, RadiationSource
 from .routing import Agent, _check_fleet
+from .sim import _check_dwell
 
 # Each config object's allowed keys, then its required keys in the order checked.
 _TOP_KEYS = (
@@ -45,10 +46,7 @@ class MissionConfig:
 
     def __post_init__(self) -> None:
         _check_fleet(self.fleet)
-        if not math.isfinite(self.dwell_s):
-            raise ValueError(f"dwell_s: expected a finite number, got {self.dwell_s}")
-        if self.dwell_s < 0.0:
-            raise ValueError("dwell_s: must be >= 0")
+        _check_dwell(self.dwell_s)
 
 
 def _fail(path: str, message) -> ConfigError:

@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from json.encoder import encode_basestring_ascii as _quote
 
-from .geodesy import GeoPoint, distance_m
+from .geodesy import GeoPoint
 from .grid import WaypointGrid
-from .routing import RoutePlan, position_of, route_length
+from .routing import RoutePlan, route_length
 from .sim import WAYPOINT_REACHED, EventLog
 
 
@@ -65,7 +65,7 @@ def export_geojson(grid: WaypointGrid, plan: RoutePlan) -> dict:
         home = plan.homes.get(aid)
         if home is None:
             raise ValueError(f"plan carries no home position for agent {aid!r}")
-        coordinates = [_coords(home)] + [_coords(position_of(wp)) for wp in route]
+        coordinates = [_coords(home)] + [_coords(wp.point) for wp in route]
         features.append(
             {
                 "type": "Feature",
@@ -73,7 +73,7 @@ def export_geojson(grid: WaypointGrid, plan: RoutePlan) -> dict:
                 "properties": {
                     "agent_id": aid,
                     "leg_count": len(route),
-                    "total_length_m": route_length(home, route, distance_m),
+                    "total_length_m": route_length(home, route),
                 },
             }
         )

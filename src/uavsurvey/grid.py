@@ -121,10 +121,10 @@ class CameraModel:
 
 @dataclass(frozen=True)
 class Waypoint:
-    """A survey point carrying its (row, column) lattice index."""
+    """A survey point and its (row, column) lattice index, None off the lattice."""
 
     point: GeoPoint
-    index: tuple[int, int]
+    index: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Route assignment and evaluation for a survey fleet.
 
 ``plan_routes`` implements round-robin nearest-neighbor assignment: agents
-take turns claiming the cheapest unvisited waypoint reachable from the end of
-their route so far. The remaining operations are desk-scale evaluation tools:
+take turns claiming the nearest unvisited waypoint to the end of their route
+so far. The remaining operations are desk-scale evaluation tools:
 exact TSP by Held-Karp, an exact min-makespan oracle (both subset dynamic
 programs), and the optimal-tour / n figure.
 """
@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import add
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .geodesy import METERS_PER_DEG_LAT, GeoPoint, distance_m
-
-CostFunction = Callable[[GeoPoint, GeoPoint], float]
+from .grid import Waypoint
 
 # Held-Karp keeps 2^(n-1) rows of n-1 floats; at n = 18 the tracemalloc peak
 # is about 60 MB. Larger instances have no exact reference.
@@ -49,14 +48,14 @@ class RoutePlan:
     (interleaved across agents).
     """
 
-    routes: dict[str, list]
+    routes: dict[str, list[Waypoint]]
     homes: dict[str, GeoPoint] = field(default_factory=dict)
-    visit_sequence: list = field(default_factory=list)
+    visit_sequence: list[Waypoint] = field(default_factory=list)
 
 
-def position_of(waypoint) -> GeoPoint:
-    """The GeoPoint of a waypoint-like object (bare GeoPoints pass through)."""
-    return waypoint.point if hasattr(waypoint, "point") else waypoint
+def _as_waypoints(points) -> list[Waypoint]:
+    """``points`` as route elements: a bare GeoPoint ``p`` becomes ``Waypoint(p)``."""
+    return [Waypoint(p) if isinstance(p, GeoPoint) else p for p in points]
 
 
 def _check_fleet(agents: Sequence[Agent], plan: RoutePlan | None = None) -> None:
@@ -80,7 +79,7 @@ _RING_SLACK = 1.0 - 1e-9
 _ONE_CELL = (0.0, 0.0, 0.0, math.inf, math.inf, 1, 1)
 
 
-def _cell_layout(points: list[GeoPoint], n: int, cost: CostFunction):
+def _cell_layout(points: list[GeoPoint], n: int):
     """Cell grid for exact nearest queries: ``(cell_m, lat0, lon0, dlat, dlon, rows, cols)``.
 
     ``points`` holds the ``n`` waypoints and the homes, so every query point
@@ -89,11 +88,11 @@ def _cell_layout(points: list[GeoPoint], n: int, cost: CostFunction):
     longitude by cos(midpoint latitude), which is never smaller, and the
     vertical term only adds, so a point ``r`` cell rings from a query is at
     least ``(r - 1) * cell_m`` away. Near a pole the longitude cells widen to
-    a single column. The argument needs ``distance_m`` and no longitude
-    wrap-around; without them, or when the grid would be large for ``n``,
-    everything goes into one cell.
+    a single column. The argument assumes no longitude wrap-around: when the
+    points span 180 degrees of longitude or more, or when the grid would be
+    large for ``n``, everything goes into one cell.
     """
-    if cost is not distance_m or n < 2:
+    if n < 2:
         return _ONE_CELL
     lats = [p.lat_deg for p in points]
     lons = [p.lon_deg for p in points]
@@ -134,39 +133,39 @@ def _ring(cells: list[list[int]], rows: int, cols: int, i: int, j: int, r: int):
                 yield from cells[row * cols + col]
 
 
-def plan_routes(agents: Sequence[Agent], waypoints, cost: CostFunction = distance_m) -> RoutePlan:
+def plan_routes(agents: Sequence[Agent], waypoints) -> RoutePlan:
     """Assign every waypoint to exactly one agent by round-robin nearest neighbor.
 
     Each agent's path is seeded at its home. On its turn an agent claims the
-    unvisited waypoint cheapest to reach from its current path end, then the
-    turn passes to the next agent. Waypoints are ordered by lattice index
-    when all of them carry one, else kept in input order; the claim is the
-    waypoint with the smallest ``(cost, position in that order)``, exactly
-    what a scan over all remaining waypoints that keeps the first strict
-    minimum picks.
+    unvisited waypoint nearest (``distance_m``) to its current path end, then
+    the turn passes to the next agent. A bare GeoPoint ``p`` in ``waypoints``
+    enters as ``Waypoint(p)``, so routes hold Waypoints only. Waypoints are
+    ordered by lattice index when all of them carry one, else kept in input
+    order; the claim is the waypoint with the smallest ``(distance, position
+    in that order)``, exactly what a scan over all remaining waypoints that
+    keeps the first strict minimum picks.
 
     The remaining waypoints are bucketed on a lat/lon grid of about two per
     cell. A claim searches rings of cells outward from the cell of the path
-    end and stops when the next ring cannot hold a waypoint as cheap as the
+    end and stops when the next ring cannot hold a waypoint as near as the
     best so far; the claimed waypoint leaves its cell. On the campus lattice
-    scaled 1x to 16x a claim visits about 10 cells and makes about 13 cost
-    evaluations, so planning n waypoints takes close to O(n) time against
-    O(n^2) for the scan. Sparse or clustered layouts visit more empty cells,
+    scaled 1x to 16x a claim visits about 10 cells and makes about 13
+    distance evaluations, so planning n waypoints takes close to O(n) time
+    against O(n^2) for the scan. Sparse or clustered layouts visit more empty cells,
     never more than the grid holds.
 
-    Every waypoint goes into one cell, and the search is that scan, when
-    ``cost`` is not ``distance_m`` (any cost works, constant and NaN-valued
-    ones included), when the waypoints and homes span 180 degrees of
-    longitude or more, when they all share one latitude/longitude, or when
-    the grid would need more than 4n + 64 cells.
+    Every waypoint goes into one cell, and the search is that scan, when the
+    waypoints and homes span 180 degrees of longitude or more, when they all
+    share one latitude/longitude, or when the grid would need more than
+    4n + 64 cells.
     """
     agents = list(agents)
     _check_fleet(agents)
 
-    order = list(waypoints)
-    if order and all(hasattr(w, "index") for w in order):
+    order = _as_waypoints(waypoints)
+    if order and all(w.index is not None for w in order):
         order.sort(key=lambda w: w.index)
-    positions = [position_of(w) for w in order]
+    positions = [w.point for w in order]
     seen: set[tuple[float, float, float]] = set()
     for p in positions:
         key = (p.lat_deg, p.lon_deg, p.alt_m)
@@ -175,7 +174,7 @@ def plan_routes(agents: Sequence[Agent], waypoints, cost: CostFunction = distanc
         seen.add(key)
 
     homes = {a.id: a.home for a in agents}
-    cell_m, lat0, lon0, dlat, dlon, rows, cols = _cell_layout(positions + list(homes.values()), len(positions), cost)
+    cell_m, lat0, lon0, dlat, dlon, rows, cols = _cell_layout(positions + list(homes.values()), len(positions))
 
     def cell_of(p: GeoPoint) -> tuple[int, int]:
         return int((p.lat_deg - lat0) / dlat), int((p.lon_deg - lon0) / dlon)
@@ -185,9 +184,10 @@ def plan_routes(agents: Sequence[Agent], waypoints, cost: CostFunction = distanc
         i, j = cell_of(p)
         cells[i * cols + j].append(k)  # ascending k within every cell
 
-    routes: dict[str, list] = {a.id: [] for a in agents}
+    routes: dict[str, list[Waypoint]] = {a.id: [] for a in agents}
     ends = dict(homes)
-    visit_sequence: list = []
+    visit_sequence: list[Waypoint] = []
+    dist = distance_m
     for turn in range(len(order)):
         agent = agents[turn % len(agents)]
         here = ends[agent.id]
@@ -199,7 +199,7 @@ def plan_routes(agents: Sequence[Agent], waypoints, cost: CostFunction = distanc
             if best_k >= 0 and (r - 1) * cell_m * _RING_SLACK > best_cost:
                 break
             for k in _ring(cells, rows, cols, qi, qj, r):
-                c = cost(here, positions[k])
+                c = dist(here, positions[k])
                 if best_k < 0 or c < best_cost or (c == best_cost and k < best_k):
                     best_cost = c
                     best_k = k
@@ -211,18 +211,17 @@ def plan_routes(agents: Sequence[Agent], waypoints, cost: CostFunction = distanc
     return RoutePlan(routes=routes, homes=homes, visit_sequence=visit_sequence)
 
 
-def route_length(home: GeoPoint, route, cost: CostFunction = distance_m) -> float:
-    """Total cost of flying home -> route[0] -> ... -> route[-1]."""
+def route_length(home: GeoPoint, route: Sequence[Waypoint]) -> float:
+    """Metres flown home -> route[0] -> ... -> route[-1]."""
     total = 0.0
     here = home
     for wp in route:
-        p = position_of(wp)
-        total += cost(here, p)
-        here = p
+        total += distance_m(here, wp.point)
+        here = wp.point
     return total
 
 
-def makespan(plan: RoutePlan, agents: Sequence[Agent], cost: CostFunction = distance_m) -> float:
+def makespan(plan: RoutePlan, agents: Sequence[Agent]) -> float:
     """Longest per-agent completion time, all agents launching at once.
 
     Per agent: (home-to-first leg plus consecutive legs) / velocity.
@@ -232,26 +231,10 @@ def makespan(plan: RoutePlan, agents: Sequence[Agent], cost: CostFunction = dist
     worst = 0.0
     for aid, route in plan.routes.items():
         agent = by_id[aid]
-        duration = route_length(agent.home, route, cost) / agent.velocity_mps
+        duration = route_length(agent.home, route) / agent.velocity_mps
         if duration > worst:
             worst = duration
     return worst
-
-
-def _require_finite(matrix: list[list[float]], row_label: str) -> None:
-    """Refuse a NaN or infinite cost, naming the pair: ``matrix[i][j]`` is the
-    cost from ``row_label.format(i)`` to ``points[j]``.
-
-    The subset DPs pad rows with ``inf`` and take minima: a NaN would make a
-    minimum depend on the order of its arguments, and ``-inf`` plus the
-    padding is NaN.
-    """
-    for i, row in enumerate(matrix):
-        for j, value in enumerate(row):
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"cost({row_label.format(i)}, points[{j}]) is {value}; the exact references need finite costs"
-                )
 
 
 def _path_rows(first: list[float], pair: list[list[float]]) -> list[list[float] | None]:
@@ -280,14 +263,13 @@ def _path_rows(first: list[float], pair: list[list[float]]) -> list[list[float] 
     return rows
 
 
-def tsp_optimal(points, cost: CostFunction = distance_m) -> float:
-    """Exact minimum Hamiltonian tour cost via Held-Karp.
+def tsp_optimal(points) -> float:
+    """Exact minimum Hamiltonian tour length in metres via Held-Karp.
 
     The tour is anchored at point 0; ``_path_rows`` keeps one row of n - 1
     floats per subset of the other points. Limited to HELD_KARP_MAX_POINTS.
-    Raises ValueError if ``cost`` returns NaN or an infinity for any pair.
     """
-    pts = [position_of(p) for p in points]
+    pts = [w.point for w in _as_waypoints(points)]
     n = len(pts)
     if n > HELD_KARP_MAX_POINTS:
         raise ValueError(
@@ -297,13 +279,12 @@ def tsp_optimal(points, cost: CostFunction = distance_m) -> float:
     if n <= 1:
         return 0.0
 
-    c = [[cost(a, b) for b in pts] for a in pts]
-    _require_finite(c, "points[{}]")
+    c = [[distance_m(a, b) for b in pts] for a in pts]
     full = _path_rows(c[0][1:], [row[1:] for row in c[1:]])[-1]
     return min(map(add, full, [row[0] for row in c[1:]]))
 
 
-def mtsp_lower_bound(points, n_agents: int, cost: CostFunction = distance_m) -> float:
+def mtsp_lower_bound(points, n_agents: int) -> float:
     """Optimal single-agent tour cost divided by the agent count, in metres.
 
     It ignores the legs from the agents' homes, so it is not a proven lower
@@ -311,7 +292,7 @@ def mtsp_lower_bound(points, n_agents: int, cost: CostFunction = distance_m) -> 
     """
     if n_agents < 1:
         raise ValueError(f"n_agents must be >= 1, got {n_agents}")
-    return tsp_optimal(points, cost) / n_agents
+    return tsp_optimal(points) / n_agents
 
 
 def _covers(rest: int, parts: int):
@@ -349,7 +330,7 @@ def _cheapest_order(rows: list[list[float] | None], pair: list[list[float]], s: 
     return order
 
 
-def brute_force_mtsp(points, agents: Sequence[Agent], cost: CostFunction = distance_m):
+def brute_force_mtsp(points, agents: Sequence[Agent]):
     """Exact min-makespan reference, agents starting from their homes.
 
     For each agent an open-path subset DP (``_path_rows``) gives the cheapest
@@ -359,24 +340,21 @@ def brute_force_mtsp(points, agents: Sequence[Agent], cost: CostFunction = dista
     order gives; on ties the partition may be another optimal one.
 
     Returns ``(makespan_seconds, partition)`` where partition maps agent id to
-    its optimally ordered waypoint list. Limited to ORACLE_MAX_POINTS points
-    and ORACLE_MAX_AGENTS agents. Raises ValueError if ``cost`` returns NaN or
-    an infinity for any pair.
+    its optimally ordered Waypoint list. Limited to ORACLE_MAX_POINTS points
+    and ORACLE_MAX_AGENTS agents.
     """
     agents = list(agents)
     _check_fleet(agents)
-    wps = list(points)
+    wps = _as_waypoints(points)
     n = len(wps)
     if n > ORACLE_MAX_POINTS or len(agents) > ORACLE_MAX_AGENTS:
         raise ValueError(
             f"instance too large for the exhaustive oracle "
             f"(max {ORACLE_MAX_POINTS} points, {ORACLE_MAX_AGENTS} agents)"
         )
-    positions = [position_of(w) for w in wps]
-    home_cost = [[cost(a.home, p) for p in positions] for a in agents]
-    pair_cost = [[cost(p, q) for q in positions] for p in positions]
-    _require_finite(home_cost, "agents[{}].home")
-    _require_finite(pair_cost, "points[{}]")
+    positions = [w.point for w in wps]
+    home_cost = [[distance_m(a.home, p) for p in positions] for a in agents]
+    pair_cost = [[distance_m(p, q) for q in positions] for p in positions]
 
     tables = [_path_rows(first, pair_cost) for first in home_cost]
     durations = [

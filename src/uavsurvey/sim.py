@@ -17,7 +17,7 @@ from typing import Sequence
 from .geodesy import GeoPoint, distance_m
 from .grid import CameraModel, footprint_width
 from .radiation import NoiseSpec, RadiationSource, field_levels, sample_reading
-from .routing import Agent, RoutePlan, _check_fleet, position_of
+from .routing import Agent, RoutePlan, _check_fleet
 
 TAKEOFF = "takeoff"
 WAYPOINT_REACHED = "waypoint_reached"
@@ -74,6 +74,14 @@ def leg_duration(a: GeoPoint, b: GeoPoint, velocity_mps: float) -> float:
     return distance_m(a, b) / velocity_mps
 
 
+def _check_dwell(dwell_s: float) -> None:
+    """The dwell rule: a finite number of seconds, >= 0."""
+    if not math.isfinite(dwell_s):
+        raise ValueError(f"dwell_s: expected a finite number, got {dwell_s}")
+    if dwell_s < 0.0:
+        raise ValueError("dwell_s: must be >= 0")
+
+
 def _geo_payload(p: GeoPoint) -> list[float]:
     return [p.lat_deg, p.lon_deg, p.alt_m]
 
@@ -90,7 +98,7 @@ def config_digest(
     """SHA-256 over a canonical rendering of every input that shapes the log."""
     payload = {
         "routes": {
-            aid: [[_geo_payload(position_of(w)), list(getattr(w, "index", ()))] for w in route]
+            aid: [[_geo_payload(w.point), list(w.index or ())] for w in route]
             for aid, route in plan.routes.items()
         },
         "fleet": [[a.id, _geo_payload(a.home), a.velocity_mps] for a in fleet],
@@ -125,9 +133,8 @@ def simulate(
     """
     _check_fleet(fleet, plan)
     by_id = {a.id: a for a in fleet}
-    if not (math.isfinite(dwell_s) and dwell_s >= 0.0):
-        raise ValueError(f"dwell_s must be finite and >= 0, got {dwell_s}")
-    altitudes = {position_of(w).alt_m for route in plan.routes.values() for w in route}
+    _check_dwell(dwell_s)
+    altitudes = {w.point.alt_m for route in plan.routes.values() for w in route}
     if len(altitudes) > 1:
         raise ValueError(f"waypoints must share the mission altitude, got {sorted(altitudes)}")
 
@@ -138,7 +145,7 @@ def simulate(
     half_fov = camera.half_fov_deg if camera is not None else None
     footprint = footprint_width(camera) if camera is not None else None
 
-    positions = [position_of(w) for route in plan.routes.values() for w in route]
+    positions = [w.point for route in plan.routes.values() for w in route]
     levels = iter(field_levels(sources, positions))
 
     events: list[Event] = []
@@ -149,14 +156,14 @@ def simulate(
         t = 0.0
         here = agent.home
         for wp in route:
-            p = position_of(wp)
+            p = wp.point
             t += leg_duration(here, p, agent.velocity_mps)
             reading = sample_reading(next(levels), noise, rng)
             meta = CameraMeta(
                 altitude_m=p.alt_m,
                 half_fov_deg=half_fov,
                 footprint_width_m=footprint,
-                lattice_index=getattr(wp, "index", None),
+                lattice_index=wp.index,
             )
             record = ObservationRecord(
                 t=t, agent_id=aid, position=p, radiation_usv_s=reading, camera=meta

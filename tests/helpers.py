@@ -9,10 +9,15 @@ import random
 from pathlib import Path
 
 from uavsurvey import EnuOffset, GeoPoint, PolygonRegion, distance_m, gps_offset, strength_at
-from uavsurvey.routing import position_of
 from uavsurvey.sim import WAYPOINT_REACHED
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "campus_mission.json"
+
+
+def position_of(waypoint) -> GeoPoint:
+    """The GeoPoint of a Waypoint; a bare GeoPoint passes through, so the
+    references below take either."""
+    return waypoint.point if hasattr(waypoint, "point") else waypoint
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -86,6 +88,16 @@ class TestSimulate:
         assert "campus-demo" in out
         lines = (tmp_path / "observations.jsonl").read_text().strip().splitlines()
         assert len(lines) > 80
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    def test_outputs_take_the_umask_mode(self, tiny_config, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            assert main(["simulate", "--config", str(tiny_config), "--out", str(tmp_path)]) == 0
+        finally:
+            os.umask(old)
+        for name in ("plan.geojson", "observations.jsonl"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask
 
     def test_region_at_north_pole_refused(self, tmp_path, capsys):
         doc = dict(TINY, region=[[89.9997, 0.0], [89.99995, 0.0], [89.99995, 10.0]])

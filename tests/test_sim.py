@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from uavsurvey import (
     NoiseSpec,
     RadiationSource,
     Waypoint,
+    brute_force_mtsp,
     gps_offset,
     leg_duration,
     makespan,
@@ -22,6 +24,7 @@ from uavsurvey import (
     route_length,
     simulate,
     total_intensity,
+    write_observation_log,
 )
 from uavsurvey.sim import ROUTE_COMPLETE, TAKEOFF, WAYPOINT_REACHED
 
@@ -177,7 +180,7 @@ class TestSimulate:
     @pytest.mark.parametrize("dwell", [-1.0, float("nan"), float("inf")])
     def test_bad_dwell_rejected(self, dwell):
         fleet = fleet_of(1)
-        with pytest.raises(ValueError, match="dwell_s must be finite and >= 0"):
+        with pytest.raises(ValueError, match="dwell_s: (expected a finite number|must be >= 0)"):
             simulate(plan_routes(fleet, []), fleet, dwell_s=dwell)
 
     def test_plan_fleet_mismatch(self):
@@ -208,3 +211,38 @@ class TestSimulate:
         b = simulate(plan, fleet, seed=2)
         assert a.config_digest != b.config_digest
         assert a.observations[0].t == b.observations[0].t
+
+
+class TestBarePoints:
+    """A bare GeoPoint p enters the planner as Waypoint(p): routes hold Waypoints only."""
+
+    def mission(self):
+        rng = random.Random(36)
+        fleet = [Agent(f"rav-{k}", HOME, v) for k, v in enumerate((4.0, 6.0, 5.0))]
+        return fleet, random_points(rng, HOME, 14, 300.0, alt_m=32.0)
+
+    def test_bare_and_wrapped_input_plan_and_log_alike(self):
+        fleet, pts = self.mission()
+        bare = plan_routes(fleet, pts)
+        wrapped = plan_routes(fleet, [Waypoint(p) for p in pts])
+        assert bare.routes == wrapped.routes
+        assert bare.visit_sequence == wrapped.visit_sequence
+        args = (fleet, [RadiationSource(HOME, 80.0)], NoiseSpec("gaussian", 0.05), 4)
+        logs = [simulate(plan, *args, dwell_s=2.0) for plan in (bare, wrapped)]
+        assert logs[0].config_digest == logs[1].config_digest
+        texts = [write_observation_log(log) for log in logs]
+        assert texts[0] == texts[1]
+        assert texts[0].count('"lattice_index":null') == len(pts)
+        # The bytes this mission logged when routes still held the bare points.
+        assert logs[0].config_digest == "7300f2a839894a82de94a95983dbacf6f7103031ac90a23c119a76653ecc7173"
+        digest = hashlib.sha256(texts[0].encode("utf-8")).hexdigest()
+        assert digest == "d9d644ccbb29ecfdd1d570798d46448449beb3a9ffb0d889f6bf343d602ab7ea"
+
+    def test_bare_input_comes_back_wrapped(self):
+        fleet, pts = self.mission()
+        plan = plan_routes(fleet, pts)
+        _, partition = brute_force_mtsp(pts[:6], fleet)
+        for route in [plan.visit_sequence, *plan.routes.values(), *partition.values()]:
+            assert all(type(w) is Waypoint and w.index is None for w in route)
+        assert sorted(id(w.point) for w in plan.visit_sequence) == sorted(id(p) for p in pts)
+        assert sorted(id(w.point) for route in partition.values() for w in route) == sorted(map(id, pts[:6]))
