@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from .geodesy import GeoPoint
-from .grid import CameraModel, PolygonRegion
+from .grid import CameraModel, PolygonRegion, _check_lattice_size, bounding_rectangle, grid_spacing
 from .radiation import NoiseSpec, RadiationSource
 from .routing import Agent, _check_fleet
 from .sim import _check_dwell
@@ -47,6 +47,10 @@ class MissionConfig:
     def __post_init__(self) -> None:
         _check_fleet(self.fleet)
         _check_dwell(self.dwell_s)
+        try:
+            _check_lattice_size(bounding_rectangle(self.region), grid_spacing(self.camera))
+        except ValueError as exc:
+            raise _fail("camera", exc) from None
 
 
 def _fail(path: str, message) -> ConfigError:

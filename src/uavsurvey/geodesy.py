@@ -143,23 +143,3 @@ def distance_m(a: GeoPoint, b: GeoPoint) -> float:
     east = dlon * METERS_PER_DEG_LAT * math.cos(math.radians(0.5 * (a.lat_deg + b.lat_deg)))
     return math.hypot(east, north, b.alt_m - a.alt_m)
 
-
-def distances_to_rows(a: GeoPoint, rows) -> list[float]:
-    """``distance_m(a, GeoPoint(lat, lon, alt))`` for every ``lon`` of every
-    row ``(lat, alt, lons)``, in order, bit for bit.
-
-    The same operands in the same order as :func:`distance_m`, with the
-    north offset, longitude scale and climb computed once per row. ``lons``
-    must be normalized longitudes, as ``GeoPoint`` stores them.
-    """
-    a_lat, a_lon, a_alt = a.lat_deg, a.lon_deg, a.alt_m
-    hypot, remainder = math.hypot, math.remainder
-    terms = [
-        ((lat - a_lat) * METERS_PER_DEG_LAT, math.cos(math.radians(0.5 * (a_lat + lat))), alt - a_alt, lons)
-        for lat, alt, lons in rows
-    ]
-    return [
-        hypot(remainder(lon - a_lon, 360.0) * METERS_PER_DEG_LAT * scale, north, up)
-        for north, scale, up, lons in terms
-        for lon in lons
-    ]

@@ -16,6 +16,12 @@ from itertools import compress, groupby
 from .geodesy import GeoPoint, meters_per_degree
 
 
+# Most lattice points one mission may ask for. A camera spacing of
+# centimeters over a region of hundreds of meters would otherwise ask for
+# billions of points.
+MAX_LATTICE_POINTS = 1_000_000
+
+
 class DegenerateGridWarning(UserWarning):
     """Grid spacing dwarfs the survey rectangle; a single point is returned."""
 
@@ -77,13 +83,27 @@ class PolygonRegion:
         for k in range(n):
             if pts[k] == pts[(k + 1) % n]:
                 raise ValueError(f"repeated consecutive vertex at position {k}")
-        # Non-adjacent edges must not touch or cross. Edge i's neighbours are
-        # i + 1 and, for edge 0, the closing edge n - 1.
-        for i in range(n):
-            a1, a2 = pts[i], pts[(i + 1) % n]
-            for j in range(i + 2, n - 1 if i == 0 else n):
-                if _segments_intersect(a1, a2, pts[j], pts[(j + 1) % n]):
-                    raise ValueError(f"polygon edges {i} and {j} intersect; region must be simple")
+        # Non-adjacent edges must not touch or cross; edge i runs from vertex
+        # i to i + 1, and its neighbours are i - 1 and i + 1 modulo n. Edges
+        # can touch only if their bounding boxes overlap: sweep the boxes
+        # west to east to collect those pairs, then test them in (i, j) order
+        # so the pair reported is the lexicographically first that touches.
+        edges = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
+        boxes = sorted(
+            (min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]), i)
+            for i, (a, b) in enumerate(edges)
+        )
+        pairs = []
+        for k, (_, east, south, north, i) in enumerate(boxes):
+            m = k + 1
+            while m < n and boxes[m][0] <= east:
+                _, _, south2, north2, j = boxes[m]
+                if south2 <= north and south <= north2 and (i - j) % n not in (1, n - 1):
+                    pairs.append((i, j) if i < j else (j, i))
+                m += 1
+        for i, j in sorted(pairs):
+            if _segments_intersect(*edges[i], *edges[j]):
+                raise ValueError(f"polygon edges {i} and {j} intersect; region must be simple")
 
 
 @dataclass(frozen=True)
@@ -154,18 +174,40 @@ def grid_spacing(camera: CameraModel) -> float:
     return footprint_width(camera) * (1.0 - y) / (1.0 + y)
 
 
-def generate_lattice(rect: CircumRectangle, spacing_m: float, origin_alt_m: float) -> list[Waypoint]:
-    """Lattice from the rectangle's SW corner, in row-major (i, j) order.
+def _check_lattice_size(rect: CircumRectangle, spacing_m: float) -> tuple[float, float]:
+    """Refuse a spacing that is not positive, or a lattice of more than
+    :data:`MAX_LATTICE_POINTS` points, before any point is built.
 
-    Rows and columns extend one spacing past the north/east edges so tiles may
-    overhang the rectangle. Degree increments are fixed, converted once at the
-    rectangle's southern latitude. A row north of 90 degrees is refused.
+    The lattice has ceil(span / spacing) + 1 rows and as many columns per
+    axis, give or take rounding. Returns the rectangle's north-south and
+    east-west spans in meters.
     """
     if not spacing_m > 0.0:
         raise ValueError(f"spacing_m must be > 0, got {spacing_m}")
     m_lat, m_lon = meters_per_degree(rect.min_lat)
     span_lat_m = (rect.max_lat - rect.min_lat) * m_lat
     span_lon_m = (rect.max_lon - rect.min_lon) * m_lon
+    # min() keeps math.ceil finite where a tiny spacing overflows the quotient to inf.
+    rows = math.ceil(min(span_lat_m / spacing_m, MAX_LATTICE_POINTS)) + 1
+    cols = math.ceil(min(span_lon_m / spacing_m, MAX_LATTICE_POINTS)) + 1
+    if rows * cols > MAX_LATTICE_POINTS:
+        raise ValueError(
+            f"grid spacing {spacing_m:.4g} m over a {span_lat_m:.0f} m x {span_lon_m:.0f} m rectangle "
+            f"gives more than {MAX_LATTICE_POINTS} lattice points"
+        )
+    return span_lat_m, span_lon_m
+
+
+def generate_lattice(rect: CircumRectangle, spacing_m: float, origin_alt_m: float) -> list[Waypoint]:
+    """Lattice from the rectangle's SW corner, in row-major (i, j) order.
+
+    Rows and columns extend one spacing past the north/east edges so tiles may
+    overhang the rectangle. Degree increments are fixed, converted once at the
+    rectangle's southern latitude. A row north of 90 degrees is refused, as
+    is a lattice of more than :data:`MAX_LATTICE_POINTS` points.
+    """
+    span_lat_m, span_lon_m = _check_lattice_size(rect, spacing_m)
+    m_lat, m_lon = meters_per_degree(rect.min_lat)
     if spacing_m > 10.0 * span_lat_m and spacing_m > 10.0 * span_lon_m:
         warnings.warn(
             f"spacing {spacing_m:.1f} m exceeds 10x the rectangle span; returning a single point",

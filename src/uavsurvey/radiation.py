@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .geodesy import GeoPoint, distance_m, distances_to_rows
+from .geodesy import METERS_PER_DEG_LAT, GeoPoint, distance_m
 
 # Distances clamp here to keep readings finite near the emitter; a drone
 # never physically reaches the point source.
@@ -60,27 +60,38 @@ def total_intensity(sources, p: GeoPoint) -> float:
 def field_levels(sources, points) -> list[float]:
     """:func:`total_intensity` at every point of the sequence ``points``, in order.
 
-    Points are grouped into rows of one exact latitude and altitude, so each
-    source's terms that depend on them are computed once per row (lattice
-    rows share one latitude). Each level adds the sources' ``strength_at``
-    terms left to right with ``+=``: its bits do not depend on the Python
-    version, as those of ``sum()`` do (compensated for floats from 3.12).
+    Points are grouped into rows of one exact latitude and altitude, and each
+    source's north offset, longitude scale and climb to a row are computed
+    once per row (lattice rows share one latitude). Each source's east offset
+    before scaling is computed once per distinct longitude (lattice columns
+    share one). A level then adds the sources' ``strength_at`` terms left to
+    right with ``+=``, from the operands :func:`distance_m` uses in its
+    order: its bits equal ``strength_at``'s sum and do not depend on the
+    Python version, as those of ``sum()`` do (compensated for floats from 3.12).
     """
     groups: dict[tuple[float, float], list[int]] = {}
     for k, p in enumerate(points):
         groups.setdefault((p.lat_deg, p.alt_m), []).append(k)
-    rows = [(lat, alt, [points[k].lon_deg for k in members]) for (lat, alt), members in groups.items()]
-    acc = [0.0] * len(points)
-    for s in sources:
-        sigma = s.sigma
-        ceiling = sigma / (MIN_DISTANCE_M * MIN_DISTANCE_M)
-        acc = [
-            t + (ceiling if d < MIN_DISTANCE_M else sigma / (d * d))
-            for t, d in zip(acc, distances_to_rows(s.position, rows))
-        ]
+    emitters = [(s.position, s.sigma, s.sigma / (MIN_DISTANCE_M * MIN_DISTANCE_M)) for s in sources]
+    a_lons = [a.lon_deg for a, _, _ in emitters]
+    hypot, remainder, cos, radians = math.hypot, math.remainder, math.cos, math.radians
+    easts: dict[float, list[float]] = {}  # longitude -> each source's east offset before the cos scale
     levels = [0.0] * len(points)
-    for k, t in zip((k for members in groups.values() for k in members), acc):
-        levels[k] = t
+    for (lat, alt), members in groups.items():
+        row = [
+            ((lat - a.lat_deg) * METERS_PER_DEG_LAT, cos(radians(0.5 * (a.lat_deg + lat))), alt - a.alt_m, sigma, ceiling)
+            for a, sigma, ceiling in emitters
+        ]
+        for k in members:
+            lon = points[k].lon_deg
+            east = easts.get(lon)
+            if east is None:
+                east = easts[lon] = [remainder(lon - a_lon, 360.0) * METERS_PER_DEG_LAT for a_lon in a_lons]
+            t = 0.0
+            for e, (north, scale, up, sigma, ceiling) in zip(east, row):
+                d = hypot(e * scale, north, up)
+                t += ceiling if d < MIN_DISTANCE_M else sigma / (d * d)
+            levels[k] = t
     return levels
 
 

@@ -9,6 +9,7 @@ import random
 from pathlib import Path
 
 from uavsurvey import EnuOffset, GeoPoint, PolygonRegion, distance_m, gps_offset, strength_at
+from uavsurvey.grid import _segments_intersect
 from uavsurvey.sim import WAYPOINT_REACHED
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "campus_mission.json"
@@ -81,6 +82,27 @@ def ray_cast_point_in_polygon(p: GeoPoint, region: PolygonRegion) -> bool:
                 inside = not inside
         prev = cur
     return inside
+
+
+# ---------------------------------------------------------------------------
+# polygon simplicity reference
+
+def pairwise_first_crossing(vertices) -> tuple[int, int] | None:
+    """The first non-adjacent edge pair ``(i, j)``, i < j, that touches or
+    crosses, testing every pair in lexicographic order; None for a simple
+    polygon.
+
+    The all-pairs loop ``PolygonRegion`` ran before it swept the edges'
+    bounding boxes. Edge i runs from vertex i to i + 1.
+    """
+    pts = [(v.lon_deg, v.lat_deg) for v in vertices]
+    n = len(pts)
+    for i in range(n):
+        a1, a2 = pts[i], pts[(i + 1) % n]
+        for j in range(i + 2, n - 1 if i == 0 else n):
+            if _segments_intersect(a1, a2, pts[j], pts[(j + 1) % n]):
+                return i, j
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import stat
 import pytest
 
 from helpers import REPO_CONFIG, assert_valid_geojson
+from uavsurvey import grid
 from uavsurvey.cli import main
 
 TINY = {
@@ -108,6 +109,26 @@ class TestSimulate:
         assert err.startswith("error: lattice row at 90.0000")
         assert "passes the north pole" in err and "(42.667 m)" in err
         assert not (tmp_path / "out").exists()
+
+    def test_lattice_over_the_ceiling_refused_before_it_is_built(self, tmp_path, capsys, monkeypatch):
+        # The campus region at 1 cm altitude would ask for about 1.3e9 lattice points.
+        doc = json.loads(REPO_CONFIG.read_text(encoding="utf-8"))
+        doc["camera"]["altitude_m"] = 0.01
+        path = tmp_path / "low.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+
+        def no_point(*args):
+            raise AssertionError("a lattice point was built")
+
+        monkeypatch.setattr(grid, "Waypoint", no_point)
+        out = tmp_path / "out"
+        for argv in (["validate", "--config", str(path)], ["simulate", "--config", str(path), "--out", str(out)]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                "error: camera: grid spacing 0.01333 m over a 480 m x 470 m rectangle "
+                "gives more than 1000000 lattice points\n"
+            )
+        assert not out.exists()
 
 
 class TestBound:

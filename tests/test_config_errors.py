@@ -97,6 +97,8 @@ CASES = [
      "camera: overlap_fraction must satisfy 0 <= overlap_fraction < 1, got 1.0"),
     ("camera-fov-invariant", put("camera", {"half_fov_deg": 90}),
      "camera: half_fov_deg must be within (0, 90), got 90.0"),
+    ("camera-lattice-ceiling", put("camera", {"altitude_m": 0.01}),
+     "camera: grid spacing 0.01333 m over a 111 m x 134 m rectangle gives more than 1000000 lattice points"),
     # fleet[k]
     ("fleet-not-list", put("fleet", {}), "fleet: expected a list of agents"),
     ("fleet-item-not-object", put("fleet", 0, "rav-1"), "fleet[0]: expected an object"),

@@ -17,7 +17,6 @@ from uavsurvey import (
     meters_per_degree,
     to_engine_ned,
 )
-from uavsurvey.geodesy import distances_to_rows
 
 # pi * 6378137 / 180 evaluated at 40 decimal digits, rounded to float64.
 M_PER_DEG_ORACLE = 111319.49079327357
@@ -192,34 +191,3 @@ class TestDistance:
             direct = distance_m(a, c)
             assert distance_m(a, b) + distance_m(b, c) >= direct * (1.0 - 1e-9)
 
-
-class TestDistancesToRows:
-    """The per-row helper is distance_m bit for bit."""
-
-    @staticmethod
-    def assert_matches(a, rows):
-        expected = [distance_m(a, GeoPoint(lat, lon, alt)) for lat, alt, lons in rows for lon in lons]
-        assert distances_to_rows(a, rows) == expected
-
-    def test_random_rows(self):
-        rng = random.Random(808)
-        for _ in range(300):
-            a = GeoPoint(rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0), rng.uniform(0.0, 100.0))
-            rows = []
-            for _ in range(rng.randint(1, 4)):
-                lat = rng.choice([a.lat_deg, rng.uniform(-90.0, 90.0), max(-90.0, min(90.0, a.lat_deg + 1e-4))])
-                lons = [rng.uniform(-180.0, 180.0) for _ in range(rng.randint(0, 5))]
-                rows.append((lat, rng.choice([0.0, a.alt_m, 32.0]), lons))
-            self.assert_matches(a, rows)
-
-    def test_antimeridian_and_poles(self):
-        for a in (GeoPoint(10.0, 179.9999, 5.0), GeoPoint(-10.0, -179.9999), GeoPoint(90.0, 0.0), GeoPoint(-90.0, 45.0)):
-            rows = [
-                (lat, 32.0, [179.99995, -180.0, -179.99995, 0.0, a.lon_deg])
-                for lat in (a.lat_deg, 10.00001, -10.0, 90.0, -90.0)
-            ]
-            self.assert_matches(a, rows)
-
-    def test_coincident_point_is_zero(self):
-        a = GeoPoint(53.3, -9.0, 32.0)
-        assert distances_to_rows(a, [(53.3, 32.0, [-9.0])]) == [0.0]

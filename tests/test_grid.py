@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     convex_contains,
+    pairwise_first_crossing,
     random_convex_polygon,
     random_star_polygon,
     ray_cast_point_in_polygon,
@@ -30,6 +31,7 @@ from uavsurvey import (
     meters_per_degree,
     point_in_polygon,
 )
+from uavsurvey import grid
 from uavsurvey.grid import _filter_lattice
 
 
@@ -64,6 +66,63 @@ class TestPolygonRegion:
         # bowtie
         with pytest.raises(ValueError, match="intersect"):
             poly((0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0))
+
+
+class TestSimplicityMatchesPairwise:
+    """The edge sweep reports the first crossing pair the all-pairs loop finds."""
+
+    @staticmethod
+    def assert_same_pair(vertices) -> bool:
+        """True if the polygon is simple."""
+        expected = pairwise_first_crossing(vertices)
+        if expected is None:
+            PolygonRegion(vertices)
+        else:
+            i, j = expected
+            with pytest.raises(ValueError, match=rf"^polygon edges {i} and {j} intersect; region must be simple$"):
+                PolygonRegion(vertices)
+        return expected is None
+
+    def test_random_stars_with_swapped_vertices(self):
+        rng = random.Random(4250)
+        simple = 0
+        for _ in range(200):
+            center = GeoPoint(rng.uniform(-60.0, 60.0), rng.uniform(-170.0, 170.0))
+            vertices = list(random_star_polygon(rng, center, rng.randint(4, 128), 40.0, 300.0).vertices)
+            for _ in range(rng.randint(0, 2)):
+                a, b = rng.randrange(len(vertices)), rng.randrange(len(vertices))
+                vertices[a], vertices[b] = vertices[b], vertices[a]
+            simple += self.assert_same_pair(tuple(vertices))
+        assert 0 < simple < 200
+
+    def test_quarter_grid_polygons(self):
+        # Vertices on a coarse grid of exact binary fractions: collinear
+        # edges, edges meeting at a vertex, and overlapping edges are common.
+        rng = random.Random(4251)
+        simple = tried = 0
+        while tried < 1500:
+            vertices = [GeoPoint(rng.randint(0, 8) / 4, rng.randint(0, 8) / 4)]
+            for _ in range(rng.randint(2, 11)):
+                v = GeoPoint(rng.randint(0, 8) / 4, rng.randint(0, 8) / 4)
+                if v != vertices[-1]:
+                    vertices.append(v)
+            if len(vertices) < 3 or vertices[0] == vertices[-1]:
+                continue
+            tried += 1
+            simple += self.assert_same_pair(tuple(vertices))
+        assert 0 < simple < tried
+
+    def test_sawtooth_comb(self):
+        # A zigzag band of 40 teeth: every edge's longitude range overlaps
+        # every other's, so only the latitude test prunes pairs.
+        west = [(k / 4, 10.0 if k % 2 else 0.0) for k in range(81)]
+        east = [(lat, lon + 0.25) for lat, lon in reversed(west)]
+        assert self.assert_same_pair(tuple(GeoPoint(lat, lon) for lat, lon in west + east))
+        for k, lon in ((41, 10.5), (41, 10.25), (7, 10.5), (79, 10.25), (12, 0.5)):
+            bent = west[:k] + [(k / 4, lon)] + west[k + 1:]
+            assert not self.assert_same_pair(tuple(GeoPoint(lat, lon) for lat, lon in bent + east))
+        touch = east[:30] + [(east[30][0], east[30][1] - 0.25)] + east[31:]
+        assert not self.assert_same_pair(tuple(GeoPoint(lat, lon) for lat, lon in west + touch))
 
 
 class TestBoundingRectangle:
@@ -158,6 +217,18 @@ class TestGenerateLattice:
         rect = CircumRectangle(0.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="spacing_m"):
             generate_lattice(rect, 0.0, 32.0)
+
+    def test_lattice_over_the_ceiling_refused_before_it_is_built(self, monkeypatch):
+        def no_point(*args):
+            raise AssertionError("a lattice point was built")
+
+        monkeypatch.setattr(grid, "Waypoint", no_point)
+        rect = CircumRectangle(53.0, 53.01, -9.0, -8.99)  # about 1113 m x 670 m
+        assert grid.MAX_LATTICE_POINTS == 1_000_000
+        with pytest.raises(ValueError, match=r"^grid spacing 0\.5 m over a 1113 m x 670 m rectangle gives more than 1000000 lattice points$"):
+            generate_lattice(rect, 0.5, 32.0)
+        with pytest.raises(ValueError, match="more than 1000000"):
+            generate_lattice(rect, 5e-324, 32.0)
 
     def test_altitude_applied(self):
         rect = CircumRectangle(0.0, 0.001, 0.0, 0.001)

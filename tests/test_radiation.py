@@ -9,11 +9,16 @@ import pytest
 
 from helpers import loop_total_intensity
 from uavsurvey import (
+    Agent,
+    CameraModel,
     EnuOffset,
     GeoPoint,
     NoiseSpec,
+    PolygonRegion,
     RadiationSource,
+    generate_waypoints,
     gps_offset,
+    plan_routes,
     sample_reading,
     strength_at,
     total_intensity,
@@ -180,6 +185,68 @@ class TestFieldLevels:
         rng = random.Random(29)
         points = [GeoPoint(0.5, 0.5 + 1e-4 * j, alt) for j in range(4) for alt in (0.0, 32.0, 100.0)]
         self.assert_matches(self.sources_near(rng, points[0], 30), points)
+
+    def test_random_rows(self):
+        rng = random.Random(808)
+        for _ in range(300):
+            a = GeoPoint(rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0), rng.uniform(0.0, 100.0))
+            points = []
+            for _ in range(rng.randint(1, 4)):
+                lat = rng.choice([a.lat_deg, rng.uniform(-90.0, 90.0), max(-90.0, min(90.0, a.lat_deg + 1e-4))])
+                alt = rng.choice([0.0, a.alt_m, 32.0])
+                points += [GeoPoint(lat, rng.uniform(-180.0, 180.0), alt) for _ in range(rng.randint(0, 5))]
+            self.assert_matches([RadiationSource(a, rng.uniform(0.0, 500.0))], points)
+
+    def test_antimeridian_and_poles(self):
+        sources = [
+            RadiationSource(a, sigma)
+            for a, sigma in zip(
+                (GeoPoint(10.0, 179.9999, 5.0), GeoPoint(-10.0, -179.9999), GeoPoint(90.0, 0.0), GeoPoint(-90.0, 45.0)),
+                (1.0, 20.0, 300.0, 4000.0),
+            )
+        ]
+        for s in sources:
+            points = [
+                GeoPoint(lat, lon, 32.0)
+                for lat in (s.position.lat_deg, 10.00001, -10.0, 90.0, -90.0)
+                for lon in (179.99995, -180.0, -179.99995, 0.0, s.position.lon_deg)
+            ]
+            self.assert_matches([s], points)
+            self.assert_matches(sources, points)
+
+    def test_point_on_a_source(self):
+        p = GeoPoint(53.3, -9.0, 32.0)
+        assert field_levels([RadiationSource(p, 7.0)], [p]) == [7.0 / (MIN_DISTANCE_M * MIN_DISTANCE_M)]
+
+    def test_same_point_twice(self):
+        points = self.lattice(53.3, -9.0, 3, 3)
+        points.insert(5, points[1])
+        points.append(points[1])
+        sources = self.sources_near(random.Random(30), points[0], 40)
+        levels = field_levels(sources, points)
+        assert levels[1] == levels[5] == levels[-1]
+        self.assert_matches(sources, points)
+
+    def test_non_convex_rows_with_gaps_in_route_order(self):
+        # Rows of a U-shaped region are cut in two by the notch; the planner
+        # visits them interleaved across agents, as simulate reads them.
+        region = PolygonRegion(tuple(GeoPoint(53.27 + 1e-3 * lat, -9.06 + 1e-3 * lon) for lat, lon in (
+            (0, 0), (0, 4), (3, 4), (3, 3), (1, 3), (1, 1), (3, 1), (3, 0),
+        )))
+        grid = generate_waypoints(region, CameraModel(altitude_m=20.0))
+        fleet = [Agent(f"rav-{k}", GeoPoint(53.269, -9.061), 5.0) for k in range(3)]
+        route_order = [w for route in plan_routes(fleet, grid.points).routes.values() for w in route]
+        columns = {}
+        for w in route_order:
+            columns.setdefault(w.index[0], []).append(w.index[1])
+        assert any(len(js) < max(js) - min(js) + 1 for js in columns.values())  # a row with a gap
+        points = [w.point for w in route_order]
+        self.assert_matches(self.sources_near(random.Random(31), points[0], 64), points)
+
+    def test_one_source_over_five_thousand_points(self):
+        # The shape of the large survey: one source, a lattice of thousands.
+        points = self.lattice(53.27, -9.065, 50, 100, step_deg=5e-5)
+        self.assert_matches(self.sources_near(random.Random(32), points[0], 1, span_m=50.0), points)
 
 
 class TestSampleReading:
