@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,17 +25,18 @@ from .sim import simulate
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to a new file beside ``path``, then rename it over
+    ``path``. Opened with "x", the new file takes the mode ``open()`` gives
+    (0o666 less the umask) and is never one this call did not create."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    handle = open(tmp, "x", encoding="utf-8")
     try:
-        umask = os.umask(0)  # mkstemp creates 0600; give the file the mode open() would
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
-        os.unlink(tmp)
+        tmp.unlink()
         raise
 
 

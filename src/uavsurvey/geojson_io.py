@@ -9,14 +9,13 @@ allow_nan=False)`` and ``write_observation_log`` those of one compact
 ``json.dumps(record, separators=(",", ":"), allow_nan=False)`` per line.
 CPython encodes indented JSON only in pure Python, so both fill templates
 of the shapes they meet (the Point and LineString features
-``export_geojson`` builds, the two event lines) and encode anything else
-with ``_encode``.
+``export_geojson`` builds, the two event lines) and hand every other shape
+to ``json.dumps`` itself, shifted to the indentation it starts at.
 """
 
 from __future__ import annotations
 
-import math
-from json.encoder import encode_basestring_ascii as _quote
+import json
 
 from .geodesy import GeoPoint
 from .grid import WaypointGrid
@@ -80,48 +79,26 @@ def export_geojson(grid: WaypointGrid, plan: RoutePlan) -> dict:
     return {"type": "FeatureCollection", "features": features}
 
 
-def _scalar(value) -> str:
-    """A JSON scalar as ``json.dumps(value, allow_nan=False)`` renders it."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _encode(value, newline: str | None) -> str:
     """JSON text of ``value`` as ``json.dumps(value, allow_nan=False)`` writes
     it: compact (``separators=(",", ":")``) when ``newline`` is None, else
     with ``indent=2``, ``newline`` being "\\n" plus the indentation of the
-    line ``value`` starts on."""
-    if type(value) is float and value - value == 0.0:  # the common case: a finite float
+    line ``value`` starts on.
+
+    A finite float, an int and None are rendered here; anything else goes to
+    ``json``. Its indented text has no raw "\\n" but its line breaks (strings
+    escape every control character), so shifting it to ``newline`` is exact.
+    """
+    kind = type(value)
+    if kind is float and value - value == 0.0:
         return float.__repr__(value)
-    is_dict = isinstance(value, dict)
-    if not (is_dict or isinstance(value, (list, tuple))):
-        return _scalar(value)
-    if not value:
-        return "{}" if is_dict else "[]"
-    inner = None if newline is None else newline + "  "
-    if is_dict:
-        colon = ":" if newline is None else ": "
-        items = [
-            _quote(k if isinstance(k, str) else _scalar(k)) + colon + _encode(v, inner)
-            for k, v in value.items()
-        ]
-    else:
-        items = [_encode(v, inner) for v in value]
-    body = ",".join(items) if newline is None else inner + ("," + inner).join(items) + newline
-    return ("{%s}" if is_dict else "[%s]") % body
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if newline is None:
+        return json.dumps(value, separators=(",", ":"), allow_nan=False)
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", newline)
 
 
 def _cached(cache: dict, value, newline: str | None) -> str:
@@ -136,7 +113,7 @@ def _cached(cache: dict, value, newline: str | None) -> str:
         return _encode(value, newline)
     text = cache.get(value)
     if text is None:
-        text = cache[value] = _scalar(value)
+        text = cache[value] = _encode(value, None)
     return text
 
 

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, groupby
 
-from .geodesy import GeoPoint, meters_per_degree
+from .geodesy import GeoPoint, _warn_if_wide, meters_per_degree
 
 
 # Most lattice points one mission may ask for. A camera spacing of
@@ -299,8 +299,11 @@ def _filter_lattice(region: PolygonRegion, lattice: list[Waypoint]) -> tuple[Way
 
 def generate_waypoints(region: PolygonRegion, camera: CameraModel) -> WaypointGrid:
     """Survey grid for the region: lattice over its bounding rectangle, kept
-    down to the points inside or on the polygon."""
+    down to the points inside or on the polygon. A rectangle wider than
+    :data:`~uavsurvey.geodesy.FLAT_PLANE_MAX_SPAN_DEG` on either axis raises
+    :class:`~uavsurvey.geodesy.FlatPlaneWarning`."""
     rect = bounding_rectangle(region)
+    _warn_if_wide(rect.max_lat - rect.min_lat, rect.max_lon - rect.min_lon)
     spacing = grid_spacing(camera)
     kept = _filter_lattice(region, generate_lattice(rect, spacing, camera.altitude_m))
     if not kept:

@@ -43,14 +43,11 @@ class Agent:
 class RoutePlan:
     """Ordered per-agent waypoint sequences forming a partition of the input set.
 
-    ``homes`` records each agent's launch point (routes themselves exclude
-    it); ``visit_sequence`` is the global claim order the planner produced
-    (interleaved across agents).
+    ``homes`` records each agent's launch point; routes themselves exclude it.
     """
 
     routes: dict[str, list[Waypoint]]
     homes: dict[str, GeoPoint] = field(default_factory=dict)
-    visit_sequence: list[Waypoint] = field(default_factory=list)
 
 
 def _as_waypoints(points) -> list[Waypoint]:
@@ -186,7 +183,6 @@ def plan_routes(agents: Sequence[Agent], waypoints) -> RoutePlan:
 
     routes: dict[str, list[Waypoint]] = {a.id: [] for a in agents}
     ends = dict(homes)
-    visit_sequence: list[Waypoint] = []
     dist = distance_m
     for turn in range(len(order)):
         agent = agents[turn % len(agents)]
@@ -204,11 +200,10 @@ def plan_routes(agents: Sequence[Agent], waypoints) -> RoutePlan:
                     best_cost = c
                     best_k = k
         routes[agent.id].append(order[best_k])
-        visit_sequence.append(order[best_k])
         ends[agent.id] = positions[best_k]
         i, j = cell_of(positions[best_k])
         cells[i * cols + j].remove(best_k)
-    return RoutePlan(routes=routes, homes=homes, visit_sequence=visit_sequence)
+    return RoutePlan(routes=routes, homes=homes)
 
 
 def route_length(home: GeoPoint, route: Sequence[Waypoint]) -> float:

@@ -270,6 +270,18 @@ def scan_plan_routes(agents, waypoints, cost=distance_m):
     return routes, visit_sequence
 
 
+def claim_order(plan, agents) -> list:
+    """The planner's global claim order, read off its routes.
+
+    Turn t of the round robin goes to ``agents[t % A]``, which claims the
+    (t // A)-th waypoint of its route. A route that is not round-robin
+    balanced raises IndexError.
+    """
+    ids = [a.id for a in agents]
+    n = sum(len(route) for route in plan.routes.values())
+    return [plan.routes[ids[t % len(ids)]][t // len(ids)] for t in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # writer references
 

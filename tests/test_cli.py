@@ -9,7 +9,7 @@ import stat
 import pytest
 
 from helpers import REPO_CONFIG, assert_valid_geojson
-from uavsurvey import grid
+from uavsurvey import FlatPlaneWarning, grid
 from uavsurvey.cli import main
 
 TINY = {
@@ -100,11 +100,31 @@ class TestSimulate:
         for name in ("plan.geojson", "observations.jsonl"):
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask
 
+    def test_outputs_leave_the_umask_alone(self, tiny_config, tmp_path, monkeypatch):
+        def no_umask(mask):
+            raise AssertionError("the process umask was touched")
+
+        monkeypatch.setattr(os, "umask", no_umask)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(tiny_config), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["observations.jsonl", "plan.geojson"]
+
+    def test_failed_write_leaves_no_temp_file(self, tiny_config, tmp_path, monkeypatch, capsys):
+        def no_replace(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", no_replace)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(tiny_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: replace refused\n"
+        assert list(out.iterdir()) == []
+
     def test_region_at_north_pole_refused(self, tmp_path, capsys):
         doc = dict(TINY, region=[[89.9997, 0.0], [89.99995, 0.0], [89.99995, 10.0]])
         path = tmp_path / "pole.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        with pytest.warns(FlatPlaneWarning):  # the region spans 10 degrees of longitude
+            assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: lattice row at 90.0000")
         assert "passes the north pole" in err and "(42.667 m)" in err

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import pytest
 
 from helpers import (
+    REPO_CONFIG,
     convex_contains,
     pairwise_first_crossing,
     random_convex_polygon,
@@ -20,6 +22,7 @@ from uavsurvey import (
     CircumRectangle,
     DegenerateGridWarning,
     EmptyGridWarning,
+    FlatPlaneWarning,
     GeoPoint,
     PolygonRegion,
     bounding_rectangle,
@@ -29,6 +32,7 @@ from uavsurvey import (
     gps_difference,
     grid_spacing,
     meters_per_degree,
+    parse_mission_config,
     point_in_polygon,
 )
 from uavsurvey import grid
@@ -236,10 +240,12 @@ class TestGenerateLattice:
             assert wp.point.alt_m == 32.0
 
     def test_row_past_north_pole_refused(self):
-        # The overhang row above 89.99995 N would sit at 90.0000833 N.
+        # The overhang row above 89.99995 N would sit at 90.0000833 N. The
+        # region spans 10 degrees of longitude, so it also strains the flat plane.
         region = poly((89.9997, 0.0), (89.99995, 0.0), (89.99995, 10.0))
         with pytest.raises(ValueError, match=r"passes the north pole.*\(42\.667 m\)"):
-            generate_waypoints(region, CameraModel())
+            with pytest.warns(FlatPlaneWarning, match=r"span of \(0\.000, 10\.000\) degrees"):
+                generate_waypoints(region, CameraModel())
 
 
 class TestPointInPolygon:
@@ -348,6 +354,20 @@ class TestGenerateWaypoints:
         with pytest.warns(EmptyGridWarning):
             grid = generate_waypoints(region, self.CAM)
         assert grid.points == ()
+
+    def test_wide_region_warns_flat_plane(self):
+        # 1.5 x 1.5 degrees seen from 20 km: a 26.7 km spacing leaves 49 waypoints.
+        region = poly((0.0, 0.0), (0.0, 1.5), (1.5, 1.5), (1.5, 0.0))
+        with pytest.warns(FlatPlaneWarning, match=r"span of \(1\.500, 1\.500\) degrees exceeds 1\.0"):
+            grid = generate_waypoints(region, CameraModel(altitude_m=20000.0))
+        assert len(grid.points) == 49
+
+    def test_campus_region_raises_no_warning(self):
+        config = parse_mission_config(REPO_CONFIG.read_text(encoding="utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = generate_waypoints(config.region, config.camera)
+        assert grid.points
 
     def test_lattice_regularity(self):
         # East coordinates measured from the SW corner step by one spacing

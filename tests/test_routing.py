@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from helpers import permutation_tour_cost, random_points, scan_plan_routes
+from helpers import claim_order, permutation_tour_cost, random_points, scan_plan_routes
 from uavsurvey import (
     Agent,
     EnuOffset,
@@ -41,18 +41,20 @@ def unit_square_points() -> list[GeoPoint]:
 
 class TestPlanRoutes:
     def test_empty_waypoints(self):
-        plan = plan_routes(agents(3), [])
+        fleet = agents(3)
+        plan = plan_routes(fleet, [])
         assert all(route == [] for route in plan.routes.values())
-        assert plan.visit_sequence == []
+        assert claim_order(plan, fleet) == []
 
     def test_two_agent_collinear_trace(self):
         # Hand trace: A takes p1 (1 m), B takes p2 (2 m from home), A at p1
         # takes p3, B at p2 takes p4.
         p1, p2, p3, p4 = east_points(1.0, 2.0, 3.0, 4.0)
-        plan = plan_routes(agents(2), [p1, p2, p3, p4])
+        fleet = agents(2)
+        plan = plan_routes(fleet, [p1, p2, p3, p4])
         assert plan.routes["A"] == [Waypoint(p1), Waypoint(p3)]
         assert plan.routes["B"] == [Waypoint(p2), Waypoint(p4)]
-        assert plan.visit_sequence == [Waypoint(p) for p in (p1, p2, p3, p4)]
+        assert claim_order(plan, fleet) == [Waypoint(p) for p in (p1, p2, p3, p4)]
 
     def test_single_agent_sweeps_in_order(self):
         pts = east_points(1.0, 2.0, 3.0)
@@ -101,11 +103,19 @@ class TestPlanRoutes:
     def test_round_robin_interleaves_agents(self):
         rng = random.Random(4)
         pts = random_points(rng, HOME, 9, 200.0)
-        plan = plan_routes(agents(3), pts)
+        fleet = agents(3)
+        plan = plan_routes(fleet, pts)
         claimed = {aid: list(route) for aid, route in plan.routes.items()}
-        for turn, wp in enumerate(plan.visit_sequence):
+        ends = {a.id: a.home for a in fleet}
+        remaining = [Waypoint(p) for p in pts]
+        for turn, wp in enumerate(claim_order(plan, fleet)):
             expected_agent = "ABC"[turn % 3]
             assert claimed[expected_agent][turn // 3] is wp
+            # each turn claims the remaining waypoint nearest its agent's route end
+            here = ends[expected_agent]
+            assert distance_m(here, wp.point) == min(distance_m(here, w.point) for w in remaining)
+            remaining.remove(wp)
+            ends[expected_agent] = wp.point
 
     def test_deterministic(self):
         rng = random.Random(5)
@@ -114,7 +124,7 @@ class TestPlanRoutes:
         first = plan_routes(fleet, pts)
         second = plan_routes(fleet, pts)
         assert first.routes == second.routes
-        assert first.visit_sequence == second.visit_sequence
+        assert claim_order(first, fleet) == claim_order(second, fleet)
 
 
 def _fleet(rng: random.Random, homes: list[GeoPoint]) -> list[Agent]:
@@ -205,7 +215,7 @@ class TestMatchesFullScan:
             def ids(route):
                 return [id(w.point) if bare else id(w) for w in route]
 
-            assert ids(plan.visit_sequence) == [id(w) for w in sequence]
+            assert ids(claim_order(plan, fleet)) == [id(w) for w in sequence]
             for aid, route in routes.items():
                 assert ids(plan.routes[aid]) == [id(w) for w in route]
 

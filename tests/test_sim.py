@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from helpers import random_points
+from helpers import claim_order, random_points
 from uavsurvey import (
     Agent,
     CameraModel,
@@ -226,7 +226,7 @@ class TestBarePoints:
         bare = plan_routes(fleet, pts)
         wrapped = plan_routes(fleet, [Waypoint(p) for p in pts])
         assert bare.routes == wrapped.routes
-        assert bare.visit_sequence == wrapped.visit_sequence
+        assert claim_order(bare, fleet) == claim_order(wrapped, fleet)
         args = (fleet, [RadiationSource(HOME, 80.0)], NoiseSpec("gaussian", 0.05), 4)
         logs = [simulate(plan, *args, dwell_s=2.0) for plan in (bare, wrapped)]
         assert logs[0].config_digest == logs[1].config_digest
@@ -242,7 +242,8 @@ class TestBarePoints:
         fleet, pts = self.mission()
         plan = plan_routes(fleet, pts)
         _, partition = brute_force_mtsp(pts[:6], fleet)
-        for route in [plan.visit_sequence, *plan.routes.values(), *partition.values()]:
+        sequence = claim_order(plan, fleet)
+        for route in [sequence, *plan.routes.values(), *partition.values()]:
             assert all(type(w) is Waypoint and w.index is None for w in route)
-        assert sorted(id(w.point) for w in plan.visit_sequence) == sorted(id(p) for p in pts)
+        assert sorted(id(w.point) for w in sequence) == sorted(id(p) for p in pts)
         assert sorted(id(w.point) for route in partition.values() for w in route) == sorted(map(id, pts[:6]))

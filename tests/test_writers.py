@@ -10,12 +10,13 @@ templates cover, and must refuse a non-finite number in every float slot.
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 from types import SimpleNamespace
 
 import pytest
 
-from helpers import json_dumps_geojson, json_observation_log, random_star_polygon
+from helpers import REPO_CONFIG, json_dumps_geojson, json_observation_log, random_star_polygon
 from uavsurvey import (
     Agent,
     CameraModel,
@@ -25,6 +26,8 @@ from uavsurvey import (
     dumps_geojson,
     export_geojson,
     generate_waypoints,
+    geojson_io,
+    parse_mission_config,
     plan_routes,
     simulate,
     write_observation_log,
@@ -342,3 +345,35 @@ def test_bookend_time_refuses_non_finite():
         log = EventLog("m", "0" * 64, [Event(t=value, agent_id="rav-1", kind="takeoff")])
         with pytest.raises(ValueError, match="JSON compliant"):
             write_observation_log(log)
+
+
+# --------------------------------------------------------------------------
+# the templates carry the writers
+
+
+def test_json_dumps_calls_depend_on_the_fleet_not_the_waypoints(monkeypatch):
+    """Only the shapes the templates skip reach ``json.dumps``: the log header,
+    the collection type, each route's properties and each distinct string.
+    A template that stops matching sends one call per waypoint instead."""
+    config = parse_mission_config(REPO_CONFIG.read_text(encoding="utf-8"))
+    calls = []
+
+    def dumps(*args, **kwargs):
+        calls.append(args[0])
+        return json.dumps(*args, **kwargs)
+
+    monkeypatch.setattr(geojson_io, "json", SimpleNamespace(dumps=dumps))
+    counts = {}
+    for altitude_m in (config.camera.altitude_m, config.camera.altitude_m / 2):  # half the spacing
+        camera = dataclasses.replace(config.camera, altitude_m=altitude_m)
+        grid = generate_waypoints(config.region, camera)
+        plan = plan_routes(config.fleet, grid.points)
+        log = simulate(plan, config.fleet, config.sources, config.noise, config.seed, camera=camera)
+        calls.clear()
+        dumps_geojson(export_geojson(grid, plan))
+        write_observation_log(log)
+        counts[len(grid.points)] = len(calls)
+    (few, few_calls), (many, many_calls) = counts.items()
+    assert many > 3 * few
+    agents = len(config.fleet)
+    assert few_calls == many_calls == 2 + 3 * agents + 2  # header, type; ids twice, routes; two bookend kinds
