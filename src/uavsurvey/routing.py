@@ -17,8 +17,9 @@ from typing import Sequence
 from .geodesy import METERS_PER_DEG_LAT, GeoPoint, distance_m
 from .grid import Waypoint
 
-# Held-Karp keeps 2^(n-1) rows of n-1 floats; at n = 18 the tracemalloc peak
-# is about 60 MB. Larger instances have no exact reference.
+# Held-Karp keeps up to 2^(n-1) rows of n-1 floats. When every row stays
+# live, as on points in a line, the tracemalloc peak at n = 18 is about
+# 60 MB. Larger instances have no exact reference.
 HELD_KARP_MAX_POINTS = 18
 ORACLE_MAX_POINTS = 8
 ORACLE_MAX_AGENTS = 3
@@ -69,8 +70,10 @@ def _check_fleet(agents: Sequence[Agent], plan: RoutePlan | None = None) -> None
             raise ValueError(f"plan references agents not in the fleet: {unknown}")
 
 
-# The ring lower bound is scaled by this before pruning. Rounding in the
-# cell indices and in distance_m is orders of magnitude below 1e-9 relative.
+# Pruning bounds are scaled by this: the ring lower bound is multiplied by
+# it, the Held-Karp budget divided by it, and a 2-opt move must save this
+# factor. Rounding in the cell indices, in distance_m and in sums of a few
+# dozen legs is orders of magnitude below 1e-9 relative.
 _RING_SLACK = 1.0 - 1e-9
 # Infinite cell sizes map every point to cell (0, 0): the plain scan.
 _ONE_CELL = (0.0, 0.0, 0.0, math.inf, math.inf, 1, 1)
@@ -232,7 +235,7 @@ def makespan(plan: RoutePlan, agents: Sequence[Agent]) -> float:
     return worst
 
 
-def _path_rows(first: list[float], pair: list[list[float]]) -> list[list[float] | None]:
+def _path_rows(first: list[float], pair: list[list[float]], budget: float = math.inf) -> list[list[float] | None]:
     """Open-path subset DP over ``m = len(first)`` points.
 
     ``rows[s][k]`` is the cheapest path that starts with the leg ``first[k0]``
@@ -242,19 +245,39 @@ def _path_rows(first: list[float], pair: list[list[float]]) -> list[list[float] 
     reduction, ``min(map(add, rows[s ^ (1 << k)], cols[k]))``. ``rows[0]``
     is None. Float addition is monotone, so taking the minimum before adding
     the next leg gives the same float as minimising over every order.
+
+    With a ``budget``, a row is kept only if its cheapest entry is at most
+    ``budget`` less the floors of the points outside ``s``, a point's floor
+    being its cheapest leg from another point. Other rows are None and cost
+    their supersets nothing. Every leg is at least its floor, so an entry
+    over that limit only leads to entries over theirs, and every path that
+    can end within the budget is kept with its value.
     """
     m = len(first)
     inf = math.inf
     cols = [list(col) for col in zip(*pair)]
-    bits = [(k, 1 << k) for k in range(m)]
+    floors = [min(col[:k] + col[k + 1:], default=0.0) for k, col in enumerate(cols)]
+    # The limit of s, budget - (the floors of the points outside s), is
+    # base + low[s & mask] + high[s >> half]: subset sums of the floors of
+    # the low and the high half of the points.
+    half = m // 2
+    low, high = [0.0], [0.0]
+    for k, floor in enumerate(floors):
+        sums = low if k < half else high
+        sums += [x + floor for x in sums]
+    base = budget - sum(floors)
+    mask = (1 << half) - 1
     rows: list[list[float] | None] = [None] * (1 << m)
-    for k, b in bits:
-        row = [inf] * m
-        row[k] = first[k]
-        rows[b] = row
+    for k in range(m):
+        b = 1 << k
+        if first[k] <= base + low[b & mask] + high[b >> half]:
+            rows[b] = [first[k] if j == k else inf for j in range(m)]
+    bit_cols = [(1 << k, col) for k, col in enumerate(cols)]
     for s in range(3, 1 << m):
         if s & (s - 1):
-            rows[s] = [min(map(add, rows[s ^ b], cols[k])) if s & b else inf for k, b in bits]
+            row = [min(map(add, prev, col)) if s & b and (prev := rows[s ^ b]) else inf for b, col in bit_cols]
+            if budget == inf or min(row) <= base + low[s & mask] + high[s >> half]:
+                rows[s] = row
     return rows
 
 
@@ -262,7 +285,10 @@ def tsp_optimal(points) -> float:
     """Exact minimum Hamiltonian tour length in metres via Held-Karp.
 
     The tour is anchored at point 0; ``_path_rows`` keeps one row of n - 1
-    floats per subset of the other points. Limited to HELD_KARP_MAX_POINTS.
+    floats per subset of the other points, within a budget from one real
+    tour: nearest neighbour from point 0, improved by 2-opt. That tour's
+    legs summed left to right are one of the sums the DP minimises, so the
+    optimal tour stays within the budget. Limited to HELD_KARP_MAX_POINTS.
     """
     pts = [w.point for w in _as_waypoints(points)]
     n = len(pts)
@@ -275,8 +301,30 @@ def tsp_optimal(points) -> float:
         return 0.0
 
     c = [[distance_m(a, b) for b in pts] for a in pts]
-    full = _path_rows(c[0][1:], [row[1:] for row in c[1:]])[-1]
-    return min(map(add, full, [row[0] for row in c[1:]]))
+    tour = [0]
+    left = list(range(1, n))
+    while left:
+        tour.append(min(left, key=c[tour[-1]].__getitem__))
+        left.remove(tour[-1])
+    tour.append(0)
+    # A move must shorten its two legs by more than rounding. Legs are
+    # symmetric, so the reversed stretch keeps its length, the exact tour
+    # length strictly falls and no tour repeats: 2-opt ends.
+    improved = True
+    while improved:
+        improved = False
+        for i in range(1, n - 1):
+            for j in range(i + 1, n):
+                a, b, d, e = tour[i - 1], tour[i], tour[j], tour[j + 1]
+                if c[a][d] + c[b][e] < (c[a][b] + c[d][e]) * _RING_SLACK:
+                    tour[i:j + 1] = tour[j:i - 1:-1]
+                    improved = True
+    length = 0.0
+    for a, b in zip(tour, tour[1:]):
+        length += c[a][b]
+    closing = [row[0] for row in c[1:]]
+    full = _path_rows(c[0][1:], [row[1:] for row in c[1:]], length / _RING_SLACK - min(closing))[-1]
+    return min(map(add, full, closing))
 
 
 def mtsp_lower_bound(points, n_agents: int) -> float:

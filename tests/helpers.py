@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+from operator import add
 from pathlib import Path
 
 from uavsurvey import EnuOffset, GeoPoint, PolygonRegion, distance_m, gps_offset, strength_at
@@ -173,6 +174,37 @@ def loop_tsp_optimal(points, cost=distance_m) -> float:
             dp[base + k] = best
     full = (size - 1) * n
     return min(dp[full + k] + c[k][0] for k in range(1, n))
+
+
+def unbounded_path_rows(first, pair):
+    """The open-path subset DP with every row kept.
+
+    The body ``routing._path_rows`` had before it took a budget; with one,
+    the kernel must keep these values on every path that can end within it.
+    """
+    m = len(first)
+    inf = math.inf
+    cols = [list(col) for col in zip(*pair)]
+    bits = [(k, 1 << k) for k in range(m)]
+    rows = [None] * (1 << m)
+    for k, b in bits:
+        row = [inf] * m
+        row[k] = first[k]
+        rows[b] = row
+    for s in range(3, 1 << m):
+        if s & (s - 1):
+            rows[s] = [min(map(add, rows[s ^ b], cols[k])) if s & b else inf for k, b in bits]
+    return rows
+
+
+def unbounded_tsp_optimal(points) -> float:
+    """Held-Karp on ``unbounded_path_rows``: ``tsp_optimal`` before its budget."""
+    pts = [position_of(p) for p in points]
+    if len(pts) <= 1:
+        return 0.0
+    c = [[distance_m(a, b) for b in pts] for a in pts]
+    full = unbounded_path_rows(c[0][1:], [row[1:] for row in c[1:]])[-1]
+    return min(map(add, full, [row[0] for row in c[1:]]))
 
 
 def permutation_brute_force_mtsp(points, agents, cost=distance_m):

@@ -7,16 +7,29 @@ monotone, so the values must be equal with ``==``, not approximately. On ties
 the oracle's partition may be another optimal one than the reference's, so
 the partition is checked as an exact cover whose makespan is the value, bit
 for bit.
+
+Held-Karp's rows are bounded by a budget from a 2-opt tour; with it,
+``tsp_optimal`` must still equal the unbounded DP in ``helpers`` with ``==``,
+on the lattice shapes ``bound_eval`` draws and on random points.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
-from helpers import loop_tsp_optimal, permutation_brute_force_mtsp, random_points
-from uavsurvey import Agent, EnuOffset, GeoPoint, brute_force_mtsp, gps_offset, makespan, tsp_optimal
+from helpers import (
+    loop_tsp_optimal,
+    permutation_brute_force_mtsp,
+    random_points,
+    unbounded_path_rows,
+    unbounded_tsp_optimal,
+)
+from uavsurvey import Agent, EnuOffset, GeoPoint, brute_force_mtsp, distance_m, gps_offset, makespan, tsp_optimal
+from uavsurvey import routing
+from uavsurvey.geodesy import meters_per_degree
 from uavsurvey.routing import RoutePlan
 
 ORIGIN = GeoPoint(47.6, -122.3, 0.0)
@@ -66,3 +79,124 @@ def test_oracle_equals_permutation_reference(n, n_agents):
     rng = random.Random(1000 * n + n_agents)
     for pts in instances(300 + 10 * n + n_agents, n):
         assert_oracle_matches(pts, fleet(rng, n_agents))
+
+
+def rectangle(rows: int, cols: int, spacing_m: float, lat_deg: float) -> list[GeoPoint]:
+    """A rows x cols lattice from its SW corner in row-major order, with fixed
+    degree steps: the waypoints of one of ``bound_eval``'s rectangles."""
+    m_lat, m_lon = meters_per_degree(lat_deg)
+    return [
+        GeoPoint(lat_deg + i * spacing_m / m_lat, 20.0 + j * spacing_m / m_lon, 0.0)
+        for i in range(rows)
+        for j in range(cols)
+    ]
+
+
+def legs(pts) -> tuple[list[float], list[list[float]], list[float]]:
+    """Held-Karp's kernel input: the legs from point 0, between the other
+    points, and back to point 0."""
+    c = [[distance_m(a, b) for b in pts] for a in pts]
+    return c[0][1:], [row[1:] for row in c[1:]], [row[0] for row in c[1:]]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Every ``_path_rows`` call as ``(first, pair, budget, rows)``."""
+    calls = []
+    kernel = routing._path_rows
+
+    def recording(first, pair, budget=math.inf):
+        rows = kernel(first, pair, budget)
+        calls.append((first, pair, budget, rows))
+        return rows
+
+    monkeypatch.setattr(routing, "_path_rows", recording)
+    return calls
+
+
+# bound_eval's shapes: a side of at most 4, n = 9..16, lines both ways.
+LATTICES = [(1, 9), (11, 1), (1, 13), (1, 16), (2, 5), (6, 2), (2, 7), (2, 8), (3, 4), (3, 5), (4, 4)]
+
+
+@pytest.mark.parametrize("rows, cols", LATTICES)
+def test_bounded_held_karp_equals_unbounded_on_lattices(rows, cols, kernel_calls):
+    """Also a pruning guard: a 2x8 lattice keeps under 10 % of its rows. On a
+    line every subset lies on an optimal out-and-back tour, so every row
+    stays: the worst case."""
+    rng = random.Random(rows * 100 + cols)
+    pts = rectangle(rows, cols, rng.uniform(5.0, 40.0), rng.uniform(-60.0, 60.0))
+    assert tsp_optimal(pts) == unbounded_tsp_optimal(pts)
+    (*_, table), = kernel_calls
+    live = sum(row is not None for row in table)
+    if 1 in (rows, cols):
+        assert live == len(table) - 1
+    if (rows, cols) == (2, 8):
+        assert live < 0.10 * len(table)
+
+
+@pytest.mark.parametrize("n", range(9, 15))
+def test_bounded_held_karp_equals_unbounded_on_random_points(n):
+    pts = random_points(random.Random(500 + n), ORIGIN, n, 300.0)
+    assert tsp_optimal(pts) == unbounded_tsp_optimal(pts)
+
+
+def test_loose_budget_keeps_the_optimum(kernel_calls):
+    """Here 2-opt stops at a tour about 9 % longer than the optimum."""
+    pts = random_points(random.Random(31), ORIGIN, 10, 300.0)
+    optimum = unbounded_tsp_optimal(pts)
+    assert tsp_optimal(pts) == optimum
+    (_, _, budget, _), = kernel_calls
+    assert budget > 1.05 * (optimum - min(legs(pts)[2]))
+
+
+def test_budget_is_the_tour_with_slack_less_the_cheapest_closing_leg(kernel_calls):
+    """On a 2x6 lattice 2-opt finds an optimal tour, so the budget is the
+    optimum over 1 - 1e-9 less the cheapest leg back to point 0, to rounding."""
+    pts = rectangle(2, 6, 20.0, 45.0)
+    optimum = tsp_optimal(pts)
+    (_, _, budget, _), = kernel_calls
+    assert budget == pytest.approx(optimum / (1.0 - 1e-9) - min(legs(pts)[2]), rel=1e-13, abs=0.0)
+
+
+def test_coincident_points_sit_on_the_budget():
+    """A zero tour: the budget is 0 and every entry equals its limit, so an
+    entry at its limit must be kept."""
+    assert tsp_optimal([ORIGIN] * 6) == 0.0
+
+
+def test_no_budget_keeps_every_row():
+    first, pair, _ = legs(random_points(random.Random(7), ORIGIN, 10, 300.0))
+    rows = routing._path_rows(first, pair)
+    assert rows[0] is None
+    assert all(row is not None for row in rows[1:])
+    assert rows == unbounded_path_rows(first, pair)
+
+
+@pytest.mark.parametrize("pts", [rectangle(3, 4, 15.0, -30.0), random_points(random.Random(11), ORIGIN, 12, 300.0)],
+                         ids=["lattice-3x4", "random-12"])
+def test_kept_rows_are_those_that_can_end_within_the_budget(pts):
+    """Row s is kept iff its cheapest unbounded entry is at most the budget
+    less the cheapest legs into the points outside s, and a kept entry
+    within that limit is the unbounded value. Rows within 1e-12 of the
+    budget are left out of the check."""
+    first, pair, closing = legs(pts)
+    m = len(first)
+    ref = unbounded_path_rows(first, pair)
+    budget = min(map(sum, zip(ref[-1], closing))) / (1.0 - 1e-9) - min(closing)
+    rows = routing._path_rows(first, pair, budget)
+    floors = [min(pair[j][k] for j in range(m) if j != k) for k in range(m)]
+    tol = 1e-12 * budget
+    kept = 0
+    for s in range(1, 1 << m):
+        limit = budget - sum(floors[k] for k in range(m) if not s >> k & 1)
+        cheapest = min(ref[s])
+        if cheapest > limit + tol:
+            assert rows[s] is None, s
+        elif cheapest <= limit - tol:
+            assert rows[s] is not None, s
+            kept += 1
+            for k in range(m):
+                if ref[s][k] <= limit - tol:
+                    assert rows[s][k] == ref[s][k], (s, k)
+    assert 0 < kept < (1 << m) - 1
+
