@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from .geodesy import GeoPoint
-from .grid import CameraModel, PolygonRegion, _check_lattice_size, bounding_rectangle, grid_spacing
+from .grid import CameraModel, PolygonRegion, _lattice_axes, bounding_rectangle, grid_spacing
 from .radiation import NoiseSpec, RadiationSource
 from .routing import Agent, _check_fleet
 from .sim import _check_dwell
@@ -48,7 +48,7 @@ class MissionConfig:
         _check_fleet(self.fleet)
         _check_dwell(self.dwell_s)
         try:
-            _check_lattice_size(bounding_rectangle(self.region), grid_spacing(self.camera))
+            _lattice_axes(bounding_rectangle(self.region), grid_spacing(self.camera), warn=False)
         except ValueError as exc:
             raise _fail("camera", exc) from None
 
@@ -116,7 +116,7 @@ def parse_mission_config(text: str) -> MissionConfig:
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ConfigError(f"invalid JSON: {exc}") from None
     _object(raw, "", _TOP_KEYS)
 

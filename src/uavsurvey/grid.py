@@ -1,8 +1,9 @@
 """Waypoint lattice generation over a polygonal survey region.
 
 Pipeline: axis-aligned bounding rectangle, camera-driven spacing, lattice
-with one spacing of overhang past the north/east edges, then a ray-casting
-point-in-polygon filter applied one lattice row at a time.
+axes with one spacing of overhang past the north/east edges, then a
+ray-casting point-in-polygon filter applied one lattice row at a time; only
+the points it keeps are built.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress, groupby
 
 from .geodesy import GeoPoint, _warn_if_wide, meters_per_degree
 
@@ -174,64 +174,69 @@ def grid_spacing(camera: CameraModel) -> float:
     return footprint_width(camera) * (1.0 - y) / (1.0 + y)
 
 
-def _check_lattice_size(rect: CircumRectangle, spacing_m: float) -> tuple[float, float]:
-    """Refuse a spacing that is not positive, or a lattice of more than
-    :data:`MAX_LATTICE_POINTS` points, before any point is built.
+def _axis_count(low: float, high: float, step: float, quotient: float) -> int:
+    """How many of ``low + k * step``, k = 1, 2, ..., lie below ``high + step``,
+    plus k = 0, up to ``MAX_LATTICE_POINTS + 1``: about ``ceil(quotient) + 1``
+    for the span over the step as ``quotient``, corrected with that comparison."""
+    n = math.ceil(min(quotient, MAX_LATTICE_POINTS)) + 1
+    while n > 1 and not low + (n - 1) * step < high + step:
+        n -= 1
+    while n <= MAX_LATTICE_POINTS and low + n * step < high + step:
+        n += 1
+    return n
 
-    The lattice has ceil(span / spacing) + 1 rows and as many columns per
-    axis, give or take rounding. Returns the rectangle's north-south and
-    east-west spans in meters.
+
+def _lattice_axes(rect: CircumRectangle, spacing_m: float, warn: bool = True) -> tuple[list[float], list[float]]:
+    """The lattice's row latitudes and column longitudes, from the
+    rectangle's SW corner.
+
+    Rows and columns extend one spacing past the north/east edges so tiles
+    may overhang the rectangle. Degree increments are fixed, converted once
+    at the rectangle's southern latitude. A spacing over 10x the span on both
+    axes gives the SW corner alone, with :class:`DegenerateGridWarning` if
+    ``warn``. Refused before any point is built: a spacing that is not
+    positive, a lattice of more than :data:`MAX_LATTICE_POINTS` points, and
+    a last row north of 90 degrees.
     """
     if not spacing_m > 0.0:
         raise ValueError(f"spacing_m must be > 0, got {spacing_m}")
     m_lat, m_lon = meters_per_degree(rect.min_lat)
     span_lat_m = (rect.max_lat - rect.min_lat) * m_lat
     span_lon_m = (rect.max_lon - rect.min_lon) * m_lon
-    # min() keeps math.ceil finite where a tiny spacing overflows the quotient to inf.
-    rows = math.ceil(min(span_lat_m / spacing_m, MAX_LATTICE_POINTS)) + 1
-    cols = math.ceil(min(span_lon_m / spacing_m, MAX_LATTICE_POINTS)) + 1
+    if spacing_m > 10.0 * span_lat_m and spacing_m > 10.0 * span_lon_m:
+        if warn:
+            warnings.warn(
+                f"spacing {spacing_m:.1f} m exceeds 10x the rectangle span; returning a single point",
+                DegenerateGridWarning,
+                stacklevel=3,
+            )
+        return [rect.min_lat], [rect.min_lon]
+    dlat = spacing_m / m_lat
+    dlon = spacing_m / m_lon
+    rows = _axis_count(rect.min_lat, rect.max_lat, dlat, span_lat_m / spacing_m)
+    cols = _axis_count(rect.min_lon, rect.max_lon, dlon, span_lon_m / spacing_m)
     if rows * cols > MAX_LATTICE_POINTS:
         raise ValueError(
             f"grid spacing {spacing_m:.4g} m over a {span_lat_m:.0f} m x {span_lon_m:.0f} m rectangle "
             f"gives more than {MAX_LATTICE_POINTS} lattice points"
         )
-    return span_lat_m, span_lon_m
+    lats = [rect.min_lat + i * dlat for i in range(rows)]
+    if lats[-1] > 90.0:
+        raise ValueError(
+            f"lattice row at {lats[-1]} degrees passes the north pole: the region ends within "
+            f"one grid spacing ({spacing_m:.3f} m) of 90 degrees north"
+        )
+    return lats, [rect.min_lon + j * dlon for j in range(cols)]
 
 
 def generate_lattice(rect: CircumRectangle, spacing_m: float, origin_alt_m: float) -> list[Waypoint]:
-    """Lattice from the rectangle's SW corner, in row-major (i, j) order.
-
-    Rows and columns extend one spacing past the north/east edges so tiles may
-    overhang the rectangle. Degree increments are fixed, converted once at the
-    rectangle's southern latitude. A row north of 90 degrees is refused, as
-    is a lattice of more than :data:`MAX_LATTICE_POINTS` points.
-    """
-    span_lat_m, span_lon_m = _check_lattice_size(rect, spacing_m)
-    m_lat, m_lon = meters_per_degree(rect.min_lat)
-    if spacing_m > 10.0 * span_lat_m and spacing_m > 10.0 * span_lon_m:
-        warnings.warn(
-            f"spacing {spacing_m:.1f} m exceeds 10x the rectangle span; returning a single point",
-            DegenerateGridWarning,
-            stacklevel=2,
-        )
-        return [Waypoint(GeoPoint(rect.min_lat, rect.min_lon, origin_alt_m), (0, 0))]
-    dlat = spacing_m / m_lat
-    dlon = spacing_m / m_lon
-    points: list[Waypoint] = []
-    i = 0
-    while rect.min_lat + i * dlat < rect.max_lat + dlat:
-        lat = rect.min_lat + i * dlat
-        if lat > 90.0:
-            raise ValueError(
-                f"lattice row at {lat} degrees passes the north pole: the region ends within "
-                f"one grid spacing ({spacing_m:.3f} m) of 90 degrees north"
-            )
-        j = 0
-        while rect.min_lon + j * dlon < rect.max_lon + dlon:
-            points.append(Waypoint(GeoPoint(lat, rect.min_lon + j * dlon, origin_alt_m), (i, j)))
-            j += 1
-        i += 1
-    return points
+    """The whole lattice of :func:`_lattice_axes`, in row-major (i, j) order."""
+    lats, lons = _lattice_axes(rect, spacing_m)
+    return [
+        Waypoint(GeoPoint(lat, lon, origin_alt_m), (i, j))
+        for i, lat in enumerate(lats)
+        for j, lon in enumerate(lons)
+    ]
 
 
 def point_in_polygon(p: GeoPoint, region: PolygonRegion) -> bool:
@@ -283,29 +288,23 @@ def _row_inside(edges, lat: float, lons) -> list[bool]:
     ]
 
 
-def _filter_lattice(region: PolygonRegion, lattice: list[Waypoint]) -> tuple[Waypoint, ...]:
-    """The lattice points inside or on the polygon, in lattice order.
-
-    Consecutive points of one exact latitude (a lattice row) are filtered
-    together by :func:`_row_inside`.
-    """
-    edges = _edges(region)
-    kept: list[Waypoint] = []
-    for lat, row in groupby(lattice, key=lambda wp: wp.point.lat_deg):
-        row = list(row)
-        kept.extend(compress(row, _row_inside(edges, lat, [wp.point.lon_deg for wp in row])))
-    return tuple(kept)
-
-
 def generate_waypoints(region: PolygonRegion, camera: CameraModel) -> WaypointGrid:
-    """Survey grid for the region: lattice over its bounding rectangle, kept
-    down to the points inside or on the polygon. A rectangle wider than
+    """Survey grid for the region: the lattice points over its bounding
+    rectangle that lie inside or on the polygon, filtered one row at a time
+    by :func:`_row_inside` and built only if kept. A rectangle wider than
     :data:`~uavsurvey.geodesy.FLAT_PLANE_MAX_SPAN_DEG` on either axis raises
     :class:`~uavsurvey.geodesy.FlatPlaneWarning`."""
     rect = bounding_rectangle(region)
     _warn_if_wide(rect.max_lat - rect.min_lat, rect.max_lon - rect.min_lon)
     spacing = grid_spacing(camera)
-    kept = _filter_lattice(region, generate_lattice(rect, spacing, camera.altitude_m))
+    lats, lons = _lattice_axes(rect, spacing)
+    edges = _edges(region)
+    kept = tuple(
+        Waypoint(GeoPoint(lat, lon, camera.altitude_m), (i, j))
+        for i, lat in enumerate(lats)
+        for j, (lon, inside) in enumerate(zip(lons, _row_inside(edges, lat, lons)))
+        if inside
+    )
     if not kept:
         warnings.warn(
             "no lattice point falls inside the region; grid is empty",

@@ -9,7 +9,7 @@ import stat
 import pytest
 
 from helpers import REPO_CONFIG, assert_valid_geojson
-from uavsurvey import FlatPlaneWarning, grid
+from uavsurvey import grid
 from uavsurvey.cli import main
 
 TINY = {
@@ -44,6 +44,22 @@ class TestValidate:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_deeply_nested_config(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        assert main(["validate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
+
+    def test_region_within_one_spacing_of_the_north_pole(self, tmp_path, capsys):
+        # The last lattice row of the campus camera's 42.667 m spacing would
+        # sit at 90.00027 N, which plan refuses; so does validate.
+        doc = dict(TINY, region=[[89.9995, -9.0606], [89.9999, -9.0580], [89.9999, -9.0651]])
+        path = tmp_path / "pole.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: camera: lattice row at 90.0002")
 
 
 class TestPlan:
@@ -123,10 +139,11 @@ class TestSimulate:
         doc = dict(TINY, region=[[89.9997, 0.0], [89.99995, 0.0], [89.99995, 10.0]])
         path = tmp_path / "pole.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.warns(FlatPlaneWarning):  # the region spans 10 degrees of longitude
-            assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        # Refused at parse time, before generate_waypoints would warn that
+        # the region spans 10 degrees of longitude.
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: lattice row at 90.0000")
+        assert err.startswith("error: camera: lattice row at 90.0000")
         assert "passes the north pole" in err and "(42.667 m)" in err
         assert not (tmp_path / "out").exists()
 

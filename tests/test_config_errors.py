@@ -99,6 +99,9 @@ CASES = [
      "camera: half_fov_deg must be within (0, 90), got 90.0"),
     ("camera-lattice-ceiling", put("camera", {"altitude_m": 0.01}),
      "camera: grid spacing 0.01333 m over a 111 m x 134 m rectangle gives more than 1000000 lattice points"),
+    ("camera-lattice-past-the-pole", put("region", [[89.9995, -9.0], [89.9999, -9.0], [89.9999, -9.002]]),
+     "camera: lattice row at 90.00026656237578 degrees passes the north pole: the region ends within "
+     "one grid spacing (42.667 m) of 90 degrees north"),
     # fleet[k]
     ("fleet-not-list", put("fleet", {}), "fleet: expected a list of agents"),
     ("fleet-item-not-object", put("fleet", 0, "rav-1"), "fleet[0]: expected an object"),
@@ -179,3 +182,11 @@ def test_error_message(mutate, message):
     with pytest.raises(ConfigError) as info:
         parse_mission_config(document(mutate))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"region": ' * 100_000], ids=["arrays", "objects"])
+def test_deeply_nested_document_is_invalid_json(text):
+    with pytest.raises(ConfigError) as info:
+        parse_mission_config(text)
+    assert str(info.value).startswith("invalid JSON: ")
+    assert "\n" not in str(info.value)

@@ -5,9 +5,12 @@ replaced by an odd one, a number scaled or nudged, a key dropped or added,
 a list item dropped or repeated, a value wrapped in a list or a string. The invariant is the parser's contract: either
 ``parse_mission_config`` raises ``ConfigError``, or the mission round-trips
 through ``serialize_mission_config`` as strict JSON and its lattice stays
-within ``grid.MAX_LATTICE_POINTS``. On a fixed subset of the missions the
-whole ``simulate`` pipeline runs too, and both outputs must be strict JSON
-of finite numbers.
+within ``grid.MAX_LATTICE_POINTS``. On every mission of at most
+SIMULATE_MAX_LATTICE lattice points ``generate_waypoints`` succeeds and
+``generate_lattice`` builds exactly as many points as this test's own count.
+On a fixed subset of those the whole ``simulate`` pipeline runs too, and
+both outputs must be strict JSON of finite numbers. A second stream mutates
+the campus shifted to within one spacing of the north pole.
 """
 
 from __future__ import annotations
@@ -19,7 +22,14 @@ import random
 import warnings
 
 from helpers import REPO_CONFIG
-from uavsurvey import ConfigError, parse_mission_config, serialize_mission_config
+from uavsurvey import (
+    CameraModel,
+    ConfigError,
+    generate_lattice,
+    generate_waypoints,
+    parse_mission_config,
+    serialize_mission_config,
+)
 from uavsurvey.cli import _plan_mission
 from uavsurvey.geodesy import meters_per_degree
 from uavsurvey.geojson_io import dumps_geojson, export_geojson, write_observation_log
@@ -103,10 +113,14 @@ def _axis_count(low: float, high: float, step: float) -> int:
 
 def lattice_size(config) -> int:
     """The number of points generate_lattice builds for the mission, counted
-    with its own degree steps but without building them."""
+    with its own degree steps but without building them: one point where the
+    spacing exceeds 10x the rectangle on both axes."""
     rect = bounding_rectangle(config.region)
     spacing = grid_spacing(config.camera)
     m_lat, m_lon = meters_per_degree(rect.min_lat)
+    span_lat_m, span_lon_m = (rect.max_lat - rect.min_lat) * m_lat, (rect.max_lon - rect.min_lon) * m_lon
+    if spacing > 10.0 * span_lat_m and spacing > 10.0 * span_lon_m:
+        return 1
     rows = _axis_count(rect.min_lat, rect.max_lat, spacing / m_lat)
     cols = _axis_count(rect.min_lon, rect.max_lon, spacing / m_lon)
     return rows * cols
@@ -124,18 +138,20 @@ def run_pipeline(config) -> None:
         assert _finite_numbers(_strict(line))
 
 
-def test_mutated_configs_are_refused_or_give_strict_bounded_missions():
-    base = json.loads(REPO_CONFIG.read_text(encoding="utf-8"))
-    rng = random.Random(SEED)
+def fuzz(make_base, rng: random.Random) -> tuple[int, int, list[str]]:
+    """Check CASES mutations of the documents ``make_base(rng)`` gives
+    against the contract; returns how many parsed, how many ran the
+    pipeline, and the refusals' messages."""
     parsed = simulated = 0
+    refusals = []
     for case in range(CASES):
-        doc = copy.deepcopy(base)
+        doc = make_base(rng)
         for _ in range(rng.choice([1, 1, 1, 2, 3])):
             mutate(doc, rng)
-        text = json.dumps(doc)
         try:
-            config = parse_mission_config(text)
-        except ConfigError:
+            config = parse_mission_config(json.dumps(doc))
+        except ConfigError as exc:
+            refusals.append(str(exc))
             continue
         parsed += 1
         again = serialize_mission_config(config)
@@ -143,9 +159,42 @@ def test_mutated_configs_are_refused_or_give_strict_bounded_missions():
         assert parse_mission_config(again) == config, case
         size = lattice_size(config)
         assert size <= MAX_LATTICE_POINTS, case
-        if parsed % SIMULATE_EVERY == 0 and size <= SIMULATE_MAX_LATTICE:
-            run_pipeline(config)
-            simulated += 1
+        if size <= SIMULATE_MAX_LATTICE:
+            rect, spacing = bounding_rectangle(config.region), grid_spacing(config.camera)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                generate_waypoints(config.region, config.camera)
+                assert len(generate_lattice(rect, spacing, config.camera.altitude_m)) == size, case
+            if parsed % SIMULATE_EVERY == 0:
+                run_pipeline(config)
+                simulated += 1
+    return parsed, simulated, refusals
+
+
+def test_mutated_configs_are_refused_or_give_strict_bounded_missions():
+    base = json.loads(REPO_CONFIG.read_text(encoding="utf-8"))
+    parsed, simulated, _ = fuzz(lambda rng: copy.deepcopy(base), random.Random(SEED))
     # The mutations must reach both sides of the contract.
     assert 0.1 * CASES < parsed < 0.9 * CASES
     assert simulated >= 20
+
+
+def test_mutated_configs_near_the_north_pole():
+    # Every latitude of the campus shifted so the region's north edge lies a
+    # random fraction of one campus spacing (42.667 m) south of the pole:
+    # the last lattice row passes 90 degrees on some of them and not others.
+    base = json.loads(REPO_CONFIG.read_text(encoding="utf-8"))
+    top = max(lat for lat, _ in base["region"])
+    step = grid_spacing(CameraModel()) / meters_per_degree(90.0)[0]
+
+    def near_pole(rng):
+        doc = copy.deepcopy(base)
+        shift = 90.0 - rng.random() * step - top
+        for point in [*doc["region"], *(a["home"] for a in doc["fleet"]), *(s["position"] for s in doc["sources"])]:
+            point[0] += shift
+        return doc
+
+    parsed, simulated, refusals = fuzz(near_pole, random.Random(SEED))
+    pole = [m for m in refusals if m.startswith("camera: lattice row at ")]
+    assert len(pole) > 0.05 * CASES and parsed > 0.05 * CASES
+    assert simulated >= 5

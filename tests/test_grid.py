@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import warnings
@@ -36,7 +37,6 @@ from uavsurvey import (
     point_in_polygon,
 )
 from uavsurvey import grid
-from uavsurvey.grid import _filter_lattice
 
 
 def poly(*lat_lon: tuple[float, float]) -> PolygonRegion:
@@ -234,6 +234,38 @@ class TestGenerateLattice:
         with pytest.raises(ValueError, match="more than 1000000"):
             generate_lattice(rect, 5e-324, 32.0)
 
+    @pytest.mark.parametrize("lat, steps, size", [(16.0, 2.0, 9), (0.0, 2.34375, 16)])
+    def test_ceiling_is_the_exact_lattice_size(self, lat, steps, size, monkeypatch):
+        # Two degree steps north of 16 N span 2.000000000005 spacings in
+        # meters, so ceil(span / spacing) + 1 is 4 rows while 3 are built.
+        spacing = 42.666666666666664
+        m_lat, m_lon = meters_per_degree(lat)
+        rect = CircumRectangle(lat, lat + steps * (spacing / m_lat), 0.0, steps * (spacing / m_lon))
+        monkeypatch.setattr(grid, "MAX_LATTICE_POINTS", size)
+        assert len(generate_lattice(rect, spacing, 32.0)) == size
+
+        def no_point(*args):
+            raise AssertionError("a lattice point was built")
+
+        monkeypatch.setattr(grid, "MAX_LATTICE_POINTS", size - 1)
+        monkeypatch.setattr(grid, "Waypoint", no_point)
+        with pytest.raises(ValueError, match=f"gives more than {size - 1} lattice points$"):
+            generate_lattice(rect, spacing, 32.0)
+
+    def test_degenerate_config_parses_without_warning(self):
+        # The campus at 100 km: a 133 km spacing over a 480 m rectangle.
+        doc = json.loads(REPO_CONFIG.read_text(encoding="utf-8"))
+        doc["camera"]["altitude_m"] = 1e5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config = parse_mission_config(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            survey = generate_waypoints(config.region, config.camera)
+        # The single point is the rectangle's SW corner, outside the campus.
+        assert [w.category for w in caught] == [DegenerateGridWarning, EmptyGridWarning]
+        assert survey.points == ()
+
     def test_altitude_applied(self):
         rect = CircumRectangle(0.0, 0.001, 0.0, 0.001)
         for wp in generate_lattice(rect, 40.0, 32.0):
@@ -394,28 +426,28 @@ class TestRowFilterMatchesRayCast:
 
     CAM = CameraModel(half_fov_deg=45.0, overlap_fraction=0.2, altitude_m=16.0)
 
-    def assert_same_as_ray_cast(self, region, lattice):
+    def assert_same_as_ray_cast(self, region, cam):
+        """The region's waypoints are the lattice points the ray cast keeps;
+        returns the lattice and those points."""
+        survey = generate_waypoints(region, cam)
+        lattice = generate_lattice(survey.rect, survey.spacing_m, cam.altitude_m)
         expected = tuple(wp for wp in lattice if ray_cast_point_in_polygon(wp.point, region))
-        assert _filter_lattice(region, lattice) == expected
-        return expected
+        assert survey.points == expected
+        return lattice, expected
 
     def test_star_polygons(self):
         rng = random.Random(4242)
         for _ in range(20):
             center = GeoPoint(rng.uniform(-60.0, 60.0), rng.uniform(-170.0, 170.0))
             region = random_star_polygon(rng, center, rng.randint(8, 96), 40.0, 300.0)
-            grid = generate_waypoints(region, self.CAM)
-            lattice = generate_lattice(grid.rect, grid.spacing_m, self.CAM.altitude_m)
-            assert grid.points == self.assert_same_as_ray_cast(region, lattice)
+            self.assert_same_as_ray_cast(region, self.CAM)
 
     def test_convex_polygons(self):
         rng = random.Random(4243)
         for _ in range(20):
             center = GeoPoint(rng.uniform(-60.0, 60.0), rng.uniform(-170.0, 170.0))
             region = random_convex_polygon(rng, center, rng.randint(3, 40), 300.0)
-            grid = generate_waypoints(region, self.CAM)
-            lattice = generate_lattice(grid.rect, grid.spacing_m, self.CAM.altitude_m)
-            assert grid.points == self.assert_same_as_ray_cast(region, lattice)
+            self.assert_same_as_ray_cast(region, self.CAM)
 
     def test_single_points_at_vertices_and_edges(self):
         rng = random.Random(4244)
@@ -441,19 +473,19 @@ class TestRowFilterMatchesRayCast:
             m_lat, m_lon = meters_per_degree(lat)
             top, east = lat + (rows - 0.5) * spacing / m_lat, lon + (cols - 0.5) * spacing / m_lon
             region = poly((lat, lon), (lat, east), (top, east), (top, lon))
-            grid = generate_waypoints(region, cam)
-            lattice = generate_lattice(grid.rect, grid.spacing_m, cam.altitude_m)
-            assert grid.points == self.assert_same_as_ray_cast(region, lattice)
-            assert len(grid.points) == rows * cols
+            _, kept = self.assert_same_as_ray_cast(region, cam)
+            assert len(kept) == rows * cols
 
     @pytest.mark.parametrize("step_deg", [1.0, 0.5, 0.25])
-    def test_u_notch_rows_through_vertices_and_horizontal_edges(self, step_deg):
+    def test_u_notch_rows_through_vertices_and_horizontal_edges(self, step_deg, monkeypatch):
         # At latitude 0 the spacing step_deg * m_lat is exactly step_deg
         # degrees on both axes, so rows 0, 1 and 3 run along the polygon's
         # horizontal edges and through its vertices.
         spacing = step_deg * meters_per_degree(0.0)[0]
-        lattice = generate_lattice(bounding_rectangle(U_NOTCH), spacing, 32.0)
+        monkeypatch.setattr(grid, "grid_spacing", lambda camera: spacing)
+        with pytest.warns(FlatPlaneWarning):  # the U spans 4 degrees
+            lattice, kept = self.assert_same_as_ray_cast(U_NOTCH, self.CAM)
         assert {wp.point.lat_deg for wp in lattice} >= {0.0, 1.0, 3.0}
-        kept = {(wp.point.lat_deg, wp.point.lon_deg) for wp in self.assert_same_as_ray_cast(U_NOTCH, lattice)}
+        kept = {(wp.point.lat_deg, wp.point.lon_deg) for wp in kept}
         assert {(0.0, 2.0), (1.0, 2.0), (3.0, 0.0), (3.0, 1.0), (3.0, 3.0), (3.0, 4.0)} <= kept
         assert (2.0, 2.0) not in kept
