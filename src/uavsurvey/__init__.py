@@ -1,7 +1,7 @@
 """Multi-drone survey mission planning and deterministic flight simulation.
 
 Plans photographic coverage of a polygonal region (waypoint grid, per-agent
-routes, lower-bound evaluation) and simulates the flights, producing
+routes, exact references) and simulates the flights, producing
 geo-referenced observation logs with inverse-square radiation readings.
 """
 
@@ -50,13 +50,12 @@ from .routing import (
     route_length,
     tsp_optimal,
 )
-from .sim import CameraMeta, Event, EventLog, ObservationRecord, leg_duration, simulate
+from .sim import Event, EventLog, leg_duration, simulate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Agent",
-    "CameraMeta",
     "CameraModel",
     "CircumRectangle",
     "ConfigError",
@@ -70,7 +69,6 @@ __all__ = [
     "MissionConfig",
     "NedCm",
     "NoiseSpec",
-    "ObservationRecord",
     "PolygonRegion",
     "RadiationSource",
     "RoutePlan",

@@ -43,16 +43,17 @@ def _atomic_write(path: Path, text: str) -> None:
 def _load_config(args) -> MissionConfig:
     text = Path(args.config).read_text(encoding="utf-8")
     config = parse_mission_config(text)
+    overrides: dict = {}  # one replace, so the mission rules rerun once
     agents = args.agents
     if agents is not None:
         if agents < 1:
             raise ConfigError(f"--agents must be >= 1, got {agents}")
         if agents > len(config.fleet):
             raise ConfigError(f"--agents {agents} exceeds fleet size {len(config.fleet)}")
-        config = replace(config, fleet=config.fleet[:agents])
+        overrides["fleet"] = config.fleet[:agents]
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    return config
+        overrides["seed"] = args.seed
+    return replace(config, **overrides) if overrides else config
 
 
 def _plan_mission(config: MissionConfig):
@@ -101,8 +102,12 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     geojson_path = out_dir / "plan.geojson"
     log_path = out_dir / "observations.jsonl"
-    _atomic_write(geojson_path, dumps_geojson(export_geojson(grid, plan)))
-    _atomic_write(log_path, write_observation_log(log))
+    # Render both before writing either, so a value one of them refuses
+    # leaves no half-written pair behind.
+    plan_text = dumps_geojson(export_geojson(grid, plan))
+    log_text = write_observation_log(log)
+    _atomic_write(geojson_path, plan_text)
+    _atomic_write(log_path, log_text)
     print(f"mission {log.mission_id}: {len(log.observations)} observations, seed {config.seed}")
     print(f"makespan: {makespan(plan, config.fleet):.1f} s")
     print(f"wrote {geojson_path}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 
 from .geodesy import GeoPoint
-from .grid import WaypointGrid
+from .grid import WaypointGrid, footprint_width
 from .routing import RoutePlan, route_length
 from .sim import WAYPOINT_REACHED, EventLog
 
@@ -104,10 +104,10 @@ def _encode(value, newline: str | None) -> str:
 def _cached(cache: dict, value, newline: str | None) -> str:
     """``_encode(value, newline)``, kept in ``cache`` for strings and nonzero floats.
 
-    Agent ids, altitudes, camera constants and the coordinates of a waypoint
-    (in its Point and again in its route) repeat, and a float repr is the
-    dearest step of a writer. Equal floats share a repr except 0.0 and -0.0,
-    which are not kept, and no str equals a float.
+    Agent ids, altitudes and the coordinates of a waypoint (in its Point and
+    again in its route) repeat, and a float repr is the dearest step of a
+    writer. Equal floats share a repr except 0.0 and -0.0, which are not
+    kept, and no str equals a float.
     """
     if type(value) is not str and (type(value) is not float or not value):
         return _encode(value, newline)
@@ -197,7 +197,7 @@ _OBSERVATION_LINE = (
 
 
 def _lattice_index(index) -> str:
-    """A camera's lattice index on a log line: "[i,j]", or null."""
+    """A waypoint's lattice index on a log line: "[i,j]", or null."""
     if type(index) is tuple and len(index) == 2 and type(index[0]) is int and type(index[1]) is int:
         return "[%d,%d]" % index
     return "null" if index is None else _encode(list(index), None)
@@ -207,8 +207,10 @@ def write_observation_log(log: EventLog) -> str:
     """Line-delimited JSON: one header line, then one line per event.
 
     Line count is 1 + 2 * agents + observations (takeoff and route-complete
-    per agent, one observation per waypoint). Output is strict JSON: a NaN
-    or infinite value raises ValueError.
+    per agent, one observation per waypoint). Every observation line repeats
+    the camera's half FOV and footprint width, rendered once per log, and
+    its waypoint's altitude as the camera altitude. Output is strict JSON: a
+    NaN or infinite value raises ValueError.
     """
     header = {
         "mission_id": log.mission_id,
@@ -216,23 +218,30 @@ def write_observation_log(log: EventLog) -> str:
         "event_count": len(log.events),
     }
     lines = [_encode(header, None)]
+    half_fov = footprint = "null"
+    camera = log.camera
+    # Only observation lines carry these, so a log with none writes even
+    # where the footprint overflows to inf.
+    if camera is not None and any(e.kind == WAYPOINT_REACHED for e in log.events):
+        half_fov = _encode(camera.half_fov_deg, None)
+        footprint = _encode(footprint_width(camera), None)
     cache: dict = {}
     for event in log.events:
         if event.kind == WAYPOINT_REACHED:
-            obs = event.observation
-            p = obs.position
-            meta = obs.camera
+            wp = event.waypoint
+            p = wp.point
+            alt = _cached(cache, p.alt_m, None)
             lines.append(_OBSERVATION_LINE % (
                 _encode(event.t, None),
                 _cached(cache, event.agent_id, None),
                 _encode(p.lat_deg, None),
                 _encode(p.lon_deg, None),
-                _cached(cache, p.alt_m, None),
-                _encode(obs.radiation_usv_s, None),
-                _cached(cache, meta.altitude_m, None),
-                _cached(cache, meta.half_fov_deg, None),
-                _cached(cache, meta.footprint_width_m, None),
-                _lattice_index(meta.lattice_index),
+                alt,
+                _encode(event.radiation_usv_s, None),
+                alt,
+                half_fov,
+                footprint,
+                _lattice_index(wp.index),
             ))
         else:
             lines.append(_BOOKEND_LINE % (

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .geodesy import GeoPoint, distance_m
-from .grid import CameraModel, footprint_width
+from .grid import CameraModel, Waypoint
 from .radiation import NoiseSpec, RadiationSource, field_levels, sample_reading
 from .routing import Agent, RoutePlan, _check_fleet
 
@@ -26,45 +26,30 @@ _EVENT_RANK = {TAKEOFF: 0, WAYPOINT_REACHED: 1, ROUTE_COMPLETE: 2}
 
 
 @dataclass(frozen=True)
-class CameraMeta:
-    """Camera metadata standing in for the image itself."""
-
-    altitude_m: float
-    half_fov_deg: float | None
-    footprint_width_m: float | None
-    lattice_index: tuple[int, int] | None
-
-
-@dataclass(frozen=True)
-class ObservationRecord:
-    """One simulated data capture at a waypoint."""
-
-    t: float
-    agent_id: str
-    position: GeoPoint
-    radiation_usv_s: float
-    camera: CameraMeta
-
-
-@dataclass(frozen=True)
 class Event:
+    """One entry of the log. A ``waypoint_reached`` event stands in for an
+    image: it carries the plan's own waypoint and the reading taken there."""
+
     t: float
     agent_id: str
     kind: str
-    observation: ObservationRecord | None = None
+    waypoint: Waypoint | None = None
+    radiation_usv_s: float | None = None
 
 
 @dataclass
 class EventLog:
-    """The full mission data stream: takeoffs, observations, completions."""
+    """The full mission data stream: takeoffs, observations, completions,
+    and the camera every observation was taken with (None without one)."""
 
     mission_id: str
     config_digest: str
     events: list[Event]
+    camera: CameraModel | None = None
 
     @property
-    def observations(self) -> list[ObservationRecord]:
-        return [e.observation for e in self.events if e.kind == WAYPOINT_REACHED]
+    def observations(self) -> list[Event]:
+        return [e for e in self.events if e.kind == WAYPOINT_REACHED]
 
 
 def leg_duration(a: GeoPoint, b: GeoPoint, velocity_mps: float) -> float:
@@ -142,9 +127,6 @@ def simulate(
     if mission_id is None:
         mission_id = f"mission-{digest[:12]}"
 
-    half_fov = camera.half_fov_deg if camera is not None else None
-    footprint = footprint_width(camera) if camera is not None else None
-
     positions = [w.point for route in plan.routes.values() for w in route]
     levels = iter(field_levels(sources, positions))
 
@@ -159,20 +141,11 @@ def simulate(
             p = wp.point
             t += leg_duration(here, p, agent.velocity_mps)
             reading = sample_reading(next(levels), noise, rng)
-            meta = CameraMeta(
-                altitude_m=p.alt_m,
-                half_fov_deg=half_fov,
-                footprint_width_m=footprint,
-                lattice_index=wp.index,
-            )
-            record = ObservationRecord(
-                t=t, agent_id=aid, position=p, radiation_usv_s=reading, camera=meta
-            )
-            events.append(Event(t=t, agent_id=aid, kind=WAYPOINT_REACHED, observation=record))
+            events.append(Event(t, aid, WAYPOINT_REACHED, wp, reading))
             here = p
             t += dwell_s
         final_t = events[-1].t if route else 0.0
         events.append(Event(t=final_t, agent_id=aid, kind=ROUTE_COMPLETE))
 
     events.sort(key=lambda e: (e.t, e.agent_id, _EVENT_RANK[e.kind]))
-    return EventLog(mission_id=mission_id, config_digest=digest, events=events)
+    return EventLog(mission_id, digest, events, camera)

@@ -9,7 +9,7 @@ import random
 from operator import add
 from pathlib import Path
 
-from uavsurvey import EnuOffset, GeoPoint, PolygonRegion, distance_m, gps_offset, strength_at
+from uavsurvey import EnuOffset, GeoPoint, PolygonRegion, distance_m, footprint_width, gps_offset, strength_at
 from uavsurvey.grid import _segments_intersect
 from uavsurvey.sim import WAYPOINT_REACHED
 
@@ -335,18 +335,19 @@ def json_observation_log(log) -> str:
     for event in log.events:
         rec: dict = {"event": event.kind, "t": event.t, "agent_id": event.agent_id}
         if event.kind == WAYPOINT_REACHED:
-            obs = event.observation
-            meta = obs.camera
+            p = event.waypoint.point
+            index = event.waypoint.index
+            camera = log.camera
             rec.update(
-                lat=obs.position.lat_deg,
-                lon=obs.position.lon_deg,
-                alt=obs.position.alt_m,
-                radiation_usv_s=obs.radiation_usv_s,
+                lat=p.lat_deg,
+                lon=p.lon_deg,
+                alt=p.alt_m,
+                radiation_usv_s=event.radiation_usv_s,
                 camera={
-                    "altitude_m": meta.altitude_m,
-                    "half_fov_deg": meta.half_fov_deg,
-                    "footprint_width_m": meta.footprint_width_m,
-                    "lattice_index": None if meta.lattice_index is None else list(meta.lattice_index),
+                    "altitude_m": p.alt_m,
+                    "half_fov_deg": None if camera is None else camera.half_fov_deg,
+                    "footprint_width_m": None if camera is None else footprint_width(camera),
+                    "lattice_index": None if index is None else list(index),
                 },
             )
         lines.append(json.dumps(rec, separators=(",", ":"), allow_nan=False))

@@ -9,6 +9,7 @@ import stat
 import pytest
 
 from helpers import REPO_CONFIG, assert_valid_geojson
+from uavsurvey import config as config_module
 from uavsurvey import grid
 from uavsurvey.cli import main
 
@@ -166,6 +167,38 @@ class TestSimulate:
                 "gives more than 1000000 lattice points\n"
             )
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit", [{"dwell_s": 1e308}, {"velocity_mps": 1e-306}], ids=["dwell", "velocity"]
+    )
+    def test_log_refused_leaves_no_plan(self, tmp_path, capsys, edit):
+        # validate accepts both; the event times they give overflow to inf,
+        # which the log writer refuses after the plan has rendered.
+        doc = json.loads(REPO_CONFIG.read_text(encoding="utf-8"))
+        (doc["fleet"][0] if "velocity_mps" in edit else doc).update(edit)
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: Out of range float values are not JSON compliant\n"
+        assert list(out.iterdir()) == []
+
+    def test_overrides_rerun_the_mission_rules_once(self, tmp_path, monkeypatch):
+        # Parsing counts the lattice once and the --agents/--seed overrides
+        # once more; generate_waypoints counts it through grid, not config.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return grid._lattice_axes(*args, **kwargs)
+
+        monkeypatch.setattr(config_module, "_lattice_axes", counted)
+        argv = ["simulate", "--config", str(REPO_CONFIG), "--agents", "2", "--seed", "4", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(calls) == 2
 
 
 class TestBound:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -73,7 +74,7 @@ class TestSimulate:
         obs = log.observations
         assert len(obs) == 1
         assert obs[0].t == pytest.approx(20.0, rel=1e-9)
-        assert obs[0].position == wp
+        assert obs[0].waypoint.point == wp
 
     def test_reading_above_source(self):
         fleet = [Agent("rav-0", HOME, 5.0)]
@@ -113,7 +114,7 @@ class TestSimulate:
         pts = random_points(rng, HOME, 23, 400.0, alt_m=32.0)
         plan = plan_routes(fleet, pts)
         log = simulate(plan, fleet)
-        observed = [(o.position.lat_deg, o.position.lon_deg) for o in log.observations]
+        observed = [(o.waypoint.point.lat_deg, o.waypoint.point.lon_deg) for o in log.observations]
         assert len(observed) == len(pts)
         assert set(observed) == {(p.lat_deg, p.lon_deg) for p in pts}
 
@@ -142,7 +143,7 @@ class TestSimulate:
         ]
         log = simulate(plan_routes(fleet, pts), fleet, sources)
         for obs in log.observations:
-            assert obs.radiation_usv_s == total_intensity(sources, obs.position)
+            assert obs.radiation_usv_s == total_intensity(sources, obs.waypoint.point)
 
     def test_events_globally_ordered(self):
         rng = random.Random(35)
@@ -159,11 +160,25 @@ class TestSimulate:
         fleet = fleet_of(1)
         wp = Waypoint(GeoPoint(0.0, 0.001, 32.0), (2, 3))
         log = simulate(plan_routes(fleet, [wp]), fleet, camera=CAM)
-        meta = log.observations[0].camera
-        assert meta.altitude_m == 32.0
-        assert meta.half_fov_deg == 45.0
-        assert meta.footprint_width_m == pytest.approx(64.0, rel=1e-9)
-        assert meta.lattice_index == (2, 3)
+        assert log.camera is CAM
+        line = json.loads(write_observation_log(log).splitlines()[2])
+        assert line["camera"]["altitude_m"] == 32.0
+        assert line["camera"]["half_fov_deg"] == 45.0
+        assert line["camera"]["footprint_width_m"] == pytest.approx(64.0, rel=1e-9)
+        assert line["camera"]["lattice_index"] == [2, 3]
+
+    def test_observations_hold_the_plans_waypoints(self):
+        rng = random.Random(37)
+        fleet = fleet_of(3)
+        pts = [Waypoint(p, (k, 0)) for k, p in enumerate(random_points(rng, HOME, 13, 300.0, alt_m=32.0))]
+        plan = plan_routes(fleet, pts)
+        log = simulate(plan, fleet, camera=CAM)
+        assert log.camera is CAM
+        assert simulate(plan, fleet).camera is None
+        for aid, route in plan.routes.items():
+            flown = [e.waypoint for e in log.observations if e.agent_id == aid]
+            assert len(flown) == len(route) and all(e is w for e, w in zip(flown, route))
+        assert all(e.waypoint is None and e.radiation_usv_s is None for e in log.events if e.kind != WAYPOINT_REACHED)
 
     def test_dwell_delays_later_waypoints(self):
         fleet = fleet_of(1, velocity=5.0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
 from types import SimpleNamespace
 
@@ -132,18 +133,28 @@ def test_mutated_documents_match_json_dumps(seed):
         assert_same_bytes(doc)
 
 
+# Where each field sits: on any event, on an observation (an event that
+# carries a waypoint), on its waypoint or point, or on the log's camera.
 EVENT_SLOTS = {
-    "t": (), "agent_id": (), "kind": (),
-    "radiation_usv_s": ("observation",),
-    "lat_deg": ("observation", "position"), "lon_deg": ("observation", "position"),
-    "alt_m": ("observation", "position"),
-    "altitude_m": ("observation", "camera"), "half_fov_deg": ("observation", "camera"),
-    "footprint_width_m": ("observation", "camera"), "lattice_index": ("observation", "camera"),
+    "t": "event", "agent_id": "event", "kind": "event",
+    "radiation_usv_s": "observation", "index": "waypoint",
+    "lat_deg": "point", "lon_deg": "point", "alt_m": "point",
+    "half_fov_deg": "camera", "altitude_m": "camera",
 }
 
 
+def _slot_owner(rng: random.Random, log: EventLog, where: str):
+    if where == "camera":
+        return log.camera
+    events = log.events if where == "event" else [e for e in log.events if e.waypoint is not None]
+    event = rng.choice(events)
+    if where in ("event", "observation"):
+        return event
+    return event.waypoint if where == "waypoint" else event.waypoint.point
+
+
 def _namespace(value):
-    """A mutable copy of an event, observation, position or camera record."""
+    """A mutable copy of an event, waypoint, position or camera record."""
     if not dataclasses.is_dataclass(value):
         return value
     return SimpleNamespace(**{f.name: _namespace(getattr(value, f.name)) for f in dataclasses.fields(value)})
@@ -158,17 +169,15 @@ def _outcome(write, log):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_mutated_logs_match_json_dumps(seed):
-    """Random values swapped into the events of a simulated log, one at a time."""
+    """Random values swapped into the events and camera of a simulated log,
+    one at a time."""
     rng = random.Random(seed)
     _, _, log = random_mission(rng)
     events = [_namespace(e) for e in log.events[:40]]
-    log = EventLog(log.mission_id, log.config_digest, events)
+    log = EventLog(log.mission_id, log.config_digest, events, _namespace(log.camera))
     for _ in range(150):
         field = rng.choice(list(EVENT_SLOTS))
-        event = rng.choice([e for e in events if e.observation is not None or not EVENT_SLOTS[field]])
-        target = event
-        for name in EVENT_SLOTS[field]:
-            target = getattr(target, name)
+        target = _slot_owner(rng, log, EVENT_SLOTS[field])
         old = getattr(target, field)
         setattr(target, field, random_json_value(rng))
         outcome = _outcome(json_observation_log, log)
@@ -246,19 +255,21 @@ class TestEdgeCases:
         assert_same_bytes(export_geojson(empty, plan), simulate(plan, fleet))
 
     def test_hand_built_events(self):
-        obs = SimpleNamespace(
-            position=SimpleNamespace(lat_deg=1, lon_deg=-0.0, alt_m=True),
-            radiation_usv_s=0,
-            camera=SimpleNamespace(
-                altitude_m=2, half_fov_deg=None, footprint_width_m=0.0, lattice_index=[3, (4,)]
-            ),
-        )
-        log = EventLog(
-            'id "q"',
-            "0" * 64,
-            [Event(0, "a", "takeoff"), Event(1.0, "a", WAYPOINT_REACHED, obs), Event(2.0, None, "custom é")],
-        )
-        assert_same_bytes(log=log)
+        wp = SimpleNamespace(point=SimpleNamespace(lat_deg=1, lon_deg=-0.0, alt_m=True), index=[3, (4,)])
+        events = [Event(0, "a", "takeoff"), Event(1.0, "a", WAYPOINT_REACHED, wp, 0), Event(2.0, None, "custom é")]
+        for camera in (None, CameraModel(30, 0.1, 2), SimpleNamespace(half_fov_deg=45, altitude_m=0)):
+            assert_same_bytes(log=EventLog('id "q"', "0" * 64, events, camera))
+
+    def test_camera_constants_only_with_observations(self):
+        # A footprint that overflows to inf: a log with no observation never
+        # renders it, one with an observation refuses it.
+        camera = CameraModel(altitude_m=1e308)
+        fleet = [Agent("rav-1", ORIGIN, 5.0)]
+        assert_same_bytes(log=simulate(plan_routes(fleet, []), fleet, camera=camera))
+        point = GeoPoint(ORIGIN.lat_deg, ORIGIN.lon_deg, 1e308)
+        log = simulate(plan_routes(fleet, [point]), fleet, camera=camera)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_observation_log(log)
 
     def test_unsupported_type_raises_type_error(self):
         grid, plan, log = random_mission(random.Random(8))
@@ -267,8 +278,7 @@ class TestEdgeCases:
         with pytest.raises(TypeError):
             dumps_geojson(doc)
         event = next(e for e in log.events if e.kind == WAYPOINT_REACHED)
-        obs = dataclasses.replace(event.observation, radiation_usv_s=1j)
-        bad = dataclasses.replace(event, observation=obs)
+        bad = dataclasses.replace(event, radiation_usv_s=1j)
         with pytest.raises(TypeError):
             write_observation_log(EventLog("m", "0" * 64, [bad]))
 
@@ -310,31 +320,40 @@ POSITION_FIELDS = {"lat": "lat_deg", "lon": "lon_deg", "alt": "alt_m"}
 
 
 def _with_slot(event: Event, slot: str, value: float) -> Event:
-    obs = event.observation
-    if slot == "t":
-        return dataclasses.replace(event, t=value)
     if slot in POSITION_FIELDS:
-        p = obs.position  # a GeoPoint refuses non-finite fields, so stand in for it
+        p = event.waypoint.point  # a GeoPoint refuses non-finite fields, so stand in for it
         fields = {"lat_deg": p.lat_deg, "lon_deg": p.lon_deg, "alt_m": p.alt_m, POSITION_FIELDS[slot]: value}
-        obs = dataclasses.replace(obs, position=SimpleNamespace(**fields))
-    elif slot == "radiation_usv_s":
-        obs = dataclasses.replace(obs, radiation_usv_s=value)
-    else:
-        obs = dataclasses.replace(obs, camera=dataclasses.replace(obs.camera, **{slot: value}))
-    return dataclasses.replace(event, observation=obs)
+        wp = SimpleNamespace(point=SimpleNamespace(**fields), index=event.waypoint.index)
+        return dataclasses.replace(event, waypoint=wp)
+    return dataclasses.replace(event, **{slot: value})
+
+
+def _camera_with_slot(camera: CameraModel, slot: str, value: float) -> SimpleNamespace:
+    """A stand-in for a camera (which refuses non-finite fields) whose
+    ``half_fov_deg`` or ``footprint_width`` is ``value``."""
+    if slot == "half_fov_deg":
+        return SimpleNamespace(half_fov_deg=value, altitude_m=camera.altitude_m)
+    return SimpleNamespace(half_fov_deg=45.0, altitude_m=value / 2.0)  # footprint 2 * h * tan(45) = value
 
 
 @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
 @pytest.mark.parametrize(
-    "slot", ["t", "lat", "lon", "alt", "radiation_usv_s", "altitude_m", "half_fov_deg", "footprint_width_m"]
+    "slot", ["t", "lat", "lon", "alt", "radiation_usv_s", "half_fov_deg", "footprint_width_m"]
 )
 def test_log_float_slots_refuse_non_finite(slot, value):
+    """``alt`` covers the camera's ``altitude_m`` too: both write the waypoint's altitude."""
     _, _, log = random_mission(random.Random(10))
-    events = list(log.events)
-    k = next(k for k, e in enumerate(events) if e.kind == WAYPOINT_REACHED)
-    events[k] = _with_slot(events[k], slot, value)
-    bad = EventLog(log.mission_id, log.config_digest, events)
-    with pytest.raises(ValueError, match="JSON compliant"):
+    events, camera = list(log.events), log.camera
+    if slot in ("half_fov_deg", "footprint_width_m"):
+        camera = _camera_with_slot(camera, slot, value)
+    else:
+        k = next(k for k, e in enumerate(events) if e.kind == WAYPOINT_REACHED)
+        events[k] = _with_slot(events[k], slot, value)
+    bad = EventLog(log.mission_id, log.config_digest, events, camera)
+    # The reference computes the footprint from half_fov_deg before it encodes
+    # a line, and tan refuses an infinite angle; the writer encodes half_fov_deg first.
+    refused = "math domain error" if slot == "half_fov_deg" and math.isinf(value) else "JSON compliant"
+    with pytest.raises(ValueError, match=refused):
         json_observation_log(bad)
     with pytest.raises(ValueError, match="JSON compliant"):
         write_observation_log(bad)
