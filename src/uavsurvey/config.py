@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .geodesy import GeoPoint
+from .geodesy import METERS_PER_DEG_LAT, GeoPoint
 from .grid import CameraModel, PolygonRegion, _lattice_axes, bounding_rectangle, grid_spacing
 from .radiation import NoiseSpec, RadiationSource
 from .routing import Agent, _check_fleet
@@ -48,9 +48,22 @@ class MissionConfig:
         _check_fleet(self.fleet)
         _check_dwell(self.dwell_s)
         try:
-            _lattice_axes(bounding_rectangle(self.region), grid_spacing(self.camera), warn=False)
+            lats, lons = _lattice_axes(bounding_rectangle(self.region), grid_spacing(self.camera), warn=False)
         except ValueError as exc:
             raise _fail("camera", exc) from None
+        # An agent flies at most one leg and one dwell per lattice point. A leg
+        # is at most the sum of the spans over the lattice and the homes below,
+        # since distance_m is a hypot of wrapped differences. Twice the bound
+        # on event times must be finite, the factor covering rounding.
+        ends = [(lats[i], lons[i], self.camera.altitude_m) for i in (0, -1)]
+        ends += [(a.home.lat_deg, a.home.lon_deg, a.home.alt_m) for a in self.fleet]
+        lat_span, lon_span, alt_span = (max(x) - min(x) for x in zip(*ends))
+        k, slowest = min(enumerate(self.fleet), key=lambda item: item[1].velocity_mps)
+        leg_s = ((lat_span + lon_span) * METERS_PER_DEG_LAT + alt_span) / slowest.velocity_mps
+        points = len(lats) * len(lons)
+        if not 2.0 * points * (self.dwell_s + leg_s) < math.inf:
+            path = "dwell_s" if self.dwell_s >= leg_s else f"fleet[{k}].velocity_mps"
+            raise _fail(path, f"event times up to {points} x ({self.dwell_s} s dwell + {leg_s:.6g} s leg) overflow")
 
 
 def _fail(path: str, message) -> ConfigError:

@@ -46,7 +46,8 @@ class GeoPoint:
             raise ValueError(f"alt_m must be >= 0, got {self.alt_m}")
         if not -180.0 <= self.lon_deg < 180.0:
             # Wrap only when out of range so in-range values stay bit-identical.
-            object.__setattr__(self, "lon_deg", (self.lon_deg + 180.0) % 360.0 - 180.0)
+            lon = math.remainder(self.lon_deg, 360.0)  # exact, within [-180, 180]
+            object.__setattr__(self, "lon_deg", -180.0 if lon == 180.0 else lon)
 
 
 @dataclass(frozen=True)

@@ -197,10 +197,10 @@ _OBSERVATION_LINE = (
 
 
 def _lattice_index(index) -> str:
-    """A waypoint's lattice index on a log line: "[i,j]", or null."""
+    """A waypoint's lattice index on a log line: "[i,j]"."""
     if type(index) is tuple and len(index) == 2 and type(index[0]) is int and type(index[1]) is int:
         return "[%d,%d]" % index
-    return "null" if index is None else _encode(list(index), None)
+    return _encode(list(index), None)
 
 
 def write_observation_log(log: EventLog) -> str:
@@ -218,13 +218,8 @@ def write_observation_log(log: EventLog) -> str:
         "event_count": len(log.events),
     }
     lines = [_encode(header, None)]
-    half_fov = footprint = "null"
-    camera = log.camera
-    # Only observation lines carry these, so a log with none writes even
-    # where the footprint overflows to inf.
-    if camera is not None and any(e.kind == WAYPOINT_REACHED for e in log.events):
-        half_fov = _encode(camera.half_fov_deg, None)
-        footprint = _encode(footprint_width(camera), None)
+    half_fov = _encode(log.camera.half_fov_deg, None)
+    footprint = _encode(footprint_width(log.camera), None)
     cache: dict = {}
     for event in log.events:
         if event.kind == WAYPOINT_REACHED:

@@ -137,14 +137,16 @@ class CameraModel:
             )
         if not (math.isfinite(self.altitude_m) and self.altitude_m > 0.0):
             raise ValueError(f"altitude_m must be > 0, got {self.altitude_m}")
+        if not math.isfinite(footprint_width(self)):
+            raise ValueError("footprint width 2 * altitude_m * tan(half_fov_deg) must be finite, got inf")
 
 
 @dataclass(frozen=True)
 class Waypoint:
-    """A survey point and its (row, column) lattice index, None off the lattice."""
+    """A survey point and its (row, column) lattice index."""
 
     point: GeoPoint
-    index: tuple[int, int] | None = None
+    index: tuple[int, int]
 
 
 @dataclass(frozen=True)

@@ -51,11 +51,6 @@ class RoutePlan:
     homes: dict[str, GeoPoint] = field(default_factory=dict)
 
 
-def _as_waypoints(points) -> list[Waypoint]:
-    """``points`` as route elements: a bare GeoPoint ``p`` becomes ``Waypoint(p)``."""
-    return [Waypoint(p) if isinstance(p, GeoPoint) else p for p in points]
-
-
 def _check_fleet(agents: Sequence[Agent], plan: RoutePlan | None = None) -> None:
     """The fleet rules: at least one agent, unique ids and, given a plan, no
     route of an agent outside the fleet."""
@@ -133,17 +128,14 @@ def _ring(cells: list[list[int]], rows: int, cols: int, i: int, j: int, r: int):
                 yield from cells[row * cols + col]
 
 
-def plan_routes(agents: Sequence[Agent], waypoints) -> RoutePlan:
+def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> RoutePlan:
     """Assign every waypoint to exactly one agent by round-robin nearest neighbor.
 
     Each agent's path is seeded at its home. On its turn an agent claims the
     unvisited waypoint nearest (``distance_m``) to its current path end, then
-    the turn passes to the next agent. A bare GeoPoint ``p`` in ``waypoints``
-    enters as ``Waypoint(p)``, so routes hold Waypoints only. Waypoints are
-    ordered by lattice index when all of them carry one, else kept in input
-    order; the claim is the waypoint with the smallest ``(distance, position
-    in that order)``, exactly what a scan over all remaining waypoints that
-    keeps the first strict minimum picks.
+    the turn passes to the next agent. Routes hold the caller's Waypoints. The
+    claim is the smallest ``(distance, lattice index)``: what a scan over the
+    remaining waypoints in index order picks, keeping the first strict minimum.
 
     The remaining waypoints are bucketed on a lat/lon grid of about two per
     cell. A claim searches rings of cells outward from the cell of the path
@@ -162,9 +154,7 @@ def plan_routes(agents: Sequence[Agent], waypoints) -> RoutePlan:
     agents = list(agents)
     _check_fleet(agents)
 
-    order = _as_waypoints(waypoints)
-    if order and all(w.index is not None for w in order):
-        order.sort(key=lambda w: w.index)
+    order = sorted(waypoints, key=lambda w: w.index)
     positions = [w.point for w in order]
     seen: set[tuple[float, float, float]] = set()
     for p in positions:
@@ -281,7 +271,7 @@ def _path_rows(first: list[float], pair: list[list[float]], budget: float = math
     return rows
 
 
-def tsp_optimal(points) -> float:
+def tsp_optimal(points: Sequence[Waypoint]) -> float:
     """Exact minimum Hamiltonian tour length in metres via Held-Karp.
 
     The tour is anchored at point 0; ``_path_rows`` keeps one row of n - 1
@@ -290,7 +280,7 @@ def tsp_optimal(points) -> float:
     legs summed left to right are one of the sums the DP minimises, so the
     optimal tour stays within the budget. Limited to HELD_KARP_MAX_POINTS.
     """
-    pts = [w.point for w in _as_waypoints(points)]
+    pts = [w.point for w in points]
     n = len(pts)
     if n > HELD_KARP_MAX_POINTS:
         raise ValueError(
@@ -327,7 +317,7 @@ def tsp_optimal(points) -> float:
     return min(map(add, full, closing))
 
 
-def mtsp_lower_bound(points, n_agents: int) -> float:
+def mtsp_lower_bound(points: Sequence[Waypoint], n_agents: int) -> float:
     """Optimal single-agent tour cost divided by the agent count, in metres.
 
     It ignores the legs from the agents' homes, so it is not a proven lower
@@ -373,7 +363,7 @@ def _cheapest_order(rows: list[list[float] | None], pair: list[list[float]], s: 
     return order
 
 
-def brute_force_mtsp(points, agents: Sequence[Agent]):
+def brute_force_mtsp(points: Sequence[Waypoint], agents: Sequence[Agent]):
     """Exact min-makespan reference, agents starting from their homes.
 
     For each agent an open-path subset DP (``_path_rows``) gives the cheapest
@@ -388,14 +378,13 @@ def brute_force_mtsp(points, agents: Sequence[Agent]):
     """
     agents = list(agents)
     _check_fleet(agents)
-    wps = _as_waypoints(points)
-    n = len(wps)
+    n = len(points)
     if n > ORACLE_MAX_POINTS or len(agents) > ORACLE_MAX_AGENTS:
         raise ValueError(
             f"instance too large for the exhaustive oracle "
             f"(max {ORACLE_MAX_POINTS} points, {ORACLE_MAX_AGENTS} agents)"
         )
-    positions = [w.point for w in wps]
+    positions = [w.point for w in points]
     home_cost = [[distance_m(a.home, p) for p in positions] for a in agents]
     pair_cost = [[distance_m(p, q) for q in positions] for p in positions]
 
@@ -409,6 +398,6 @@ def brute_force_mtsp(points, agents: Sequence[Agent]):
 
     cover = min(_covers((1 << n) - 1, len(agents)), key=slowest)
     partition = {
-        a.id: [wps[k] for k in _cheapest_order(rows, pair_cost, s)] for a, rows, s in zip(agents, tables, cover)
+        a.id: [points[k] for k in _cheapest_order(rows, pair_cost, s)] for a, rows, s in zip(agents, tables, cover)
     }
     return slowest(cover), partition

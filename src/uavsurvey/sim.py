@@ -40,12 +40,12 @@ class Event:
 @dataclass
 class EventLog:
     """The full mission data stream: takeoffs, observations, completions,
-    and the camera every observation was taken with (None without one)."""
+    and the camera every observation was taken with."""
 
     mission_id: str
     config_digest: str
     events: list[Event]
-    camera: CameraModel | None = None
+    camera: CameraModel
 
     @property
     def observations(self) -> list[Event]:
@@ -77,13 +77,13 @@ def config_digest(
     sources: Sequence[RadiationSource],
     noise: NoiseSpec,
     seed: int,
-    camera: CameraModel | None,
+    camera: CameraModel,
     dwell_s: float,
 ) -> str:
     """SHA-256 over a canonical rendering of every input that shapes the log."""
     payload = {
         "routes": {
-            aid: [[_geo_payload(w.point), list(w.index or ())] for w in route]
+            aid: [[_geo_payload(w.point), list(w.index)] for w in route]
             for aid, route in plan.routes.items()
         },
         "fleet": [[a.id, _geo_payload(a.home), a.velocity_mps] for a in fleet],
@@ -91,9 +91,7 @@ def config_digest(
         "noise": [noise.kind, noise.relative_sd],
         "seed": seed,
         "dwell_s": dwell_s,
-        "camera": None
-        if camera is None
-        else [camera.half_fov_deg, camera.overlap_fraction, camera.altitude_m],
+        "camera": [camera.half_fov_deg, camera.overlap_fraction, camera.altitude_m],
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -106,7 +104,7 @@ def simulate(
     noise: NoiseSpec = NoiseSpec(),
     seed: int = 0,
     *,
-    camera: CameraModel | None = None,
+    camera: CameraModel,
     dwell_s: float = 0.0,
     mission_id: str | None = None,
 ) -> EventLog:

@@ -9,17 +9,11 @@ import random
 from operator import add
 from pathlib import Path
 
-from uavsurvey import EnuOffset, GeoPoint, PolygonRegion, distance_m, footprint_width, gps_offset, strength_at
+from uavsurvey import EnuOffset, GeoPoint, PolygonRegion, Waypoint, distance_m, footprint_width, gps_offset, strength_at
 from uavsurvey.grid import _segments_intersect
 from uavsurvey.sim import WAYPOINT_REACHED
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "campus_mission.json"
-
-
-def position_of(waypoint) -> GeoPoint:
-    """The GeoPoint of a Waypoint; a bare GeoPoint passes through, so the
-    references below take either."""
-    return waypoint.point if hasattr(waypoint, "point") else waypoint
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +135,7 @@ def loop_tsp_optimal(points, cost=distance_m) -> float:
     The body ``tsp_optimal`` had before its rows became one C-level
     reduction per entry; the subset DP must return the same float.
     """
-    pts = [position_of(p) for p in points]
+    pts = [w.point for w in points]
     n = len(pts)
     if n <= 1:
         return 0.0
@@ -199,7 +193,7 @@ def unbounded_path_rows(first, pair):
 
 def unbounded_tsp_optimal(points) -> float:
     """Held-Karp on ``unbounded_path_rows``: ``tsp_optimal`` before its budget."""
-    pts = [position_of(p) for p in points]
+    pts = [w.point for w in points]
     if len(pts) <= 1:
         return 0.0
     c = [[distance_m(a, b) for b in pts] for a in pts]
@@ -218,7 +212,7 @@ def permutation_brute_force_mtsp(points, agents, cost=distance_m):
     agents = list(agents)
     wps = list(points)
     n = len(wps)
-    positions = [position_of(w) for w in wps]
+    positions = [w.point for w in wps]
     home_cost = [[cost(a.home, p) for p in positions] for a in agents]
     pair_cost = [[cost(p, q) for q in positions] for p in positions]
 
@@ -272,13 +266,11 @@ def scan_plan_routes(agents, waypoints, cost=distance_m):
     """Round-robin nearest neighbor by a full scan of every remaining waypoint.
 
     The quadratic loop ``plan_routes`` used before it bucketed waypoints; the
-    first strictly cheaper candidate in (lattice index, input) order wins.
-    Returns ``(routes, visit_sequence)``.
+    first strictly cheaper candidate in lattice index order wins. Returns
+    ``(routes, visit_sequence)``.
     """
-    order = list(waypoints)
-    if order and all(hasattr(w, "index") for w in order):
-        order.sort(key=lambda w: w.index)
-    positions = [position_of(w) for w in order]
+    order = sorted(waypoints, key=lambda w: w.index)
+    positions = [w.point for w in order]
     routes = {a.id: [] for a in agents}
     ends = {a.id: a.home for a in agents}
     visit_sequence = []
@@ -336,7 +328,6 @@ def json_observation_log(log) -> str:
         rec: dict = {"event": event.kind, "t": event.t, "agent_id": event.agent_id}
         if event.kind == WAYPOINT_REACHED:
             p = event.waypoint.point
-            index = event.waypoint.index
             camera = log.camera
             rec.update(
                 lat=p.lat_deg,
@@ -345,9 +336,9 @@ def json_observation_log(log) -> str:
                 radiation_usv_s=event.radiation_usv_s,
                 camera={
                     "altitude_m": p.alt_m,
-                    "half_fov_deg": None if camera is None else camera.half_fov_deg,
-                    "footprint_width_m": None if camera is None else footprint_width(camera),
-                    "lattice_index": None if index is None else list(index),
+                    "half_fov_deg": camera.half_fov_deg,
+                    "footprint_width_m": footprint_width(camera),
+                    "lattice_index": list(event.waypoint.index),
                 },
             )
         lines.append(json.dumps(rec, separators=(",", ":"), allow_nan=False))
@@ -372,6 +363,12 @@ def random_points(rng: random.Random, origin: GeoPoint, n: int, span_m: float, a
         seen.add(key)
         points.append(p)
     return points
+
+
+def lattice_row(points) -> list[Waypoint]:
+    """``points`` as one lattice row, ``Waypoint(p, (0, k))`` for the k-th:
+    lattice index order is input order."""
+    return [Waypoint(p, (0, k)) for k, p in enumerate(points)]
 
 
 def _sorted_angles(rng: random.Random, n: int) -> list[float]:

@@ -15,6 +15,7 @@ import pytest
 from helpers import (
     REPO_CONFIG,
     assert_valid_geojson,
+    lattice_row,
     permutation_tour_cost,
     random_points,
     random_star_polygon,
@@ -110,21 +111,22 @@ def test_criterion_4_oracle_dominance_and_bound():
         n_agents = rng.randint(2, 3)
         home = GeoPoint(rng.uniform(-50.0, 50.0), rng.uniform(-150.0, 150.0), 0.0)
         pts = random_points(rng, home, n_points, 400.0)
+        wps = lattice_row(pts)
         velocity = rng.uniform(1.0, 10.0)
         fleet = [Agent(f"a{k}", home, velocity) for k in range(n_agents)]
 
-        plan = plan_routes(fleet, pts)
+        plan = plan_routes(fleet, wps)
         nn_makespan = makespan(plan, fleet)
-        optimum, _ = brute_force_mtsp(pts, fleet)
+        optimum, _ = brute_force_mtsp(wps, fleet)
         assert nn_makespan >= optimum - 1e-9 * max(optimum, 1.0)
 
         # Held-Karp against permutation brute force on every instance <= 8 points.
-        hk = tsp_optimal(pts)
+        hk = tsp_optimal(wps)
         assert hk == pytest.approx(permutation_tour_cost(pts, distance_m), rel=1e-9)
         checked_hk += 1
 
         # The tour/n chain ignores home legs: evaluated and reported only.
-        bound = mtsp_lower_bound([home, *pts], n_agents)
+        bound = mtsp_lower_bound(lattice_row([home, *pts]), n_agents)
         if nn_makespan * velocity < bound * (1.0 - 1e-12):
             violations += 1
     report(

@@ -169,21 +169,30 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "edit", [{"dwell_s": 1e308}, {"velocity_mps": 1e-306}], ids=["dwell", "velocity"]
+        "slot, value, error",
+        [
+            ("dwell_s", 1e308, "error: dwell_s: event times up to 169 x (1e+308 s dwell + 182.963 s leg) overflow\n"),
+            ("velocity_mps", 1e-306,
+             "error: fleet[0].velocity_mps: event times up to 169 x (0.0 s dwell + inf s leg) overflow\n"),
+            ("altitude_m", 1e308,
+             "error: camera: footprint width 2 * altitude_m * tan(half_fov_deg) must be finite, got inf\n"),
+        ],
+        ids=["dwell", "velocity", "altitude"],
     )
-    def test_log_refused_leaves_no_plan(self, tmp_path, capsys, edit):
-        # validate accepts both; the event times they give overflow to inf,
-        # which the log writer refuses after the plan has rendered.
+    def test_log_refused_leaves_no_plan(self, tmp_path, capsys, slot, value, error):
+        # Event times or a footprint past the float range would give a log no
+        # strict JSON writer can write: validate and simulate refuse the
+        # mission at parse time, naming the config path, and write nothing.
         doc = json.loads(REPO_CONFIG.read_text(encoding="utf-8"))
-        (doc["fleet"][0] if "velocity_mps" in edit else doc).update(edit)
+        owner = {"dwell_s": doc, "velocity_mps": doc["fleet"][0], "altitude_m": doc["camera"]}[slot]
+        owner[slot] = value
         path = tmp_path / "slow.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["validate", "--config", str(path)]) == 0
         out = tmp_path / "out"
         out.mkdir()
-        capsys.readouterr()
-        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: Out of range float values are not JSON compliant\n"
+        for argv in (["validate", "--config", str(path)], ["simulate", "--config", str(path), "--out", str(out)]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == error
         assert list(out.iterdir()) == []
 
     def test_overrides_rerun_the_mission_rules_once(self, tmp_path, monkeypatch):

@@ -97,6 +97,8 @@ CASES = [
      "camera: overlap_fraction must satisfy 0 <= overlap_fraction < 1, got 1.0"),
     ("camera-fov-invariant", put("camera", {"half_fov_deg": 90}),
      "camera: half_fov_deg must be within (0, 90), got 90.0"),
+    ("camera-footprint-infinite", put("camera", {"altitude_m": 1e308}),
+     "camera: footprint width 2 * altitude_m * tan(half_fov_deg) must be finite, got inf"),
     ("camera-lattice-ceiling", put("camera", {"altitude_m": 0.01}),
      "camera: grid spacing 0.01333 m over a 111 m x 134 m rectangle gives more than 1000000 lattice points"),
     ("camera-lattice-past-the-pole", put("region", [[89.9995, -9.0], [89.9999, -9.0], [89.9999, -9.002]]),
@@ -120,6 +122,8 @@ CASES = [
      "fleet[0].velocity_mps: expected a finite number, got inf"),
     ("fleet-velocity-invariant", put("fleet", 0, "velocity_mps", 0),
      "fleet[0]: velocity_mps must be positive and finite, got 0.0"),
+    ("fleet-velocity-event-times", put("fleet", [AGENT, {**AGENT, "id": "rav-2", "velocity_mps": 1e-306}]),
+     "fleet[1].velocity_mps: event times up to 20 x (0.0 s dwell + inf s leg) overflow"),
     ("fleet-empty-id", put("fleet", 0, "id", ""), "fleet[0]: agent id must be non-empty"),
     ("fleet-duplicate-ids", put("fleet", [AGENT, AGENT]), "agent ids must be unique within the fleet"),
     ("fleet-empty", put("fleet", []), "fleet must have at least one agent"),
@@ -164,6 +168,8 @@ CASES = [
     ("dwell-wrong-type", put("dwell_s", "long"), "dwell_s: expected a number, got str"),
     ("dwell-non-finite", put("dwell_s", NAN), "dwell_s: expected a finite number, got nan"),
     ("dwell-invariant", put("dwell_s", -1.0), "dwell_s: must be >= 0"),
+    ("dwell-event-times", put("dwell_s", 1e308),
+     "dwell_s: event times up to 20 x (1e+308 s dwell + 88.7173 s leg) overflow"),
     # mission_id
     ("mission-id-wrong-type", put("mission_id", 5), "mission_id: expected a string"),
 ]

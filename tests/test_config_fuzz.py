@@ -10,7 +10,9 @@ SIMULATE_MAX_LATTICE lattice points ``generate_waypoints`` succeeds and
 ``generate_lattice`` builds exactly as many points as this test's own count.
 On a fixed subset of those the whole ``simulate`` pipeline runs too, and
 both outputs must be strict JSON of finite numbers. A second stream mutates
-the campus shifted to within one spacing of the north pole.
+the campus shifted to within one spacing of the north pole. A deterministic
+sweep holds the same contract with every numeric slot set in turn to a
+float extreme.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import json
 import math
 import random
 import warnings
+
+import pytest
 
 from helpers import REPO_CONFIG
 from uavsurvey import (
@@ -198,3 +202,31 @@ def test_mutated_configs_near_the_north_pole():
     pole = [m for m in refusals if m.startswith("camera: lattice row at ")]
     assert len(pole) > 0.05 * CASES and parsed > 0.05 * CASES
     assert simulated >= 5
+
+
+@pytest.mark.parametrize("value", [1e308, -1e308, 1e-306], ids=repr)
+def test_every_numeric_slot_at_a_float_extreme(value):
+    """Every number of the campus config, plus an added ``dwell_s``, set in
+    turn to ``value``: the mission is refused with a ConfigError, or the
+    pipeline writes strict JSON of finite numbers, run as in the fuzz on
+    lattices of at most SIMULATE_MAX_LATTICE points. Random mutations rarely
+    reach these values, and reach the pipeline with them more rarely still."""
+    base = json.loads(REPO_CONFIG.read_text(encoding="utf-8"))
+    base["dwell_s"] = 0.0
+    paths = [path for container, key, path in _slots(base) if type(container[key]) in (int, float)]
+    assert len(paths) == 31
+    ran = 0
+    for path in paths:
+        doc = copy.deepcopy(base)
+        container = doc
+        for key in path[:-1]:
+            container = container[key]
+        container[path[-1]] = value
+        try:
+            config = parse_mission_config(json.dumps(doc))
+        except ConfigError:
+            continue
+        if lattice_size(config) <= SIMULATE_MAX_LATTICE:
+            run_pipeline(config)
+            ran += 1
+    assert ran > 0

@@ -21,13 +21,24 @@ import random
 import pytest
 
 from helpers import (
+    lattice_row,
     loop_tsp_optimal,
     permutation_brute_force_mtsp,
     random_points,
     unbounded_path_rows,
     unbounded_tsp_optimal,
 )
-from uavsurvey import Agent, EnuOffset, GeoPoint, brute_force_mtsp, distance_m, gps_offset, makespan, tsp_optimal
+from uavsurvey import (
+    Agent,
+    EnuOffset,
+    GeoPoint,
+    Waypoint,
+    brute_force_mtsp,
+    distance_m,
+    gps_offset,
+    makespan,
+    tsp_optimal,
+)
 from uavsurvey import routing
 from uavsurvey.geodesy import meters_per_degree
 from uavsurvey.routing import RoutePlan
@@ -35,15 +46,16 @@ from uavsurvey.routing import RoutePlan
 ORIGIN = GeoPoint(47.6, -122.3, 0.0)
 
 
-def lattice_points(rng: random.Random, n: int) -> list[GeoPoint]:
+def lattice_points(rng: random.Random, n: int) -> list[Waypoint]:
     """``n`` distinct nodes of a 4x4 grid with 10 m spacing: many equal tours."""
-    return [gps_offset(ORIGIN, EnuOffset(10.0 * (k % 4), 10.0 * (k // 4), 0.0)) for k in rng.sample(range(16), n)]
+    nodes = rng.sample(range(16), n)
+    return lattice_row(gps_offset(ORIGIN, EnuOffset(10.0 * (k % 4), 10.0 * (k // 4), 0.0)) for k in nodes)
 
 
 def instances(seed: int, n: int):
     """One seeded random instance and one tie-heavy lattice instance of ``n`` points."""
     rng = random.Random(seed)
-    return [random_points(rng, ORIGIN, n, 300.0), lattice_points(rng, n)]
+    return [lattice_row(random_points(rng, ORIGIN, n, 300.0)), lattice_points(rng, n)]
 
 
 def fleet(rng: random.Random, n_agents: int) -> list[Agent]:
@@ -66,10 +78,9 @@ def assert_oracle_matches(pts, agents):
     ref_value, _ = permutation_brute_force_mtsp(pts, agents)
     assert value == ref_value
     assert list(partition) == [a.id for a in agents]
-    # Bare points come back as Waypoints wrapping the caller's objects.
-    assert all(w.index is None for route in partition.values() for w in route)
-    visited = sorted(id(w.point) for route in partition.values() for w in route)
-    assert visited == sorted(id(p) for p in pts)
+    # The partition holds the caller's Waypoint objects.
+    visited = sorted(id(w) for route in partition.values() for w in route)
+    assert visited == sorted(map(id, pts))
     assert makespan(RoutePlan(routes=partition), agents) == value
 
 
@@ -81,20 +92,21 @@ def test_oracle_equals_permutation_reference(n, n_agents):
         assert_oracle_matches(pts, fleet(rng, n_agents))
 
 
-def rectangle(rows: int, cols: int, spacing_m: float, lat_deg: float) -> list[GeoPoint]:
+def rectangle(rows: int, cols: int, spacing_m: float, lat_deg: float) -> list[Waypoint]:
     """A rows x cols lattice from its SW corner in row-major order, with fixed
     degree steps: the waypoints of one of ``bound_eval``'s rectangles."""
     m_lat, m_lon = meters_per_degree(lat_deg)
     return [
-        GeoPoint(lat_deg + i * spacing_m / m_lat, 20.0 + j * spacing_m / m_lon, 0.0)
+        Waypoint(GeoPoint(lat_deg + i * spacing_m / m_lat, 20.0 + j * spacing_m / m_lon, 0.0), (i, j))
         for i in range(rows)
         for j in range(cols)
     ]
 
 
-def legs(pts) -> tuple[list[float], list[list[float]], list[float]]:
+def legs(waypoints) -> tuple[list[float], list[list[float]], list[float]]:
     """Held-Karp's kernel input: the legs from point 0, between the other
     points, and back to point 0."""
+    pts = [w.point for w in waypoints]
     c = [[distance_m(a, b) for b in pts] for a in pts]
     return c[0][1:], [row[1:] for row in c[1:]], [row[0] for row in c[1:]]
 
@@ -136,13 +148,13 @@ def test_bounded_held_karp_equals_unbounded_on_lattices(rows, cols, kernel_calls
 
 @pytest.mark.parametrize("n", range(9, 15))
 def test_bounded_held_karp_equals_unbounded_on_random_points(n):
-    pts = random_points(random.Random(500 + n), ORIGIN, n, 300.0)
+    pts = lattice_row(random_points(random.Random(500 + n), ORIGIN, n, 300.0))
     assert tsp_optimal(pts) == unbounded_tsp_optimal(pts)
 
 
 def test_loose_budget_keeps_the_optimum(kernel_calls):
     """Here 2-opt stops at a tour about 9 % longer than the optimum."""
-    pts = random_points(random.Random(31), ORIGIN, 10, 300.0)
+    pts = lattice_row(random_points(random.Random(31), ORIGIN, 10, 300.0))
     optimum = unbounded_tsp_optimal(pts)
     assert tsp_optimal(pts) == optimum
     (_, _, budget, _), = kernel_calls
@@ -161,19 +173,22 @@ def test_budget_is_the_tour_with_slack_less_the_cheapest_closing_leg(kernel_call
 def test_coincident_points_sit_on_the_budget():
     """A zero tour: the budget is 0 and every entry equals its limit, so an
     entry at its limit must be kept."""
-    assert tsp_optimal([ORIGIN] * 6) == 0.0
+    assert tsp_optimal(lattice_row([ORIGIN] * 6)) == 0.0
 
 
 def test_no_budget_keeps_every_row():
-    first, pair, _ = legs(random_points(random.Random(7), ORIGIN, 10, 300.0))
+    first, pair, _ = legs(lattice_row(random_points(random.Random(7), ORIGIN, 10, 300.0)))
     rows = routing._path_rows(first, pair)
     assert rows[0] is None
     assert all(row is not None for row in rows[1:])
     assert rows == unbounded_path_rows(first, pair)
 
 
-@pytest.mark.parametrize("pts", [rectangle(3, 4, 15.0, -30.0), random_points(random.Random(11), ORIGIN, 12, 300.0)],
-                         ids=["lattice-3x4", "random-12"])
+@pytest.mark.parametrize(
+    "pts",
+    [rectangle(3, 4, 15.0, -30.0), lattice_row(random_points(random.Random(11), ORIGIN, 12, 300.0))],
+    ids=["lattice-3x4", "random-12"],
+)
 def test_kept_rows_are_those_that_can_end_within_the_budget(pts):
     """Row s is kept iff its cheapest unbounded entry is at most the budget
     less the cheapest legs into the points outside s, and a kept entry

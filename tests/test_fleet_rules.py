@@ -7,9 +7,10 @@ import dataclasses
 
 import pytest
 
-from helpers import REPO_CONFIG
+from helpers import REPO_CONFIG, lattice_row
 from uavsurvey import (
     Agent,
+    CameraModel,
     GeoPoint,
     MissionConfig,
     PolygonRegion,
@@ -26,7 +27,7 @@ from uavsurvey import (
 from uavsurvey.cli import main
 
 HOME = GeoPoint(0.0, 0.0)
-POINTS = [GeoPoint(0.0, 0.0001), GeoPoint(0.0001, 0.0)]
+POINTS = lattice_row([GeoPoint(0.0, 0.0001), GeoPoint(0.0001, 0.0)])
 REGION = PolygonRegion((GeoPoint(0.0, 0.0), GeoPoint(0.0, 0.001), GeoPoint(0.001, 0.0)))
 PLAN = plan_routes([Agent("A", HOME, 2.0), Agent("B", HOME, 3.0)], POINTS)
 
@@ -35,7 +36,7 @@ ENTRY_POINTS = {
     "plan_routes": lambda fleet: plan_routes(fleet, POINTS),
     "brute_force_mtsp": lambda fleet: brute_force_mtsp(POINTS, fleet),
     "makespan": lambda fleet: makespan(PLAN, fleet),
-    "simulate": lambda fleet: simulate(PLAN, fleet),
+    "simulate": lambda fleet: simulate(PLAN, fleet, camera=CameraModel()),
     "MissionConfig": lambda fleet: MissionConfig(region=REGION, fleet=tuple(fleet)),
 }
 FLEETS = {

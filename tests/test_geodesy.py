@@ -34,6 +34,9 @@ class TestGeoPoint:
         assert GeoPoint(0.0, 181.0).lon_deg == -179.0
         assert GeoPoint(0.0, -180.0).lon_deg == -180.0
         assert GeoPoint(0.0, 540.0).lon_deg == -180.0
+        assert GeoPoint(0.0, -540.0).lon_deg == -180.0
+        # -180 less one ulp wraps exactly, not by rounding up to 180
+        assert GeoPoint(0.0, -180.00000000000003).lon_deg == 179.99999999999997
         # in-range longitudes pass through untouched
         assert GeoPoint(0.0, 179.9999).lon_deg == 179.9999
 

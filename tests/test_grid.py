@@ -169,6 +169,12 @@ class TestGridSpacing:
             CameraModel(half_fov_deg=90.0)
         with pytest.raises(ValueError, match="altitude_m"):
             CameraModel(altitude_m=0.0)
+        # The footprint 2 * h * tan(half FOV) must not overflow to inf.
+        with pytest.raises(ValueError, match="footprint width"):
+            CameraModel(altitude_m=1e308)
+        with pytest.raises(ValueError, match="footprint width"):
+            CameraModel(half_fov_deg=89.99, altitude_m=1e305)
+        assert math.isfinite(footprint_width(CameraModel(half_fov_deg=89.9, altitude_m=1e305)))
 
     def test_overlap_identity(self):
         rng = random.Random(99)

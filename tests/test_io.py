@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from helpers import assert_valid_geojson, random_points
+from helpers import assert_valid_geojson, lattice_row, random_points
 from uavsurvey import (
     Agent,
     CameraModel,
@@ -241,7 +241,8 @@ class TestExportGeojson:
     def test_plan_outside_grid_rejected(self):
         grid, _, fleet = small_mission()
         rng = random.Random(1)
-        stray = plan_routes(fleet, random_points(rng, GeoPoint(1.0, 1.0), 3, 50.0, alt_m=32.0))
+        points = random_points(rng, GeoPoint(1.0, 1.0), 3, 50.0, alt_m=32.0)
+        stray = plan_routes(fleet, lattice_row(points))
         with pytest.raises(ValueError, match="grid"):
             export_geojson(grid, stray)
 
@@ -260,7 +261,7 @@ class TestExportGeojson:
 class TestObservationLog:
     def test_empty_log_header_only(self):
         _, _, fleet = small_mission()
-        log = simulate(plan_routes(fleet, []), fleet)
+        log = simulate(plan_routes(fleet, []), fleet, camera=CameraModel())
         text = write_observation_log(log)
         lines = text.strip().split("\n")
         header = json.loads(lines[0])
@@ -271,14 +272,14 @@ class TestObservationLog:
 
     def test_line_count_recomputable(self):
         grid, plan, fleet = small_mission()
-        log = simulate(plan, fleet)
+        log = simulate(plan, fleet, camera=CameraModel())
         lines = write_observation_log(log).strip().split("\n")
         assert len(lines) == 1 + 2 * len(fleet) + len(grid.points)
 
     def test_single_observation_record(self):
         fleet = [Agent("rav-1", GeoPoint(0.0, 0.0, 0.0), 5.0)]
         wp = GeoPoint(0.0, 100.0 / meters_per_degree(0.0)[1], 0.0)
-        log = simulate(plan_routes(fleet, [wp]), fleet)
+        log = simulate(plan_routes(fleet, lattice_row([wp])), fleet, camera=CameraModel())
         lines = write_observation_log(log).strip().split("\n")
         records = [json.loads(line) for line in lines[1:]]
         hits = [r for r in records if r["event"] == "waypoint_reached"]
@@ -290,11 +291,12 @@ class TestObservationLog:
         assert "camera" in hits[0]
 
     def test_non_finite_value_rejected(self):
-        log = EventLog("m", "0" * 64, [Event(t=float("inf"), agent_id="rav-1", kind=TAKEOFF)])
+        log = EventLog("m", "0" * 64, [Event(t=float("inf"), agent_id="rav-1", kind=TAKEOFF)], CameraModel())
         with pytest.raises(ValueError, match="JSON compliant"):
             write_observation_log(log)
 
     def test_reserialization_identical(self):
         grid, plan, fleet = small_mission()
-        log = simulate(plan, fleet, [RadiationSource(GeoPoint(0.0, 0.0), 60.0)], NoiseSpec("gaussian", 0.1), seed=5)
+        log = simulate(plan, fleet, [RadiationSource(GeoPoint(0.0, 0.0), 60.0)], NoiseSpec("gaussian", 0.1), seed=5,
+                       camera=CameraModel())
         assert write_observation_log(log) == write_observation_log(log)

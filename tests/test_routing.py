@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from helpers import claim_order, permutation_tour_cost, random_points, scan_plan_routes
+from helpers import claim_order, lattice_row, permutation_tour_cost, random_points, scan_plan_routes
 from uavsurvey import (
     Agent,
     EnuOffset,
@@ -27,16 +27,16 @@ from uavsurvey.routing import _RING_SLACK, _cell_layout
 HOME = GeoPoint(0.0, 0.0, 0.0)
 
 
-def east_points(*offsets_m: float) -> list[GeoPoint]:
-    return [gps_offset(HOME, EnuOffset(e, 0.0, 0.0)) for e in offsets_m]
+def east_points(*offsets_m: float) -> list[Waypoint]:
+    return lattice_row(gps_offset(HOME, EnuOffset(e, 0.0, 0.0)) for e in offsets_m)
 
 
 def agents(n: int, velocity: float = 1.0, home: GeoPoint = HOME) -> list[Agent]:
     return [Agent(chr(ord("A") + k), home, velocity) for k in range(n)]
 
 
-def unit_square_points() -> list[GeoPoint]:
-    return [gps_offset(HOME, EnuOffset(e, n, 0.0)) for e, n in ((0, 0), (0, 1), (1, 1), (1, 0))]
+def unit_square_points() -> list[Waypoint]:
+    return lattice_row(gps_offset(HOME, EnuOffset(e, n, 0.0)) for e, n in ((0, 0), (0, 1), (1, 1), (1, 0)))
 
 
 class TestPlanRoutes:
@@ -52,14 +52,14 @@ class TestPlanRoutes:
         p1, p2, p3, p4 = east_points(1.0, 2.0, 3.0, 4.0)
         fleet = agents(2)
         plan = plan_routes(fleet, [p1, p2, p3, p4])
-        assert plan.routes["A"] == [Waypoint(p1), Waypoint(p3)]
-        assert plan.routes["B"] == [Waypoint(p2), Waypoint(p4)]
-        assert claim_order(plan, fleet) == [Waypoint(p) for p in (p1, p2, p3, p4)]
+        assert plan.routes["A"] == [p1, p3]
+        assert plan.routes["B"] == [p2, p4]
+        assert claim_order(plan, fleet) == [p1, p2, p3, p4]
 
     def test_single_agent_sweeps_in_order(self):
         pts = east_points(1.0, 2.0, 3.0)
         plan = plan_routes(agents(1), pts)
-        assert plan.routes["A"] == [Waypoint(p) for p in pts]
+        assert plan.routes["A"] == pts
         assert route_length(HOME, plan.routes["A"]) == pytest.approx(3.0, rel=1e-9)
 
     def test_no_agents_rejected(self):
@@ -93,7 +93,7 @@ class TestPlanRoutes:
             n_points = rng.randint(0, 60)
             fleet = agents(n_agents, velocity=rng.uniform(1.0, 10.0))
             pts = random_points(rng, HOME, n_points, 500.0)
-            plan = plan_routes(fleet, pts)
+            plan = plan_routes(fleet, lattice_row(pts))
             combined = [wp.point for route in plan.routes.values() for wp in route]
             assert len(combined) == n_points
             assert {(p.lat_deg, p.lon_deg) for p in combined} == {(p.lat_deg, p.lon_deg) for p in pts}
@@ -102,12 +102,12 @@ class TestPlanRoutes:
 
     def test_round_robin_interleaves_agents(self):
         rng = random.Random(4)
-        pts = random_points(rng, HOME, 9, 200.0)
+        pts = lattice_row(random_points(rng, HOME, 9, 200.0))
         fleet = agents(3)
         plan = plan_routes(fleet, pts)
         claimed = {aid: list(route) for aid, route in plan.routes.items()}
         ends = {a.id: a.home for a in fleet}
-        remaining = [Waypoint(p) for p in pts]
+        remaining = list(pts)
         for turn, wp in enumerate(claim_order(plan, fleet)):
             expected_agent = "ABC"[turn % 3]
             assert claimed[expected_agent][turn // 3] is wp
@@ -119,7 +119,7 @@ class TestPlanRoutes:
 
     def test_deterministic(self):
         rng = random.Random(5)
-        pts = random_points(rng, HOME, 40, 800.0)
+        pts = lattice_row(random_points(rng, HOME, 40, 800.0))
         fleet = agents(4, velocity=3.0)
         first = plan_routes(fleet, pts)
         second = plan_routes(fleet, pts)
@@ -133,18 +133,20 @@ def _fleet(rng: random.Random, homes: list[GeoPoint]) -> list[Agent]:
 
 def lattice_instance(rng: random.Random):
     """Shuffled dyadic lattice: coordinate differences are exact, so
-    mirror-image neighbors tie exactly. Homes sit on lattice nodes."""
+    mirror-image neighbors tie exactly. Homes sit on lattice nodes. The
+    waypoints carry their lattice nodes, or half the time their shuffled
+    positions, so that ties go to an index unrelated to the geometry."""
     step = 2.0 ** -rng.randint(12, 16)
     lat0 = rng.choice([0.0, 45.0, -60.0, 53.25, 84.5])
     lon0 = rng.choice([0.0, -9.0625, 120.5])
     rows, cols = rng.randint(1, 9), rng.randint(1, 9)
     nodes = [(i, j) for i in range(rows) for j in range(cols)]
     keep = rng.sample(nodes, rng.randint(1, len(nodes)))
-    if rng.random() < 0.5:
-        points = [Waypoint(GeoPoint(lat0 + i * step, lon0 + j * step, 32.0), (i, j)) for i, j in keep]
-    else:
-        points = [GeoPoint(lat0 + i * step, lon0 + j * step, 32.0) for i, j in keep]
+    by_node = rng.random() < 0.5
+    points = [Waypoint(GeoPoint(lat0 + i * step, lon0 + j * step, 32.0), (i, j)) for i, j in keep]
     rng.shuffle(points)
+    if not by_node:
+        points = lattice_row(w.point for w in points)
     homes = [GeoPoint(lat0 + i * step, lon0 + j * step) for i, j in (rng.choice(nodes), rng.choice(nodes))]
     return _fleet(rng, homes), points
 
@@ -162,7 +164,7 @@ def scattered_instance(rng: random.Random):
     points = list({(p.lat_deg, p.lon_deg, p.alt_m): p for p in points}.values())
     far = 20000.0 * rng.random()
     homes = [origin, gps_offset(origin, EnuOffset(rng.uniform(-far, far), rng.uniform(-far, far), 0.0))]
-    return _fleet(rng, homes), points
+    return _fleet(rng, homes), lattice_row(points)
 
 
 def polar_instance(rng: random.Random):
@@ -176,7 +178,7 @@ def polar_instance(rng: random.Random):
         coords.add((90.0, lon0))
     points = [GeoPoint(sign * lat, lon, 20.0) for lat, lon in coords]
     homes = [GeoPoint(sign * lat_lo, lon0), GeoPoint(sign * 90.0, lon0 + lon_span)]
-    return _fleet(rng, homes), points
+    return _fleet(rng, homes), lattice_row(points)
 
 
 def antimeridian_instance(rng: random.Random):
@@ -192,7 +194,7 @@ def antimeridian_instance(rng: random.Random):
         coords.add((lat0 + rng.uniform(0.0, width), lon))
     points = [GeoPoint(lat, lon, 32.0) for lat, lon in coords]
     homes = [GeoPoint(lat0, 179.99), GeoPoint(lat0, -179.99 if straddle else 179.9)]
-    return _fleet(rng, homes), points
+    return _fleet(rng, homes), lattice_row(points)
 
 
 class TestMatchesFullScan:
@@ -208,16 +210,13 @@ class TestMatchesFullScan:
             fleet, points = family(rng)
             plan = plan_routes(fleet, points)
             routes, sequence = scan_plan_routes(fleet, points)
-            # The scan hands back the caller's objects; plan_routes wraps a
-            # bare point p as Waypoint(p), so bare input compares by .point.
-            bare = bool(points) and isinstance(points[0], GeoPoint)
 
             def ids(route):
-                return [id(w.point) if bare else id(w) for w in route]
+                return [id(w) for w in route]
 
-            assert ids(claim_order(plan, fleet)) == [id(w) for w in sequence]
+            assert ids(claim_order(plan, fleet)) == ids(sequence)
             for aid, route in routes.items():
-                assert ids(plan.routes[aid]) == [id(w) for w in route]
+                assert ids(plan.routes[aid]) == ids(route)
 
     def test_ring_bound_at_closest_cell_edges(self):
         """Points r cell rings apart are at least (r - 1) * cell_m * slack apart.
@@ -299,7 +298,7 @@ class TestMakespan:
         rng = random.Random(6)
         for _ in range(20):
             fleet = agents(rng.randint(1, 5), velocity=rng.uniform(0.5, 5.0))
-            pts = random_points(rng, HOME, rng.randint(0, 25), 400.0)
+            pts = lattice_row(random_points(rng, HOME, rng.randint(0, 25), 400.0))
             plan = plan_routes(fleet, pts)
             mk = makespan(plan, fleet)
             by_id = {a.id: a for a in fleet}
@@ -318,7 +317,7 @@ class TestTspOptimal:
 
     def test_two_points(self):
         pts = east_points(0.0, 5.0)
-        d = distance_m(pts[0], pts[1])
+        d = distance_m(pts[0].point, pts[1].point)
         assert tsp_optimal(pts) == pytest.approx(2.0 * d, rel=1e-12)
 
     def test_unit_square_tour(self):
@@ -327,7 +326,7 @@ class TestTspOptimal:
 
     def test_size_cap(self):
         rng = random.Random(8)
-        pts = random_points(rng, HOME, 19, 100.0)
+        pts = lattice_row(random_points(rng, HOME, 19, 100.0))
         with pytest.raises(ValueError, match="no exact reference"):
             tsp_optimal(pts)
 
@@ -335,7 +334,7 @@ class TestTspOptimal:
         rng = random.Random(9)
         for _ in range(40):
             pts = random_points(rng, HOME, rng.randint(2, 7), 300.0)
-            assert tsp_optimal(pts) == pytest.approx(permutation_tour_cost(pts, distance_m), rel=1e-9)
+            assert tsp_optimal(lattice_row(pts)) == pytest.approx(permutation_tour_cost(pts, distance_m), rel=1e-9)
 
 
 class TestLowerBound:
@@ -365,7 +364,7 @@ class TestBruteForceMtsp:
         east = gps_offset(HOME, EnuOffset(50.0, 0.0, 0.0))
         west = gps_offset(HOME, EnuOffset(-50.0, 0.0, 0.0))
         fleet = agents(2, velocity=2.0)
-        value, partition = brute_force_mtsp([east, west], fleet)
+        value, partition = brute_force_mtsp(lattice_row([east, west]), fleet)
         assert value == pytest.approx(25.0, rel=1e-9)
         assert sorted(len(v) for v in partition.values()) == [1, 1]
 
@@ -380,14 +379,14 @@ class TestBruteForceMtsp:
     def test_size_caps(self):
         rng = random.Random(10)
         with pytest.raises(ValueError, match="oracle"):
-            brute_force_mtsp(random_points(rng, HOME, 9, 100.0), agents(2))
+            brute_force_mtsp(lattice_row(random_points(rng, HOME, 9, 100.0)), agents(2))
         with pytest.raises(ValueError, match="oracle"):
-            brute_force_mtsp(random_points(rng, HOME, 3, 100.0), agents(4))
+            brute_force_mtsp(lattice_row(random_points(rng, HOME, 3, 100.0)), agents(4))
 
     def test_partition_is_exact_cover(self):
         rng = random.Random(11)
         pts = random_points(rng, HOME, 6, 200.0)
-        _, partition = brute_force_mtsp(pts, agents(3, velocity=2.5))
+        _, partition = brute_force_mtsp(lattice_row(pts), agents(3, velocity=2.5))
         combined = [w.point for route in partition.values() for w in route]
         assert len(combined) == len(pts)
         assert {(p.lat_deg, p.lon_deg) for p in combined} == {(p.lat_deg, p.lon_deg) for p in pts}
@@ -405,9 +404,9 @@ class TestEmpiricalBound:
             home = gps_offset(HOME, EnuOffset(rng.uniform(-50, 50), rng.uniform(-50, 50), 0.0))
             pts = random_points(rng, home, n_points, 300.0)
             fleet = [Agent(f"a{k}", home, 1.0) for k in range(n_agents)]
-            plan = plan_routes(fleet, pts)
+            plan = plan_routes(fleet, lattice_row(pts))
             longest_m = makespan(plan, fleet) * 1.0
-            bound = mtsp_lower_bound([home, *pts], n_agents)
+            bound = mtsp_lower_bound(lattice_row([home, *pts]), n_agents)
             instances += 1
             if longest_m < bound * (1.0 - 1e-12):
                 violations += 1

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 
 import pytest
 
-from helpers import claim_order, random_points
+from helpers import lattice_row, random_points
 from uavsurvey import (
     Agent,
     CameraModel,
@@ -17,7 +16,6 @@ from uavsurvey import (
     NoiseSpec,
     RadiationSource,
     Waypoint,
-    brute_force_mtsp,
     gps_offset,
     leg_duration,
     makespan,
@@ -57,7 +55,7 @@ class TestLegDuration:
 class TestSimulate:
     def test_empty_plan_has_only_bookend_events(self):
         fleet = fleet_of(2)
-        log = simulate(plan_routes(fleet, []), fleet)
+        log = simulate(plan_routes(fleet, []), fleet, camera=CAM)
         assert [(e.agent_id, e.kind) for e in log.events] == [
             ("rav-0", TAKEOFF),
             ("rav-0", ROUTE_COMPLETE),
@@ -69,24 +67,24 @@ class TestSimulate:
 
     def test_single_waypoint_timing(self):
         fleet = fleet_of(1, velocity=5.0)
-        wp = gps_offset(HOME, EnuOffset(100.0, 0.0, 0.0))
-        log = simulate(plan_routes(fleet, [wp]), fleet)
+        wp = Waypoint(gps_offset(HOME, EnuOffset(100.0, 0.0, 0.0)), (0, 0))
+        log = simulate(plan_routes(fleet, [wp]), fleet, camera=CAM)
         obs = log.observations
         assert len(obs) == 1
         assert obs[0].t == pytest.approx(20.0, rel=1e-9)
-        assert obs[0].waypoint.point == wp
+        assert obs[0].waypoint is wp
 
     def test_reading_above_source(self):
         fleet = [Agent("rav-0", HOME, 5.0)]
-        wp = GeoPoint(0.0, 0.0, 32.0)
+        wp = Waypoint(GeoPoint(0.0, 0.0, 32.0), (0, 0))
         source = RadiationSource(GeoPoint(0.0, 0.0, 0.0), 100.0)
-        log = simulate(plan_routes(fleet, [wp]), fleet, [source])
+        log = simulate(plan_routes(fleet, [wp]), fleet, [source], camera=CAM)
         assert log.observations[0].radiation_usv_s == pytest.approx(100.0 / 32.0**2, rel=1e-12)
 
     def test_deterministic_event_log(self):
         rng = random.Random(30)
         fleet = fleet_of(3, velocity=4.0)
-        pts = random_points(rng, HOME, 15, 300.0, alt_m=32.0)
+        pts = lattice_row(random_points(rng, HOME, 15, 300.0, alt_m=32.0))
         plan = plan_routes(fleet, pts)
         sources = [RadiationSource(HOME, 80.0)]
         noise = NoiseSpec("gaussian", 0.05)
@@ -97,13 +95,13 @@ class TestSimulate:
     def test_noise_draws_keyed_by_agent_not_fleet_order(self):
         rng = random.Random(31)
         fleet = fleet_of(2)
-        pts = random_points(rng, HOME, 8, 200.0, alt_m=32.0)
+        pts = lattice_row(random_points(rng, HOME, 8, 200.0, alt_m=32.0))
         plan = plan_routes(fleet, pts)
         sources = [RadiationSource(HOME, 50.0)]
         noise = NoiseSpec("gaussian", 0.1)
-        forward = simulate(plan, fleet, sources, noise, seed=3)
+        forward = simulate(plan, fleet, sources, noise, seed=3, camera=CAM)
         reversed_fleet = list(reversed(fleet))
-        backward = simulate(plan, reversed_fleet, sources, noise, seed=3)
+        backward = simulate(plan, reversed_fleet, sources, noise, seed=3, camera=CAM)
         assert {(o.agent_id, o.t, o.radiation_usv_s) for o in forward.observations} == {
             (o.agent_id, o.t, o.radiation_usv_s) for o in backward.observations
         }
@@ -112,8 +110,8 @@ class TestSimulate:
         rng = random.Random(32)
         fleet = fleet_of(4)
         pts = random_points(rng, HOME, 23, 400.0, alt_m=32.0)
-        plan = plan_routes(fleet, pts)
-        log = simulate(plan, fleet)
+        plan = plan_routes(fleet, lattice_row(pts))
+        log = simulate(plan, fleet, camera=CAM)
         observed = [(o.waypoint.point.lat_deg, o.waypoint.point.lon_deg) for o in log.observations]
         assert len(observed) == len(pts)
         assert set(observed) == {(p.lat_deg, p.lon_deg) for p in pts}
@@ -121,9 +119,9 @@ class TestSimulate:
     def test_timing_consistency_with_makespan(self):
         rng = random.Random(33)
         fleet = fleet_of(3, velocity=6.0)
-        pts = random_points(rng, HOME, 17, 500.0, alt_m=32.0)
+        pts = lattice_row(random_points(rng, HOME, 17, 500.0, alt_m=32.0))
         plan = plan_routes(fleet, pts)
-        log = simulate(plan, fleet)
+        log = simulate(plan, fleet, camera=CAM)
         finals = {
             aid: max((e.t for e in log.events if e.agent_id == aid), default=0.0)
             for aid in plan.routes
@@ -136,20 +134,20 @@ class TestSimulate:
     def test_radiation_matches_field_when_noise_none(self):
         rng = random.Random(34)
         fleet = fleet_of(2)
-        pts = random_points(rng, HOME, 9, 250.0, alt_m=32.0)
+        pts = lattice_row(random_points(rng, HOME, 9, 250.0, alt_m=32.0))
         sources = [
             RadiationSource(gps_offset(HOME, EnuOffset(30.0, -20.0, 0.0)), 120.0),
             RadiationSource(gps_offset(HOME, EnuOffset(-60.0, 90.0, 0.0)), 40.0),
         ]
-        log = simulate(plan_routes(fleet, pts), fleet, sources)
+        log = simulate(plan_routes(fleet, pts), fleet, sources, camera=CAM)
         for obs in log.observations:
             assert obs.radiation_usv_s == total_intensity(sources, obs.waypoint.point)
 
     def test_events_globally_ordered(self):
         rng = random.Random(35)
         fleet = fleet_of(3)
-        pts = random_points(rng, HOME, 12, 350.0, alt_m=32.0)
-        log = simulate(plan_routes(fleet, pts), fleet)
+        pts = lattice_row(random_points(rng, HOME, 12, 350.0, alt_m=32.0))
+        log = simulate(plan_routes(fleet, pts), fleet, camera=CAM)
         keys = [(e.t, e.agent_id) for e in log.events]
         assert keys == sorted(keys)
         for aid in {e.agent_id for e in log.events}:
@@ -170,11 +168,10 @@ class TestSimulate:
     def test_observations_hold_the_plans_waypoints(self):
         rng = random.Random(37)
         fleet = fleet_of(3)
-        pts = [Waypoint(p, (k, 0)) for k, p in enumerate(random_points(rng, HOME, 13, 300.0, alt_m=32.0))]
+        pts = lattice_row(random_points(rng, HOME, 13, 300.0, alt_m=32.0))
         plan = plan_routes(fleet, pts)
         log = simulate(plan, fleet, camera=CAM)
         assert log.camera is CAM
-        assert simulate(plan, fleet).camera is None
         for aid, route in plan.routes.items():
             flown = [e.waypoint for e in log.observations if e.agent_id == aid]
             assert len(flown) == len(route) and all(e is w for e, w in zip(flown, route))
@@ -182,12 +179,12 @@ class TestSimulate:
 
     def test_dwell_delays_later_waypoints(self):
         fleet = fleet_of(1, velocity=5.0)
-        wps = [
+        wps = lattice_row([
             gps_offset(HOME, EnuOffset(100.0, 0.0, 0.0)),
             gps_offset(HOME, EnuOffset(200.0, 0.0, 0.0)),
-        ]
+        ])
         plan = plan_routes(fleet, wps)
-        log = simulate(plan, fleet, dwell_s=7.0)
+        log = simulate(plan, fleet, camera=CAM, dwell_s=7.0)
         first, second = (o.t for o in log.observations)
         assert first == pytest.approx(20.0, rel=1e-9)
         assert second == pytest.approx(47.0, rel=1e-9)
@@ -196,69 +193,33 @@ class TestSimulate:
     def test_bad_dwell_rejected(self, dwell):
         fleet = fleet_of(1)
         with pytest.raises(ValueError, match="dwell_s: (expected a finite number|must be >= 0)"):
-            simulate(plan_routes(fleet, []), fleet, dwell_s=dwell)
+            simulate(plan_routes(fleet, []), fleet, camera=CAM, dwell_s=dwell)
 
     def test_plan_fleet_mismatch(self):
         fleet = fleet_of(2)
         plan = plan_routes(fleet, [])
         with pytest.raises(ValueError, match="fleet"):
-            simulate(plan, fleet[:1])
+            simulate(plan, fleet[:1], camera=CAM)
 
     def test_mixed_altitudes_rejected(self):
         fleet = fleet_of(1)
-        wps = [GeoPoint(0.0, 0.001, 32.0), GeoPoint(0.0, 0.002, 33.0)]
+        wps = lattice_row([GeoPoint(0.0, 0.001, 32.0), GeoPoint(0.0, 0.002, 33.0)])
         plan = plan_routes(fleet, wps)
         with pytest.raises(ValueError, match="altitude"):
-            simulate(plan, fleet)
+            simulate(plan, fleet, camera=CAM)
 
     def test_mission_id_defaults_to_digest_prefix(self):
         fleet = fleet_of(1)
-        log = simulate(plan_routes(fleet, []), fleet)
+        log = simulate(plan_routes(fleet, []), fleet, camera=CAM)
         assert log.mission_id == f"mission-{log.config_digest[:12]}"
-        named = simulate(plan_routes(fleet, []), fleet, mission_id="survey-7")
+        named = simulate(plan_routes(fleet, []), fleet, camera=CAM, mission_id="survey-7")
         assert named.mission_id == "survey-7"
 
     def test_seed_changes_digest_not_geometry(self):
         fleet = fleet_of(1)
-        wp = gps_offset(HOME, EnuOffset(50.0, 0.0, 0.0))
-        plan = plan_routes(fleet, [wp])
-        a = simulate(plan, fleet, seed=1)
-        b = simulate(plan, fleet, seed=2)
+        plan = plan_routes(fleet, lattice_row([gps_offset(HOME, EnuOffset(50.0, 0.0, 0.0))]))
+        a = simulate(plan, fleet, seed=1, camera=CAM)
+        b = simulate(plan, fleet, seed=2, camera=CAM)
         assert a.config_digest != b.config_digest
         assert a.observations[0].t == b.observations[0].t
 
-
-class TestBarePoints:
-    """A bare GeoPoint p enters the planner as Waypoint(p): routes hold Waypoints only."""
-
-    def mission(self):
-        rng = random.Random(36)
-        fleet = [Agent(f"rav-{k}", HOME, v) for k, v in enumerate((4.0, 6.0, 5.0))]
-        return fleet, random_points(rng, HOME, 14, 300.0, alt_m=32.0)
-
-    def test_bare_and_wrapped_input_plan_and_log_alike(self):
-        fleet, pts = self.mission()
-        bare = plan_routes(fleet, pts)
-        wrapped = plan_routes(fleet, [Waypoint(p) for p in pts])
-        assert bare.routes == wrapped.routes
-        assert claim_order(bare, fleet) == claim_order(wrapped, fleet)
-        args = (fleet, [RadiationSource(HOME, 80.0)], NoiseSpec("gaussian", 0.05), 4)
-        logs = [simulate(plan, *args, dwell_s=2.0) for plan in (bare, wrapped)]
-        assert logs[0].config_digest == logs[1].config_digest
-        texts = [write_observation_log(log) for log in logs]
-        assert texts[0] == texts[1]
-        assert texts[0].count('"lattice_index":null') == len(pts)
-        # The bytes this mission logged when routes still held the bare points.
-        assert logs[0].config_digest == "7300f2a839894a82de94a95983dbacf6f7103031ac90a23c119a76653ecc7173"
-        digest = hashlib.sha256(texts[0].encode("utf-8")).hexdigest()
-        assert digest == "d9d644ccbb29ecfdd1d570798d46448449beb3a9ffb0d889f6bf343d602ab7ea"
-
-    def test_bare_input_comes_back_wrapped(self):
-        fleet, pts = self.mission()
-        plan = plan_routes(fleet, pts)
-        _, partition = brute_force_mtsp(pts[:6], fleet)
-        sequence = claim_order(plan, fleet)
-        for route in [sequence, *plan.routes.values(), *partition.values()]:
-            assert all(type(w) is Waypoint and w.index is None for w in route)
-        assert sorted(id(w.point) for w in sequence) == sorted(id(p) for p in pts)
-        assert sorted(id(w.point) for route in partition.values() for w in route) == sorted(map(id, pts[:6]))

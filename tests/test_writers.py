@@ -191,7 +191,7 @@ class TestEdgeCases:
         grid = int_grid()
         fleet = [Agent("rav-1", GeoPoint(0, 0, 0), 5)]
         plan = plan_routes(fleet, grid.points)
-        log = simulate(plan, fleet)
+        log = simulate(plan, fleet, camera=CameraModel())
         doc = export_geojson(grid, plan)
         assert '"coordinates": [\n          0,\n          0,\n          0\n        ]' in dumps_geojson(doc)
         assert_same_bytes(doc, log)
@@ -211,18 +211,6 @@ class TestEdgeCases:
         doc = export_geojson(grid, plan)
         assert any(f["properties"].get("visit_order", 0) is None for f in doc["features"])
         assert_same_bytes(doc, simulate(plan, fleet, camera=CameraModel()))
-
-    def test_bare_geopoint_routes_without_camera(self):
-        rng = random.Random(5)
-        fleet = [Agent("rav-1", ORIGIN, 5.0), Agent("rav-2", ORIGIN, 7.0)]
-        points = [
-            GeoPoint(ORIGIN.lat_deg + rng.uniform(0, 1e-3), ORIGIN.lon_deg + rng.uniform(0, 1e-3), 20.0)
-            for _ in range(9)
-        ]
-        log = simulate(plan_routes(fleet, points), fleet, [RadiationSource(ORIGIN, 50.0)])
-        text = write_observation_log(log)
-        assert '"half_fov_deg":null,"footprint_width_m":null,"lattice_index":null' in text
-        assert_same_bytes(log=log)
 
     def test_point_with_added_property(self):
         grid, plan, _ = random_mission(random.Random(6))
@@ -252,24 +240,13 @@ class TestEdgeCases:
         fleet = [Agent("rav-1", GeoPoint(0, 0, 0), 5.0)]
         empty = WaypointGrid(1.0, grid.rect, ())
         plan = plan_routes(fleet, [])
-        assert_same_bytes(export_geojson(empty, plan), simulate(plan, fleet))
+        assert_same_bytes(export_geojson(empty, plan), simulate(plan, fleet, camera=CameraModel()))
 
     def test_hand_built_events(self):
         wp = SimpleNamespace(point=SimpleNamespace(lat_deg=1, lon_deg=-0.0, alt_m=True), index=[3, (4,)])
         events = [Event(0, "a", "takeoff"), Event(1.0, "a", WAYPOINT_REACHED, wp, 0), Event(2.0, None, "custom é")]
-        for camera in (None, CameraModel(30, 0.1, 2), SimpleNamespace(half_fov_deg=45, altitude_m=0)):
+        for camera in (CameraModel(30, 0.1, 2), SimpleNamespace(half_fov_deg=45, altitude_m=0)):
             assert_same_bytes(log=EventLog('id "q"', "0" * 64, events, camera))
-
-    def test_camera_constants_only_with_observations(self):
-        # A footprint that overflows to inf: a log with no observation never
-        # renders it, one with an observation refuses it.
-        camera = CameraModel(altitude_m=1e308)
-        fleet = [Agent("rav-1", ORIGIN, 5.0)]
-        assert_same_bytes(log=simulate(plan_routes(fleet, []), fleet, camera=camera))
-        point = GeoPoint(ORIGIN.lat_deg, ORIGIN.lon_deg, 1e308)
-        log = simulate(plan_routes(fleet, [point]), fleet, camera=camera)
-        with pytest.raises(ValueError, match="JSON compliant"):
-            write_observation_log(log)
 
     def test_unsupported_type_raises_type_error(self):
         grid, plan, log = random_mission(random.Random(8))
@@ -280,7 +257,7 @@ class TestEdgeCases:
         event = next(e for e in log.events if e.kind == WAYPOINT_REACHED)
         bad = dataclasses.replace(event, radiation_usv_s=1j)
         with pytest.raises(TypeError):
-            write_observation_log(EventLog("m", "0" * 64, [bad]))
+            write_observation_log(EventLog("m", "0" * 64, [bad], log.camera))
 
 
 # --------------------------------------------------------------------------
@@ -361,7 +338,7 @@ def test_log_float_slots_refuse_non_finite(slot, value):
 
 def test_bookend_time_refuses_non_finite():
     for value in NON_FINITE:
-        log = EventLog("m", "0" * 64, [Event(t=value, agent_id="rav-1", kind="takeoff")])
+        log = EventLog("m", "0" * 64, [Event(t=value, agent_id="rav-1", kind="takeoff")], CameraModel())
         with pytest.raises(ValueError, match="JSON compliant"):
             write_observation_log(log)
 
