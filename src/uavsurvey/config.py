@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .geodesy import METERS_PER_DEG_LAT, GeoPoint
 from .grid import CameraModel, PolygonRegion, _lattice_axes, bounding_rectangle, grid_spacing
-from .radiation import NoiseSpec, RadiationSource
+from .radiation import GAUSS_MAX_Z, MIN_DISTANCE_M, NoiseSpec, RadiationSource
 from .routing import Agent, _check_fleet
 from .sim import _check_dwell
 
@@ -59,11 +59,35 @@ class MissionConfig:
         ends += [(a.home.lat_deg, a.home.lon_deg, a.home.alt_m) for a in self.fleet]
         lat_span, lon_span, alt_span = (max(x) - min(x) for x in zip(*ends))
         k, slowest = min(enumerate(self.fleet), key=lambda item: item[1].velocity_mps)
-        leg_s = ((lat_span + lon_span) * METERS_PER_DEG_LAT + alt_span) / slowest.velocity_mps
+        leg_m = (lat_span + lon_span) * METERS_PER_DEG_LAT + alt_span
+        leg_s = leg_m / slowest.velocity_mps
         points = len(lats) * len(lons)
         if not 2.0 * points * (self.dwell_s + leg_s) < math.inf:
-            path = "dwell_s" if self.dwell_s >= leg_s else f"fleet[{k}].velocity_mps"
+            if self.dwell_s >= leg_s:
+                path = "dwell_s"
+            elif 2.0 * points * (self.dwell_s + leg_m) < math.inf:  # the times fit at 1 m/s
+                path = f"fleet[{k}].velocity_mps"
+            else:
+                # Degrees are bounded, so the leg is long because of an
+                # altitude: the one farthest from zero, the camera's first.
+                alts = [self.camera.altitude_m] + [a.home.alt_m for a in self.fleet]
+                j = max(range(len(alts)), key=lambda i: abs(alts[i]))
+                path = f"fleet[{j - 1}].home" if j else "camera.altitude_m"
             raise _fail(path, f"event times up to {points} x ({self.dwell_s} s dwell + {leg_s:.6g} s leg) overflow")
+        # Every reading is at most the sources' levels at the MIN_DISTANCE_M
+        # clamp, summed as field_levels sums, times 1 + GAUSS_MAX_Z * sd for
+        # gaussian noise. Float rounding is monotone, so this bound in the
+        # same operations must be finite.
+        ceiling = 0.0
+        for k, source in enumerate(self.sources):
+            ceiling += source.sigma / (MIN_DISTANCE_M * MIN_DISTANCE_M)
+            if ceiling == math.inf:
+                message = f"readings up to the sum of sigma / {MIN_DISTANCE_M}^2 over sources[:{k + 1}] overflow"
+                raise _fail(f"sources[{k}].sigma", message)
+        sd = self.noise.relative_sd
+        if self.noise.kind == "gaussian" and ceiling > 0.0 and not ceiling * (1.0 + GAUSS_MAX_Z * sd) < math.inf:
+            message = f"readings up to {ceiling:.6g} uSv/s x (1 + {GAUSS_MAX_Z} x {sd}) overflow"
+            raise _fail("noise.relative_sd", message)
 
 
 def _fail(path: str, message) -> ConfigError:

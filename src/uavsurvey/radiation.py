@@ -95,6 +95,11 @@ def field_levels(sources, points) -> list[float]:
     return levels
 
 
+# random.gauss draws z = cos(a) * sqrt(-2 log(1 - u)) with 1 - u >= 2^-53,
+# so |z| <= sqrt(106 ln 2) = 8.57 standard deviations.
+GAUSS_MAX_Z = 8.6
+
+
 def sample_reading(intensity: float, noise: NoiseSpec, rng: random.Random | None = None) -> float:
     """One simulated detector sample, deterministic given the rng state.
 

@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import add
 from typing import Sequence
 
 from .geodesy import METERS_PER_DEG_LAT, GeoPoint, distance_m
 from .grid import Waypoint
 
-# Held-Karp keeps up to 2^(n-1) rows of n-1 floats. When every row stays
-# live, as on points in a line, the tracemalloc peak at n = 18 is about
-# 60 MB. Larger instances have no exact reference.
+# Held-Karp keeps a dict entry per path over the n - 1 other points that
+# can still close within its budget, at most (n - 1) * 2^(n - 2). At n = 18
+# (tracemalloc peak, one tsp_optimal, CPython 3.11 on a 2-core x86 VM):
+# on coincident points nothing prunes, 79 MB and 1.6 s; on points in a line
+# about a fifth of the entries live, 36 MB and 0.95 s. Larger instances have
+# no exact reference.
 HELD_KARP_MAX_POINTS = 18
 ORACLE_MAX_POINTS = 8
 ORACLE_MAX_AGENTS = 3
@@ -225,60 +227,112 @@ def makespan(plan: RoutePlan, agents: Sequence[Agent]) -> float:
     return worst
 
 
-def _path_rows(first: list[float], pair: list[list[float]], budget: float = math.inf) -> list[list[float] | None]:
+def _path_rows(first: list[float], pair: list[list[float]], budget: float = math.inf) -> list[dict[int, float] | None]:
     """Open-path subset DP over ``m = len(first)`` points.
 
     ``rows[s][k]`` is the cheapest path that starts with the leg ``first[k0]``
     into some point ``k0``, visits exactly the points of bit set ``s`` and ends
-    at ``k``, its legs (``pair[j][k]`` from j to k) added left to right; a
-    point outside ``s`` holds ``inf``, so each entry is one C-level
-    reduction, ``min(map(add, rows[s ^ (1 << k)], cols[k]))``. ``rows[0]``
-    is None. Float addition is monotone, so taking the minimum before adding
-    the next leg gives the same float as minimising over every order.
+    at ``k``, its legs (``pair[j][k]`` from j to k) added left to right. A row
+    is a dict of its live entries, or None; ``rows[0]`` is None. Bit sets are
+    visited in ascending order, and each entry ``(s, j, v)`` offers
+    ``v + pair[j][k]`` to the entry ``(s | 1 << k, k)`` for every k outside
+    ``s``, which keeps the smallest offer. Float addition is monotone, so
+    taking the minimum before adding the next leg gives the same float as
+    minimising over every order.
 
-    With a ``budget``, a row is kept only if its cheapest entry is at most
-    ``budget`` less the floors of the points outside ``s``, a point's floor
-    being its cheapest leg from another point. Other rows are None and cost
-    their supersets nothing. Every leg is at least its floor, so an entry
-    over that limit only leads to entries over theirs, and every path that
-    can end within the budget is kept with its value.
+    A ``budget`` bounds closed tours that go back to the start by the legs in
+    ``first``: the legs back must equal them. An entry is kept only if its
+    value plus each of two floors on the rest of the tour is within it:
+
+    - the cheapest legs into the points outside ``s``, a point's being its
+      cheapest leg from another point, plus the cheapest leg back;
+    - the shortest path from ``k`` back to the start through the farthest
+      point outside ``s``, or straight back when none is left. Paths are
+      measured in ``D``, the Floyd-Warshall closure of the legs.
+
+    A real rest of the tour is never shorter, with no triangle inequality
+    needed. An entry over its limit only offers entries over theirs, so
+    every entry that can end within the budget is kept, with its value, and
+    offers over a limit are not stored.
     """
     m = len(first)
     inf = math.inf
-    cols = [list(col) for col in zip(*pair)]
-    floors = [min(col[:k] + col[k + 1:], default=0.0) for k, col in enumerate(cols)]
-    # The limit of s, budget - (the floors of the points outside s), is
-    # base + low[s & mask] + high[s >> half]: subset sums of the floors of
-    # the low and the high half of the points.
-    half = m // 2
-    low, high = [0.0], [0.0]
-    for k, floor in enumerate(floors):
-        sums = low if k < half else high
-        sums += [x + floor for x in sums]
-    base = budget - sum(floors)
-    mask = (1 << half) - 1
-    rows: list[list[float] | None] = [None] * (1 << m)
-    for k in range(m):
-        b = 1 << k
-        if first[k] <= base + low[b & mask] + high[b >> half]:
-            rows[b] = [first[k] if j == k else inf for j in range(m)]
-    bit_cols = [(1 << k, col) for k, col in enumerate(cols)]
-    for s in range(3, 1 << m):
-        if s & (s - 1):
-            row = [min(map(add, prev, col)) if s & b and (prev := rows[s ^ b]) else inf for b, col in bit_cols]
-            if budget == inf or min(row) <= base + low[s & mask] + high[s >> half]:
-                rows[s] = row
+    bits = [(k, 1 << k) for k in range(m)]
+    bounded = budget < inf
+    if bounded:
+        floors = [min([row[k] for row in pair[:k] + pair[k + 1:]], default=0.0) for k in range(m)]
+        # The first limit of s, budget - (the floors of the points outside s
+        # and of the leg back), is base + low[s & mask] + high[s >> half]:
+        # subset sums of the floors of the low and the high half of the points.
+        half = m // 2
+        low, high = [0.0], [0.0]
+        for k, floor in enumerate(floors):
+            sums = low if k < half else high
+            sums += [x + floor for x in sums]
+        base = budget - min(first, default=0.0) - sum(floors)
+        mask = (1 << half) - 1
+        # D over the points and the start, which is point m.
+        dist = [row + [leg] for row, leg in zip(pair, first)] + [first + [0.0]]
+        for w, via in enumerate(dist):
+            for row in dist:
+                row[:] = [min(x, row[w] + y) for x, y in zip(row, via)]
+        # tails[k]: (D[k][t] + D[t][start], bit of t), farthest first, then
+        # (D[k][start], 0), which every bit set leaves outside.
+        tails = [
+            sorted([(dist[k][t] + dist[t][m], 1 << t) for t in range(m) if t != k], reverse=True) + [(dist[k][m], 0)]
+            for k in range(m)
+        ]
+
+    def targets(s: int) -> list[tuple[int, int, float]]:
+        """``(k, s | 1 << k, the largest value entry (s | 1 << k, k) keeps)``
+        for every k outside ``s``."""
+        out = []
+        for k, b in bits:
+            if not s & b:
+                t = s | b
+                if bounded:
+                    for tail, c in tails[k]:
+                        if not t & c:
+                            break
+                    limit = base + low[t & mask] + high[t >> half]
+                    if budget - tail < limit:
+                        limit = budget - tail
+                    out.append((k, t, limit))
+                else:
+                    out.append((k, t, inf))
+        return out
+
+    rows: list[dict[int, float] | None] = [None] * (1 << m)
+    for k, t, limit in targets(0):
+        if first[k] <= limit:
+            rows[t] = {k: first[k]}
+    for s in range(1, 1 << m):
+        row = rows[s]
+        if row is not None:
+            out = targets(s)
+            for j, v in row.items():
+                legs = pair[j]
+                for k, t, limit in out:
+                    offer = v + legs[k]
+                    if offer <= limit:
+                        target = rows[t]
+                        if target is None:
+                            rows[t] = {k: offer}
+                        elif offer < target.get(k, inf):
+                            target[k] = offer
     return rows
 
 
 def tsp_optimal(points: Sequence[Waypoint]) -> float:
     """Exact minimum Hamiltonian tour length in metres via Held-Karp.
 
-    The tour is anchored at point 0; ``_path_rows`` keeps one row of n - 1
-    floats per subset of the other points, within a budget from one real
+    The tour is anchored at point 0; ``_path_rows`` keeps the paths over
+    the other points that can still close within a budget from one real
     tour: nearest neighbour from point 0, improved by 2-opt. That tour's
     legs summed left to right are one of the sums the DP minimises, so the
-    optimal tour stays within the budget. Limited to HELD_KARP_MAX_POINTS.
+    optimal tour stays within the budget. ``distance_m`` is symmetric bit for
+    bit, so the legs back to point 0 equal the legs out. Limited to
+    HELD_KARP_MAX_POINTS.
     """
     pts = [w.point for w in points]
     n = len(pts)
@@ -313,8 +367,8 @@ def tsp_optimal(points: Sequence[Waypoint]) -> float:
     for a, b in zip(tour, tour[1:]):
         length += c[a][b]
     closing = [row[0] for row in c[1:]]
-    full = _path_rows(c[0][1:], [row[1:] for row in c[1:]], length / _RING_SLACK - min(closing))[-1]
-    return min(map(add, full, closing))
+    full = _path_rows(c[0][1:], [row[1:] for row in c[1:]], length / _RING_SLACK)[-1]
+    return min([v + closing[k] for k, v in full.items()])
 
 
 def mtsp_lower_bound(points: Sequence[Waypoint], n_agents: int) -> float:
@@ -342,8 +396,9 @@ def _covers(rest: int, parts: int):
         sub = (sub - 1) & rest
 
 
-def _cheapest_order(rows: list[list[float] | None], pair: list[list[float]], s: int) -> list[int]:
-    """A visit order of bit set ``s`` whose left-to-right cost is ``min(rows[s])``.
+def _cheapest_order(rows: list[dict[int, float] | None], pair: list[list[float]], s: int) -> list[int]:
+    """A visit order of bit set ``s`` whose left-to-right cost is the least
+    entry of ``rows[s]``, a row of the unbounded DP.
 
     Walking back, each step takes the first point whose row entry plus the
     leg reproduces the stored value exactly, so the order costs that float.
@@ -390,7 +445,7 @@ def brute_force_mtsp(points: Sequence[Waypoint], agents: Sequence[Agent]):
 
     tables = [_path_rows(first, pair_cost) for first in home_cost]
     durations = [
-        [0.0] + [min(rows[s]) / a.velocity_mps for s in range(1, 1 << n)] for a, rows in zip(agents, tables)
+        [0.0] + [min(rows[s].values()) / a.velocity_mps for s in range(1, 1 << n)] for a, rows in zip(agents, tables)
     ]
 
     def slowest(cover: tuple[int, ...]) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import stat
 
@@ -10,7 +11,7 @@ import pytest
 
 from helpers import REPO_CONFIG, assert_valid_geojson
 from uavsurvey import config as config_module
-from uavsurvey import grid
+from uavsurvey import generate_waypoints, grid, parse_mission_config
 from uavsurvey.cli import main
 
 TINY = {
@@ -22,6 +23,13 @@ TINY = {
     "sources": [{"position": [0.0, 0.0002], "sigma": 100.0}],
     "seed": 11,
 }
+
+
+def on_a_waypoint() -> list[float]:
+    """The campus mission's first waypoint, at the camera's altitude."""
+    config = parse_mission_config(REPO_CONFIG.read_text(encoding="utf-8"))
+    p = generate_waypoints(config.region, config.camera).points[0].point
+    return [p.lat_deg, p.lon_deg, p.alt_m]
 
 
 @pytest.fixture
@@ -169,31 +177,57 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "slot, value, error",
+        "path, value, error",
         [
-            ("dwell_s", 1e308, "error: dwell_s: event times up to 169 x (1e+308 s dwell + 182.963 s leg) overflow\n"),
-            ("velocity_mps", 1e-306,
+            (("dwell_s",), 1e308,
+             "error: dwell_s: event times up to 169 x (1e+308 s dwell + 182.963 s leg) overflow\n"),
+            (("fleet", 0, "velocity_mps"), 1e-306,
              "error: fleet[0].velocity_mps: event times up to 169 x (0.0 s dwell + inf s leg) overflow\n"),
-            ("altitude_m", 1e308,
+            (("camera", "altitude_m"), 1e308,
              "error: camera: footprint width 2 * altitude_m * tan(half_fov_deg) must be finite, got inf\n"),
+            (("fleet", 1, "home", 2), 1e308,
+             "error: fleet[1].home: event times up to 169 x (0.0 s dwell + 1.25e+307 s leg) overflow\n"),
+            (("sources", 0, "sigma"), 1e308,
+             "error: sources[0].sigma: readings up to the sum of sigma / 0.1^2 over sources[:1] overflow\n"),
+            (("noise",), {"kind": "gaussian", "relative_sd": 1e308},
+             "error: noise.relative_sd: readings up to 12000 uSv/s x (1 + 8.6 x 1e+308) overflow\n"),
         ],
-        ids=["dwell", "velocity", "altitude"],
+        ids=["dwell", "velocity", "altitude", "home", "sigma", "noise"],
     )
-    def test_log_refused_leaves_no_plan(self, tmp_path, capsys, slot, value, error):
-        # Event times or a footprint past the float range would give a log no
-        # strict JSON writer can write: validate and simulate refuse the
-        # mission at parse time, naming the config path, and write nothing.
+    def test_log_refused_leaves_no_plan(self, tmp_path, capsys, path, value, error):
+        # Event times, a footprint or readings past the float range would
+        # give a log no strict JSON writer can write: validate and simulate
+        # refuse the mission at parse time, naming the config path, and
+        # write nothing. The source sits on a waypoint at the camera's
+        # altitude, where its level is sigma / 0.1^2.
         doc = json.loads(REPO_CONFIG.read_text(encoding="utf-8"))
-        owner = {"dwell_s": doc, "velocity_mps": doc["fleet"][0], "altitude_m": doc["camera"]}[slot]
-        owner[slot] = value
-        path = tmp_path / "slow.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        doc["sources"][0]["position"] = on_a_waypoint()
+        owner = doc
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+        config = tmp_path / "overflow.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "out"
         out.mkdir()
-        for argv in (["validate", "--config", str(path)], ["simulate", "--config", str(path), "--out", str(out)]):
+        for argv in (["validate", "--config", str(config)], ["simulate", "--config", str(config), "--out", str(out)]):
             assert main(argv) == 1
             assert capsys.readouterr().err == error
         assert list(out.iterdir()) == []
+
+    def test_readings_just_inside_the_bound_are_written(self, tmp_path):
+        # A source on a waypoint whose clamped level times the largest noise
+        # factor, 1e307 x (1 + 8.6 x 1.0), is just below the float range.
+        doc = json.loads(REPO_CONFIG.read_text(encoding="utf-8"))
+        doc["sources"][0] = {"position": on_a_waypoint(), "sigma": 1e305}
+        doc["noise"] = {"kind": "gaussian", "relative_sd": 1.0}
+        config = tmp_path / "hot.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "observations.jsonl").read_text(encoding="utf-8").splitlines()
+        readings = [event["radiation_usv_s"] for event in map(json.loads, lines) if "radiation_usv_s" in event]
+        assert all(math.isfinite(r) for r in readings)
+        assert max(readings) > 1e306
 
     def test_overrides_rerun_the_mission_rules_once(self, tmp_path, monkeypatch):
         # Parsing counts the lattice once and the --agents/--seed overrides

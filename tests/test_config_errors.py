@@ -99,6 +99,10 @@ CASES = [
      "camera: half_fov_deg must be within (0, 90), got 90.0"),
     ("camera-footprint-infinite", put("camera", {"altitude_m": 1e308}),
      "camera: footprint width 2 * altitude_m * tan(half_fov_deg) must be finite, got inf"),
+    # A narrow camera very high up: a fine lattice, and legs long because of
+    # the camera's altitude.
+    ("camera-altitude-event-times", put("camera", {"half_fov_deg": 1e-305, "altitude_m": 8e307}),
+     "camera.altitude_m: event times up to 63 x (0.0 s dwell + 1.6e+307 s leg) overflow"),
     ("camera-lattice-ceiling", put("camera", {"altitude_m": 0.01}),
      "camera: grid spacing 0.01333 m over a 111 m x 134 m rectangle gives more than 1000000 lattice points"),
     ("camera-lattice-past-the-pole", put("region", [[89.9995, -9.0], [89.9999, -9.0], [89.9999, -9.002]]),
@@ -124,6 +128,9 @@ CASES = [
      "fleet[0]: velocity_mps must be positive and finite, got 0.0"),
     ("fleet-velocity-event-times", put("fleet", [AGENT, {**AGENT, "id": "rav-2", "velocity_mps": 1e-306}]),
      "fleet[1].velocity_mps: event times up to 20 x (0.0 s dwell + inf s leg) overflow"),
+    # All agents fly 5 m/s; the leg is long because of the home's altitude.
+    ("fleet-home-event-times", put("fleet", [AGENT, {**AGENT, "id": "rav-2", "home": [53.0, -9.0, 1e308]}]),
+     "fleet[1].home: event times up to 20 x (0.0 s dwell + 2e+307 s leg) overflow"),
     ("fleet-empty-id", put("fleet", 0, "id", ""), "fleet[0]: agent id must be non-empty"),
     ("fleet-duplicate-ids", put("fleet", [AGENT, AGENT]), "agent ids must be unique within the fleet"),
     ("fleet-empty", put("fleet", []), "fleet must have at least one agent"),
@@ -144,6 +151,8 @@ CASES = [
      "sources[0].sigma: expected a finite number, got nan"),
     ("sources-sigma-invariant", put("sources", [{**SOURCE, "sigma": -2.0}]),
      "sources[0]: sigma must be finite and >= 0, got -2.0"),
+    ("sources-sigma-readings", put("sources", [SOURCE, {**SOURCE, "sigma": 1e308}]),
+     "sources[1].sigma: readings up to the sum of sigma / 0.1^2 over sources[:2] overflow"),
     ("sources-position-out-of-range", put("sources", [{**SOURCE, "position": [99.0, 0.0]}]),
      "sources[0].position: lat_deg must be within [-90, 90], got 99.0"),
     # noise
@@ -160,6 +169,8 @@ CASES = [
      "noise.relative_sd: expected a finite number, got inf"),
     ("noise-sd-invariant", put("noise", {"kind": "gaussian", "relative_sd": -0.5}),
      "noise: relative_sd must be finite and >= 0, got -0.5"),
+    ("noise-sd-readings", lambda doc: {**doc, "sources": [SOURCE], "noise": {"kind": "gaussian", "relative_sd": 1e308}},
+     "noise.relative_sd: readings up to 9000 uSv/s x (1 + 8.6 x 1e+308) overflow"),
     # seed
     ("seed-float", put("seed", 1.5), "seed: expected an integer, got float"),
     ("seed-bool", put("seed", True), "seed: expected an integer, got bool"),

@@ -8,9 +8,10 @@ the oracle's partition may be another optimal one than the reference's, so
 the partition is checked as an exact cover whose makespan is the value, bit
 for bit.
 
-Held-Karp's rows are bounded by a budget from a 2-opt tour; with it,
+Held-Karp's entries are bounded by a budget from a 2-opt tour; with it,
 ``tsp_optimal`` must still equal the unbounded DP in ``helpers`` with ``==``,
-on the lattice shapes ``bound_eval`` draws and on random points.
+and every entry the kernel keeps must hold the unbounded value, on the
+lattice shapes ``bound_eval`` draws and on random points.
 """
 
 from __future__ import annotations
@@ -126,6 +127,19 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+def entries(rows) -> int:
+    return sum(len(row) for row in rows if row is not None)
+
+
+def assert_kept_entries_are_exact(first, pair, rows):
+    """Every kept entry is the unbounded DP's value, bit for bit."""
+    ref = unbounded_path_rows(first, pair)
+    for s, row in enumerate(rows):
+        for k, v in (row or {}).items():
+            assert s >> k & 1, (s, k)
+            assert v == ref[s][k], (s, k)
+
+
 # bound_eval's shapes: a side of at most 4, n = 9..16, lines both ways.
 LATTICES = [(1, 9), (11, 1), (1, 13), (1, 16), (2, 5), (6, 2), (2, 7), (2, 8), (3, 4), (3, 5), (4, 4)]
 
@@ -134,22 +148,30 @@ LATTICES = [(1, 9), (11, 1), (1, 13), (1, 16), (2, 5), (6, 2), (2, 7), (2, 8), (
 def test_bounded_held_karp_equals_unbounded_on_lattices(rows, cols, kernel_calls):
     """Also a pruning guard: a 2x8 lattice keeps under 10 % of its rows. On a
     line every subset lies on an optimal out-and-back tour, so every row
-    stays: the worst case."""
+    keeps an entry. But entry (s, k) lives only if k is the last point of s
+    on the way out, or the way back has passed every point outside s: a
+    1x16 line keeps about 1.5 of the m 2^(m - 1) dense entries per row."""
     rng = random.Random(rows * 100 + cols)
     pts = rectangle(rows, cols, rng.uniform(5.0, 40.0), rng.uniform(-60.0, 60.0))
     assert tsp_optimal(pts) == unbounded_tsp_optimal(pts)
-    (*_, table), = kernel_calls
+    (first, pair, _, table), = kernel_calls
+    assert_kept_entries_are_exact(first, pair, table)
     live = sum(row is not None for row in table)
     if 1 in (rows, cols):
         assert live == len(table) - 1
+    if (rows, cols) == (1, 16):
+        m = len(first)
+        assert entries(table) <= 0.25 * m * 2 ** (m - 1)
     if (rows, cols) == (2, 8):
         assert live < 0.10 * len(table)
 
 
-@pytest.mark.parametrize("n", range(9, 15))
-def test_bounded_held_karp_equals_unbounded_on_random_points(n):
+@pytest.mark.parametrize("n", range(9, 17))
+def test_bounded_held_karp_equals_unbounded_on_random_points(n, kernel_calls):
     pts = lattice_row(random_points(random.Random(500 + n), ORIGIN, n, 300.0))
     assert tsp_optimal(pts) == unbounded_tsp_optimal(pts)
+    (first, pair, _, table), = kernel_calls
+    assert_kept_entries_are_exact(first, pair, table)
 
 
 def test_loose_budget_keeps_the_optimum(kernel_calls):
@@ -158,60 +180,87 @@ def test_loose_budget_keeps_the_optimum(kernel_calls):
     optimum = unbounded_tsp_optimal(pts)
     assert tsp_optimal(pts) == optimum
     (_, _, budget, _), = kernel_calls
-    assert budget > 1.05 * (optimum - min(legs(pts)[2]))
+    assert budget > 1.05 * optimum
 
 
-def test_budget_is_the_tour_with_slack_less_the_cheapest_closing_leg(kernel_calls):
+def test_budget_is_the_tour_with_slack(kernel_calls):
     """On a 2x6 lattice 2-opt finds an optimal tour, so the budget is the
-    optimum over 1 - 1e-9 less the cheapest leg back to point 0, to rounding."""
+    optimum over 1 - 1e-9, to rounding."""
     pts = rectangle(2, 6, 20.0, 45.0)
     optimum = tsp_optimal(pts)
     (_, _, budget, _), = kernel_calls
-    assert budget == pytest.approx(optimum / (1.0 - 1e-9) - min(legs(pts)[2]), rel=1e-13, abs=0.0)
+    assert budget == pytest.approx(optimum / (1.0 - 1e-9), rel=1e-13, abs=0.0)
 
 
-def test_coincident_points_sit_on_the_budget():
+def test_coincident_points_sit_on_the_budget(kernel_calls):
     """A zero tour: the budget is 0 and every entry equals its limit, so an
-    entry at its limit must be kept."""
+    entry at its limit must be kept, and nothing is pruned."""
     assert tsp_optimal(lattice_row([ORIGIN] * 6)) == 0.0
+    (first, _, budget, table), = kernel_calls
+    m = len(first)
+    assert budget == 0.0
+    assert entries(table) == m * 2 ** (m - 1)
 
 
 def test_no_budget_keeps_every_row():
+    """Every entry of every row, with the unbounded value."""
     first, pair, _ = legs(lattice_row(random_points(random.Random(7), ORIGIN, 10, 300.0)))
     rows = routing._path_rows(first, pair)
+    ref = unbounded_path_rows(first, pair)
     assert rows[0] is None
-    assert all(row is not None for row in rows[1:])
-    assert rows == unbounded_path_rows(first, pair)
+    for s in range(1, len(rows)):
+        assert rows[s] == {k: v for k, v in enumerate(ref[s]) if s >> k & 1}, s
+
+
+def tail_floors(first, pair):
+    """The kernel's two floors on the rest of a tour from entry (s, k), by
+    the definitions: ``rows(s)``, the cheapest legs into the points outside
+    s plus the cheapest leg back, and ``paths(s, k)``, the shortest path
+    from k back to the start through a point outside s, or straight back."""
+    m = len(first)
+    dist = [row + [leg] for row, leg in zip(pair, first)] + [first + [0.0]]
+    for w in range(m + 1):
+        for i in range(m + 1):
+            for j in range(m + 1):
+                dist[i][j] = min(dist[i][j], dist[i][w] + dist[w][j])
+    into = [min(pair[j][k] for j in range(m) if j != k) for k in range(m)]
+
+    def rows(s):
+        return sum(into[t] for t in range(m) if not s >> t & 1) + min(first)
+
+    def paths(s, k):
+        return max([dist[k][m]] + [dist[k][t] + dist[t][m] for t in range(m) if not s >> t & 1])
+
+    return rows, paths
 
 
 @pytest.mark.parametrize(
     "pts",
-    [rectangle(3, 4, 15.0, -30.0), lattice_row(random_points(random.Random(11), ORIGIN, 12, 300.0))],
-    ids=["lattice-3x4", "random-12"],
+    [rectangle(3, 4, 15.0, -30.0), rectangle(1, 12, 15.0, 10.0),
+     lattice_row(random_points(random.Random(11), ORIGIN, 12, 300.0))],
+    ids=["lattice-3x4", "line-1x12", "random-12"],
 )
 def test_kept_rows_are_those_that_can_end_within_the_budget(pts):
-    """Row s is kept iff its cheapest unbounded entry is at most the budget
-    less the cheapest legs into the points outside s, and a kept entry
-    within that limit is the unbounded value. Rows within 1e-12 of the
-    budget are left out of the check."""
+    """Entry (s, k) is kept iff its unbounded value plus each floor on the
+    rest of the tour is within the budget, and a kept entry holds the
+    unbounded value. Entries within 1e-12 of the budget are left out."""
     first, pair, closing = legs(pts)
+    assert first == closing
     m = len(first)
     ref = unbounded_path_rows(first, pair)
-    budget = min(map(sum, zip(ref[-1], closing))) / (1.0 - 1e-9) - min(closing)
+    budget = min(map(sum, zip(ref[-1], closing))) / (1.0 - 1e-9)
     rows = routing._path_rows(first, pair, budget)
-    floors = [min(pair[j][k] for j in range(m) if j != k) for k in range(m)]
+    rest_rows, rest_paths = tail_floors(first, pair)
     tol = 1e-12 * budget
     kept = 0
     for s in range(1, 1 << m):
-        limit = budget - sum(floors[k] for k in range(m) if not s >> k & 1)
-        cheapest = min(ref[s])
-        if cheapest > limit + tol:
-            assert rows[s] is None, s
-        elif cheapest <= limit - tol:
-            assert rows[s] is not None, s
-            kept += 1
-            for k in range(m):
-                if ref[s][k] <= limit - tol:
-                    assert rows[s][k] == ref[s][k], (s, k)
-    assert 0 < kept < (1 << m) - 1
-
+        for k in range(m):
+            if not s >> k & 1:
+                continue
+            least = ref[s][k] + max(rest_rows(s), rest_paths(s, k))
+            if least > budget + tol:
+                assert k not in (rows[s] or {}), (s, k)
+            elif least <= budget - tol:
+                assert rows[s][k] == ref[s][k], (s, k)
+                kept += 1
+    assert 0 < kept < m << (m - 1)

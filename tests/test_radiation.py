@@ -23,7 +23,7 @@ from uavsurvey import (
     strength_at,
     total_intensity,
 )
-from uavsurvey.radiation import MIN_DISTANCE_M, field_levels
+from uavsurvey.radiation import GAUSS_MAX_Z, MIN_DISTANCE_M, field_levels
 
 ORIGIN = GeoPoint(0.0, 0.0, 0.0)
 
@@ -271,6 +271,26 @@ class TestSampleReading:
         readings = [sample_reading(1.0, noise, rng) for _ in range(200)]
         assert all(r >= 0.0 for r in readings)
         assert any(r == 0.0 for r in readings)
+
+    def test_largest_gaussian_draw_is_below_the_stated_bound(self):
+        """random.gauss's largest |z| comes from its two uniforms at their
+        extremes: the angle at 0 and 1 - u at 2^-53. The config's reading
+        bound rests on it staying below GAUSS_MAX_Z on this Python."""
+
+        class Extreme(random.Random):
+            def __init__(self, draws):
+                super().__init__(0)
+                self.draws = iter(draws)
+
+            def random(self):
+                return next(self.draws)
+
+        top = 1.0 - 2.0 ** -53
+        for draws in ([0.0, top], [0.5, top]):
+            z = Extreme(draws).gauss(0.0, 1.0)
+            assert 8.5 < abs(z) < GAUSS_MAX_Z
+        noise = NoiseSpec("gaussian", 1e300)
+        assert sample_reading(1e7, noise, Extreme([0.0, top])) <= 1e7 * (1.0 + GAUSS_MAX_Z * 1e300)
 
     def test_gaussian_requires_rng(self):
         with pytest.raises(ValueError, match="rng|generator"):
