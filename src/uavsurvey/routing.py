@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .geodesy import METERS_PER_DEG_LAT, GeoPoint, distance_m
 from .grid import Waypoint
 
-# Held-Karp keeps a dict entry per path over the n - 1 other points that
-# can still close within its budget, at most (n - 1) * 2^(n - 2). At n = 18
-# (tracemalloc peak, one tsp_optimal, CPython 3.11 on a 2-core x86 VM):
-# on coincident points nothing prunes, 79 MB and 1.6 s; on points in a line
-# about a fifth of the entries live, 36 MB and 0.95 s. Larger instances have
-# no exact reference.
+# Held-Karp makes a dict entry per path over the n - 1 other points that
+# can still close within its budget, at most (n - 1) * 2^(n - 2), but holds
+# only two layers of set sizes at a time. At n = 18 (tracemalloc peak, one
+# tsp_optimal, CPython 3.11 on a 2-core x86 VM): on coincident points
+# nothing prunes, 17 MB and 2.0 s; on points in a line about a fifth of the
+# entries live, 9.6 MB and 1.0 s. Larger instances have no exact reference.
 HELD_KARP_MAX_POINTS = 18
 ORACLE_MAX_POINTS = 8
 ORACLE_MAX_AGENTS = 3
@@ -227,18 +227,25 @@ def makespan(plan: RoutePlan, agents: Sequence[Agent]) -> float:
     return worst
 
 
-def _path_rows(first: list[float], pair: list[list[float]], budget: float = math.inf) -> list[dict[int, float] | None]:
-    """Open-path subset DP over ``m = len(first)`` points.
+def _path_rows(
+    first: list[float], pair: list[list[float]], budget: float = math.inf
+) -> Iterator[tuple[int, dict[int, float]]]:
+    """Open-path subset DP over ``m = len(first)`` points, one row at a time.
 
-    ``rows[s][k]`` is the cheapest path that starts with the leg ``first[k0]``
-    into some point ``k0``, visits exactly the points of bit set ``s`` and ends
-    at ``k``, its legs (``pair[j][k]`` from j to k) added left to right. A row
-    is a dict of its live entries, or None; ``rows[0]`` is None. Bit sets are
-    visited in ascending order, and each entry ``(s, j, v)`` offers
-    ``v + pair[j][k]`` to the entry ``(s | 1 << k, k)`` for every k outside
-    ``s``, which keeps the smallest offer. Float addition is monotone, so
-    taking the minimum before adding the next leg gives the same float as
-    minimising over every order.
+    Yields ``(s, row)`` for every bit set ``s`` with a live entry, smaller
+    sets first. ``row[k]`` is the cheapest path that starts with the leg
+    ``first[k0]`` into some point ``k0``, visits exactly the points of ``s``
+    and ends at ``k``, its legs (``pair[j][k]`` from j to k) added left to
+    right; a row is a dict of its live entries. Each entry ``(s, j, v)``
+    offers ``v + pair[j][k]`` to the entry ``(s | 1 << k, k)`` for every k
+    outside ``s``, which keeps the smallest offer. Float addition is
+    monotone, so taking the minimum before adding the next leg gives the same
+    float as minimising over every order.
+
+    Every offer into ``(t, k)`` comes from the one row ``t ^ 1 << k``, in the
+    layer of sets one point smaller, so the order of the rows within a layer
+    changes no value. The kernel holds only the layer being read and the one
+    being built, and lets go of a row once it has made that row's offers.
 
     A ``budget`` bounds closed tours that go back to the start by the legs in
     ``first``: the legs back must equal them. An entry is kept only if its
@@ -302,13 +309,20 @@ def _path_rows(first: list[float], pair: list[list[float]], budget: float = math
                     out.append((k, t, inf))
         return out
 
+    # One slot per bit set, so an offer finds its row by index; a slot holds
+    # a row only while its set is in the layer being read or being built.
     rows: list[dict[int, float] | None] = [None] * (1 << m)
+    layer = []
     for k, t, limit in targets(0):
         if first[k] <= limit:
             rows[t] = {k: first[k]}
-    for s in range(1, 1 << m):
-        row = rows[s]
-        if row is not None:
+            layer.append(t)
+    while layer:
+        built = []
+        for s in layer:
+            row = rows[s]
+            rows[s] = None
+            yield s, row
             out = targets(s)
             for j, v in row.items():
                 legs = pair[j]
@@ -318,9 +332,10 @@ def _path_rows(first: list[float], pair: list[list[float]], budget: float = math
                         target = rows[t]
                         if target is None:
                             rows[t] = {k: offer}
+                            built.append(t)
                         elif offer < target.get(k, inf):
                             target[k] = offer
-    return rows
+        layer = built
 
 
 def tsp_optimal(points: Sequence[Waypoint]) -> float:
@@ -330,8 +345,9 @@ def tsp_optimal(points: Sequence[Waypoint]) -> float:
     the other points that can still close within a budget from one real
     tour: nearest neighbour from point 0, improved by 2-opt. That tour's
     legs summed left to right are one of the sums the DP minimises, so the
-    optimal tour stays within the budget. ``distance_m`` is symmetric bit for
-    bit, so the legs back to point 0 equal the legs out. Limited to
+    optimal tour stays within the budget, and the last row the kernel yields
+    is the full set; only that row is kept. ``distance_m`` is symmetric bit
+    for bit, so the legs back to point 0 equal the legs out. Limited to
     HELD_KARP_MAX_POINTS.
     """
     pts = [w.point for w in points]
@@ -367,7 +383,8 @@ def tsp_optimal(points: Sequence[Waypoint]) -> float:
     for a, b in zip(tour, tour[1:]):
         length += c[a][b]
     closing = [row[0] for row in c[1:]]
-    full = _path_rows(c[0][1:], [row[1:] for row in c[1:]], length / _RING_SLACK)[-1]
+    for _, full in _path_rows(c[0][1:], [row[1:] for row in c[1:]], length / _RING_SLACK):
+        pass
     return min([v + closing[k] for k, v in full.items()])
 
 
@@ -396,7 +413,7 @@ def _covers(rest: int, parts: int):
         sub = (sub - 1) & rest
 
 
-def _cheapest_order(rows: list[dict[int, float] | None], pair: list[list[float]], s: int) -> list[int]:
+def _cheapest_order(rows: dict[int, dict[int, float]], pair: list[list[float]], s: int) -> list[int]:
     """A visit order of bit set ``s`` whose left-to-right cost is the least
     entry of ``rows[s]``, a row of the unbounded DP.
 
@@ -422,10 +439,11 @@ def brute_force_mtsp(points: Sequence[Waypoint], agents: Sequence[Agent]):
     """Exact min-makespan reference, agents starting from their homes.
 
     For each agent an open-path subset DP (``_path_rows``) gives the cheapest
-    path from its home over every subset of the points; every assignment of
-    the points to the agents, as disjoint subset masks, is then scored by its
-    slowest agent. The value is the float that enumerating every visiting
-    order gives; on ties the partition may be another optimal one.
+    path from its home over every subset of the points, kept as a dict of
+    rows by bit set; every assignment of the points to the agents, as
+    disjoint subset masks, is then scored by its slowest agent. The value is
+    the float that enumerating every visiting order gives; on ties the
+    partition may be another optimal one.
 
     Returns ``(makespan_seconds, partition)`` where partition maps agent id to
     its optimally ordered Waypoint list. Limited to ORACLE_MAX_POINTS points
@@ -443,7 +461,7 @@ def brute_force_mtsp(points: Sequence[Waypoint], agents: Sequence[Agent]):
     home_cost = [[distance_m(a.home, p) for p in positions] for a in agents]
     pair_cost = [[distance_m(p, q) for q in positions] for p in positions]
 
-    tables = [_path_rows(first, pair_cost) for first in home_cost]
+    tables = [dict(_path_rows(first, pair_cost)) for first in home_cost]
     durations = [
         [0.0] + [min(rows[s].values()) / a.velocity_mps for s in range(1, 1 << n)] for a, rows in zip(agents, tables)
     ]

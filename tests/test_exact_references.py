@@ -11,13 +11,16 @@ for bit.
 Held-Karp's entries are bounded by a budget from a 2-opt tour; with it,
 ``tsp_optimal`` must still equal the unbounded DP in ``helpers`` with ``==``,
 and every entry the kernel keeps must hold the unbounded value, on the
-lattice shapes ``bound_eval`` draws and on random points.
+lattice shapes ``bound_eval`` draws and on random points. The kernel yields
+its rows one layer of set sizes at a time, each set once, so ``tsp_optimal``
+holds far less than the whole table.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -112,16 +115,28 @@ def legs(waypoints) -> tuple[list[float], list[list[float]], list[float]]:
     return c[0][1:], [row[1:] for row in c[1:]], [row[0] for row in c[1:]]
 
 
+def dense(pairs, m: int) -> list:
+    """The ``(bit set, row)`` pairs ``_path_rows`` yields as one list
+    ``rows[s]`` over all 2^m bit sets, None where no row was yielded.
+    No bit set may be yielded twice."""
+    rows = [None] * (1 << m)
+    for s, row in pairs:
+        assert rows[s] is None, s
+        rows[s] = row
+    return rows
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Every ``_path_rows`` call as ``(first, pair, budget, rows)``."""
+    """Every ``_path_rows`` call as ``(first, pair, budget, rows)``, with
+    ``rows`` rebuilt by ``dense``; the caller gets what the kernel yielded."""
     calls = []
     kernel = routing._path_rows
 
     def recording(first, pair, budget=math.inf):
-        rows = kernel(first, pair, budget)
-        calls.append((first, pair, budget, rows))
-        return rows
+        pairs = list(kernel(first, pair, budget))
+        calls.append((first, pair, budget, dense(pairs, len(first))))
+        return iter(pairs)
 
     monkeypatch.setattr(routing, "_path_rows", recording)
     return calls
@@ -205,7 +220,7 @@ def test_coincident_points_sit_on_the_budget(kernel_calls):
 def test_no_budget_keeps_every_row():
     """Every entry of every row, with the unbounded value."""
     first, pair, _ = legs(lattice_row(random_points(random.Random(7), ORIGIN, 10, 300.0)))
-    rows = routing._path_rows(first, pair)
+    rows = dense(routing._path_rows(first, pair), len(first))
     ref = unbounded_path_rows(first, pair)
     assert rows[0] is None
     for s in range(1, len(rows)):
@@ -249,7 +264,7 @@ def test_kept_rows_are_those_that_can_end_within_the_budget(pts):
     m = len(first)
     ref = unbounded_path_rows(first, pair)
     budget = min(map(sum, zip(ref[-1], closing))) / (1.0 - 1e-9)
-    rows = routing._path_rows(first, pair, budget)
+    rows = dense(routing._path_rows(first, pair, budget), m)
     rest_rows, rest_paths = tail_floors(first, pair)
     tol = 1e-12 * budget
     kept = 0
@@ -264,3 +279,57 @@ def test_kept_rows_are_those_that_can_end_within_the_budget(pts):
                 assert rows[s][k] == ref[s][k], (s, k)
                 kept += 1
     assert 0 < kept < m << (m - 1)
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bounded"])
+@pytest.mark.parametrize(
+    "pts",
+    [rectangle(3, 4, 15.0, -30.0), rectangle(1, 12, 15.0, 10.0),
+     lattice_row(random_points(random.Random(13), ORIGIN, 10, 300.0))],
+    ids=["lattice-3x4", "line-1x12", "random-10"],
+)
+def test_kernel_yields_each_row_once_by_set_size(pts, bounded):
+    """Bit sets come in non-decreasing size, each once, the full set last,
+    and every entry is the unbounded DP's value, bit for bit. Without a
+    budget every row is yielded whole."""
+    first, pair, closing = legs(pts)
+    m = len(first)
+    ref = unbounded_path_rows(first, pair)
+    budget = min(map(sum, zip(ref[-1], closing))) / (1.0 - 1e-9) if bounded else math.inf
+    pairs = list(routing._path_rows(first, pair, budget))
+    sets = [s for s, _ in pairs]
+    sizes = [s.bit_count() for s in sets]
+    assert sizes == sorted(sizes)
+    assert len(set(sets)) == len(sets)
+    assert sets[-1] == (1 << m) - 1
+    for s, row in pairs:
+        assert row, s
+        for k, v in row.items():
+            assert s >> k & 1, (s, k)
+            assert v == ref[s][k], (s, k)
+    if not bounded:
+        assert len(pairs) == (1 << m) - 1
+        assert all(len(row) == s.bit_count() for s, row in pairs)
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak in bytes while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tsp_optimal_holds_under_half_the_table(kernel_calls, monkeypatch):
+    """Memory guard: one ``tsp_optimal`` on a 1x14 line peaks at no more
+    than half of what holding every yielded row takes, same inputs and
+    budget. It reads about 0.24; a 1x16 line about 0.22 (2.6 against
+    11.9 MB)."""
+    pts = rectangle(1, 14, 15.0, 10.0)
+    tsp_optimal(pts)
+    (first, pair, budget, _), = kernel_calls
+    monkeypatch.undo()
+    every_row = traced_peak(lambda: list(routing._path_rows(first, pair, budget)))
+    assert traced_peak(lambda: tsp_optimal(pts)) <= 0.5 * every_row
