@@ -209,8 +209,9 @@ def write_observation_log(log: EventLog) -> str:
     Line count is 1 + 2 * agents + observations (takeoff and route-complete
     per agent, one observation per waypoint). Every observation line repeats
     the camera's half FOV and footprint width, rendered once per log, and
-    its waypoint's altitude as the camera altitude. Output is strict JSON: a
-    NaN or infinite value raises ValueError.
+    its waypoint's altitude as the camera altitude. Latitudes, longitudes and
+    altitudes repeat along lattice rows and columns, so each is rendered once
+    too. Output is strict JSON: a NaN or infinite value raises ValueError.
     """
     header = {
         "mission_id": log.mission_id,
@@ -229,8 +230,8 @@ def write_observation_log(log: EventLog) -> str:
             lines.append(_OBSERVATION_LINE % (
                 _encode(event.t, None),
                 _cached(cache, event.agent_id, None),
-                _encode(p.lat_deg, None),
-                _encode(p.lon_deg, None),
+                _cached(cache, p.lat_deg, None),
+                _cached(cache, p.lon_deg, None),
                 alt,
                 _encode(event.radiation_usv_s, None),
                 alt,

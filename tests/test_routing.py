@@ -7,17 +7,25 @@ import random
 
 import pytest
 
-from helpers import claim_order, lattice_row, permutation_tour_cost, random_points, scan_plan_routes
+from helpers import REPO_CONFIG, claim_order, lattice_row, permutation_tour_cost, random_points, scan_plan_routes
+import uavsurvey.routing
 from uavsurvey import (
     Agent,
+    CameraModel,
+    CircumRectangle,
     EnuOffset,
     GeoPoint,
+    PolygonRegion,
     Waypoint,
     brute_force_mtsp,
     distance_m,
+    generate_lattice,
+    generate_waypoints,
     gps_offset,
+    grid_spacing,
     makespan,
     mtsp_lower_bound,
+    parse_mission_config,
     plan_routes,
     route_length,
     tsp_optimal,
@@ -197,16 +205,51 @@ def antimeridian_instance(rng: random.Random):
     return _fleet(rng, homes), lattice_row(points)
 
 
+def large_lattice_instance(rng: random.Random):
+    """Dyadic lattice of 12-30 rows and columns, whole or masked to a star
+    about its centre. On a whole lattice the cells sit just above the
+    spacing (the geometric mean of the row and column spacings), where the
+    ring stop is tightest. Columns are one or two latitude steps apart, near
+    square in metres at 60 degrees. Homes are lattice nodes or points
+    anywhere within three steps of the lattice."""
+    step = 2.0 ** -rng.randint(12, 15)
+    lat0 = rng.choice([0.0, 45.0, -60.0, 53.25, 60.0])
+    lon0 = rng.choice([0.0, -9.0625, 120.5])
+    lon_step = step * rng.choice([1, 2])
+    rows, cols = rng.randint(12, 30), rng.randint(12, 30)
+    nodes = [(i, j) for i in range(rows) for j in range(cols)]
+    if rng.random() < 0.5:
+        ci, cj = (rows - 1) / 2.0, (cols - 1) / 2.0
+        radii = [rng.uniform(0.3, 1.0) * min(ci, cj) for _ in range(rng.randint(5, 12))]
+
+        def inside(i: int, j: int) -> bool:
+            sector = int((math.atan2(i - ci, j - cj) + math.pi) / (2.0 * math.pi) * len(radii)) % len(radii)
+            return math.hypot(i - ci, j - cj) <= radii[sector]
+
+        nodes = [(i, j) for i, j in nodes if inside(i, j)]
+    points = [Waypoint(GeoPoint(lat0 + i * step, lon0 + j * lon_step, 32.0), (i, j)) for i, j in nodes]
+    rng.shuffle(points)
+    homes = []
+    for _ in range(2):
+        if rng.random() < 0.5:
+            i, j = rng.choice(nodes)
+        else:
+            i, j = rng.uniform(-3.0, rows + 2.0), rng.uniform(-3.0, cols + 2.0)
+        homes.append(GeoPoint(lat0 + i * step, lon0 + j * lon_step))
+    return _fleet(rng, homes), points
+
+
 class TestMatchesFullScan:
     """The bucketed planner claims exactly what the full scan claims."""
 
     @pytest.mark.parametrize(
         "family",
-        [lattice_instance, scattered_instance, polar_instance, antimeridian_instance],
+        [lattice_instance, scattered_instance, polar_instance, antimeridian_instance, large_lattice_instance],
     )
     def test_identical_routes_and_sequence(self, family):
         rng = random.Random(f"scan:{family.__name__}")
-        for _ in range(60):
+        # The reference scan is quadratic: fewer of the large lattices.
+        for _ in range(40 if family is large_lattice_instance else 60):
             fleet, points = family(rng)
             plan = plan_routes(fleet, points)
             routes, sequence = scan_plan_routes(fleet, points)
@@ -268,6 +311,70 @@ class TestMatchesFullScan:
         # widen to one column and only latitude rows prune.
         pole = [GeoPoint(90.0, 0.0), GeoPoint(89.999, 1.0), GeoPoint(89.999, 2.0)]
         assert _cell_layout(pole, 3)[6] == 1
+
+
+def full_rectangle(origin: GeoPoint, rows: int, cols: int, spacing: float) -> list[Waypoint]:
+    """The whole lattice at ``spacing`` over a rectangle ``rows`` x ``cols``
+    steps from ``origin``, as the grid builds it."""
+    ne = gps_offset(origin, EnuOffset((cols - 1) * spacing, (rows - 1) * spacing, 0.0))
+    return generate_lattice(CircumRectangle(origin.lat_deg, ne.lat_deg, origin.lon_deg, ne.lon_deg), spacing, 32.0)
+
+
+class TestDistanceEvaluations:
+    """Cells just wider than the lattice spacing: a claim whose lattice
+    neighbour is still free stops after ring 1."""
+
+    @staticmethod
+    def calls_per_claim(monkeypatch, fleet, points) -> float:
+        calls = 0
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return distance_m(a, b)
+
+        monkeypatch.setattr(uavsurvey.routing, "distance_m", counted)
+        plan_routes(fleet, points)
+        monkeypatch.undo()
+        return calls / len(points)
+
+    def test_cells_wider_than_the_spacing(self):
+        # For an R x C lattice at spacing s, cell_m^2 is
+        # 1.25 (R - 1)(C - 1) s^2 / (R C): above s^2 once R, C >= 11, as
+        # (1 + 1/10)^2 = 1.21 < 1.25, and below 1.25 s^2 always.
+        spacing = grid_spacing(CameraModel())
+        for lat in (0.0, 53.276, -70.0, 84.0):
+            for rows, cols in ((11, 11), (11, 40), (12, 17), (30, 30), (100, 11)):
+                points = [w.point for w in full_rectangle(GeoPoint(lat, -9.066), rows, cols, spacing)]
+                assert spacing < _cell_layout(points, len(points))[0] < math.sqrt(1.25) * spacing
+
+    def test_campus_lattice(self, monkeypatch):
+        """The campus region scaled x6 about its vertex centroid: 2855
+        waypoints, about 7.4 evaluations per claim (12.4 with two waypoints
+        per cell)."""
+        config = parse_mission_config(REPO_CONFIG.read_text(encoding="utf-8"))
+        vertices = config.region.vertices
+        clat = sum(v.lat_deg for v in vertices) / len(vertices)
+        clon = sum(v.lon_deg for v in vertices) / len(vertices)
+        region = PolygonRegion(
+            [GeoPoint(clat + 6 * (v.lat_deg - clat), clon + 6 * (v.lon_deg - clon)) for v in vertices]
+        )
+        points = generate_waypoints(region, config.camera).points
+        assert len(points) > 2000
+        assert self.calls_per_claim(monkeypatch, config.fleet, points) <= 9.0
+
+    @pytest.mark.parametrize("rows, cols", [(11, 11), (24, 40), (60, 60)])
+    def test_full_rectangle(self, monkeypatch, rows, cols):
+        """About 4-5 evaluations per claim from a corner or the centre; the
+        60 x 60 lattice read 7.9 with two waypoints per cell."""
+        spacing = grid_spacing(CameraModel())
+        origin = GeoPoint(53.276, -9.066)
+        points = full_rectangle(origin, rows, cols, spacing)
+        centre = gps_offset(origin, EnuOffset((cols - 1) * spacing / 2 + 3.0, (rows - 1) * spacing / 2 + 7.0, 0.0))
+        for home in (gps_offset(origin, EnuOffset(-20.0, -20.0, 0.0)), centre):
+            for n_agents in (1, 3):
+                fleet = agents(n_agents, velocity=8.0, home=home)
+                assert self.calls_per_claim(monkeypatch, fleet, points) <= 7.0
 
 
 class TestMakespan:
