@@ -10,12 +10,10 @@ from .geodesy import (
     EnuOffset,
     FlatPlaneWarning,
     GeoPoint,
-    NedCm,
     distance_m,
     gps_difference,
     gps_offset,
     meters_per_degree,
-    to_engine_ned,
 )
 from .geojson_io import dumps_geojson, export_geojson, write_observation_log
 from .grid import (
@@ -67,7 +65,6 @@ __all__ = [
     "FlatPlaneWarning",
     "GeoPoint",
     "MissionConfig",
-    "NedCm",
     "NoiseSpec",
     "PolygonRegion",
     "RadiationSource",
@@ -97,7 +94,6 @@ __all__ = [
     "serialize_mission_config",
     "simulate",
     "strength_at",
-    "to_engine_ned",
     "total_intensity",
     "tsp_optimal",
     "write_observation_log",

@@ -76,11 +76,11 @@ def cmd_plan(args) -> int:
     config = _load_config(args)
     grid, plan = _plan_mission(config)
     out = Path(args.out) / "plan.geojson"
-    _atomic_write(out, dumps_geojson(export_geojson(grid, plan)))
+    _atomic_write(out, dumps_geojson(export_geojson(grid, plan, config.fleet)))
     print(f"waypoints: {len(grid.points)} at spacing {grid.spacing_m:.3f} m")
-    for aid, route in plan.routes.items():
-        length = route_length(plan.homes[aid], route)
-        print(f"  {aid}: {len(route)} waypoints, {length:.1f} m")
+    for agent in config.fleet:
+        route = plan.routes[agent.id]
+        print(f"  {agent.id}: {len(route)} waypoints, {route_length(agent.home, route):.1f} m")
     print(f"makespan: {makespan(plan, config.fleet):.1f} s")
     print(f"wrote {out}")
     return 0
@@ -104,7 +104,7 @@ def cmd_simulate(args) -> int:
     log_path = out_dir / "observations.jsonl"
     # Render both before writing either, so a value one of them refuses
     # leaves no half-written pair behind.
-    plan_text = dumps_geojson(export_geojson(grid, plan))
+    plan_text = dumps_geojson(export_geojson(grid, plan, config.fleet))
     log_text = write_observation_log(log)
     _atomic_write(geojson_path, plan_text)
     _atomic_write(log_path, log_text)
@@ -120,7 +120,7 @@ def cmd_bound(args) -> int:
     grid, plan = _plan_mission(config)
     fleet = config.fleet
     nn_makespan = makespan(plan, fleet)
-    longest = max(route_length(plan.homes[aid], route) for aid, route in plan.routes.items())
+    longest = max(route_length(a.home, plan.routes[a.id]) for a in fleet)
     n_points = len(grid.points)
     print(f"waypoints: {n_points}, agents: {len(fleet)}")
     print(f"nearest-neighbor makespan: {nn_makespan:.3f} s (longest route {longest:.1f} m)")

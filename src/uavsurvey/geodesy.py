@@ -1,10 +1,9 @@
 """Flat-plane geodesy for small survey regions.
 
-Converts between WGS-84 positions, local east/north/up offsets in meters,
-and engine centimeter coordinates in the north/east/down frame. Everything
-uses a spherical-earth equirectangular approximation with the WGS-84
-equatorial radius, which is adequate for regions spanning well under a
-degree; wider spans raise :class:`FlatPlaneWarning`.
+Converts between WGS-84 positions and local east/north/up offsets in
+meters. Everything uses a spherical-earth equirectangular approximation
+with the WGS-84 equatorial radius, which is adequate for regions spanning
+well under a degree; wider spans raise :class:`FlatPlaneWarning`.
 """
 
 from __future__ import annotations
@@ -64,15 +63,6 @@ class EnuOffset:
                 raise ValueError(f"{name} must be finite")
 
 
-@dataclass(frozen=True)
-class NedCm:
-    """An engine-frame displacement: north/east/down in centimeters (1 unit = 1 cm)."""
-
-    north_cm: float
-    east_cm: float
-    down_cm: float
-
-
 def meters_per_degree(lat_deg: float) -> tuple[float, float]:
     """Meters spanned by one degree of latitude and of longitude at ``lat_deg``.
 
@@ -120,15 +110,6 @@ def gps_offset(origin: GeoPoint, offset: EnuOffset) -> GeoPoint:
         lat_deg=origin.lat_deg + offset.north_m / m_lat,
         lon_deg=origin.lon_deg + offset.east_m / m_lon,
         alt_m=origin.alt_m + offset.up_m,
-    )
-
-
-def to_engine_ned(offset: EnuOffset) -> NedCm:
-    """Relabel an ENU offset into the engine's NED frame at 1 unit = 1 cm."""
-    return NedCm(
-        north_cm=100.0 * offset.north_m,
-        east_cm=100.0 * offset.east_m,
-        down_cm=-100.0 * offset.up_m,
     )
 
 

@@ -16,10 +16,11 @@ to ``json.dumps`` itself, shifted to the indentation it starts at.
 from __future__ import annotations
 
 import json
+from typing import Sequence
 
 from .geodesy import GeoPoint
 from .grid import WaypointGrid, footprint_width
-from .routing import RoutePlan, route_length
+from .routing import Agent, RoutePlan, _check_fleet, route_length
 from .sim import WAYPOINT_REACHED, EventLog
 
 
@@ -27,14 +28,17 @@ def _coords(p: GeoPoint) -> list[float]:
     return [p.lon_deg, p.lat_deg, p.alt_m]
 
 
-def export_geojson(grid: WaypointGrid, plan: RoutePlan) -> dict:
+def export_geojson(grid: WaypointGrid, plan: RoutePlan, fleet: Sequence[Agent]) -> dict:
     """FeatureCollection with one Point per waypoint and one LineString per
-    non-empty agent route (starting at the agent's home).
+    non-empty agent route (starting at that agent's home in ``fleet``).
 
     Point properties carry the lattice index plus the assigned agent and
     1-based visit order (null when unassigned). Route properties carry the
-    agent id, leg count, and total length in meters.
+    agent id, leg count, and total length in meters. ``fleet`` obeys the
+    fleet rules of ``makespan`` and ``simulate`` or ValueError is raised.
     """
+    _check_fleet(fleet, plan)
+    homes = {a.id: a.home for a in fleet}
     assignment: dict = {}
     for aid, route in plan.routes.items():
         for order, wp in enumerate(route, start=1):
@@ -61,9 +65,7 @@ def export_geojson(grid: WaypointGrid, plan: RoutePlan) -> dict:
     for aid, route in plan.routes.items():
         if not route:
             continue  # a LineString needs at least two positions
-        home = plan.homes.get(aid)
-        if home is None:
-            raise ValueError(f"plan carries no home position for agent {aid!r}")
+        home = homes[aid]
         coordinates = [_coords(home)] + [_coords(wp.point) for wp in route]
         features.append(
             {

@@ -83,6 +83,9 @@ class PolygonRegion:
         for k in range(n):
             if pts[k] == pts[(k + 1) % n]:
                 raise ValueError(f"repeated consecutive vertex at position {k}")
+        # A triangle has no non-adjacent edges for the test below to check.
+        if n == 3 and _orient(*pts) == 0.0:
+            raise ValueError("polygon's 3 vertices are collinear; region must have nonzero area")
         # Non-adjacent edges must not touch or cross; edge i runs from vertex
         # i to i + 1, and its neighbours are i - 1 and i + 1 modulo n. Edges
         # can touch only if their bounding boxes overlap: sweep the boxes
@@ -151,10 +154,9 @@ class Waypoint:
 
 @dataclass(frozen=True)
 class WaypointGrid:
-    """The filtered survey lattice plus its spacing and rectangle provenance."""
+    """The filtered survey lattice plus its spacing."""
 
     spacing_m: float
-    rect: CircumRectangle
     points: tuple[Waypoint, ...]
 
 
@@ -313,4 +315,4 @@ def generate_waypoints(region: PolygonRegion, camera: CameraModel) -> WaypointGr
             EmptyGridWarning,
             stacklevel=2,
         )
-    return WaypointGrid(spacing_m=spacing, rect=rect, points=kept)
+    return WaypointGrid(spacing_m=spacing, points=kept)

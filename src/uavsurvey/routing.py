@@ -10,7 +10,7 @@ programs), and the optimal-tour / n figure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .geodesy import METERS_PER_DEG_LAT, GeoPoint, distance_m
@@ -46,11 +46,10 @@ class Agent:
 class RoutePlan:
     """Ordered per-agent waypoint sequences forming a partition of the input set.
 
-    ``homes`` records each agent's launch point; routes themselves exclude it.
+    Routes exclude the launch point; each agent's home is read from the fleet.
     """
 
     routes: dict[str, list[Waypoint]]
-    homes: dict[str, GeoPoint] = field(default_factory=dict)
 
 
 def _check_fleet(agents: Sequence[Agent], plan: RoutePlan | None = None) -> None:
@@ -86,8 +85,9 @@ def _cell_layout(points: list[GeoPoint], n: int):
     vertical term only adds, so a point ``r`` cell rings from a query is at
     least ``(r - 1) * cell_m`` away. Near a pole the longitude cells widen to
     a single column. The argument assumes no longitude wrap-around: when the
-    points span 180 degrees of longitude or more, or when the grid would be
-    large for ``n``, everything goes into one cell.
+    points span 180 degrees of longitude or more, everything goes into one
+    cell. For a box H x W metres, c = ``cell_m`` is at least max(H, W) / n
+    and sqrt(1.25 * H * W / n), so rows * cols <= (H/c + 1)(W/c + 1) <= 1.8n + 1.8.
     """
     if n < 2:
         return _ONE_CELL
@@ -109,8 +109,6 @@ def _cell_layout(points: list[GeoPoint], n: int):
     dlon = cell_m / (METERS_PER_DEG_LAT * cos_min)
     rows = int((max(lats) - lat0) / dlat) + 1
     cols = int(lon_span / dlon) + 1
-    if rows * cols > 4 * n + 64:
-        return _ONE_CELL
     return cell_m, lat0, lon0, dlat, dlon, rows, cols
 
 
@@ -132,12 +130,12 @@ def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> Route
     waypoint leaves its cell. On the campus lattice scaled 1x to 16x a claim
     makes 6-8 distance evaluations, so planning n waypoints takes close to
     O(n) time against O(n^2) for the scan. Sparse or clustered layouts visit
-    more empty cells, never more than the grid holds.
+    more empty cells, never more than the grid's 1.8n + 1.8 at most.
 
     Every waypoint goes into one cell, and the search is that scan, when the
-    waypoints and homes span 180 degrees of longitude or more, when they all
-    share one latitude/longitude, or when the grid would need more than
-    4n + 64 cells.
+    waypoints and homes span 180 degrees of longitude or more, or when they
+    all share one latitude/longitude. The plan holds routes only: each home
+    stays on its ``Agent``.
     """
     agents = list(agents)
     _check_fleet(agents)
@@ -151,8 +149,7 @@ def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> Route
             raise ValueError(f"duplicate waypoint at {key}; each point must be visited exactly once")
         seen.add(key)
 
-    homes = {a.id: a.home for a in agents}
-    cell_m, lat0, lon0, dlat, dlon, rows, cols = _cell_layout(positions + list(homes.values()), len(positions))
+    cell_m, lat0, lon0, dlat, dlon, rows, cols = _cell_layout(positions + [a.home for a in agents], len(positions))
 
     def cell_of(p: GeoPoint) -> tuple[int, int]:
         return int((p.lat_deg - lat0) / dlat), int((p.lon_deg - lon0) / dlon)
@@ -164,7 +161,7 @@ def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> Route
 
     routes: dict[str, list[Waypoint]] = {a.id: [] for a in agents}
     # An agent's path end and its cell.
-    ends = {aid: (home, *cell_of(home)) for aid, home in homes.items()}
+    ends = {a.id: (a.home, *cell_of(a.home)) for a in agents}
     dist = distance_m
     n = len(positions)
     for turn in range(len(order)):
@@ -202,7 +199,7 @@ def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> Route
         i, j = where[best_k]
         ends[aid] = (positions[best_k], i, j)
         cells[i * cols + j].remove(best_k)
-    return RoutePlan(routes=routes, homes=homes)
+    return RoutePlan(routes=routes)
 
 
 def route_length(home: GeoPoint, route: Sequence[Waypoint]) -> float:

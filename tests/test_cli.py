@@ -24,6 +24,18 @@ TINY = {
     "seed": 11,
 }
 
+# Six waypoints, two agents launching from different homes at different
+# speeds: small enough for both exact references of ``bound``.
+SMALL = {
+    "region": [[0.0, 0.0], [0.0, 0.0008], [0.0004, 0.0008], [0.0004, 0.0]],
+    "fleet": [
+        {"id": "a", "home": [0.0, -0.0003], "velocity_mps": 5.0},
+        {"id": "b", "home": [0.0006, 0.0008], "velocity_mps": 7.0},
+    ],
+    "sources": [{"position": [0.0, 0.0002], "sigma": 100.0}],
+    "seed": 11,
+}
+
 
 def on_a_waypoint() -> list[float]:
     """The campus mission's first waypoint, at the camera's altitude."""
@@ -242,6 +254,55 @@ class TestSimulate:
         argv = ["simulate", "--config", str(REPO_CONFIG), "--agents", "2", "--seed", "4", "--out", str(tmp_path)]
         assert main(argv) == 0
         assert len(calls) == 2
+
+
+class TestPrintouts:
+    """The exact stdout of ``plan`` and ``bound``: per-agent lines follow the
+    fleet's order and each agent's own home."""
+
+    def test_plan_campus(self, tmp_path, capsys):
+        assert main(["plan", "--config", str(REPO_CONFIG), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            "waypoints: 80 at spacing 42.667 m\n"
+            "  rav-1: 27 waypoints, 1499.4 m\n"
+            "  rav-2: 27 waypoints, 1534.1 m\n"
+            "  rav-3: 26 waypoints, 1387.7 m\n"
+            "makespan: 191.8 s\n"
+            f"wrote {tmp_path / 'plan.geojson'}\n"
+        )
+
+    def test_plan_campus_two_agents(self, tmp_path, capsys):
+        assert main(["plan", "--config", str(REPO_CONFIG), "--out", str(tmp_path), "--agents", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "waypoints: 80 at spacing 42.667 m\n"
+            "  rav-1: 40 waypoints, 1944.1 m\n"
+            "  rav-2: 40 waypoints, 1987.6 m\n"
+            "makespan: 248.5 s\n"
+            f"wrote {tmp_path / 'plan.geojson'}\n"
+        )
+
+    def test_plan_small_mission(self, tmp_path, capsys):
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(SMALL), encoding="utf-8")
+        assert main(["plan", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            "waypoints: 6 at spacing 42.667 m\n"
+            "  a: 3 waypoints, 131.6 m\n"
+            "  b: 3 waypoints, 125.6 m\n"
+            "makespan: 26.3 s\n"
+            f"wrote {tmp_path / 'plan.geojson'}\n"
+        )
+
+    def test_bound_small_mission(self, tmp_path, capsys):
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(SMALL), encoding="utf-8")
+        assert main(["bound", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "waypoints: 6, agents: 2\n"
+            "nearest-neighbor makespan: 26.317 s (longest route 131.6 m)\n"
+            "lower bound (optimal tour / n): 128.0 m\n"
+            "exhaustive optimum makespan: 24.035 s\n"
+        )
 
 
 class TestBound:

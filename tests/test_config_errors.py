@@ -85,6 +85,8 @@ CASES = [
      "region: repeated consecutive vertex at position 0"),
     ("region-self-intersecting", put("region", [[0, 0], [1, 1], [1, 0], [0, 1]]),
      "region: polygon edges 0 and 2 intersect; region must be simple"),
+    ("region-collinear-triangle", put("region", [[53.0, -9.0], [53.002, -9.0], [53.001, -9.0]]),
+     "region: polygon's 3 vertices are collinear; region must have nonzero area"),
     # camera
     ("camera-not-object", put("camera", []), "camera: expected an object"),
     ("camera-unknown-key", put("camera", {"zoom": 2}),

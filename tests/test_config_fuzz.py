@@ -137,7 +137,7 @@ def run_pipeline(config) -> None:
     assert len(grid.points) <= lattice_size(config)
     log = simulate(plan, config.fleet, config.sources, config.noise, config.seed,
                    camera=config.camera, dwell_s=config.dwell_s, mission_id=config.mission_id)
-    assert _finite_numbers(_strict(dumps_geojson(export_geojson(grid, plan))))
+    assert _finite_numbers(_strict(dumps_geojson(export_geojson(grid, plan, config.fleet))))
     for line in write_observation_log(log).splitlines():
         assert _finite_numbers(_strict(line))
 

@@ -14,6 +14,7 @@ from uavsurvey import (
     GeoPoint,
     MissionConfig,
     PolygonRegion,
+    WaypointGrid,
     brute_force_mtsp,
     dumps_geojson,
     export_geojson,
@@ -21,6 +22,7 @@ from uavsurvey import (
     makespan,
     parse_mission_config,
     plan_routes,
+    route_length,
     simulate,
     write_observation_log,
 )
@@ -30,6 +32,7 @@ HOME = GeoPoint(0.0, 0.0)
 POINTS = lattice_row([GeoPoint(0.0, 0.0001), GeoPoint(0.0001, 0.0)])
 REGION = PolygonRegion((GeoPoint(0.0, 0.0), GeoPoint(0.0, 0.001), GeoPoint(0.001, 0.0)))
 PLAN = plan_routes([Agent("A", HOME, 2.0), Agent("B", HOME, 3.0)], POINTS)
+GRID = WaypointGrid(1.0, tuple(POINTS))
 
 # Each entry point called with a given fleet.
 ENTRY_POINTS = {
@@ -37,6 +40,7 @@ ENTRY_POINTS = {
     "brute_force_mtsp": lambda fleet: brute_force_mtsp(POINTS, fleet),
     "makespan": lambda fleet: makespan(PLAN, fleet),
     "simulate": lambda fleet: simulate(PLAN, fleet, camera=CameraModel()),
+    "export_geojson": lambda fleet: export_geojson(GRID, PLAN, fleet),
     "MissionConfig": lambda fleet: MissionConfig(region=REGION, fleet=tuple(fleet)),
 }
 FLEETS = {
@@ -56,11 +60,24 @@ def test_same_fleet_rule_everywhere(call, fleet, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("name", ["makespan", "simulate"])
+@pytest.mark.parametrize("name", ["makespan", "simulate", "export_geojson"])
 def test_plan_naming_an_agent_outside_the_fleet(name):
     with pytest.raises(ValueError) as info:
         ENTRY_POINTS[name]([Agent("A", HOME, 2.0)])
     assert str(info.value) == "plan references agents not in the fleet: ['B']"
+
+
+def test_export_starts_each_route_at_the_fleets_home():
+    # The plan was made with both agents at HOME; the fleet exported with
+    # has moved them, so the LineStrings start where this fleet says.
+    moved = [Agent("A", GeoPoint(0.0002, 0.0003, 5.0), 2.0), Agent("B", GeoPoint(-0.0001, 0.0004), 3.0)]
+    doc = export_geojson(GRID, PLAN, moved)
+    lines = {f["properties"]["agent_id"]: f for f in doc["features"] if f["geometry"]["type"] == "LineString"}
+    assert set(lines) == {"A", "B"}
+    for agent in moved:
+        line = lines[agent.id]
+        assert line["geometry"]["coordinates"][0] == [agent.home.lon_deg, agent.home.lat_deg, agent.home.alt_m]
+        assert line["properties"]["total_length_m"] == route_length(agent.home, PLAN.routes[agent.id])
 
 
 def test_mission_config_is_frozen():
@@ -81,5 +98,5 @@ def test_cli_overrides_match_the_api(tmp_path):
     plan = plan_routes(config.fleet, grid.points)
     log = simulate(plan, config.fleet, config.sources, config.noise, config.seed,
                    camera=config.camera, dwell_s=config.dwell_s, mission_id=config.mission_id)
-    assert (out / "plan.geojson").read_text(encoding="utf-8") == dumps_geojson(export_geojson(grid, plan))
+    assert (out / "plan.geojson").read_text(encoding="utf-8") == dumps_geojson(export_geojson(grid, plan, config.fleet))
     assert (out / "observations.jsonl").read_text(encoding="utf-8") == write_observation_log(log)

@@ -1,4 +1,4 @@
-"""Geodesy conversions: degree scales, offsets, engine frame, distance."""
+"""Geodesy conversions: degree scales, offsets, distance."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from uavsurvey import (
     gps_difference,
     gps_offset,
     meters_per_degree,
-    to_engine_ned,
 )
 
 # pi * 6378137 / 180 evaluated at 40 decimal digits, rounded to float64.
@@ -132,32 +131,6 @@ class TestGpsOffset:
             assert restored.lat_deg == pytest.approx(target.lat_deg, abs=1e-9)
             assert restored.lon_deg == pytest.approx(target.lon_deg, abs=1e-9)
             assert restored.alt_m == pytest.approx(target.alt_m, abs=1e-6)
-
-
-class TestEngineNed:
-    def test_zero(self):
-        ned = to_engine_ned(EnuOffset(0.0, 0.0, 0.0))
-        assert (ned.north_cm, ned.east_cm, ned.down_cm) == (0.0, 0.0, 0.0)
-
-    def test_axis_relabeling_and_scale(self):
-        ned = to_engine_ned(EnuOffset(east_m=1.0, north_m=2.0, up_m=3.0))
-        assert (ned.north_cm, ned.east_cm, ned.down_cm) == (200.0, 100.0, -300.0)
-
-    def test_negative_east(self):
-        assert to_engine_ned(EnuOffset(-0.5, 0.0, 0.0)).east_cm == -50.0
-
-    def test_linearity(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            o1 = EnuOffset(rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4), rng.uniform(-1e3, 1e3))
-            o2 = EnuOffset(rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4), rng.uniform(-1e3, 1e3))
-            combined = to_engine_ned(
-                EnuOffset(o1.east_m + o2.east_m, o1.north_m + o2.north_m, o1.up_m + o2.up_m)
-            )
-            a, b = to_engine_ned(o1), to_engine_ned(o2)
-            assert combined.north_cm == pytest.approx(a.north_cm + b.north_cm, rel=1e-9, abs=1e-9)
-            assert combined.east_cm == pytest.approx(a.east_cm + b.east_cm, rel=1e-9, abs=1e-9)
-            assert combined.down_cm == pytest.approx(a.down_cm + b.down_cm, rel=1e-9, abs=1e-9)
 
 
 class TestDistance:

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -43,6 +44,14 @@ def poly(*lat_lon: tuple[float, float]) -> PolygonRegion:
     return PolygonRegion(tuple(GeoPoint(lat, lon) for lat, lon in lat_lon))
 
 
+def collinear_triangle(vertices) -> bool:
+    """Three vertices on one line, by an exact rational cross product."""
+    if len(vertices) != 3:
+        return False
+    (ay, ax), (by, bx), (cy, cx) = [(Fraction(v.lat_deg), Fraction(v.lon_deg)) for v in vertices]
+    return (bx - ax) * (cy - ay) == (by - ay) * (cx - ax)
+
+
 # U-shaped region: two prongs pointing north, notch between longitudes 1 and 3.
 U_NOTCH = poly(
     (0.0, 0.0), (0.0, 4.0), (3.0, 4.0), (3.0, 3.0),
@@ -71,14 +80,39 @@ class TestPolygonRegion:
         with pytest.raises(ValueError, match="intersect"):
             poly((0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "lat_lon",
+        [
+            ((0.0, 0.0), (0.002, 0.0), (0.001, 0.0)),
+            ((0.0, 0.0), (0.0, 0.002), (0.0, 0.001)),
+            ((0.0, 0.0), (0.001, 0.001), (0.002, 0.002)),
+            ((53.25, -9.0), (53.5, -9.25), (53.375, -9.125)),
+        ],
+        ids=["meridian", "parallel", "diagonal", "diagonal-fold-back"],
+    )
+    def test_rejects_a_zero_area_triangle(self, lat_lon):
+        # A triangle has no non-adjacent edge pair, so only its area shows
+        # that its vertices lie on one line.
+        with pytest.raises(ValueError, match=r"^polygon's 3 vertices are collinear; region must have nonzero area$"):
+            poly(*lat_lon)
+
+    def test_accepts_a_near_collinear_sliver(self):
+        region = poly((0.0, 0.0), (0.0, 0.002), (1e-9, 0.001))
+        assert len(region.vertices) == 3
+
 
 class TestSimplicityMatchesPairwise:
     """The edge sweep reports the first crossing pair the all-pairs loop finds."""
 
     @staticmethod
     def assert_same_pair(vertices) -> bool:
-        """True if the polygon is simple."""
+        """True if the polygon is simple. A triangle of collinear vertices,
+        which has no edge pair to check, is refused for its zero area."""
         expected = pairwise_first_crossing(vertices)
+        if expected is None and collinear_triangle(vertices):
+            with pytest.raises(ValueError, match="^polygon's 3 vertices are collinear"):
+                PolygonRegion(vertices)
+            return False
         if expected is None:
             PolygonRegion(vertices)
         else:
@@ -349,7 +383,7 @@ class TestGenerateWaypoints:
         spacing = grid_spacing(self.CAM)
         region = self.square_region(2.0 * spacing)
         grid = generate_waypoints(region, self.CAM)
-        lattice = generate_lattice(grid.rect, grid.spacing_m, self.CAM.altitude_m)
+        lattice = generate_lattice(bounding_rectangle(region), grid.spacing_m, self.CAM.altitude_m)
         assert len(grid.points) == len(lattice) == 9
 
     def test_hundred_meter_square_mission(self):
@@ -363,7 +397,7 @@ class TestGenerateWaypoints:
         m_lat, m_lon = meters_per_degree(0.0)
         region = poly((0.0, 0.0), (0.0, 100.0 / m_lon), (100.0 / m_lat, 0.0))
         grid = generate_waypoints(region, self.CAM)
-        lattice = generate_lattice(grid.rect, grid.spacing_m, self.CAM.altitude_m)
+        lattice = generate_lattice(bounding_rectangle(region), grid.spacing_m, self.CAM.altitude_m)
         assert 0 < len(grid.points) < len(lattice)
         for wp in grid.points:
             assert point_in_polygon(wp.point, region)
@@ -374,7 +408,7 @@ class TestGenerateWaypoints:
         for _ in range(25):
             region = random_star_polygon(rng, center, rng.randint(4, 10), 60.0, 300.0)
             grid = generate_waypoints(region, self.CAM)
-            lattice = generate_lattice(grid.rect, grid.spacing_m, self.CAM.altitude_m)
+            lattice = generate_lattice(bounding_rectangle(region), grid.spacing_m, self.CAM.altitude_m)
             expected = [wp for wp in lattice if point_in_polygon(wp.point, region)]
             assert list(grid.points) == expected
 
@@ -412,7 +446,8 @@ class TestGenerateWaypoints:
         # along each row.
         region = random_star_polygon(random.Random(31), GeoPoint(53.3, -9.0), 8, 100.0, 350.0)
         grid = generate_waypoints(region, self.CAM)
-        sw = GeoPoint(grid.rect.min_lat, grid.rect.min_lon, self.CAM.altitude_m)
+        rect = bounding_rectangle(region)
+        sw = GeoPoint(rect.min_lat, rect.min_lon, self.CAM.altitude_m)
         east = {wp.index: gps_difference(sw, wp.point).east_m for wp in grid.points}
         rows: dict[int, list[tuple[int, float]]] = {}
         for (i, j), e in east.items():
@@ -436,7 +471,7 @@ class TestRowFilterMatchesRayCast:
         """The region's waypoints are the lattice points the ray cast keeps;
         returns the lattice and those points."""
         survey = generate_waypoints(region, cam)
-        lattice = generate_lattice(survey.rect, survey.spacing_m, cam.altitude_m)
+        lattice = generate_lattice(bounding_rectangle(region), survey.spacing_m, cam.altitude_m)
         expected = tuple(wp for wp in lattice if ray_cast_point_in_polygon(wp.point, region))
         assert survey.points == expected
         return lattice, expected

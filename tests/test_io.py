@@ -205,14 +205,14 @@ class TestExportGeojson:
     def test_empty_plan_only_points(self):
         grid, _, fleet = small_mission()
         empty = plan_routes(fleet, [])
-        doc = export_geojson(grid, empty)
+        doc = export_geojson(grid, empty, fleet)
         assert_valid_geojson(doc)
         assert all(f["geometry"]["type"] == "Point" for f in doc["features"])
         assert all(f["properties"]["agent_id"] is None for f in doc["features"])
 
     def test_two_agent_plan_structure(self):
-        grid, plan, _ = small_mission()
-        doc = export_geojson(grid, plan)
+        grid, plan, fleet = small_mission()
+        doc = export_geojson(grid, plan, fleet)
         assert_valid_geojson(doc)
         points = [f for f in doc["features"] if f["geometry"]["type"] == "Point"]
         lines = [f for f in doc["features"] if f["geometry"]["type"] == "LineString"]
@@ -231,8 +231,8 @@ class TestExportGeojson:
             assert len(line["geometry"]["coordinates"]) == len(orders) + 1
 
     def test_coordinates_are_lon_lat_order(self):
-        grid, plan, _ = small_mission()
-        doc = export_geojson(grid, plan)
+        grid, plan, fleet = small_mission()
+        doc = export_geojson(grid, plan, fleet)
         by_index = {tuple(f["properties"]["lattice_index"]): f for f in doc["features"] if f["geometry"]["type"] == "Point"}
         wp = next(w for w in grid.points if w.index == (2, 1))
         lon, lat, alt = by_index[(2, 1)]["geometry"]["coordinates"]
@@ -244,18 +244,18 @@ class TestExportGeojson:
         points = random_points(rng, GeoPoint(1.0, 1.0), 3, 50.0, alt_m=32.0)
         stray = plan_routes(fleet, lattice_row(points))
         with pytest.raises(ValueError, match="grid"):
-            export_geojson(grid, stray)
+            export_geojson(grid, stray, fleet)
 
     def test_non_finite_value_rejected(self):
-        grid, plan, _ = small_mission()
-        doc = export_geojson(grid, plan)
+        grid, plan, fleet = small_mission()
+        doc = export_geojson(grid, plan, fleet)
         doc["features"][0]["properties"]["total_length_m"] = float("nan")
         with pytest.raises(ValueError, match="JSON compliant"):
             dumps_geojson(doc)
 
     def test_dumps_deterministic(self):
-        grid, plan, _ = small_mission()
-        assert dumps_geojson(export_geojson(grid, plan)) == dumps_geojson(export_geojson(grid, plan))
+        grid, plan, fleet = small_mission()
+        assert dumps_geojson(export_geojson(grid, plan, fleet)) == dumps_geojson(export_geojson(grid, plan, fleet))
 
 
 class TestObservationLog:

@@ -312,6 +312,38 @@ class TestMatchesFullScan:
         pole = [GeoPoint(90.0, 0.0), GeoPoint(89.999, 1.0), GeoPoint(89.999, 2.0)]
         assert _cell_layout(pole, 3)[6] == 1
 
+    def test_cell_count_bound(self):
+        """rows * cols <= 2n + 2 for n waypoints plus homes: clusters, lines
+        and strips 1e-6 degrees tall, homes up to 179 degrees of longitude
+        away, latitudes up to +-89.9 degrees. The cell size gives at most
+        1.8n + 1.8 in exact arithmetic."""
+        rng = random.Random(2026)
+        gridded = 0
+        for _ in range(2000):
+            lat0 = rng.choice([0.0, rng.uniform(-89.9, 89.9), rng.choice([-89.9, 89.9])])
+            lon0 = rng.uniform(-179.0, 0.0)
+            span = 10.0 ** rng.uniform(-6.0, -0.5)
+            kind = rng.choice(["cluster", "line", "strip"])
+            n = rng.randint(2, 300)
+            pts = []
+            for _ in range(n):
+                u, v = rng.random(), rng.random()
+                if kind == "cluster":
+                    dlat, dlon = span * rng.gauss(0.0, 0.1) * u, span * rng.gauss(0.0, 0.1)
+                elif kind == "line":
+                    dlat, dlon = span * u * rng.choice([0.0, 1.0, -0.5]), span * u
+                else:
+                    dlat, dlon = 1e-6 * v, span * u
+                pts.append(GeoPoint(max(-90.0, min(90.0, lat0 + dlat)), lon0 + dlon))
+            homes = [pts[0]]
+            if rng.random() < 0.5:
+                far_lat = max(-90.0, min(90.0, lat0 + rng.uniform(-1.0, 1.0)))
+                homes.append(GeoPoint(far_lat, lon0 + rng.uniform(0.0, 179.0)))
+            rows, cols = _cell_layout(pts + homes, n)[5:]
+            assert rows * cols <= 2 * n + 2
+            gridded += rows * cols > 1
+        assert gridded > 1500
+
 
 def full_rectangle(origin: GeoPoint, rows: int, cols: int, spacing: float) -> list[Waypoint]:
     """The whole lattice at ``spacing`` over a rectangle ``rows`` x ``cols``

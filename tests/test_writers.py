@@ -33,7 +33,7 @@ from uavsurvey import (
     simulate,
     write_observation_log,
 )
-from uavsurvey.grid import Waypoint, WaypointGrid, bounding_rectangle
+from uavsurvey.grid import Waypoint, WaypointGrid
 from uavsurvey.sim import WAYPOINT_REACHED, Event, EventLog
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
@@ -63,21 +63,20 @@ def random_mission(rng: random.Random):
     plan = plan_routes(fleet, grid.points)
     dwell_s = rng.choice([0.0, 1.5])
     log = simulate(plan, fleet, sources, noise, rng.randint(0, 99), camera=camera, dwell_s=dwell_s)
-    return grid, plan, log
+    return grid, plan, fleet, log
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_random_missions_match_json_dumps(seed):
-    grid, plan, log = random_mission(random.Random(seed))
+    grid, plan, fleet, log = random_mission(random.Random(seed))
     assert grid.points
-    assert_same_bytes(export_geojson(grid, plan), log)
+    assert_same_bytes(export_geojson(grid, plan, fleet), log)
 
 
 def int_grid():
     """Three waypoints with int coordinates, the way ``GeoPoint(0, 0, 0)`` keeps them."""
     points = tuple(Waypoint(GeoPoint(i, j, 0), (i, j)) for i, j in ((0, 0), (0, 1), (1, 0)))
-    rect = bounding_rectangle(SimpleNamespace(vertices=[w.point for w in points]))
-    return WaypointGrid(1.0, rect, points)
+    return WaypointGrid(1.0, points)
 
 
 def random_json_value(rng: random.Random, depth: int = 0):
@@ -118,8 +117,8 @@ def test_mutated_documents_match_json_dumps(seed):
     """Random values swapped into an exported document, one at a time, so
     that each template meets near misses of the shape it fills."""
     rng = random.Random(seed)
-    grid, plan, _ = random_mission(rng)
-    doc = export_geojson(grid, plan)
+    grid, plan, fleet, _ = random_mission(rng)
+    doc = export_geojson(grid, plan, fleet)
     doc["features"][8:-3] = []  # a few Points, then the routes
     for _ in range(150):
         slots = list(_slots(doc))
@@ -172,7 +171,7 @@ def test_mutated_logs_match_json_dumps(seed):
     """Random values swapped into the events and camera of a simulated log,
     one at a time."""
     rng = random.Random(seed)
-    _, _, log = random_mission(rng)
+    _, _, _, log = random_mission(rng)
     events = [_namespace(e) for e in log.events[:40]]
     log = EventLog(log.mission_id, log.config_digest, events, _namespace(log.camera))
     for _ in range(150):
@@ -192,37 +191,37 @@ class TestEdgeCases:
         fleet = [Agent("rav-1", GeoPoint(0, 0, 0), 5)]
         plan = plan_routes(fleet, grid.points)
         log = simulate(plan, fleet, camera=CameraModel())
-        doc = export_geojson(grid, plan)
+        doc = export_geojson(grid, plan, fleet)
         assert '"coordinates": [\n          0,\n          0,\n          0\n        ]' in dumps_geojson(doc)
         assert_same_bytes(doc, log)
 
     @pytest.mark.parametrize("aid", ['say "hi"', "back\\slash", "räv-é", "tab\tnul\x00", "\U0001f681"])
     def test_awkward_agent_ids(self, aid):
         rng = random.Random(3)
-        grid, _, _ = random_mission(rng)
+        grid, _, _, _ = random_mission(rng)
         fleet = [Agent(aid, ORIGIN, 5.0), Agent(aid + "-2", ORIGIN, 6.0)]
         plan = plan_routes(fleet, grid.points)
-        assert_same_bytes(export_geojson(grid, plan), simulate(plan, fleet, camera=CameraModel()))
+        assert_same_bytes(export_geojson(grid, plan, fleet), simulate(plan, fleet, camera=CameraModel()))
 
     def test_unassigned_waypoints_and_empty_route(self):
-        grid, _, _ = random_mission(random.Random(4))
+        grid, _, _, _ = random_mission(random.Random(4))
         fleet = [Agent(f"rav-{k}", ORIGIN, 5.0) for k in range(4)]
         plan = plan_routes(fleet, grid.points[:2])  # two agents fly nothing
-        doc = export_geojson(grid, plan)
+        doc = export_geojson(grid, plan, fleet)
         assert any(f["properties"].get("visit_order", 0) is None for f in doc["features"])
         assert_same_bytes(doc, simulate(plan, fleet, camera=CameraModel()))
 
     def test_point_with_added_property(self):
-        grid, plan, _ = random_mission(random.Random(6))
-        doc = export_geojson(grid, plan)
+        grid, plan, fleet, _ = random_mission(random.Random(6))
+        doc = export_geojson(grid, plan, fleet)
         doc["features"][0]["properties"]["note"] = ["x", 1, None, True, {"k": 2.5}]
         doc["features"][1]["properties"]["lattice_index"] = [1, 2.0]
         doc["features"][-1]["properties"]["leg_count"] = False
         assert_same_bytes(doc)
 
     def test_other_shapes(self):
-        grid, plan, _ = random_mission(random.Random(7))
-        doc = export_geojson(grid, plan)
+        grid, plan, fleet, _ = random_mission(random.Random(7))
+        doc = export_geojson(grid, plan, fleet)
         doc["features"][0]["geometry"]["coordinates"] = [1.5, -2.5]
         doc["features"][1]["geometry"] = {"coordinates": [0.0, 0.0, 0.0], "type": "Point"}
         doc["features"][2]["geometry"]["type"] = "MultiPoint"
@@ -236,11 +235,10 @@ class TestEdgeCases:
 
     def test_empty_features(self):
         assert_same_bytes({"type": "FeatureCollection", "features": []})
-        grid = int_grid()
         fleet = [Agent("rav-1", GeoPoint(0, 0, 0), 5.0)]
-        empty = WaypointGrid(1.0, grid.rect, ())
+        empty = WaypointGrid(1.0, ())
         plan = plan_routes(fleet, [])
-        assert_same_bytes(export_geojson(empty, plan), simulate(plan, fleet, camera=CameraModel()))
+        assert_same_bytes(export_geojson(empty, plan, fleet), simulate(plan, fleet, camera=CameraModel()))
 
     def test_hand_built_events(self):
         wp = SimpleNamespace(point=SimpleNamespace(lat_deg=1, lon_deg=-0.0, alt_m=True), index=[3, (4,)])
@@ -249,8 +247,8 @@ class TestEdgeCases:
             assert_same_bytes(log=EventLog('id "q"', "0" * 64, events, camera))
 
     def test_unsupported_type_raises_type_error(self):
-        grid, plan, log = random_mission(random.Random(8))
-        doc = export_geojson(grid, plan)
+        grid, plan, fleet, log = random_mission(random.Random(8))
+        doc = export_geojson(grid, plan, fleet)
         doc["features"][0]["properties"]["agent_id"] = object()
         with pytest.raises(TypeError):
             dumps_geojson(doc)
@@ -265,8 +263,8 @@ class TestEdgeCases:
 
 
 def _exported():
-    grid, plan, _ = random_mission(random.Random(9))
-    return export_geojson(grid, plan)
+    grid, plan, fleet, _ = random_mission(random.Random(9))
+    return export_geojson(grid, plan, fleet)
 
 
 def _first(doc, kind):
@@ -319,7 +317,7 @@ def _camera_with_slot(camera: CameraModel, slot: str, value: float) -> SimpleNam
 )
 def test_log_float_slots_refuse_non_finite(slot, value):
     """``alt`` covers the camera's ``altitude_m`` too: both write the waypoint's altitude."""
-    _, _, log = random_mission(random.Random(10))
+    _, _, _, log = random_mission(random.Random(10))
     events, camera = list(log.events), log.camera
     if slot in ("half_fov_deg", "footprint_width_m"):
         camera = _camera_with_slot(camera, slot, value)
@@ -366,7 +364,7 @@ def test_json_dumps_calls_depend_on_the_fleet_not_the_waypoints(monkeypatch):
         plan = plan_routes(config.fleet, grid.points)
         log = simulate(plan, config.fleet, config.sources, config.noise, config.seed, camera=camera)
         calls.clear()
-        dumps_geojson(export_geojson(grid, plan))
+        dumps_geojson(export_geojson(grid, plan, config.fleet))
         write_observation_log(log)
         counts[len(grid.points)] = len(calls)
     (few, few_calls), (many, many_calls) = counts.items()
