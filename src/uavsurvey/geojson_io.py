@@ -28,6 +28,21 @@ def _coords(p: GeoPoint) -> list[float]:
     return [p.lon_deg, p.lat_deg, p.alt_m]
 
 
+def _check_on_grid(grid: WaypointGrid, plan: RoutePlan, assignment: dict) -> None:
+    """Refuse a plan with a waypoint not in ``grid``, ``assignment`` being keyed
+    as ``export_geojson`` keys it. The set of grid keys is freed on return,
+    before the features are built."""
+    on_grid = {(wp.point.lat_deg, wp.point.lon_deg, wp.point.alt_m, wp.index) for wp in grid.points}
+    if not on_grid.issuperset(assignment):
+        stray = dict.fromkeys(
+            wp
+            for route in plan.routes.values()
+            for wp in route
+            if (wp.point.lat_deg, wp.point.lon_deg, wp.point.alt_m, wp.index) not in on_grid
+        )
+        raise ValueError(f"plan contains waypoints not in the grid: {list(stray)[:3]}")
+
+
 def export_geojson(grid: WaypointGrid, plan: RoutePlan, fleet: Sequence[Agent]) -> dict:
     """FeatureCollection with one Point per waypoint and one LineString per
     non-empty agent route (starting at that agent's home in ``fleet``).
@@ -36,25 +51,28 @@ def export_geojson(grid: WaypointGrid, plan: RoutePlan, fleet: Sequence[Agent]) 
     1-based visit order (null when unassigned). Route properties carry the
     agent id, leg count, and total length in meters. ``fleet`` obeys the
     fleet rules of ``makespan`` and ``simulate`` or ValueError is raised.
+
+    A route's waypoint is matched to the grid's by ``(lat, lon, alt,
+    index)``, a tuple equal exactly when the waypoints are, but hashed in C
+    instead of by two dataclass ``__hash__`` calls.
     """
     _check_fleet(fleet, plan)
     homes = {a.id: a.home for a in fleet}
     assignment: dict = {}
     for aid, route in plan.routes.items():
         for order, wp in enumerate(route, start=1):
-            assignment[wp] = (aid, order)
-    grid_points = set(grid.points)
-    stray = [wp for wp in assignment if wp not in grid_points]
-    if stray:
-        raise ValueError(f"plan contains waypoints not in the grid: {stray[:3]}")
+            p = wp.point
+            assignment[p.lat_deg, p.lon_deg, p.alt_m, wp.index] = (aid, order)
+    _check_on_grid(grid, plan, assignment)
 
     features = []
     for wp in grid.points:
-        aid, order = assignment.get(wp, (None, None))
+        p = wp.point
+        aid, order = assignment.get((p.lat_deg, p.lon_deg, p.alt_m, wp.index), (None, None))
         features.append(
             {
                 "type": "Feature",
-                "geometry": {"type": "Point", "coordinates": _coords(wp.point)},
+                "geometry": {"type": "Point", "coordinates": [p.lon_deg, p.lat_deg, p.alt_m]},
                 "properties": {
                     "lattice_index": list(wp.index),
                     "agent_id": aid,
@@ -138,6 +156,8 @@ _POINT_PROPERTIES = (
     '{\n        "lattice_index": [\n          %d,\n          %d\n        ],\n'
     '        "agent_id": %s,\n        "visit_order": %s\n      }'
 )
+# A Point with the three properties export_geojson gives it, in one template.
+_POINT_FEATURE = _FEATURE % ("Point", _POINT_XYZ, _POINT_PROPERTIES)
 
 
 def _position(cache: dict, c, template: str, newline: str) -> str:
@@ -145,17 +165,13 @@ def _position(cache: dict, c, template: str, newline: str) -> str:
     if type(c) is list and len(c) == 3:
         x, y, z = c
         if type(x) is float and type(y) is float and type(z) is float:
-            return template % (_cached(cache, x, None), _cached(cache, y, None), _cached(cache, z, None))
+            get = cache.get  # a cached text is never empty; a miss or a zero goes to _cached
+            return template % (
+                get(x) or _cached(cache, x, None),
+                get(y) or _cached(cache, y, None),
+                get(z) or _cached(cache, z, None),
+            )
     return _encode(c, newline)
-
-
-def _point_properties(cache: dict, props) -> str:
-    if type(props) is dict and tuple(props) == ("lattice_index", "agent_id", "visit_order"):
-        index, aid, order = props.values()
-        if type(index) is list and len(index) == 2 and type(index[0]) is int and type(index[1]) is int:
-            i, j = index
-            return _POINT_PROPERTIES % (i, j, _cached(cache, aid, _NL[4]), _encode(order, _NL[4]))
-    return _encode(props, _NL[3])
 
 
 def _feature(cache: dict, feature) -> str:
@@ -169,8 +185,32 @@ def _feature(cache: dict, feature) -> str:
         if type(geometry) is dict and tuple(geometry) == ("type", "coordinates"):
             kind, coords = geometry["type"], geometry["coordinates"]
             if kind == "Point":
+                props = feature["properties"]
+                if (
+                    type(coords) is list
+                    and len(coords) == 3
+                    and type(props) is dict
+                    and tuple(props) == ("lattice_index", "agent_id", "visit_order")
+                ):
+                    x, y, z = coords
+                    index, aid, order = props.values()
+                    if (
+                        type(x) is float and type(y) is float and type(z) is float
+                        and type(index) is list and len(index) == 2
+                        and type(index[0]) is int and type(index[1]) is int
+                    ):
+                        get = cache.get
+                        return _POINT_FEATURE % (
+                            get(x) or _cached(cache, x, None),
+                            get(y) or _cached(cache, y, None),
+                            get(z) or _cached(cache, z, None),
+                            index[0],
+                            index[1],
+                            _cached(cache, aid, _NL[4]),
+                            _encode(order, _NL[4]),
+                        )
                 text = _position(cache, coords, _POINT_XYZ, _NL[4])
-                return _FEATURE % ("Point", text, _point_properties(cache, feature["properties"]))
+                return _FEATURE % ("Point", text, _encode(props, _NL[3]))
             if kind == "LineString" and type(coords) is list and coords:
                 text = ("," + _NL[5]).join([_position(cache, c, _LINE_XYZ, _NL[5]) for c in coords])
                 text = "[" + _NL[5] + text + _NL[4] + "]"

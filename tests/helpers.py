@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -313,6 +314,29 @@ def json_dumps_geojson(doc: dict) -> str:
     """``plan.geojson`` as ``json.dumps`` writes it, the way ``dumps_geojson``
     did before it filled templates."""
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def json_config_digest(plan, fleet, sources, noise, seed, camera, dwell_s) -> str:
+    """``config_digest`` as one ``json.dumps(sort_keys=True)`` of a nested
+    payload, the way it was computed before it rendered the routes itself."""
+
+    def geo(p):
+        return [p.lat_deg, p.lon_deg, p.alt_m]
+
+    payload = {
+        "routes": {
+            aid: [[geo(w.point), list(w.index)] for w in route]
+            for aid, route in plan.routes.items()
+        },
+        "fleet": [[a.id, geo(a.home), a.velocity_mps] for a in fleet],
+        "sources": [[geo(s.position), s.sigma] for s in sources],
+        "noise": [noise.kind, noise.relative_sd],
+        "seed": seed,
+        "dwell_s": dwell_s,
+        "camera": [camera.half_fov_deg, camera.overlap_fraction, camera.altitude_m],
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def json_observation_log(log) -> str:

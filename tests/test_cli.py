@@ -12,7 +12,8 @@ import pytest
 from helpers import REPO_CONFIG, assert_valid_geojson
 from uavsurvey import config as config_module
 from uavsurvey import generate_waypoints, grid, parse_mission_config
-from uavsurvey.cli import main
+from uavsurvey import cli
+from uavsurvey.cli import build_parser, main
 
 TINY = {
     "region": [[0.0, 0.0], [0.0, 0.00055], [0.00055, 0.00055], [0.00055, 0.0]],
@@ -318,3 +319,38 @@ class TestBound:
         out = capsys.readouterr().out
         assert "lower bound unavailable" in out
         assert "skipped" in out
+
+
+class TestRepeatedCalls:
+    """``main`` builds its parser once; every call still parses its own argv."""
+
+    @staticmethod
+    def call(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_calls_repeat_their_output_and_exit_code(self, tiny_config, tmp_path, capsys, monkeypatch):
+        builds = []
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+        config = str(tiny_config)
+        calls = [
+            ["bound", "--config", config],
+            ["bound", "--config", config, "--agents", "1"],
+            ["plan", "--config", config, "--agents", "5", "--out", str(tmp_path)],  # a ConfigError
+            ["simulate", "--config", config, "--seed", "3", "--out", str(tmp_path)],
+            ["plan", "--out", str(tmp_path)],  # an argparse error: --config is missing
+            ["validate", "--config", config],
+        ]
+        first = [self.call(argv, capsys) for argv in calls]
+        # In reverse, so each option set earlier must not linger into a call without it.
+        again = [self.call(argv, capsys) for argv in reversed(calls)][::-1]
+        assert again == first
+        assert [code for code, _, _ in first] == [0, 0, 1, 0, 2, 0]
+        assert "agents: 2" in first[0][1] and "agents: 1" in first[1][1]
+        assert first[2][2] == "error: --agents 5 exceeds fleet size 2\n"
+        assert "the following arguments are required: --config" in first[4][2]
+        assert len(builds) <= 1  # none once an earlier call has built the parser

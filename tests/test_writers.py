@@ -13,17 +13,19 @@ import dataclasses
 import json
 import math
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
 
-from helpers import REPO_CONFIG, json_dumps_geojson, json_observation_log, random_star_polygon
+from helpers import REPO_CONFIG, json_config_digest, json_dumps_geojson, json_observation_log, random_star_polygon
 from uavsurvey import (
     Agent,
     CameraModel,
     GeoPoint,
     NoiseSpec,
     RadiationSource,
+    RoutePlan,
     dumps_geojson,
     export_geojson,
     generate_waypoints,
@@ -34,7 +36,7 @@ from uavsurvey import (
     write_observation_log,
 )
 from uavsurvey.grid import Waypoint, WaypointGrid
-from uavsurvey.sim import WAYPOINT_REACHED, Event, EventLog
+from uavsurvey.sim import WAYPOINT_REACHED, Event, EventLog, config_digest
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 ORIGIN = GeoPoint(53.28, -9.06)
@@ -47,7 +49,8 @@ def assert_same_bytes(doc: dict | None = None, log: EventLog | None = None) -> N
         assert write_observation_log(log) == json_observation_log(log)
 
 
-def random_mission(rng: random.Random):
+def mission_inputs(rng: random.Random):
+    """A seeded mission's grid, plan and fleet, and the other inputs of ``simulate``."""
     region = random_star_polygon(rng, ORIGIN, rng.randint(3, 24), 60.0, rng.uniform(80.0, 250.0))
     camera = CameraModel(rng.uniform(20.0, 60.0), rng.uniform(0.0, 0.5), rng.uniform(10.0, 40.0))
     grid = generate_waypoints(region, camera)
@@ -62,8 +65,13 @@ def random_mission(rng: random.Random):
     noise = NoiseSpec("gaussian", rng.uniform(0.0, 0.3)) if rng.random() < 0.5 else NoiseSpec()
     plan = plan_routes(fleet, grid.points)
     dwell_s = rng.choice([0.0, 1.5])
-    log = simulate(plan, fleet, sources, noise, rng.randint(0, 99), camera=camera, dwell_s=dwell_s)
-    return grid, plan, fleet, log
+    inputs = dict(sources=sources, noise=noise, seed=rng.randint(0, 99), camera=camera, dwell_s=dwell_s)
+    return grid, plan, fleet, inputs
+
+
+def random_mission(rng: random.Random):
+    grid, plan, fleet, inputs = mission_inputs(rng)
+    return grid, plan, fleet, simulate(plan, fleet, **inputs)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -371,3 +379,118 @@ def test_json_dumps_calls_depend_on_the_fleet_not_the_waypoints(monkeypatch):
     assert many > 3 * few
     agents = len(config.fleet)
     assert few_calls == many_calls == 2 + 3 * agents + 2  # header, type; ids twice, routes; two bookend kinds
+
+
+# --------------------------------------------------------------------------
+# config_digest against one json.dumps(sort_keys=True) of a nested payload
+
+
+def assert_same_digest(plan, fleet, **inputs) -> None:
+    inputs = {**dict(sources=(), noise=NoiseSpec(), seed=0, camera=CameraModel(), dwell_s=0.0), **inputs}
+    assert config_digest(plan, fleet, **inputs) == json_config_digest(plan, fleet, **inputs)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_mission_digests_match_json_dumps(seed):
+    _, plan, fleet, inputs = mission_inputs(random.Random(seed))
+    assert_same_digest(plan, fleet, **inputs)
+
+
+class TestDigestEdgeCases:
+    def test_campus(self):
+        config = parse_mission_config(REPO_CONFIG.read_text(encoding="utf-8"))
+        plan = plan_routes(config.fleet, generate_waypoints(config.region, config.camera).points)
+        inputs = dict(sources=config.sources, noise=config.noise, seed=config.seed, dwell_s=config.dwell_s)
+        assert_same_digest(plan, config.fleet, camera=config.camera, **inputs)
+
+    def test_int_and_signed_zero_coordinates(self):
+        grid = int_grid()
+        fleet = [Agent("rav-1", GeoPoint(0, 0, 0), 5)]
+        source = RadiationSource(GeoPoint(0, 1, 0), 100)
+        inputs = dict(sources=[source], noise=NoiseSpec("gaussian", 0), seed=3, camera=CameraModel(30, 0, 2), dwell_s=0)
+        assert_same_digest(plan_routes(fleet, grid.points), fleet, **inputs)
+        # Equal keys of a float cache with other texts: 0.0 and -0.0, 1 and 1.0.
+        route = [
+            Waypoint(GeoPoint(lat, lon, alt), (k, 0))
+            for k, (lat, lon, alt) in enumerate([(0.0, -0.0, 0.0), (-0.0, 0.0, -0.0), (1, 1.0, 2.5), (1.0, 1, 2.5)])
+        ]
+        assert_same_digest(RoutePlan({"rav-1": route}), fleet)
+
+    def test_empty_routes(self):
+        fleet = [Agent(f"rav-{k}", ORIGIN, 5.0) for k in range(3)]
+        grid = int_grid()
+        assert_same_digest(plan_routes(fleet, grid.points[:1]), fleet)
+        assert_same_digest(RoutePlan({}), fleet)
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            ['say "hi"', "back\\slash", "räv-é", "tab\tnul\x00", "\U0001f681"],
+            ["b", "a", "B", "a-2", "\U0001f681", "\uffff"],
+            [10, 3],  # sort_keys orders ints before it turns them into strings
+        ],
+        ids=["escaped", "unsorted", "int"],
+    )
+    def test_awkward_agent_ids(self, ids):
+        grid, _, _, _ = random_mission(random.Random(3))
+        fleet = [Agent(aid, ORIGIN, 5.0 + k) for k, aid in enumerate(ids)]
+        plan = plan_routes(fleet, grid.points)
+        assert list(plan.routes) != sorted(plan.routes)
+        assert_same_digest(plan, fleet)
+
+    def test_index_not_an_int_pair(self):
+        p = GeoPoint(53.28, -9.06, 32.0)
+        indices = [(1, 2.0), (True, None), ("x", -0.0), (1, 2, 3), [4, 5], (1, {"b": 1, "a": [2.5, 0]}), ()]
+        route = [Waypoint(p, index) for index in indices]
+        assert_same_digest(RoutePlan({"rav-1": route}), [Agent("rav-1", ORIGIN, 5.0)])
+
+
+# --------------------------------------------------------------------------
+# export_geojson matches a plan's waypoints to the grid's by equality
+
+
+def _copy(w: Waypoint, point: GeoPoint | None = None, index: tuple | None = None) -> Waypoint:
+    """An equal copy of ``w`` built from new floats, point and index tuple, or
+    a copy with ``point`` or ``index`` replaced."""
+    p = w.point
+    fresh = GeoPoint(float(repr(p.lat_deg)), float(repr(p.lon_deg)), float(repr(p.alt_m)))
+    return Waypoint(point or fresh, index or tuple(list(w.index)))
+
+
+class TestExportMatching:
+    def test_equal_copies_give_the_same_document(self):
+        grid, plan, fleet, _ = random_mission(random.Random(11))
+        copies = RoutePlan({aid: [_copy(w) for w in route] for aid, route in plan.routes.items()})
+        w, c = next(iter(plan.routes.values()))[0], next(iter(copies.routes.values()))[0]
+        assert c == w and c is not w and c.point.lat_deg is not w.point.lat_deg
+        assert export_geojson(grid, copies, fleet) == export_geojson(grid, plan, fleet)
+
+    @pytest.mark.parametrize("moved", ["index", "position"])
+    def test_a_waypoint_off_the_grid_is_refused(self, moved):
+        grid, plan, fleet, _ = random_mission(random.Random(14))
+        route = max(plan.routes.values(), key=len)
+        assert len(route) >= 5
+        stray = []
+        for w in route[:4]:
+            if moved == "index":
+                stray.append(_copy(w, index=(w.index[0] + 1000, w.index[1])))
+            else:
+                p = w.point
+                stray.append(_copy(w, point=GeoPoint(p.lat_deg + 1e-9, p.lon_deg, p.alt_m)))
+        route[1:5] = [stray[0], _copy(stray[0]), *stray[1:]]  # a repeat is named once
+        message = f"plan contains waypoints not in the grid: {stray[:3]}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            export_geojson(grid, plan, fleet)
+
+    def test_no_waypoint_or_point_is_hashed(self, monkeypatch):
+        grid, plan, fleet, _ = random_mission(random.Random(13))
+        expected = export_geojson(grid, plan, fleet)
+
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} hashed")
+
+        monkeypatch.setattr(Waypoint, "__hash__", refuse)
+        monkeypatch.setattr(GeoPoint, "__hash__", refuse)
+        with pytest.raises(AssertionError, match="hashed"):
+            hash(grid.points[0])
+        assert export_geojson(grid, plan, fleet) == expected
