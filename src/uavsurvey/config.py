@@ -133,6 +133,17 @@ def _number(value, path: str) -> float:
     return number
 
 
+def _string(value, path: str) -> None:
+    """Refuse a value that is not a str, or one with a lone surrogate (JSON's
+    "\\ud800"), which has no UTF-8 encoding to print or write."""
+    if not isinstance(value, str):
+        raise _fail(path, "expected a string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise _fail(path, f"lone surrogate {value[exc.start]!r} at index {exc.start} has no UTF-8 encoding") from None
+
+
 def _geopoint(value, path: str) -> GeoPoint:
     if not isinstance(value, list) or len(value) not in (2, 3):
         raise _fail(path, "expected [lat_deg, lon_deg] or [lat_deg, lon_deg, alt_m]")
@@ -153,7 +164,9 @@ def parse_mission_config(text: str) -> MissionConfig:
     """
     try:
         raw = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+    # ValueError: a JSONDecodeError, or an integer literal longer than
+    # sys.get_int_max_str_digits(); RecursionError: nesting too deep.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON: {exc}") from None
     _object(raw, "", _TOP_KEYS)
 
@@ -176,8 +189,7 @@ def parse_mission_config(text: str) -> MissionConfig:
     for k, item in enumerate(fleet_raw):
         path = f"fleet[{k}]"
         _object(item, path, _AGENT_KEYS)
-        if not isinstance(item["id"], str):
-            raise _fail(f"{path}.id", "expected a string")
+        _string(item["id"], f"{path}.id")
         home = _geopoint(item["home"], f"{path}.home")
         fleet.append(_build(path, lambda: Agent(
             item["id"], home, _number(item["velocity_mps"], f"{path}.velocity_mps"),
@@ -210,8 +222,8 @@ def parse_mission_config(text: str) -> MissionConfig:
     dwell_s = _number(raw.get("dwell_s", 0.0), "dwell_s")
 
     mission_id = raw.get("mission_id")
-    if mission_id is not None and not isinstance(mission_id, str):
-        raise _fail("mission_id", "expected a string")
+    if mission_id is not None:
+        _string(mission_id, "mission_id")
 
     try:
         return MissionConfig(

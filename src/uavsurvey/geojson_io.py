@@ -5,12 +5,12 @@ coordinate order, WGS-84. All float output uses Python's shortest
 round-trip repr, so identical inputs serialize to identical bytes.
 
 ``dumps_geojson`` writes the bytes of ``json.dumps(doc, indent=2,
-allow_nan=False)`` and ``write_observation_log`` those of one compact
-``json.dumps(record, separators=(",", ":"), allow_nan=False)`` per line.
-CPython encodes indented JSON only in pure Python, so both fill templates
-of the shapes they meet (the Point and LineString features
-``export_geojson`` builds, the two event lines) and hand every other shape
-to ``json.dumps`` itself, shifted to the indentation it starts at.
+allow_nan=False) + "\n"``, which CPython encodes only in pure Python. When
+every feature is a Point or LineString of the shape ``export_geojson``
+builds, with finite floats, it fills templates; any other document is that
+one ``json.dumps`` call. ``write_observation_log`` fills a template per
+event line, the bytes of one compact ``json.dumps(record, separators=(",",
+":"), allow_nan=False)`` per line.
 """
 
 from __future__ import annotations
@@ -18,14 +18,9 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-from .geodesy import GeoPoint
 from .grid import WaypointGrid, footprint_width
 from .routing import Agent, RoutePlan, _check_fleet, route_length
 from .sim import WAYPOINT_REACHED, EventLog
-
-
-def _coords(p: GeoPoint) -> list[float]:
-    return [p.lon_deg, p.lat_deg, p.alt_m]
 
 
 def _check_on_grid(grid: WaypointGrid, plan: RoutePlan, assignment: dict) -> None:
@@ -84,7 +79,7 @@ def export_geojson(grid: WaypointGrid, plan: RoutePlan, fleet: Sequence[Agent]) 
         if not route:
             continue  # a LineString needs at least two positions
         home = homes[aid]
-        coordinates = [_coords(home)] + [_coords(wp.point) for wp in route]
+        coordinates = [[p.lon_deg, p.lat_deg, p.alt_m] for p in (home, *[wp.point for wp in route])]
         features.append(
             {
                 "type": "Feature",
@@ -99,16 +94,10 @@ def export_geojson(grid: WaypointGrid, plan: RoutePlan, fleet: Sequence[Agent]) 
     return {"type": "FeatureCollection", "features": features}
 
 
-def _encode(value, newline: str | None) -> str:
-    """JSON text of ``value`` as ``json.dumps(value, allow_nan=False)`` writes
-    it: compact (``separators=(",", ":")``) when ``newline`` is None, else
-    with ``indent=2``, ``newline`` being "\\n" plus the indentation of the
-    line ``value`` starts on.
-
-    A finite float, an int and None are rendered here; anything else goes to
-    ``json``. Its indented text has no raw "\\n" but its line breaks (strings
-    escape every control character), so shifting it to ``newline`` is exact.
-    """
+def _encode(value) -> str:
+    """JSON text of ``value`` as ``json.dumps(value, separators=(",", ":"),
+    allow_nan=False)`` writes it. A finite float, an int and None are
+    rendered here; anything else goes to ``json``."""
     kind = type(value)
     if kind is float and value - value == 0.0:
         return float.__repr__(value)
@@ -116,13 +105,11 @@ def _encode(value, newline: str | None) -> str:
         return int.__repr__(value)
     if value is None:
         return "null"
-    if newline is None:
-        return json.dumps(value, separators=(",", ":"), allow_nan=False)
-    return json.dumps(value, indent=2, allow_nan=False).replace("\n", newline)
+    return json.dumps(value, separators=(",", ":"), allow_nan=False)
 
 
-def _cached(cache: dict, value, newline: str | None) -> str:
-    """``_encode(value, newline)``, kept in ``cache`` for strings and nonzero floats.
+def _cached(cache: dict, value) -> str:
+    """``_encode(value)``, kept in ``cache`` for strings and nonzero floats.
 
     Agent ids, altitudes and the coordinates of a waypoint (in its Point and
     again in its route) repeat, and a float repr is the dearest step of a
@@ -130,104 +117,95 @@ def _cached(cache: dict, value, newline: str | None) -> str:
     kept, and no str equals a float.
     """
     if type(value) is not str and (type(value) is not float or not value):
-        return _encode(value, newline)
+        return _encode(value)
     text = cache.get(value)
     if text is None:
-        text = cache[value] = _encode(value, None)
+        text = cache[value] = _encode(value)
     return text
 
 
-def _xyz_template(newline: str) -> str:
-    inner = newline + "  "
-    return "[" + inner + "%s," + inner + "%s," + inner + "%s" + newline + "]"
+class _OffTemplate(Exception):
+    """A document the templates of ``dumps_geojson`` do not cover."""
 
 
-# "\n" plus the indentation of a line at each depth: a feature starts at
-# depth 2, its properties at 3, a Point's position at 4 and a LineString's
-# positions at 5.
-_NL = tuple("\n" + "  " * depth for depth in range(6))
-_POINT_XYZ = _xyz_template(_NL[4])
-_LINE_XYZ = _xyz_template(_NL[5])
+def _scalar(cache: dict, value) -> str:
+    """``_cached(cache, value)`` for a str, an int, a finite float or None,
+    whose compact text is also its indented one; any other is off-template."""
+    kind = type(value)
+    if kind is str or kind is int or value is None or (kind is float and value - value == 0.0):
+        return _cached(cache, value)
+    raise _OffTemplate
+
+
+_POINT_KEYS = ("lattice_index", "agent_id", "visit_order")
+_LINE_KEYS = ("agent_id", "leg_count", "total_length_m")
 _FEATURE = (
     '    {\n      "type": "Feature",\n      "geometry": {\n        "type": "%s",\n'
-    '        "coordinates": %s\n      },\n      "properties": %s\n    }'
+    '        "coordinates": %s\n      },\n      "properties": {\n%s\n      }\n    }'
 )
-_POINT_PROPERTIES = (
-    '{\n        "lattice_index": [\n          %d,\n          %d\n        ],\n'
-    '        "agent_id": %s,\n        "visit_order": %s\n      }'
+# The two features export_geojson builds, as json.dumps(indent=2) writes them
+# at the depth of a feature in the collection.
+_POINT_FEATURE = _FEATURE % (
+    "Point",
+    "[\n          %s,\n          %s,\n          %s\n        ]",
+    '        "lattice_index": [\n          %d,\n          %d\n        ],\n'
+    '        "agent_id": %s,\n        "visit_order": %s',
 )
-# A Point with the three properties export_geojson gives it, in one template.
-_POINT_FEATURE = _FEATURE % ("Point", _POINT_XYZ, _POINT_PROPERTIES)
+_LINE_FEATURE = _FEATURE % (
+    "LineString",
+    "[\n          %s\n        ]",
+    '        "agent_id": %s,\n        "leg_count": %s,\n        "total_length_m": %s',
+)
+_LINE_XYZ = "[\n            %s,\n            %s,\n            %s\n          ]"
+_COLLECTION = '{\n  "type": "FeatureCollection",\n  "features": [\n%s\n  ]\n}\n'
 
 
-def _position(cache: dict, c, template: str, newline: str) -> str:
-    """One [lon, lat, alt] list; three floats fill ``template``."""
+def _position(cache: dict, c) -> str:
+    """One [lon, lat, alt] of three floats in a LineString."""
     if type(c) is list and len(c) == 3:
         x, y, z = c
         if type(x) is float and type(y) is float and type(z) is float:
-            get = cache.get  # a cached text is never empty; a miss or a zero goes to _cached
-            return template % (
-                get(x) or _cached(cache, x, None),
-                get(y) or _cached(cache, y, None),
-                get(z) or _cached(cache, z, None),
-            )
-    return _encode(c, newline)
+            get = cache.get  # a cached text is never empty; a miss or a zero goes to _scalar
+            return _LINE_XYZ % (get(x) or _scalar(cache, x), get(y) or _scalar(cache, y), get(z) or _scalar(cache, z))
+    raise _OffTemplate
 
 
 def _feature(cache: dict, feature) -> str:
-    """One element of a FeatureCollection's ``features``, indented."""
-    if (
-        type(feature) is dict
-        and tuple(feature) == ("type", "geometry", "properties")
-        and feature["type"] == "Feature"
-    ):
-        geometry = feature["geometry"]
-        if type(geometry) is dict and tuple(geometry) == ("type", "coordinates"):
-            kind, coords = geometry["type"], geometry["coordinates"]
-            if kind == "Point":
-                props = feature["properties"]
+    """A Point or LineString feature as ``export_geojson`` builds it, filled
+    into its template; any other feature is off-template."""
+    if type(feature) is dict and tuple(feature) == ("type", "geometry", "properties") and feature["type"] == "Feature":
+        geometry, props = feature["geometry"], feature["properties"]
+        if type(geometry) is dict and tuple(geometry) == ("type", "coordinates") and type(props) is dict:
+            kind, coords, keys = geometry["type"], geometry["coordinates"], tuple(props)
+            if kind == "Point" and keys == _POINT_KEYS and type(coords) is list and len(coords) == 3:
+                (x, y, z), (index, aid, order) = coords, props.values()
                 if (
-                    type(coords) is list
-                    and len(coords) == 3
-                    and type(props) is dict
-                    and tuple(props) == ("lattice_index", "agent_id", "visit_order")
+                    type(x) is float and type(y) is float and type(z) is float
+                    and type(index) is list and len(index) == 2
+                    and type(index[0]) is int and type(index[1]) is int
                 ):
-                    x, y, z = coords
-                    index, aid, order = props.values()
-                    if (
-                        type(x) is float and type(y) is float and type(z) is float
-                        and type(index) is list and len(index) == 2
-                        and type(index[0]) is int and type(index[1]) is int
-                    ):
-                        get = cache.get
-                        return _POINT_FEATURE % (
-                            get(x) or _cached(cache, x, None),
-                            get(y) or _cached(cache, y, None),
-                            get(z) or _cached(cache, z, None),
-                            index[0],
-                            index[1],
-                            _cached(cache, aid, _NL[4]),
-                            _encode(order, _NL[4]),
-                        )
-                text = _position(cache, coords, _POINT_XYZ, _NL[4])
-                return _FEATURE % ("Point", text, _encode(props, _NL[3]))
-            if kind == "LineString" and type(coords) is list and coords:
-                text = ("," + _NL[5]).join([_position(cache, c, _LINE_XYZ, _NL[5]) for c in coords])
-                text = "[" + _NL[5] + text + _NL[4] + "]"
-                return _FEATURE % ("LineString", text, _encode(feature["properties"], _NL[3]))
-    return "    " + _encode(feature, _NL[2])
+                    get = cache.get
+                    return _POINT_FEATURE % (
+                        get(x) or _scalar(cache, x), get(y) or _scalar(cache, y), get(z) or _scalar(cache, z),
+                        index[0], index[1], _scalar(cache, aid), _scalar(cache, order),
+                    )
+            elif kind == "LineString" and keys == _LINE_KEYS and type(coords) is list and coords:
+                text = ",\n          ".join([_position(cache, c) for c in coords])
+                return _LINE_FEATURE % (text, *[_scalar(cache, v) for v in props.values()])
+    raise _OffTemplate
 
 
 def dumps_geojson(doc: dict) -> str:
     """Strict JSON: a NaN or infinite coordinate raises ValueError."""
-    if type(doc) is dict and tuple(doc) == ("type", "features"):
+    if type(doc) is dict and tuple(doc) == ("type", "features") and doc["type"] == "FeatureCollection":
         features = doc["features"]
         if type(features) is list and features:
-            kind = _encode(doc["type"], _NL[1])
             cache: dict = {}
-            body = ",\n".join([_feature(cache, f) for f in features])
-            return '{\n  "type": %s,\n  "features": [\n%s\n  ]\n}\n' % (kind, body)
-    return _encode(doc, _NL[0]) + "\n"
+            try:
+                return _COLLECTION % ",\n".join([_feature(cache, f) for f in features])
+            except _OffTemplate:
+                pass
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 _BOOKEND_LINE = '{"event":%s,"t":%s,"agent_id":%s}'
@@ -242,7 +220,7 @@ def _lattice_index(index) -> str:
     """A waypoint's lattice index on a log line: "[i,j]"."""
     if type(index) is tuple and len(index) == 2 and type(index[0]) is int and type(index[1]) is int:
         return "[%d,%d]" % index
-    return _encode(list(index), None)
+    return _encode(list(index))
 
 
 def write_observation_log(log: EventLog) -> str:
@@ -260,22 +238,22 @@ def write_observation_log(log: EventLog) -> str:
         "config_digest": log.config_digest,
         "event_count": len(log.events),
     }
-    lines = [_encode(header, None)]
-    half_fov = _encode(log.camera.half_fov_deg, None)
-    footprint = _encode(footprint_width(log.camera), None)
+    lines = [_encode(header)]
+    half_fov = _encode(log.camera.half_fov_deg)
+    footprint = _encode(footprint_width(log.camera))
     cache: dict = {}
     for event in log.events:
         if event.kind == WAYPOINT_REACHED:
             wp = event.waypoint
             p = wp.point
-            alt = _cached(cache, p.alt_m, None)
+            alt = _cached(cache, p.alt_m)
             lines.append(_OBSERVATION_LINE % (
-                _encode(event.t, None),
-                _cached(cache, event.agent_id, None),
-                _cached(cache, p.lat_deg, None),
-                _cached(cache, p.lon_deg, None),
+                _encode(event.t),
+                _cached(cache, event.agent_id),
+                _cached(cache, p.lat_deg),
+                _cached(cache, p.lon_deg),
                 alt,
-                _encode(event.radiation_usv_s, None),
+                _encode(event.radiation_usv_s),
                 alt,
                 half_fov,
                 footprint,
@@ -283,8 +261,8 @@ def write_observation_log(log: EventLog) -> str:
             ))
         else:
             lines.append(_BOOKEND_LINE % (
-                _cached(cache, event.kind, None),
-                _encode(event.t, None),
-                _cached(cache, event.agent_id, None),
+                _cached(cache, event.kind),
+                _encode(event.t),
+                _cached(cache, event.agent_id),
             ))
     return "\n".join(lines) + "\n"

@@ -228,6 +228,32 @@ class TestSimulate:
             assert capsys.readouterr().err == error
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "path, error",
+        [
+            (("mission_id",), "error: mission_id: lone surrogate '\\ud800' at index 4 has no UTF-8 encoding\n"),
+            (("fleet", 1, "id"), "error: fleet[1].id: lone surrogate '\\ud800' at index 4 has no UTF-8 encoding\n"),
+        ],
+        ids=["mission_id", "agent_id"],
+    )
+    def test_lone_surrogate_refused_before_any_output(self, tmp_path, capsys, path, error):
+        # UTF-8 cannot encode the id, so printing it after the files are
+        # written would fail: every command refuses it at parse time.
+        doc = json.loads(REPO_CONFIG.read_text(encoding="utf-8"))
+        owner = doc
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = "rav-\ud800"
+        config = tmp_path / "surrogate.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        for command in ("validate", "plan", "simulate"):
+            argv = [command, "--config", str(config)] + (["--out", str(out)] if command != "validate" else [])
+            assert main(argv) == 1
+            assert capsys.readouterr().err == error
+        assert list(out.iterdir()) == []
+
     def test_readings_just_inside_the_bound_are_written(self, tmp_path):
         # A source on a waypoint whose clamped level times the largest noise
         # factor, 1e307 x (1 + 8.6 x 1.0), is just below the float range.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 
 import pytest
 
@@ -120,6 +121,8 @@ CASES = [
     ("fleet-missing-velocity", drop("fleet", 0, "velocity_mps"),
      "fleet[0].velocity_mps: required key is missing"),
     ("fleet-id-wrong-type", put("fleet", 0, "id", 7), "fleet[0].id: expected a string"),
+    ("fleet-id-lone-surrogate", put("fleet", 0, "id", "\udfff-rav"),
+     "fleet[0].id: lone surrogate '\\udfff' at index 0 has no UTF-8 encoding"),
     ("fleet-home-wrong-type", put("fleet", 0, "home", "base"),
      "fleet[0].home: expected [lat_deg, lon_deg] or [lat_deg, lon_deg, alt_m]"),
     ("fleet-velocity-wrong-type", put("fleet", 0, "velocity_mps", "fast"),
@@ -185,6 +188,8 @@ CASES = [
      "dwell_s: event times up to 20 x (1e+308 s dwell + 88.7173 s leg) overflow"),
     # mission_id
     ("mission-id-wrong-type", put("mission_id", 5), "mission_id: expected a string"),
+    ("mission-id-lone-surrogate", put("mission_id", "m\ud800"),
+     "mission_id: lone surrogate '\\ud800' at index 1 has no UTF-8 encoding"),
 ]
 
 
@@ -209,3 +214,14 @@ def test_deeply_nested_document_is_invalid_json(text):
         parse_mission_config(text)
     assert str(info.value).startswith("invalid JSON: ")
     assert "\n" not in str(info.value)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int string conversion has no digit limit"
+)
+def test_integer_literal_past_the_digit_limit_is_invalid_json():
+    # json.loads raises a plain ValueError here, not a JSONDecodeError.
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ConfigError) as info:
+        parse_mission_config(document(put("seed", 0)).replace('"seed": 0', '"seed": ' + digits))
+    assert str(info.value).startswith("invalid JSON: Exceeds the limit")

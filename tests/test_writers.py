@@ -354,9 +354,9 @@ def test_bookend_time_refuses_non_finite():
 
 
 def test_json_dumps_calls_depend_on_the_fleet_not_the_waypoints(monkeypatch):
-    """Only the shapes the templates skip reach ``json.dumps``: the log header,
-    the collection type, each route's properties and each distinct string.
-    A template that stops matching sends one call per waypoint instead."""
+    """Only the shapes the templates skip reach ``json.dumps``: the log header
+    and each distinct string. A log template that stops matching sends one
+    call per waypoint instead, and a GeoJSON one sends the whole document."""
     config = parse_mission_config(REPO_CONFIG.read_text(encoding="utf-8"))
     calls = []
 
@@ -378,7 +378,27 @@ def test_json_dumps_calls_depend_on_the_fleet_not_the_waypoints(monkeypatch):
     (few, few_calls), (many, many_calls) = counts.items()
     assert many > 3 * few
     agents = len(config.fleet)
-    assert few_calls == many_calls == 2 + 3 * agents + 2  # header, type; ids twice, routes; two bookend kinds
+    assert few_calls == many_calls == 1 + 2 * agents + 2  # header; ids twice; two bookend kinds
+
+
+def test_an_off_template_feature_sends_the_whole_document_to_json_dumps(monkeypatch):
+    """One feature the templates do not cover makes ``dumps_geojson`` one
+    ``json.dumps(indent=2)`` call for the whole campus document."""
+    config = parse_mission_config(REPO_CONFIG.read_text(encoding="utf-8"))
+    grid = generate_waypoints(config.region, config.camera)
+    doc = export_geojson(grid, plan_routes(config.fleet, grid.points), config.fleet)
+    doc["features"][len(doc["features"]) // 2]["properties"]["note"] = "added"
+    indented = []
+
+    def dumps(value, **kwargs):
+        if "indent" in kwargs:
+            indented.append(value)
+        return json.dumps(value, **kwargs)
+
+    monkeypatch.setattr(geojson_io, "json", SimpleNamespace(dumps=dumps))
+    text = dumps_geojson(doc)
+    assert len(indented) == 1 and indented[0] is doc
+    assert text == json_dumps_geojson(doc)
 
 
 # --------------------------------------------------------------------------
