@@ -41,6 +41,15 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _say(line: str, stream=None) -> None:
+    """Print ``line`` to ``stream`` (stdout by default), escaping what its encoding
+    cannot hold: a mission id or ``--out`` path never fails a command after its files exist."""
+    stream = stream or sys.stdout
+    if stream.encoding:
+        line = line.encode(stream.encoding, "backslashreplace").decode(stream.encoding)
+    print(line, file=stream)
+
+
 def _load_config(args) -> MissionConfig:
     text = Path(args.config).read_text(encoding="utf-8")
     config = parse_mission_config(text)
@@ -65,7 +74,7 @@ def _plan_mission(config: MissionConfig):
 
 def cmd_validate(args) -> int:
     config = _load_config(args)
-    print(
+    _say(
         f"config OK: {len(config.region.vertices)} region vertices, "
         f"{len(config.fleet)} agent(s), {len(config.sources)} source(s), "
         f"spacing {grid_spacing(config.camera):.3f} m, seed {config.seed}"
@@ -78,12 +87,12 @@ def cmd_plan(args) -> int:
     grid, plan = _plan_mission(config)
     out = Path(args.out) / "plan.geojson"
     _atomic_write(out, dumps_geojson(export_geojson(grid, plan, config.fleet)))
-    print(f"waypoints: {len(grid.points)} at spacing {grid.spacing_m:.3f} m")
+    _say(f"waypoints: {len(grid.points)} at spacing {grid.spacing_m:.3f} m")
     for agent in config.fleet:
         route = plan.routes[agent.id]
-        print(f"  {agent.id}: {len(route)} waypoints, {route_length(agent.home, route):.1f} m")
-    print(f"makespan: {makespan(plan, config.fleet):.1f} s")
-    print(f"wrote {out}")
+        _say(f"  {agent.id}: {len(route)} waypoints, {route_length(agent.home, route):.1f} m")
+    _say(f"makespan: {makespan(plan, config.fleet):.1f} s")
+    _say(f"wrote {out}")
     return 0
 
 
@@ -109,10 +118,10 @@ def cmd_simulate(args) -> int:
     log_text = write_observation_log(log)
     _atomic_write(geojson_path, plan_text)
     _atomic_write(log_path, log_text)
-    print(f"mission {log.mission_id}: {len(log.observations)} observations, seed {config.seed}")
-    print(f"makespan: {makespan(plan, config.fleet):.1f} s")
-    print(f"wrote {geojson_path}")
-    print(f"wrote {log_path}")
+    _say(f"mission {log.mission_id}: {len(log.observations)} observations, seed {config.seed}")
+    _say(f"makespan: {makespan(plan, config.fleet):.1f} s")
+    _say(f"wrote {geojson_path}")
+    _say(f"wrote {log_path}")
     return 0
 
 
@@ -123,18 +132,18 @@ def cmd_bound(args) -> int:
     nn_makespan = makespan(plan, fleet)
     longest = max(route_length(a.home, plan.routes[a.id]) for a in fleet)
     n_points = len(grid.points)
-    print(f"waypoints: {n_points}, agents: {len(fleet)}")
-    print(f"nearest-neighbor makespan: {nn_makespan:.3f} s (longest route {longest:.1f} m)")
+    _say(f"waypoints: {n_points}, agents: {len(fleet)}")
+    _say(f"nearest-neighbor makespan: {nn_makespan:.3f} s (longest route {longest:.1f} m)")
     if n_points <= HELD_KARP_MAX_POINTS:
         bound = mtsp_lower_bound(grid.points, len(fleet))
-        print(f"lower bound (optimal tour / n): {bound:.1f} m")
+        _say(f"lower bound (optimal tour / n): {bound:.1f} m")
     else:
-        print(f"lower bound unavailable: {n_points} waypoints exceeds the exact limit of {HELD_KARP_MAX_POINTS}")
+        _say(f"lower bound unavailable: {n_points} waypoints exceeds the exact limit of {HELD_KARP_MAX_POINTS}")
     if n_points <= ORACLE_MAX_POINTS and len(fleet) <= ORACLE_MAX_AGENTS:
         optimum, _ = brute_force_mtsp(grid.points, fleet)
-        print(f"exhaustive optimum makespan: {optimum:.3f} s")
+        _say(f"exhaustive optimum makespan: {optimum:.3f} s")
     else:
-        print("exhaustive optimum skipped: instance exceeds oracle limits")
+        _say("exhaustive optimum skipped: instance exceeds oracle limits")
     return 0
 
 
@@ -184,7 +193,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}", sys.stderr)
         return 1
 
 

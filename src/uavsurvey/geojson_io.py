@@ -10,17 +10,22 @@ every feature is a Point or LineString of the shape ``export_geojson``
 builds, with finite floats, it fills templates; any other document is that
 one ``json.dumps`` call. ``write_observation_log`` fills a template per
 event line, the bytes of one compact ``json.dumps(record, separators=(",",
-":"), allow_nan=False)`` per line.
+":"), allow_nan=False)`` per line, and ``config_digest`` hashes the compact
+text of the mission's inputs, rendered by the same helpers.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .grid import WaypointGrid, footprint_width
+from .grid import CameraModel, WaypointGrid, footprint_width
+from .radiation import NoiseSpec, RadiationSource
 from .routing import Agent, RoutePlan, _check_fleet, route_length
-from .sim import WAYPOINT_REACHED, EventLog
+
+if TYPE_CHECKING:
+    from .sim import EventLog
 
 
 def _check_on_grid(grid: WaypointGrid, plan: RoutePlan, assignment: dict) -> None:
@@ -217,10 +222,11 @@ _OBSERVATION_LINE = (
 
 
 def _lattice_index(index) -> str:
-    """A waypoint's lattice index on a log line: "[i,j]"."""
+    """A waypoint's lattice index as JSON text, "[i,j]". An index that is
+    not a tuple of two ints raises ValueError naming it."""
     if type(index) is tuple and len(index) == 2 and type(index[0]) is int and type(index[1]) is int:
         return "[%d,%d]" % index
-    return _encode(list(index))
+    raise ValueError(f"lattice index must be a pair of ints, got {index!r}")
 
 
 def write_observation_log(log: EventLog) -> str:
@@ -243,26 +249,52 @@ def write_observation_log(log: EventLog) -> str:
     footprint = _encode(footprint_width(log.camera))
     cache: dict = {}
     for event in log.events:
-        if event.kind == WAYPOINT_REACHED:
-            wp = event.waypoint
-            p = wp.point
+        if event.kind == "waypoint_reached":
+            p = event.waypoint.point
             alt = _cached(cache, p.alt_m)
             lines.append(_OBSERVATION_LINE % (
-                _encode(event.t),
-                _cached(cache, event.agent_id),
-                _cached(cache, p.lat_deg),
-                _cached(cache, p.lon_deg),
-                alt,
-                _encode(event.radiation_usv_s),
-                alt,
-                half_fov,
-                footprint,
-                _lattice_index(wp.index),
+                _encode(event.t), _cached(cache, event.agent_id), _cached(cache, p.lat_deg), _cached(cache, p.lon_deg),
+                alt, _encode(event.radiation_usv_s), alt, half_fov, footprint, _lattice_index(event.waypoint.index),
             ))
         else:
-            lines.append(_BOOKEND_LINE % (
-                _cached(cache, event.kind),
-                _encode(event.t),
-                _cached(cache, event.agent_id),
-            ))
+            lines.append(_BOOKEND_LINE % (_cached(cache, event.kind), _encode(event.t), _cached(cache, event.agent_id)))
     return "\n".join(lines) + "\n"
+
+
+_DIGEST = '{"camera":[%s,%s,%s],"dwell_s":%s,"fleet":[%s],"noise":[%s,%s],"routes":{%s},"seed":%s,"sources":[%s]}'
+
+
+def _geo(cache: dict, p) -> str:
+    """A position in the digest: "[lat,lon,alt]"."""
+    x, y, z = p.lat_deg, p.lon_deg, p.alt_m
+    if type(x) is float and type(y) is float and type(z) is float:
+        get = cache.get  # a cached text is never empty; a miss or a zero goes to _cached
+        return "[%s,%s,%s]" % (get(x) or _cached(cache, x), get(y) or _cached(cache, y), get(z) or _cached(cache, z))
+    return "[%s,%s,%s]" % (_cached(cache, x), _cached(cache, y), _cached(cache, z))  # an int 1 is not "1.0"
+
+
+def config_digest(
+    plan: RoutePlan,
+    fleet: Sequence[Agent],
+    sources: Sequence[RadiationSource],
+    noise: NoiseSpec,
+    seed: int,
+    camera: CameraModel,
+    dwell_s: float,
+) -> str:
+    """SHA-256 of the compact JSON of every input that shapes the log, keys
+    and agent ids sorted, with each waypoint as ``[[lat,lon,alt],[i,j]]``.
+    Coordinates repeat along lattice rows and columns, so each is rendered
+    once per call. A lattice index that is not two ints raises ValueError."""
+    cache: dict = {}
+    routes = []
+    for aid in sorted(plan.routes):  # each id as json writes a key: an int, float, bool or None becomes a string
+        items = ",".join(["[%s,%s]" % (_geo(cache, w.point), _lattice_index(w.index)) for w in plan.routes[aid]])
+        routes.append("%s:[%s]" % (_encode({aid: 0})[1:-3], items))
+    blob = _DIGEST % (
+        _encode(camera.half_fov_deg), _encode(camera.overlap_fraction), _encode(camera.altitude_m), _encode(dwell_s),
+        ",".join(["[%s,%s,%s]" % (_cached(cache, a.id), _geo(cache, a.home), _encode(a.velocity_mps)) for a in fleet]),
+        _encode(noise.kind), _encode(noise.relative_sd), ",".join(routes), _encode(seed),
+        ",".join(["[%s,%s]" % (_geo(cache, s.position), _encode(s.sigma)) for s in sources]),
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -213,9 +213,10 @@ def route_length(home: GeoPoint, route: Sequence[Waypoint]) -> float:
 
 
 def makespan(plan: RoutePlan, agents: Sequence[Agent]) -> float:
-    """Longest per-agent completion time, all agents launching at once.
+    """Longest per-agent flight time, all agents launching at once.
 
-    Per agent: (home-to-first leg plus consecutive legs) / velocity.
+    Per agent: (home-to-first leg plus consecutive legs) / velocity, without
+    dwell: the makespan the CLI prints, not the last ``route_complete`` time.
     """
     _check_fleet(agents, plan)
     by_id = {a.id: a for a in agents}

@@ -7,14 +7,13 @@ is ordered by (t, agent id) and is byte-reproducible for identical inputs.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
 from .geodesy import GeoPoint, distance_m
+from .geojson_io import config_digest
 from .grid import CameraModel, Waypoint
 from .radiation import NoiseSpec, RadiationSource, field_levels, sample_reading
 from .routing import Agent, RoutePlan, _check_fleet
@@ -65,74 +64,6 @@ def _check_dwell(dwell_s: float) -> None:
         raise ValueError(f"dwell_s: expected a finite number, got {dwell_s}")
     if dwell_s < 0.0:
         raise ValueError("dwell_s: must be >= 0")
-
-
-def _geo_payload(p: GeoPoint) -> list[float]:
-    return [p.lat_deg, p.lon_deg, p.alt_m]
-
-
-def _canonical(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def _routes_text(routes: dict) -> str:
-    """``_canonical(routes)`` with each waypoint as ``[[lat, lon, alt], [i, j]]``.
-
-    Latitudes repeat along lattice rows, longitudes along columns and the
-    altitude everywhere, so each nonzero float is rendered once per call (0.0
-    and -0.0 are equal keys with two texts). Ids come in ``sorted`` order, as
-    ``sort_keys`` takes them; anything not a float or an int pair goes to
-    ``json``.
-    """
-    floats: dict = {}
-
-    def text(x) -> str:
-        if type(x) is float and x:
-            t = floats.get(x)
-            if t is None:
-                t = floats[x] = json.dumps(x)
-            return t
-        return _canonical(x)
-
-    members = []
-    for aid in sorted(routes):
-        items = []
-        for w in routes[aid]:
-            p, index = w.point, w.index
-            if type(index) is tuple and len(index) == 2 and type(index[0]) is int and type(index[1]) is int:
-                index_text = "[%d,%d]" % index
-            else:
-                index_text = _canonical(list(index))
-            items.append("[[%s,%s,%s],%s]" % (text(p.lat_deg), text(p.lon_deg), text(p.alt_m), index_text))
-        # The key as sort_keys writes it: an int, float, bool or None id becomes a string.
-        members.append("%s:[%s]" % (_canonical({aid: 0})[1:-3], ",".join(items)))
-    return "{%s}" % ",".join(members)
-
-
-def config_digest(
-    plan: RoutePlan,
-    fleet: Sequence[Agent],
-    sources: Sequence[RadiationSource],
-    noise: NoiseSpec,
-    seed: int,
-    camera: CameraModel,
-    dwell_s: float,
-) -> str:
-    """SHA-256 over a canonical rendering of every input that shapes the log:
-    ``_canonical`` of one dict whose ``routes`` member, rendered by
-    ``_routes_text``, sits between the keys that sort before and after it."""
-    before = {
-        "camera": [camera.half_fov_deg, camera.overlap_fraction, camera.altitude_m],
-        "dwell_s": dwell_s,
-        "fleet": [[a.id, _geo_payload(a.home), a.velocity_mps] for a in fleet],
-        "noise": [noise.kind, noise.relative_sd],
-    }
-    after = {
-        "seed": seed,
-        "sources": [[_geo_payload(s.position), s.sigma] for s in sources],
-    }
-    blob = '%s,"routes":%s,%s' % (_canonical(before)[:-1], _routes_text(plan.routes), _canonical(after)[1:])
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def simulate(

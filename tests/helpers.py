@@ -316,6 +316,14 @@ def json_dumps_geojson(doc: dict) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
+def int_pair(index) -> list:
+    """``list(index)`` for a tuple of two ints. Any other lattice index raises
+    the ValueError that ``config_digest`` and ``write_observation_log`` raise."""
+    if type(index) is tuple and len(index) == 2 and type(index[0]) is int and type(index[1]) is int:
+        return list(index)
+    raise ValueError(f"lattice index must be a pair of ints, got {index!r}")
+
+
 def json_config_digest(plan, fleet, sources, noise, seed, camera, dwell_s) -> str:
     """``config_digest`` as one ``json.dumps(sort_keys=True)`` of a nested
     payload, the way it was computed before it rendered the routes itself."""
@@ -325,7 +333,7 @@ def json_config_digest(plan, fleet, sources, noise, seed, camera, dwell_s) -> st
 
     payload = {
         "routes": {
-            aid: [[geo(w.point), list(w.index)] for w in route]
+            aid: [[geo(w.point), int_pair(w.index)] for w in route]
             for aid, route in plan.routes.items()
         },
         "fleet": [[a.id, geo(a.home), a.velocity_mps] for a in fleet],
@@ -362,7 +370,7 @@ def json_observation_log(log) -> str:
                     "altitude_m": p.alt_m,
                     "half_fov_deg": camera.half_fov_deg,
                     "footprint_width_m": footprint_width(camera),
-                    "lattice_index": list(event.waypoint.index),
+                    "lattice_index": int_pair(event.waypoint.index),
                 },
             )
         lines.append(json.dumps(rec, separators=(",", ":"), allow_nan=False))

@@ -6,9 +6,13 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import uavsurvey
 from helpers import REPO_CONFIG, assert_valid_geojson
 from uavsurvey import config as config_module
 from uavsurvey import generate_waypoints, grid, parse_mission_config
@@ -330,6 +334,57 @@ class TestPrintouts:
             "lower bound (optimal tour / n): 128.0 m\n"
             "exhaustive optimum makespan: 24.035 s\n"
         )
+
+    def test_simulate_makespan_is_flight_time_without_dwell(self, tmp_path, capsys):
+        # makespan is max(total_length_m / velocity) over plan.geojson's
+        # routes; the last route_complete also waits out 26 dwells of 5 s.
+        doc = dict(json.loads(REPO_CONFIG.read_text(encoding="utf-8")), dwell_s=5.0)
+        config = tmp_path / "dwell.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert "makespan: 191.8 s\n" in capsys.readouterr().out
+        plan = json.loads((tmp_path / "plan.geojson").read_text(encoding="utf-8"))
+        routes = [f["properties"] for f in plan["features"] if f["geometry"]["type"] == "LineString"]
+        assert f"{max(r['total_length_m'] for r in routes) / 8.0:.1f}" == "191.8"
+        lines = (tmp_path / "observations.jsonl").read_text(encoding="utf-8").splitlines()
+        ends = [event["t"] for event in map(json.loads, lines[1:]) if event["event"] == "route_complete"]
+        assert f"{max(ends):.1f}" == "321.8"
+
+
+def run_cli(argv, encoding, cwd):
+    """``python -m uavsurvey.cli`` in a child process whose stdout encodes
+    with ``encoding`` and strict errors."""
+    env = dict(os.environ, PYTHONIOENCODING=f"{encoding}:strict", PYTHONPATH=str(Path(uavsurvey.__file__).parents[1]))
+    argv = [sys.executable, "-m", "uavsurvey.cli", *argv]
+    return subprocess.run(argv, env=env, cwd=cwd, capture_output=True, timeout=120, check=False)
+
+
+class TestUnencodablePrintouts:
+    """A character stdout cannot encode is printed as a backslash escape, after
+    both files are written, and the command still exits 0."""
+
+    def test_mission_id_outside_ascii(self, tmp_path):
+        doc = dict(json.loads(REPO_CONFIG.read_text(encoding="utf-8")), mission_id="r\u00e4v")
+        (tmp_path / "rav.json").write_text(json.dumps(doc), encoding="utf-8")
+        proc = run_cli(["simulate", "--config", "rav.json", "--out", "out"], "ascii", tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == (
+            b"mission r\\xe4v: 80 observations, seed 0\n"
+            b"makespan: 191.8 s\n"
+            b"wrote out/plan.geojson\n"
+            b"wrote out/observations.jsonl\n"
+        )
+        assert (tmp_path / "out" / "plan.geojson").is_file()
+        header = json.loads((tmp_path / "out" / "observations.jsonl").read_text(encoding="utf-8").splitlines()[0])
+        assert header["mission_id"] == "r\u00e4v"
+
+    def test_out_path_outside_utf8(self, tmp_path):
+        out = os.fsdecode(b"out\xff")  # the str sys.argv holds for these bytes
+        proc = run_cli(["simulate", "--config", str(REPO_CONFIG), "--out", out], "utf-8", tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        wrote = [b"wrote out\\udcff/plan.geojson", b"wrote out\\udcff/observations.jsonl"]
+        assert proc.stdout.splitlines()[-2:] == wrote
+        assert sorted(os.listdir(os.fsencode(tmp_path / out))) == [b"observations.jsonl", b"plan.geojson"]
 
 
 class TestBound:

@@ -249,7 +249,7 @@ class TestEdgeCases:
         assert_same_bytes(export_geojson(empty, plan, fleet), simulate(plan, fleet, camera=CameraModel()))
 
     def test_hand_built_events(self):
-        wp = SimpleNamespace(point=SimpleNamespace(lat_deg=1, lon_deg=-0.0, alt_m=True), index=[3, (4,)])
+        wp = SimpleNamespace(point=SimpleNamespace(lat_deg=1, lon_deg=-0.0, alt_m=True), index=(3, 4))
         events = [Event(0, "a", "takeoff"), Event(1.0, "a", WAYPOINT_REACHED, wp, 0), Event(2.0, None, "custom é")]
         for camera in (CameraModel(30, 0.1, 2), SimpleNamespace(half_fov_deg=45, altitude_m=0)):
             assert_same_bytes(log=EventLog('id "q"', "0" * 64, events, camera))
@@ -459,10 +459,20 @@ class TestDigestEdgeCases:
         assert_same_digest(plan, fleet)
 
     def test_index_not_an_int_pair(self):
+        # One rule for the digest and the log: simulate refuses the index
+        # before it flies, and the log writer refuses an event that holds it.
+        fleet = [Agent("rav-1", ORIGIN, 5.0)]
         p = GeoPoint(53.28, -9.06, 32.0)
-        indices = [(1, 2.0), (True, None), ("x", -0.0), (1, 2, 3), [4, 5], (1, {"b": 1, "a": [2.5, 0]}), ()]
-        route = [Waypoint(p, index) for index in indices]
-        assert_same_digest(RoutePlan({"rav-1": route}), [Agent("rav-1", ORIGIN, 5.0)])
+        log = simulate(RoutePlan({"rav-1": [Waypoint(p, (0, 0)), Waypoint(p, (0, 1))]}), fleet, camera=CameraModel())
+        assert log.events[2].kind == WAYPOINT_REACHED
+        for index in [(1, 2.0), (True, None), ("x", -0.0), (1, 2, 3), [4, 5], (1, {"b": 1, "a": [2.5, 0]}), (), None]:
+            message = re.escape(f"lattice index must be a pair of ints, got {index!r}") + "$"
+            with pytest.raises(ValueError, match=message):
+                simulate(RoutePlan({"rav-1": [Waypoint(p, (0, 0)), Waypoint(p, index)]}), fleet, camera=CameraModel())
+            events = [*log.events]
+            events[2] = dataclasses.replace(events[2], waypoint=Waypoint(p, index))
+            with pytest.raises(ValueError, match=message):
+                write_observation_log(EventLog(log.mission_id, log.config_digest, events, log.camera))
 
 
 # --------------------------------------------------------------------------
