@@ -20,7 +20,7 @@ import hashlib
 import json
 from typing import TYPE_CHECKING, Sequence
 
-from .grid import CameraModel, WaypointGrid, footprint_width
+from .grid import CameraModel, WaypointGrid, _int_pair, footprint_width
 from .radiation import NoiseSpec, RadiationSource
 from .routing import Agent, RoutePlan, _check_fleet, route_length
 
@@ -217,16 +217,8 @@ _BOOKEND_LINE = '{"event":%s,"t":%s,"agent_id":%s}'
 _OBSERVATION_LINE = (
     '{"event":"waypoint_reached","t":%s,"agent_id":%s,"lat":%s,"lon":%s,"alt":%s,'
     '"radiation_usv_s":%s,"camera":{"altitude_m":%s,"half_fov_deg":%s,'
-    '"footprint_width_m":%s,"lattice_index":%s}}'
+    '"footprint_width_m":%s,"lattice_index":[%d,%d]}}'
 )
-
-
-def _lattice_index(index) -> str:
-    """A waypoint's lattice index as JSON text, "[i,j]". An index that is
-    not a tuple of two ints raises ValueError naming it."""
-    if type(index) is tuple and len(index) == 2 and type(index[0]) is int and type(index[1]) is int:
-        return "[%d,%d]" % index
-    raise ValueError(f"lattice index must be a pair of ints, got {index!r}")
 
 
 def write_observation_log(log: EventLog) -> str:
@@ -254,7 +246,7 @@ def write_observation_log(log: EventLog) -> str:
             alt = _cached(cache, p.alt_m)
             lines.append(_OBSERVATION_LINE % (
                 _encode(event.t), _cached(cache, event.agent_id), _cached(cache, p.lat_deg), _cached(cache, p.lon_deg),
-                alt, _encode(event.radiation_usv_s), alt, half_fov, footprint, _lattice_index(event.waypoint.index),
+                alt, _encode(event.radiation_usv_s), alt, half_fov, footprint, *_int_pair(event.waypoint.index),
             ))
         else:
             lines.append(_BOOKEND_LINE % (_cached(cache, event.kind), _encode(event.t), _cached(cache, event.agent_id)))
@@ -284,13 +276,14 @@ def config_digest(
 ) -> str:
     """SHA-256 of the compact JSON of every input that shapes the log, keys
     and agent ids sorted, with each waypoint as ``[[lat,lon,alt],[i,j]]``.
-    Coordinates repeat along lattice rows and columns, so each is rendered
-    once per call. A lattice index that is not two ints raises ValueError."""
+    ``fleet`` obeys the fleet rules, so ids are ``Agent``'s strings and each
+    index is ``Waypoint``'s int pair. Each coordinate is rendered once per call."""
+    _check_fleet(fleet, plan)
     cache: dict = {}
     routes = []
-    for aid in sorted(plan.routes):  # each id as json writes a key: an int, float, bool or None becomes a string
-        items = ",".join(["[%s,%s]" % (_geo(cache, w.point), _lattice_index(w.index)) for w in plan.routes[aid]])
-        routes.append("%s:[%s]" % (_encode({aid: 0})[1:-3], items))
+    for aid in sorted(plan.routes):
+        items = ",".join(["[%s,[%d,%d]]" % (_geo(cache, w.point), *w.index) for w in plan.routes[aid]])
+        routes.append("%s:[%s]" % (_cached(cache, aid), items))
     blob = _DIGEST % (
         _encode(camera.half_fov_deg), _encode(camera.overlap_fraction), _encode(camera.altitude_m), _encode(dwell_s),
         ",".join(["[%s,%s,%s]" % (_cached(cache, a.id), _geo(cache, a.home), _encode(a.velocity_mps)) for a in fleet]),

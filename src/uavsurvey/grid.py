@@ -144,12 +144,22 @@ class CameraModel:
             raise ValueError("footprint width 2 * altitude_m * tan(half_fov_deg) must be finite, got inf")
 
 
+def _int_pair(index) -> tuple[int, int]:
+    """The lattice index rule: ``index`` if it is a tuple of two ints, else ValueError naming it."""
+    if type(index) is tuple and len(index) == 2 and type(index[0]) is int and type(index[1]) is int:
+        return index
+    raise ValueError(f"lattice index must be a pair of ints, got {index!r}")
+
+
 @dataclass(frozen=True)
 class Waypoint:
-    """A survey point and its (row, column) lattice index."""
+    """A survey point and its (row, column) lattice index, two ints by ``_int_pair``'s rule."""
 
     point: GeoPoint
     index: tuple[int, int]
+
+    def __post_init__(self) -> None:
+        _int_pair(self.index)
 
 
 @dataclass(frozen=True)

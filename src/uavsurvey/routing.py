@@ -29,13 +29,15 @@ ORACLE_MAX_AGENTS = 3
 
 @dataclass(frozen=True)
 class Agent:
-    """A survey drone: unique id, launch point, constant cruise speed."""
+    """A survey drone: unique non-empty ``str`` id, launch point, constant cruise speed."""
 
     id: str
     home: GeoPoint
     velocity_mps: float
 
     def __post_init__(self) -> None:
+        if type(self.id) is not str:
+            raise ValueError(f"agent id must be a string, got {self.id!r}")
         if not self.id:
             raise ValueError("agent id must be non-empty")
         if not (math.isfinite(self.velocity_mps) and self.velocity_mps > 0.0):

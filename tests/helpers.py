@@ -318,7 +318,7 @@ def json_dumps_geojson(doc: dict) -> str:
 
 def int_pair(index) -> list:
     """``list(index)`` for a tuple of two ints. Any other lattice index raises
-    the ValueError that ``config_digest`` and ``write_observation_log`` raise."""
+    the ValueError that ``Waypoint`` and ``write_observation_log`` raise."""
     if type(index) is tuple and len(index) == 2 and type(index[0]) is int and type(index[1]) is int:
         return list(index)
     raise ValueError(f"lattice index must be a pair of ints, got {index!r}")

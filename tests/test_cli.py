@@ -108,6 +108,17 @@ class TestPlan:
         assert main(["plan", "--config", str(tiny_config), "--out", str(tmp_path), "--agents", "5"]) == 1
         assert "fleet size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("agents", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["plan", "simulate", "bound"])
+    def test_agents_below_one_rejected(self, tiny_config, tmp_path, monkeypatch, capsys, command, agents):
+        monkeypatch.chdir(tmp_path)  # plan and simulate default --out to the working directory
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, "--config", str(tiny_config), "--agents", agents]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --agents must be >= 1, got {agents}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestSimulate:
     def test_outputs_and_determinism(self, tiny_config, tmp_path):

@@ -7,12 +7,13 @@ import dataclasses
 
 import pytest
 
-from helpers import REPO_CONFIG, lattice_row
+from helpers import REPO_CONFIG, json_config_digest, lattice_row
 from uavsurvey import (
     Agent,
     CameraModel,
     GeoPoint,
     MissionConfig,
+    NoiseSpec,
     PolygonRegion,
     WaypointGrid,
     brute_force_mtsp,
@@ -27,6 +28,7 @@ from uavsurvey import (
     write_observation_log,
 )
 from uavsurvey.cli import main
+from uavsurvey.geojson_io import config_digest
 
 HOME = GeoPoint(0.0, 0.0)
 POINTS = lattice_row([GeoPoint(0.0, 0.0001), GeoPoint(0.0001, 0.0)])
@@ -41,6 +43,7 @@ ENTRY_POINTS = {
     "makespan": lambda fleet: makespan(PLAN, fleet),
     "simulate": lambda fleet: simulate(PLAN, fleet, camera=CameraModel()),
     "export_geojson": lambda fleet: export_geojson(GRID, PLAN, fleet),
+    "config_digest": lambda fleet: config_digest(PLAN, fleet, (), NoiseSpec(), 0, CameraModel(), 0.0),
     "MissionConfig": lambda fleet: MissionConfig(region=REGION, fleet=tuple(fleet)),
 }
 FLEETS = {
@@ -60,11 +63,24 @@ def test_same_fleet_rule_everywhere(call, fleet, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("name", ["makespan", "simulate", "export_geojson"])
+@pytest.mark.parametrize("name", ["makespan", "simulate", "export_geojson", "config_digest"])
 def test_plan_naming_an_agent_outside_the_fleet(name):
     with pytest.raises(ValueError) as info:
         ENTRY_POINTS[name]([Agent("A", HOME, 2.0)])
     assert str(info.value) == "plan references agents not in the fleet: ['B']"
+
+
+def test_mixed_id_types_refused_by_agent():
+    # A fleet of "a" and 1 used to reach simulate, whose sort of the ids
+    # raised TypeError. Agent refuses the 1; "a" and "1" plan, fly and digest.
+    with pytest.raises(ValueError) as info:
+        [Agent("a", HOME, 2.0), Agent(1, HOME, 3.0)]
+    assert str(info.value) == "agent id must be a string, got 1"
+    fleet = [Agent("a", HOME, 2.0), Agent("1", HOME, 3.0)]
+    plan = plan_routes(fleet, POINTS)
+    log = simulate(plan, fleet, camera=CameraModel())
+    assert [e.agent_id for e in log.events[:2]] == ["1", "a"]
+    assert log.config_digest == json_config_digest(plan, fleet, (), NoiseSpec(), 0, CameraModel(), 0.0)
 
 
 def test_export_starts_each_route_at_the_fleets_home():

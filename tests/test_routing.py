@@ -30,7 +30,7 @@ from uavsurvey import (
     route_length,
     tsp_optimal,
 )
-from uavsurvey.routing import _RING_SLACK, _cell_layout
+from uavsurvey.routing import _ONE_CELL, _RING_SLACK, _cell_layout
 
 HOME = GeoPoint(0.0, 0.0, 0.0)
 
@@ -311,6 +311,18 @@ class TestMatchesFullScan:
         # widen to one column and only latitude rows prune.
         pole = [GeoPoint(90.0, 0.0), GeoPoint(89.999, 1.0), GeoPoint(89.999, 2.0)]
         assert _cell_layout(pole, 3)[6] == 1
+
+    def test_zero_extent_is_one_cell(self):
+        # Waypoints stacked at one lat/lon, homes below them: the box has no
+        # height or width, so the cell size is 0 and the scan takes over.
+        home = GeoPoint(10.0, 20.0, 0.0)
+        stack = [Waypoint(GeoPoint(10.0, 20.0, alt), (0, k)) for k, alt in enumerate((30.0, 10.0, 20.0))]
+        fleet = [Agent("a", home, 1.0), Agent("b", home, 1.0)]
+        assert _cell_layout([w.point for w in stack] + [home, home], len(stack)) == _ONE_CELL
+        plan = plan_routes(fleet, stack)
+        assert plan.routes == scan_plan_routes(fleet, stack)[0]
+        altitudes = {aid: [w.point.alt_m for w in route] for aid, route in plan.routes.items()}
+        assert altitudes == {"a": [10.0, 30.0], "b": [20.0]}
 
     def test_cell_count_bound(self):
         """rows * cols <= 2n + 2 for n waypoints plus homes: clusters, lines

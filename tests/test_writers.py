@@ -447,11 +447,22 @@ class TestDigestEdgeCases:
         [
             ['say "hi"', "back\\slash", "räv-é", "tab\tnul\x00", "\U0001f681"],
             ["b", "a", "B", "a-2", "\U0001f681", "\uffff"],
-            [10, 3],  # sort_keys orders ints before it turns them into strings
+            [10, 3],
+            ["a", 2.5],
+            ["a", (1, 2)],
+            ["a", None],
+            ["a", True],
         ],
-        ids=["escaped", "unsorted", "int"],
+        ids=["escaped", "unsorted", "int", "float", "tuple", "None", "bool"],
     )
     def test_awkward_agent_ids(self, ids):
+        # A string id is digested as json writes a key; Agent refuses any
+        # other id, so the digest never sees one.
+        other = [aid for aid in ids if type(aid) is not str]
+        if other:
+            with pytest.raises(ValueError, match=re.escape(f"agent id must be a string, got {other[0]!r}") + "$"):
+                [Agent(aid, ORIGIN, 5.0) for aid in ids]
+            return
         grid, _, _, _ = random_mission(random.Random(3))
         fleet = [Agent(aid, ORIGIN, 5.0 + k) for k, aid in enumerate(ids)]
         plan = plan_routes(fleet, grid.points)
@@ -459,8 +470,8 @@ class TestDigestEdgeCases:
         assert_same_digest(plan, fleet)
 
     def test_index_not_an_int_pair(self):
-        # One rule for the digest and the log: simulate refuses the index
-        # before it flies, and the log writer refuses an event that holds it.
+        # One rule, held by Waypoint: no grid, plan or log can carry another
+        # index. The log writer applies it again to an event built by hand.
         fleet = [Agent("rav-1", ORIGIN, 5.0)]
         p = GeoPoint(53.28, -9.06, 32.0)
         log = simulate(RoutePlan({"rav-1": [Waypoint(p, (0, 0)), Waypoint(p, (0, 1))]}), fleet, camera=CameraModel())
@@ -468,9 +479,10 @@ class TestDigestEdgeCases:
         for index in [(1, 2.0), (True, None), ("x", -0.0), (1, 2, 3), [4, 5], (1, {"b": 1, "a": [2.5, 0]}), (), None]:
             message = re.escape(f"lattice index must be a pair of ints, got {index!r}") + "$"
             with pytest.raises(ValueError, match=message):
-                simulate(RoutePlan({"rav-1": [Waypoint(p, (0, 0)), Waypoint(p, index)]}), fleet, camera=CameraModel())
+                Waypoint(p, index)
             events = [*log.events]
-            events[2] = dataclasses.replace(events[2], waypoint=Waypoint(p, index))
+            events[2] = _namespace(events[2])
+            events[2].waypoint.index = index
             with pytest.raises(ValueError, match=message):
                 write_observation_log(EventLog(log.mission_id, log.config_digest, events, log.camera))
 
