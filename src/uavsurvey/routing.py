@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .geodesy import METERS_PER_DEG_LAT, GeoPoint, distance_m
@@ -114,6 +115,45 @@ def _cell_layout(points: list[GeoPoint], n: int):
     return cell_m, lat0, lon0, dlat, dlon, rows, cols
 
 
+def _nearest(
+    ring: list[int], here: tuple[float, float, float], lats: list[float], lons: list[float], alts: list[float],
+    best_cost: float, best_k: int,
+) -> tuple[float, int]:
+    """The smallest ``(distance, k)`` over the waypoints ``k`` of ``ring`` and
+    the best so far, measured from ``here``, a ``(lat, lon, alt)`` path end.
+
+    Each distance is ``distance_m(here, waypoint k)``'s expression evaluated
+    inline from the same operands in the same order, so it is the same float
+    without a call and six attribute loads around each one.
+    """
+    lat, lon, alt = here
+    hypot, remainder, cos, radians, m = math.hypot, math.remainder, math.cos, math.radians, METERS_PER_DEG_LAT
+    for k in ring:
+        b_lat = lats[k]
+        c = hypot(remainder(lons[k] - lon, 360.0) * m * cos(radians(0.5 * (lat + b_lat))), (b_lat - lat) * m, alts[k] - alt)
+        if c < best_cost or (c == best_cost and k < best_k):
+            best_cost = c
+            best_k = k
+    return best_cost, best_k
+
+
+def _ring(cells: list[list[int]], rows: int, cols: int, qi: int, qj: int, r: int) -> list[int]:
+    """The waypoints of the cells at Chebyshev distance ``r`` >= 1 from cell
+    ``(qi, qj)``: row slices above and below, then column steps left and right."""
+    ring = []
+    lo, hi = max(qj - r, 0), min(qj + r, cols - 1)
+    for row in (qi - r, qi + r):
+        if 0 <= row < rows:
+            for cell in cells[row * cols + lo: row * cols + hi + 1]:
+                ring += cell
+    top, bottom = max(qi - r + 1, 0), min(qi + r, rows)
+    for col in (qj - r, qj + r):
+        if 0 <= col < cols:
+            for cell in cells[top * cols + col: bottom * cols + col: cols]:
+                ring += cell
+    return ring
+
+
 def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> RoutePlan:
     """Assign every waypoint to exactly one agent by round-robin nearest neighbor.
 
@@ -125,14 +165,16 @@ def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> Route
 
     The remaining waypoints are bucketed on a lat/lon grid of about 1.25 per
     cell, which makes a cell wider than the spacing of any lattice of 11 or
-    more rows and columns. A claim gathers rings of cells outward from the
-    cell of the path end, one list per ring, and stops when the next ring
-    cannot hold a waypoint as near as the best so far; while a lattice
-    neighbour of the path end is free, that is after ring 1. The claimed
-    waypoint leaves its cell. On the campus lattice scaled 1x to 16x a claim
-    makes 6-8 distance evaluations, so planning n waypoints takes close to
-    O(n) time against O(n^2) for the scan. Sparse or clustered layouts visit
-    more empty cells, never more than the grid's 1.8n + 1.8 at most.
+    more rows and columns. A claim first measures the 3 x 3 block of cells
+    around the cell of the path end (rings 0 and 1: ring 1 is always
+    measured), then gathers rings of cells further out, one list per ring,
+    and stops when the next ring cannot hold a waypoint as near as the best
+    so far; while a lattice neighbour of the path end is free, that is after
+    the block. ``_nearest`` measures each list. The claimed waypoint leaves
+    its cell. On the campus lattice scaled 1x to 16x a claim makes 6-8
+    distance evaluations, so planning n waypoints takes close to O(n) time
+    against O(n^2) for the scan. Sparse or clustered layouts visit more empty
+    cells, never more than the grid's 1.8n + 1.8 at most.
 
     Every waypoint goes into one cell, and the search is that scan, when the
     waypoints and homes span 180 degrees of longitude or more, or when they
@@ -142,75 +184,88 @@ def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> Route
     agents = list(agents)
     _check_fleet(agents)
 
-    order = sorted(waypoints, key=lambda w: w.index)
+    order = sorted(waypoints, key=attrgetter("index"))
     positions = [w.point for w in order]
-    seen: set[tuple[float, float, float]] = set()
-    for p in positions:
-        key = (p.lat_deg, p.lon_deg, p.alt_m)
-        if key in seen:
-            raise ValueError(f"duplicate waypoint at {key}; each point must be visited exactly once")
-        seen.add(key)
+    lats = [p.lat_deg for p in positions]
+    lons = [p.lon_deg for p in positions]
+    alts = [p.alt_m for p in positions]
+    n = len(positions)
+    if len(set(zip(lats, lons, alts))) != n:
+        seen: set[tuple[float, float, float]] = set()
+        for key in zip(lats, lons, alts):
+            if key in seen:
+                raise ValueError(f"duplicate waypoint at {key}; each point must be visited exactly once")
+            seen.add(key)
 
-    cell_m, lat0, lon0, dlat, dlon, rows, cols = _cell_layout(positions + [a.home for a in agents], len(positions))
-
-    def cell_of(p: GeoPoint) -> tuple[int, int]:
-        return int((p.lat_deg - lat0) / dlat), int((p.lon_deg - lon0) / dlon)
-
-    where = [cell_of(p) for p in positions]
+    cell_m, lat0, lon0, dlat, dlon, rows, cols = _cell_layout(positions + [a.home for a in agents], n)
+    where = [(int((lat - lat0) / dlat), int((lon - lon0) / dlon)) for lat, lon in zip(lats, lons)]
     cells: list[list[int]] = [[] for _ in range(rows * cols)]
     for k, (i, j) in enumerate(where):
         cells[i * cols + j].append(k)  # ascending k within every cell
 
     routes: dict[str, list[Waypoint]] = {a.id: [] for a in agents}
-    # An agent's path end and its cell.
-    ends = {a.id: (a.home, *cell_of(a.home)) for a in agents}
-    dist = distance_m
-    n = len(positions)
-    for turn in range(len(order)):
-        aid = agents[turn % len(agents)].id
+    # An agent's path end as (lat, lon, alt), and its cell.
+    ends = {}
+    for a in agents:
+        h = a.home
+        ends[a.id] = ((h.lat_deg, h.lon_deg, h.alt_m), int((h.lat_deg - lat0) / dlat), int((h.lon_deg - lon0) / dlon))
+    nearest = _nearest
+    ids = [a.id for a in agents]
+    # Ring 2's stop test, (2 - 1) * cell_m * _RING_SLACK > best, ends most
+    # claims after the block.
+    ring_2 = cell_m * _RING_SLACK
+    # The block's first cell of each row and its column bounds, clipped to the grid.
+    block_rows = [range(max(i - 1, 0) * cols, min(i + 2, rows) * cols, cols) for i in range(rows)]
+    block_cols = [(max(j - 1, 0), min(j + 2, cols)) for j in range(cols)]
+    for turn in range(n):
+        aid = ids[turn % len(ids)]
         here, qi, qj = ends[aid]
-        last_ring = max(qi, rows - 1 - qi, qj, cols - 1 - qj)
+        # Rings 0 and 1 as one block of row slices: ring 1's stop test,
+        # 0 * cell_m > best, never fires.
+        block = []
+        lo, hi = block_cols[qj]
+        for row in block_rows[qi]:
+            for cell in cells[row + lo: row + hi]:
+                block += cell
         # (inf, n) loses to every candidate, even one at an overflowed distance.
-        best_k = n
-        best_cost = math.inf
-        for r in range(last_ring + 1):
-            if (r - 1) * cell_m * _RING_SLACK > best_cost:
-                break
-            if r == 0:
-                ring = cells[qi * cols + qj]
-            else:
-                # The cells at Chebyshev distance r from (qi, qj): row slices
-                # above and below, then column steps left and right.
-                ring = []
-                lo, hi = max(qj - r, 0), min(qj + r, cols - 1)
-                for row in (qi - r, qi + r):
-                    if 0 <= row < rows:
-                        for cell in cells[row * cols + lo: row * cols + hi + 1]:
-                            ring += cell
-                top, bottom = max(qi - r + 1, 0), min(qi + r, rows)
-                for col in (qj - r, qj + r):
-                    if 0 <= col < cols:
-                        for cell in cells[top * cols + col: bottom * cols + col: cols]:
-                            ring += cell
-            for k in ring:
-                c = dist(here, positions[k])
-                if c < best_cost or (c == best_cost and k < best_k):
-                    best_cost = c
-                    best_k = k
+        best_cost, best_k = nearest(block, here, lats, lons, alts, math.inf, n)
+        if not ring_2 > best_cost:
+            for r in range(2, max(qi, rows - 1 - qi, qj, cols - 1 - qj) + 1):
+                if (r - 1) * cell_m * _RING_SLACK > best_cost:
+                    break
+                ring = _ring(cells, rows, cols, qi, qj, r)
+                best_cost, best_k = nearest(ring, here, lats, lons, alts, best_cost, best_k)
         routes[aid].append(order[best_k])
         i, j = where[best_k]
-        ends[aid] = (positions[best_k], i, j)
+        ends[aid] = ((lats[best_k], lons[best_k], alts[best_k]), i, j)
         cells[i * cols + j].remove(best_k)
     return RoutePlan(routes=routes)
 
 
-def route_length(home: GeoPoint, route: Sequence[Waypoint]) -> float:
-    """Metres flown home -> route[0] -> ... -> route[-1]."""
-    total = 0.0
-    here = home
+def _leg_lengths(home: GeoPoint, route: Sequence[Waypoint]) -> Iterator[float]:
+    """Metres of each leg home -> route[0] -> ... -> route[-1], in order.
+
+    Each leg is ``distance_m(previous point, next point)``'s expression
+    evaluated inline from the same operands in the same order: the same float.
+    """
+    hypot, remainder, cos, radians, m = math.hypot, math.remainder, math.cos, math.radians, METERS_PER_DEG_LAT
+    lat, lon, alt = home.lat_deg, home.lon_deg, home.alt_m
     for wp in route:
-        total += distance_m(here, wp.point)
-        here = wp.point
+        p = wp.point
+        b_lat, b_lon, b_alt = p.lat_deg, p.lon_deg, p.alt_m
+        yield hypot(remainder(b_lon - lon, 360.0) * m * cos(radians(0.5 * (lat + b_lat))), (b_lat - lat) * m, b_alt - alt)
+        lat, lon, alt = b_lat, b_lon, b_alt
+
+
+def route_length(home: GeoPoint, route: Sequence[Waypoint]) -> float:
+    """Metres flown home -> route[0] -> ... -> route[-1].
+
+    The legs are added left to right with ``+=``: ``sum()`` of floats is
+    compensated from Python 3.12 on and would give other bits there.
+    """
+    total = 0.0
+    for leg in _leg_lengths(home, route):
+        total += leg
     return total
 
 

@@ -16,7 +16,7 @@ from .geodesy import GeoPoint, distance_m
 from .geojson_io import config_digest
 from .grid import CameraModel, Waypoint
 from .radiation import NoiseSpec, RadiationSource, field_levels, sample_reading
-from .routing import Agent, RoutePlan, _check_fleet
+from .routing import Agent, RoutePlan, _check_fleet, _leg_lengths
 
 TAKEOFF = "takeoff"
 WAYPOINT_REACHED = "waypoint_reached"
@@ -103,13 +103,13 @@ def simulate(
         rng = random.Random(f"{seed}:{aid}")
         events.append(Event(t=0.0, agent_id=aid, kind=TAKEOFF))
         t = 0.0
-        here = agent.home
-        for wp in route:
-            p = wp.point
-            t += leg_duration(here, p, agent.velocity_mps)
+        velocity = agent.velocity_mps
+        # leg / velocity is leg_duration's float; Agent already refuses a
+        # velocity that is not positive.
+        for wp, leg in zip(route, _leg_lengths(agent.home, route)):
+            t += leg / velocity
             reading = sample_reading(next(levels), noise, rng)
             events.append(Event(t, aid, WAYPOINT_REACHED, wp, reading))
-            here = p
             t += dwell_s
         final_t = events[-1].t if route else 0.0
         events.append(Event(t=final_t, agent_id=aid, kind=ROUTE_COMPLETE))

@@ -10,7 +10,18 @@ import random
 from operator import add
 from pathlib import Path
 
-from uavsurvey import EnuOffset, GeoPoint, PolygonRegion, Waypoint, distance_m, footprint_width, gps_offset, strength_at
+from uavsurvey import (
+    Agent,
+    EnuOffset,
+    GeoPoint,
+    PolygonRegion,
+    Waypoint,
+    distance_m,
+    footprint_width,
+    gps_offset,
+    leg_duration,
+    strength_at,
+)
 from uavsurvey.grid import _segments_intersect
 from uavsurvey.sim import WAYPOINT_REACHED
 
@@ -305,6 +316,68 @@ def claim_order(plan, agents) -> list:
     ids = [a.id for a in agents]
     n = sum(len(route) for route in plan.routes.values())
     return [plan.routes[ids[t % len(ids)]][t // len(ids)] for t in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# flight references: one distance_m call per leg
+
+def loop_route_length(home, route) -> float:
+    """Metres flown home -> route[0] -> ..., a += loop over distance_m."""
+    total = 0.0
+    here = home
+    for wp in route:
+        total += distance_m(here, wp.point)
+        here = wp.point
+    return total
+
+
+def leg_duration_times(plan, fleet, dwell_s: float = 0.0) -> dict[str, list[float]]:
+    """Each agent's ``waypoint_reached`` times: ``leg_duration`` of every leg
+    added with +=, then the dwell, from t = 0 at home."""
+    by_id = {a.id: a for a in fleet}
+    times = {}
+    for aid, route in plan.routes.items():
+        agent = by_id[aid]
+        t = 0.0
+        here = agent.home
+        times[aid] = []
+        for wp in route:
+            t += leg_duration(here, wp.point, agent.velocity_mps)
+            times[aid].append(t)
+            here = wp.point
+            t += dwell_s
+    return times
+
+
+def leg_walk_missions(rng: random.Random) -> list[tuple[list[Agent], list[Waypoint]]]:
+    """``(fleet, waypoints)`` missions on distance_m's edge cases: waypoints
+    astride the antimeridian, around the north pole and on it, around the
+    south pole with a home on it, and a mission in int coordinates. Speeds
+    are drawn from 3 (an int), 4.5 and 7.25. Waypoints fly at 40 m; most
+    homes sit at other altitudes."""
+
+    def fleet(*homes):
+        return [Agent(f"a{k}", home, rng.choice([3, 4.5, 7.25])) for k, home in enumerate(homes)]
+
+    straddle, north, south = GeoPoint(-12.5, 179.995), GeoPoint(89.99, 30.0), GeoPoint(-89.99, -120.0)
+    return [
+        (
+            fleet(GeoPoint(-12.5, -179.99, 0.0), GeoPoint(-12.49, 179.99, 75.5)),
+            lattice_row(random_points(rng, straddle, 30, 2000.0, 40.0)),
+        ),
+        (
+            fleet(GeoPoint(89.985, -150.0, 10.0)),
+            lattice_row(random_points(rng, north, 30, 500.0, 40.0) + [GeoPoint(90.0, 0.0, 40.0)]),
+        ),
+        (
+            fleet(GeoPoint(-89.995, 60.0, 40.0), GeoPoint(-90.0, 0.0, 120.0)),
+            lattice_row(random_points(rng, south, 30, 500.0, 40.0)),
+        ),
+        (
+            fleet(GeoPoint(0, -1, 0), GeoPoint(2, 5, 7)),
+            [Waypoint(GeoPoint(i, j, 40), (i, j)) for i in range(4) for j in range(4)],
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------

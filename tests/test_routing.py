@@ -7,7 +7,16 @@ import random
 
 import pytest
 
-from helpers import REPO_CONFIG, claim_order, lattice_row, permutation_tour_cost, random_points, scan_plan_routes
+from helpers import (
+    REPO_CONFIG,
+    claim_order,
+    lattice_row,
+    leg_walk_missions,
+    loop_route_length,
+    permutation_tour_cost,
+    random_points,
+    scan_plan_routes,
+)
 import uavsurvey.routing
 from uavsurvey import (
     Agent,
@@ -78,6 +87,20 @@ class TestPlanRoutes:
         p = east_points(5.0)[0]
         with pytest.raises(ValueError, match="duplicate"):
             plan_routes(agents(1), [p, p])
+
+    def test_duplicate_named_in_lattice_index_order(self):
+        # P repeats at (0, 0) and (3, 0), Q at (1, 0) and (2, 0): walking the
+        # waypoints in index order meets Q's second copy first. Supplied in
+        # another order, with an int coordinate in P's second copy.
+        p, q = GeoPoint(1.5, 2.25, 30.0), GeoPoint(1.5, 2.5, 30.0)
+        pts = [Waypoint(q, (2, 0)), Waypoint(GeoPoint(1.5, 2.25, 30), (3, 0)), Waypoint(q, (1, 0)), Waypoint(p, (0, 0))]
+        with pytest.raises(ValueError) as caught:
+            plan_routes(agents(2), pts)
+        assert str(caught.value) == "duplicate waypoint at (1.5, 2.5, 30.0); each point must be visited exactly once"
+        # Without Q's second copy, P's second copy is named as it was given.
+        with pytest.raises(ValueError) as caught:
+            plan_routes(agents(2), pts[:2] + pts[3:])
+        assert str(caught.value) == "duplicate waypoint at (1.5, 2.25, 30); each point must be visited exactly once"
 
     def test_duplicate_agent_ids_rejected(self):
         fleet = [Agent("A", HOME, 1.0), Agent("A", HOME, 2.0)]
@@ -369,18 +392,22 @@ class TestDistanceEvaluations:
     neighbour is still free stops after ring 1."""
 
     @staticmethod
-    def calls_per_claim(monkeypatch, fleet, points) -> float:
+    def evaluations(monkeypatch, fleet, points) -> int:
+        """Distances ``plan_routes`` evaluates: the waypoints of every list it
+        hands ``_nearest``, which measures each of them once."""
         calls = 0
+        nearest = uavsurvey.routing._nearest
 
-        def counted(a, b):
+        def counted(ring, *args):
             nonlocal calls
-            calls += 1
-            return distance_m(a, b)
+            calls += len(ring)
+            return nearest(ring, *args)
 
-        monkeypatch.setattr(uavsurvey.routing, "distance_m", counted)
+        monkeypatch.setattr(uavsurvey.routing, "_nearest", counted)
         plan_routes(fleet, points)
         monkeypatch.undo()
-        return calls / len(points)
+        assert calls > 0
+        return calls
 
     def test_cells_wider_than_the_spacing(self):
         # For an R x C lattice at spacing s, cell_m^2 is
@@ -393,19 +420,30 @@ class TestDistanceEvaluations:
                 assert spacing < _cell_layout(points, len(points))[0] < math.sqrt(1.25) * spacing
 
     def test_campus_lattice(self, monkeypatch):
-        """The campus region scaled x6 about its vertex centroid: 2855
-        waypoints, about 7.4 evaluations per claim (12.4 with two waypoints
-        per cell)."""
+        """The campus region scaled about its vertex centroid, with its
+        3-agent fleet: about 7.4 evaluations per claim at x6 and 7.65 at x8
+        (12.4 at x6 with two waypoints per cell). x8 is the survey_large
+        benchmark mission."""
         config = parse_mission_config(REPO_CONFIG.read_text(encoding="utf-8"))
         vertices = config.region.vertices
         clat = sum(v.lat_deg for v in vertices) / len(vertices)
         clon = sum(v.lon_deg for v in vertices) / len(vertices)
-        region = PolygonRegion(
-            [GeoPoint(clat + 6 * (v.lat_deg - clat), clon + 6 * (v.lon_deg - clon)) for v in vertices]
-        )
-        points = generate_waypoints(region, config.camera).points
-        assert len(points) > 2000
-        assert self.calls_per_claim(monkeypatch, config.fleet, points) <= 9.0
+        for scale, n_points, evaluations in ((6, 2855, 21236), (8, 5086, 38924)):
+            region = PolygonRegion(
+                [GeoPoint(clat + scale * (v.lat_deg - clat), clon + scale * (v.lon_deg - clon)) for v in vertices]
+            )
+            points = generate_waypoints(region, config.camera).points
+            assert len(points) == n_points
+            calls = self.evaluations(monkeypatch, config.fleet, points)
+            assert calls / len(points) <= 9.0
+            assert calls == evaluations
+
+    # One agent then three, from the corner, then from the centre.
+    FULL_RECTANGLE_EVALUATIONS = {
+        (11, 11): [556, 487, 507, 560],
+        (24, 40): [4672, 4078, 4432, 4365],
+        (60, 60): [18606, 16599, 18280, 17989],
+    }
 
     @pytest.mark.parametrize("rows, cols", [(11, 11), (24, 40), (60, 60)])
     def test_full_rectangle(self, monkeypatch, rows, cols):
@@ -415,10 +453,40 @@ class TestDistanceEvaluations:
         origin = GeoPoint(53.276, -9.066)
         points = full_rectangle(origin, rows, cols, spacing)
         centre = gps_offset(origin, EnuOffset((cols - 1) * spacing / 2 + 3.0, (rows - 1) * spacing / 2 + 7.0, 0.0))
+        counts = []
         for home in (gps_offset(origin, EnuOffset(-20.0, -20.0, 0.0)), centre):
             for n_agents in (1, 3):
                 fleet = agents(n_agents, velocity=8.0, home=home)
-                assert self.calls_per_claim(monkeypatch, fleet, points) <= 7.0
+                counts.append(self.evaluations(monkeypatch, fleet, points))
+                assert counts[-1] / len(points) <= 7.0
+        assert counts == self.FULL_RECTANGLE_EVALUATIONS[rows, cols]
+
+
+class TestRouteLength:
+    """``route_length`` is the += loop over ``distance_m``, bit for bit."""
+
+    def test_matches_distance_loop(self):
+        rng = random.Random("legs")
+        for fleet, points in leg_walk_missions(rng):
+            plan = plan_routes(fleet, points)
+            assert plan.routes == scan_plan_routes(fleet, points)[0]
+            shuffled = rng.sample(points, len(points))
+            for agent in fleet:
+                for route in (plan.routes[agent.id], points, shuffled, shuffled[:1], []):
+                    assert route_length(agent.home, route).hex() == loop_route_length(agent.home, route).hex()
+
+    def test_legs_added_left_to_right(self):
+        """One leg of about 1e6 m, then 1000 vertical legs of 2^-40 m, below
+        half an ulp of the first (2^-34 m): each += rounds back to the first
+        leg, while math.fsum, and sum() from Python 3.12 on, count them."""
+        home = GeoPoint(0.0, 0.0, 0.0)
+        route = lattice_row([GeoPoint(9.0, 0.0, 0.0)] + [GeoPoint(9.0, 0.0, k * 2.0**-40) for k in range(1, 1001)])
+        ends = [home] + [w.point for w in route]
+        legs = [distance_m(a, b) for a, b in zip(ends, ends[1:])]
+        assert legs[1:] == [2.0**-40] * 1000 and 2.0**-40 < math.ulp(legs[0]) / 2
+        expected = loop_route_length(home, route)
+        assert expected == legs[0] != math.fsum(legs)
+        assert route_length(home, route) == expected
 
 
 class TestMakespan:

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from helpers import lattice_row, random_points
+from helpers import lattice_row, leg_duration_times, leg_walk_missions, random_points
 from uavsurvey import (
     Agent,
     CameraModel,
@@ -130,6 +130,19 @@ class TestSimulate:
             expected = route_length(HOME, route)
             assert finals[aid] * 6.0 == pytest.approx(expected, rel=1e-9)
         assert max(finals.values()) == pytest.approx(makespan(plan, fleet), rel=1e-9)
+
+    def test_event_times_match_leg_duration(self):
+        rng = random.Random("legs")
+        for fleet, points in leg_walk_missions(rng):
+            plan = plan_routes(fleet, points)
+            for dwell in (0.0, 1.5):
+                log = simulate(plan, fleet, camera=CAM, dwell_s=dwell)
+                expected = leg_duration_times(plan, fleet, dwell)
+                for agent in fleet:
+                    times = [e.t for e in log.observations if e.agent_id == agent.id]
+                    assert [t.hex() for t in times] == [t.hex() for t in expected[agent.id]]
+                    (complete,) = [e.t for e in log.events if e.agent_id == agent.id and e.kind == ROUTE_COMPLETE]
+                    assert complete == (times[-1] if times else 0.0)
 
     def test_radiation_matches_field_when_noise_none(self):
         rng = random.Random(34)
