@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 from dataclasses import replace
@@ -189,12 +190,27 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    The command runs with the cyclic garbage collector paused. It builds
+    tens of thousands of containers that stay live until it returns
+    (waypoints, events, the exported document) and leaves no cycles behind,
+    so every automatic collection walks them and frees nothing: at campus
+    x8 that was about 8 % of ``simulate``'s CPU. Argument parsing is not
+    paused, and the caller's collector state is restored however the
+    command ends.
+    """
     args = _parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except (ConfigError, ValueError, OSError) as exc:
         _say(f"error: {exc}", sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import math
 import os
 import stat
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ from uavsurvey import config as config_module
 from uavsurvey import generate_waypoints, grid, parse_mission_config
 from uavsurvey import cli
 from uavsurvey.cli import build_parser, main
+from uavsurvey.geodesy import meters_per_degree
 
 TINY = {
     "region": [[0.0, 0.0], [0.0, 0.00055], [0.00055, 0.00055], [0.00055, 0.0]],
@@ -446,3 +450,145 @@ class TestRepeatedCalls:
         assert first[2][2] == "error: --agents 5 exceeds fleet size 2\n"
         assert "the following arguments are required: --config" in first[4][2]
         assert len(builds) <= 1  # none once an earlier call has built the parser
+
+
+@contextlib.contextmanager
+def collector(enabled: bool):
+    """Run the block with the cyclic collector on or off, then restore its state."""
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+def garbage_left_by(call) -> tuple[int, Counter]:
+    """Run ``call()`` with the collector off, then return what ``gc.collect()``
+    finds unreachable: the count, and the objects' types."""
+    gc.collect()
+    debug = gc.get_debug()
+    with collector(False):
+        call()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            found = gc.collect()
+            kinds = Counter(type(o).__name__ for o in gc.garbage)
+        finally:
+            gc.set_debug(debug)
+            gc.garbage.clear()
+    return found, kinds
+
+
+def empty_grid_config(path: Path) -> Path:
+    """TINY over an anti-diagonal sliver under a metre wide that no lattice
+    point hits, so ``generate_waypoints`` raises ``EmptyGridWarning``."""
+    m_lat, m_lon = meters_per_degree(0.0)
+    region = [[0.0, 100.0 / m_lon], [0.0, 100.7 / m_lon], [100.0 / m_lat, 0.7 / m_lon], [100.0 / m_lat, 0.0]]
+    path.write_text(json.dumps({**TINY, "region": region}), encoding="utf-8")
+    return path
+
+
+class TestNoCyclicGarbage:
+    """``main`` pauses the cyclic collector because a command leaves no
+    reference cycle behind: reference counting frees what it builds. The one
+    exception is a ``plan.geojson`` off the templates (here an empty
+    collection): its ``json.dumps(indent=2)`` call runs CPython's pure-Python
+    encoder, whose nested functions form a cycle of a fixed size, freed at the
+    first collection after ``main`` returns."""
+
+    CASES = {
+        "validate": (["validate", "--config", "{campus}"], 0),
+        "plan": (["plan", "--config", "{campus}", "--out", "{out}"], 0),
+        "simulate": (["simulate", "--config", "{campus}", "--out", "{out}"], 0),
+        "bound": (["bound", "--config", "{campus}"], 0),
+        "simulate_two_agents": (["simulate", "--config", "{campus}", "--agents", "2", "--seed", "4", "--out", "{out}"], 0),
+        "empty_grid": (["simulate", "--config", "{empty}", "--out", "{out}"], 0),
+        "config_error": (["simulate", "--config", "{broken}", "--out", "{out}"], 1),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_command_leaves_no_cycles(self, case, tmp_path, capsys):
+        broken = tmp_path / "broken.json"
+        broken.write_text('{"region": [[0, 0], [0, 1], [1, 0]], "fleet": []}', encoding="utf-8")
+        paths = {"campus": REPO_CONFIG, "out": tmp_path / "out", "broken": broken,
+                 "empty": empty_grid_config(tmp_path / "empty.json")}
+        template, code = self.CASES[case]
+        argv = [arg.format(**paths) for arg in template]
+        codes = []
+
+        def run() -> None:
+            if case != "empty_grid":
+                codes.append(main(argv))
+                return
+            with pytest.warns(grid.EmptyGridWarning):
+                codes.append(main(argv))
+
+        run()  # warms every cache the command fills
+        left = garbage_left_by(run)
+        assert codes == [code, code]
+        if case == "empty_grid":
+            assert left == garbage_left_by(lambda: json.dumps({"features": []}, indent=2))
+        else:
+            assert left == (0, Counter())
+        capsys.readouterr()
+
+
+class TestCollectorPause:
+    """``main`` runs the command with the collector off and restores the
+    caller's state however the command ends."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def enabled(self, request):
+        """The caller's collector state, set for the test and restored after it."""
+        with collector(request.param):
+            yield request.param
+
+    @staticmethod
+    def use_handler(monkeypatch, handler) -> list[bool]:
+        """Make ``main`` call ``handler(args)`` in place of the command's own;
+        the list returned records ``gc.isenabled()`` as each parse begins."""
+        parser = build_parser()
+        parse = parser.parse_args
+        parsing = []
+
+        def parse_args(argv):
+            parsing.append(gc.isenabled())
+            args = parse(argv)
+            args.handler = handler
+            return args
+
+        monkeypatch.setattr(parser, "parse_args", parse_args)
+        monkeypatch.setattr(cli, "_parser", lambda: parser)
+        return parsing
+
+    def test_handler_runs_paused(self, enabled, monkeypatch):
+        seen = []
+        parsing = self.use_handler(monkeypatch, lambda args: seen.append(gc.isenabled()) or 0)
+        assert main(["validate", "--config", str(REPO_CONFIG)]) == 0
+        assert (parsing, seen) == ([enabled], [False])
+        assert gc.isenabled() is enabled
+
+    def test_restored_after_exit_0(self, enabled, capsys):
+        assert main(["validate", "--config", str(REPO_CONFIG)]) == 0
+        assert gc.isenabled() is enabled
+
+    def test_restored_after_config_error(self, enabled, tmp_path, capsys):
+        assert main(["plan", "--config", str(REPO_CONFIG), "--agents", "9", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: --agents 9 exceeds fleet size 3\n"
+        assert gc.isenabled() is enabled
+
+    def test_restored_after_usage_error(self, enabled, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["validate"])
+        assert exit_info.value.code == 2
+        assert gc.isenabled() is enabled
+
+    def test_restored_after_uncaught_exception(self, enabled, monkeypatch):
+        def fail(args):
+            raise RuntimeError("handler failed")
+
+        self.use_handler(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match="handler failed"):
+            main(["validate", "--config", str(REPO_CONFIG)])
+        assert gc.isenabled() is enabled
