@@ -26,19 +26,25 @@ from .routing import (
 from .sim import simulate
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to a new file beside ``path``, then rename it over
-    ``path``. Opened with "x", the new file takes the mode ``open()`` gives
-    (0o666 less the umask) and is never one this call did not create."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
-    handle = open(tmp, "x", encoding="utf-8")
+def _atomic_write(*files: tuple[Path, str]) -> None:
+    """Write each ``(path, text)`` to a new file beside ``path``, close them
+    all, then rename each over its ``path``. A failure before the renames
+    removes every new file and leaves every ``path`` as it was, so a pair is
+    never half written. Opened with "x", a new file takes the mode ``open()``
+    gives (0o666 less the umask) and is never one this call did not create."""
+    tmps = []
     try:
-        with handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        for path, text in files:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+            with open(tmp, "x", encoding="utf-8") as handle:
+                tmps.append(tmp)
+                handle.write(text)
+        for tmp, (path, _) in zip(tmps, files):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink()
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -87,7 +93,7 @@ def cmd_plan(args) -> int:
     config = _load_config(args)
     grid, plan = _plan_mission(config)
     out = Path(args.out) / "plan.geojson"
-    _atomic_write(out, dumps_geojson(export_geojson(grid, plan, config.fleet)))
+    _atomic_write((out, dumps_geojson(export_geojson(grid, plan, config.fleet))))
     _say(f"waypoints: {len(grid.points)} at spacing {grid.spacing_m:.3f} m")
     for agent in config.fleet:
         route = plan.routes[agent.id]
@@ -117,8 +123,7 @@ def cmd_simulate(args) -> int:
     # leaves no half-written pair behind.
     plan_text = dumps_geojson(export_geojson(grid, plan, config.fleet))
     log_text = write_observation_log(log)
-    _atomic_write(geojson_path, plan_text)
-    _atomic_write(log_path, log_text)
+    _atomic_write((geojson_path, plan_text), (log_path, log_text))
     _say(f"mission {log.mission_id}: {len(log.observations)} observations, seed {config.seed}")
     _say(f"makespan: {makespan(plan, config.fleet):.1f} s")
     _say(f"wrote {geojson_path}")

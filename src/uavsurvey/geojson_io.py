@@ -163,6 +163,7 @@ _LINE_FEATURE = _FEATURE % (
 )
 _LINE_XYZ = "[\n            %s,\n            %s,\n            %s\n          ]"
 _COLLECTION = '{\n  "type": "FeatureCollection",\n  "features": [\n%s\n  ]\n}\n'
+_EMPTY_COLLECTION = '{\n  "type": "FeatureCollection",\n  "features": []\n}\n'
 
 
 def _position(cache: dict, c) -> str:
@@ -204,7 +205,9 @@ def dumps_geojson(doc: dict) -> str:
     """Strict JSON: a NaN or infinite coordinate raises ValueError."""
     if type(doc) is dict and tuple(doc) == ("type", "features") and doc["type"] == "FeatureCollection":
         features = doc["features"]
-        if type(features) is list and features:
+        if type(features) is list:
+            if not features:
+                return _EMPTY_COLLECTION
             cache: dict = {}
             try:
                 return _COLLECTION % ",\n".join([_feature(cache, f) for f in features])

@@ -2,16 +2,17 @@
 
 Pipeline: axis-aligned bounding rectangle, camera-driven spacing, lattice
 axes with one spacing of overhang past the north/east edges, then a
-ray-casting point-in-polygon filter applied one lattice row at a time; only
-the points it keeps are built.
+scanline point-in-polygon filter over the rows, south to north; only the
+points it keeps are built.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress
 
 from .geodesy import GeoPoint, _warn_if_wide, meters_per_degree
 
@@ -262,7 +263,7 @@ def point_in_polygon(p: GeoPoint, region: PolygonRegion) -> bool:
     ray latitude. This is the row filter of :func:`generate_waypoints` on a
     one-point row.
     """
-    return _row_inside(_edges(region), p.lat_deg, (p.lon_deg,))[0]
+    return next(_rows_inside(_edges(region), (p.lat_deg,), (p.lon_deg,)))[0]
 
 
 def _edges(region: PolygonRegion) -> list[tuple[float, float, float, float]]:
@@ -271,53 +272,63 @@ def _edges(region: PolygonRegion) -> list[tuple[float, float, float, float]]:
     return [(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg) for a, b in zip(v[-1:] + v[:-1], v)]
 
 
-def _row_inside(edges, lat: float, lons) -> list[bool]:
-    """:func:`point_in_polygon` for every point ``(lat, lon)`` of one row.
+def _rows_inside(edges, lats, lons):
+    """:func:`point_in_polygon` over a lattice: yields one keep-mask over
+    ``lons`` per row latitude of ``lats``, both ascending.
 
-    The edges whose latitude range holds ``lat`` and their ray crossings are
-    found once per row, so a point costs a bisect for the crossing parity
-    plus on-edge tests against those edges only: O(V + k) per row and point
-    instead of O(V) per point, for k edges touching the row.
+    Scanline order: an edge enters the active list when the rows reach its
+    south end and leaves once a row lies north of its north end, so a row
+    sees only the edges whose latitude range holds it. Their crossings come
+    in pairs (each flips whether the boundary lies north of the row, and a
+    closed boundary ends where it starts), and each pair of sorted crossings
+    bounds one inside run of columns, filled by one slice. A column parity left outside is inside if it lies on an active
+    edge: within its longitude range (found by bisect) and collinear with it
+    (cross product exactly 0). O(V log V + active edges per row + columns
+    in their ranges) in all.
     """
-    touching = []  # (west lon, east lon, edge)
-    crossings = []
-    for edge in edges:
-        alat, alon, blat, blon = edge
-        if min(alat, blat) <= lat <= max(alat, blat):
-            touching.append((min(alon, blon), max(alon, blon), edge))
-            if (alat > lat) != (blat > lat):
-                crossings.append(alon + (lat - alat) * (blon - alon) / (blat - alat))
-    crossings.sort()
-    n = len(crossings)
-    # Inside: an odd number of crossings strictly east of lon, or on a
-    # touching edge: within its longitude range and collinear with it (cross
-    # product exactly 0); its latitude range holds lat by selection.
-    return [
-        (n - bisect_right(crossings, lon)) % 2 == 1
-        or any(
-            west <= lon <= east and (blat - alat) * (lon - alon) - (blon - alon) * (lat - alat) == 0.0
-            for west, east, (alat, alon, blat, blon) in touching
-        )
-        for lon in lons
-    ]
+    order = sorted(  # by south end first
+        (min(alat, blat), max(alat, blat), min(alon, blon), max(alon, blon), alat, alon, blat, blon)
+        for alat, alon, blat, blon in edges
+    )
+    k = 0
+    active = []
+    for lat in lats:
+        while k < len(order) and order[k][0] <= lat:
+            active.append(order[k])
+            k += 1
+        active = [e for e in active if e[1] >= lat]
+        crossings = sorted([
+            alon + (lat - alat) * (blon - alon) / (blat - alat)
+            for _, _, _, _, alat, alon, blat, blon in active
+            if (alat > lat) != (blat > lat)
+        ])
+        # A column lies west of a crossing iff it comes before the crossing's cut.
+        cuts = [bisect_left(lons, x) for x in crossings]
+        inside = [False] * len(lons)
+        for a, b in zip(cuts[::2], cuts[1::2]):
+            inside[a:b] = [True] * (b - a)
+        for _, _, west, east, alat, alon, blat, blon in active:
+            t = (blon - alon) * (lat - alat)
+            for j in range(bisect_left(lons, west), bisect_right(lons, east)):
+                if not inside[j] and (blat - alat) * (lons[j] - alon) - t == 0.0:
+                    inside[j] = True
+        yield inside
 
 
 def generate_waypoints(region: PolygonRegion, camera: CameraModel) -> WaypointGrid:
     """Survey grid for the region: the lattice points over its bounding
-    rectangle that lie inside or on the polygon, filtered one row at a time
-    by :func:`_row_inside` and built only if kept. A rectangle wider than
+    rectangle that lie inside or on the polygon, filtered row by row by
+    :func:`_rows_inside` and built only if kept. A rectangle wider than
     :data:`~uavsurvey.geodesy.FLAT_PLANE_MAX_SPAN_DEG` on either axis raises
     :class:`~uavsurvey.geodesy.FlatPlaneWarning`."""
     rect = bounding_rectangle(region)
     _warn_if_wide(rect.max_lat - rect.min_lat, rect.max_lon - rect.min_lon)
     spacing = grid_spacing(camera)
     lats, lons = _lattice_axes(rect, spacing)
-    edges = _edges(region)
     kept = tuple(
         Waypoint(GeoPoint(lat, lon, camera.altitude_m), (i, j))
-        for i, lat in enumerate(lats)
-        for j, (lon, inside) in enumerate(zip(lons, _row_inside(edges, lat, lons)))
-        if inside
+        for i, (lat, inside) in enumerate(zip(lats, _rows_inside(_edges(region), lats, lons)))
+        for j, lon in compress(enumerate(lons), inside)
     )
     if not kept:
         warnings.warn(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import gc
 import json
 import math
@@ -175,6 +176,37 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tiny_config), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: replace refused\n"
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["empty_out", "earlier_pair"])
+    @pytest.mark.parametrize("step", ["open", "write"])
+    def test_second_file_failing_leaves_no_half_pair(self, tiny_config, tmp_path, monkeypatch, capsys, step, earlier):
+        # The disk fills while simulate writes its second file: it exits 1,
+        # and --out holds what it held before, with no new file beside it.
+        # The earlier pair flies one agent, so its plan.geojson differs too.
+        out = tmp_path / "out"
+        out.mkdir()
+        if earlier:
+            assert main(["simulate", "--config", str(tiny_config), "--agents", "1", "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        created = []
+
+        def full_disk(path, mode="r", **kwargs):
+            if mode == "x":
+                created.append(path)
+                if len(created) == 2 and step == "open":
+                    raise OSError(errno.ENOSPC, "No space left on device")
+            handle = open(path, mode, **kwargs)
+            if len(created) == 2:
+                def write(text):
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                handle.write = write
+            return handle
+
+        monkeypatch.setattr(cli, "open", full_disk, raising=False)
+        assert main(["simulate", "--config", str(tiny_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert [p.name.split(".")[1] for p in created] == ["plan", "observations"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_region_at_north_pole_refused(self, tmp_path, capsys):
         doc = dict(TINY, region=[[89.9997, 0.0], [89.99995, 0.0], [89.99995, 10.0]])
@@ -491,11 +523,8 @@ def empty_grid_config(path: Path) -> Path:
 
 class TestNoCyclicGarbage:
     """``main`` pauses the cyclic collector because a command leaves no
-    reference cycle behind: reference counting frees what it builds. The one
-    exception is a ``plan.geojson`` off the templates (here an empty
-    collection): its ``json.dumps(indent=2)`` call runs CPython's pure-Python
-    encoder, whose nested functions form a cycle of a fixed size, freed at the
-    first collection after ``main`` returns."""
+    reference cycle behind: reference counting frees what it builds, an
+    empty grid's ``plan.geojson`` included."""
 
     CASES = {
         "validate": (["validate", "--config", "{campus}"], 0),
@@ -527,10 +556,7 @@ class TestNoCyclicGarbage:
         run()  # warms every cache the command fills
         left = garbage_left_by(run)
         assert codes == [code, code]
-        if case == "empty_grid":
-            assert left == garbage_left_by(lambda: json.dumps({"features": []}, indent=2))
-        else:
-            assert left == (0, Counter())
+        assert left == (0, Counter())
         capsys.readouterr()
 
 

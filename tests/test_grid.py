@@ -24,6 +24,7 @@ from uavsurvey import (
     CircumRectangle,
     DegenerateGridWarning,
     EmptyGridWarning,
+    EnuOffset,
     FlatPlaneWarning,
     GeoPoint,
     PolygonRegion,
@@ -32,6 +33,7 @@ from uavsurvey import (
     generate_lattice,
     generate_waypoints,
     gps_difference,
+    gps_offset,
     grid_spacing,
     meters_per_degree,
     parse_mission_config,
@@ -50,6 +52,30 @@ def collinear_triangle(vertices) -> bool:
         return False
     (ay, ax), (by, bx), (cy, cx) = [(Fraction(v.lat_deg), Fraction(v.lon_deg)) for v in vertices]
     return (bx - ax) * (cy - ay) == (by - ay) * (cx - ax)
+
+
+def sawtooth_comb_sides() -> tuple[list, list]:
+    """The west and east sides, as (lat, lon) lists, of a zigzag band of 40
+    teeth on quarter-degree latitudes, 0.25 degrees of longitude wide."""
+    west = [(k / 4, 10.0 if k % 2 else 0.0) for k in range(81)]
+    return west, [(lat, lon + 0.25) for lat, lon in reversed(west)]
+
+
+def quarter_grid_polygons(rng: random.Random, count: int) -> list[PolygonRegion]:
+    """``count`` simple polygons of 3-12 vertices on the quarter-unit grid
+    over [0, 2] x [0, 2]: collinear and horizontal edges are common."""
+    regions = []
+    while len(regions) < count:
+        vertices = [GeoPoint(rng.randint(0, 8) / 4, rng.randint(0, 8) / 4)]
+        for _ in range(rng.randint(2, 11)):
+            v = GeoPoint(rng.randint(0, 8) / 4, rng.randint(0, 8) / 4)
+            if v != vertices[-1]:
+                vertices.append(v)
+        try:
+            regions.append(PolygonRegion(tuple(vertices)))
+        except ValueError:
+            continue
+    return regions
 
 
 # U-shaped region: two prongs pointing north, notch between longitudes 1 and 3.
@@ -153,8 +179,7 @@ class TestSimplicityMatchesPairwise:
     def test_sawtooth_comb(self):
         # A zigzag band of 40 teeth: every edge's longitude range overlaps
         # every other's, so only the latitude test prunes pairs.
-        west = [(k / 4, 10.0 if k % 2 else 0.0) for k in range(81)]
-        east = [(lat, lon + 0.25) for lat, lon in reversed(west)]
+        west, east = sawtooth_comb_sides()
         assert self.assert_same_pair(tuple(GeoPoint(lat, lon) for lat, lon in west + east))
         for k, lon in ((41, 10.5), (41, 10.25), (7, 10.5), (79, 10.25), (12, 0.5)):
             bent = west[:k] + [(k / 4, lon)] + west[k + 1:]
@@ -530,3 +555,93 @@ class TestRowFilterMatchesRayCast:
         kept = {(wp.point.lat_deg, wp.point.lon_deg) for wp in kept}
         assert {(0.0, 2.0), (1.0, 2.0), (3.0, 0.0), (3.0, 1.0), (3.0, 3.0), (3.0, 4.0)} <= kept
         assert (2.0, 2.0) not in kept
+
+
+def sweep_star(rng: random.Random, n_vertices: int) -> tuple[PolygonRegion, float]:
+    """A star like the benchmark sweep's: jittered angles, radii alternating
+    between 80-160 m and 0.55-0.85 of that. Returns it and its area in m^2."""
+    center = GeoPoint(rng.uniform(-60.0, 60.0), rng.uniform(-170.0, 170.0))
+    r_out, inner = rng.uniform(80.0, 160.0), rng.uniform(0.55, 0.85)
+    pts = []
+    for k in range(n_vertices):
+        theta = 2.0 * math.pi * (k + rng.uniform(-0.3, 0.3)) / n_vertices
+        r = r_out * (1.0 if k % 2 == 0 else inner) * rng.uniform(0.95, 1.05)
+        pts.append((r * math.cos(theta), r * math.sin(theta)))
+    area = 0.0
+    for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
+        area += 0.5 * (x1 * y2 - x2 * y1)
+    return PolygonRegion(tuple(gps_offset(center, EnuOffset(e, n, 0.0)) for e, n in pts)), area
+
+
+class TestScanlineMatchesRayCast:
+    """``_rows_inside`` gives every point the bool of the per-edge ray cast,
+    and the same mask for a row whether it runs alone or among all rows."""
+
+    @staticmethod
+    def assert_rows_match(region, lats, lons):
+        edges = grid._edges(region)
+        masks = list(grid._rows_inside(edges, lats, lons))
+        assert masks == [next(grid._rows_inside(edges, (lat,), lons)) for lat in lats]
+        expected = [[ray_cast_point_in_polygon(GeoPoint(lat, lon), region) for lon in lons] for lat in lats]
+        assert masks == expected
+        return masks
+
+    def test_dense_stars_like_the_sweep(self):
+        rng = random.Random(4260)
+        for _ in range(12):
+            region, area = sweep_star(rng, rng.randint(96, 128))
+            spacing = math.sqrt(area / rng.uniform(100.0, 330.0))
+            fov, overlap = rng.uniform(30.0, 60.0), rng.uniform(0.1, 0.6)
+            altitude = spacing * (1.0 + overlap) / ((1.0 - overlap) * 2.0 * math.tan(math.radians(fov)))
+            cam = CameraModel(fov, overlap, altitude)
+            survey = generate_waypoints(region, cam)
+            lats, lons = grid._lattice_axes(bounding_rectangle(region), survey.spacing_m)
+            masks = self.assert_rows_match(region, lats, lons)
+            kept = [(i, j) for i, mask in enumerate(masks) for j, inside in enumerate(mask) if inside]
+            assert [wp.index for wp in survey.points] == kept
+            assert 90 <= len(kept) <= 400
+
+    def test_columns_on_the_computed_crossings(self):
+        # Columns exactly on a row's crossings as the filter computes them,
+        # and one float either side: a crossing is counted only strictly
+        # east of a column, and a column on an edge is inside whatever its
+        # parity, so those columns decide the runs' ends.
+        rng = random.Random(4261)
+        for _ in range(30):
+            region, _ = sweep_star(rng, rng.randint(8, 128))
+            edges = grid._edges(region)
+            lats = sorted({v.lat_deg for v in region.vertices})
+            lats = sorted(lats + [0.5 * (a + b) for a, b in zip(lats, lats[1:])])[::3]
+            for lat in lats:
+                crossings = [
+                    alon + (lat - alat) * (blon - alon) / (blat - alat)
+                    for alat, alon, blat, blon in edges
+                    if (alat > lat) != (blat > lat)
+                ]
+                lons = sorted({y for x in crossings for y in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))})
+                self.assert_rows_match(region, [lat], lons)
+
+    def test_quarter_grid_polygons(self):
+        # Rows and columns on every eighth: through every vertex, along every
+        # horizontal edge, on every edge's north and south end.
+        axis = [k / 8 for k in range(-1, 18)]
+        for region in quarter_grid_polygons(random.Random(4262), 120):
+            self.assert_rows_match(region, axis, axis)
+
+    def test_sawtooth_comb(self):
+        west, east = sawtooth_comb_sides()
+        region = poly(*(west + east))
+        self.assert_rows_match(region, [k / 8 for k in range(-1, 163)], [k / 4 for k in range(-1, 43)])
+
+    def test_rows_on_an_edge_end(self):
+        # A row through a vertex that is the north end of both its edges
+        # (the apex), the south end of both (the foot), or the north end of
+        # one and the south end of the other (a flank vertex).
+        kite = poly((0.0, 1.0), (1.0, 2.0), (3.0, 1.0), (1.0, 0.0))
+        masks = self.assert_rows_match(kite, [0.0, 1.0, 2.0, 3.0], [-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+        assert masks[0] == [False, False, False, True, False, False, False]
+        assert masks[1] == [False, True, True, True, True, True, False]
+        assert masks[3] == [False, False, False, True, False, False, False]
+        flank = poly((0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (2.0, 3.0), (0.0, 3.0))
+        masks = self.assert_rows_match(flank, [0.0, 1.0, 2.0], [0.0, 0.5, 1.0, 2.0, 3.0, 3.5])
+        assert masks[1] == [False, False, True, True, True, False]

@@ -35,6 +35,7 @@ from uavsurvey import (
     simulate,
     write_observation_log,
 )
+from uavsurvey import geojson_io
 from uavsurvey.grid import Waypoint, WaypointGrid
 from uavsurvey.sim import WAYPOINT_REACHED, Event, EventLog, config_digest
 
@@ -247,6 +248,14 @@ class TestEdgeCases:
         empty = WaypointGrid(1.0, ())
         plan = plan_routes(fleet, [])
         assert_same_bytes(export_geojson(empty, plan, fleet), simulate(plan, fleet, camera=CameraModel()))
+
+    def test_empty_collection_from_template(self, monkeypatch):
+        # An empty grid's plan.geojson is filled from a fixed text, not from a
+        # json.dumps(indent=2) call, whose pure-Python encoder leaves a cycle.
+        doc = {"type": "FeatureCollection", "features": []}
+        expected = json_dumps_geojson(doc)
+        monkeypatch.setattr(geojson_io, "json", None)
+        assert dumps_geojson(doc) == expected
 
     def test_hand_built_events(self):
         wp = SimpleNamespace(point=SimpleNamespace(lat_deg=1, lon_deg=-0.0, alt_m=True), index=(3, 4))
