@@ -31,16 +31,9 @@ from .grid import (
     grid_spacing,
     point_in_polygon,
 )
-from .radiation import (
-    NoiseSpec,
-    RadiationSource,
-    sample_reading,
-    strength_at,
-    total_intensity,
-)
+from .radiation import NoiseSpec, RadiationSource, field_levels, sample_reading, strength_at
 from .routing import (
     Agent,
-    RoutePlan,
     brute_force_mtsp,
     makespan,
     mtsp_lower_bound,
@@ -48,7 +41,7 @@ from .routing import (
     route_length,
     tsp_optimal,
 )
-from .sim import Event, EventLog, leg_duration, simulate
+from .sim import Event, EventLog, simulate
 
 __version__ = "0.1.0"
 
@@ -68,7 +61,6 @@ __all__ = [
     "NoiseSpec",
     "PolygonRegion",
     "RadiationSource",
-    "RoutePlan",
     "Waypoint",
     "WaypointGrid",
     "bounding_rectangle",
@@ -76,13 +68,13 @@ __all__ = [
     "distance_m",
     "dumps_geojson",
     "export_geojson",
+    "field_levels",
     "footprint_width",
     "generate_lattice",
     "generate_waypoints",
     "gps_difference",
     "gps_offset",
     "grid_spacing",
-    "leg_duration",
     "makespan",
     "meters_per_degree",
     "mtsp_lower_bound",
@@ -94,7 +86,6 @@ __all__ = [
     "serialize_mission_config",
     "simulate",
     "strength_at",
-    "total_intensity",
     "tsp_optimal",
     "write_observation_log",
     "__version__",

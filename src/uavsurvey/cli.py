@@ -29,9 +29,11 @@ from .sim import simulate
 def _atomic_write(*files: tuple[Path, str]) -> None:
     """Write each ``(path, text)`` to a new file beside ``path``, close them
     all, then rename each over its ``path``. A failure before the renames
-    removes every new file and leaves every ``path`` as it was, so a pair is
-    never half written. Opened with "x", a new file takes the mode ``open()``
-    gives (0o666 less the umask) and is never one this call did not create."""
+    removes every new file and leaves every ``path`` as it was. POSIX has no
+    rename of two files at once: if a later ``os.replace`` fails, the files
+    renamed before it are new beside older ones. Opened with "x", a new file
+    takes the mode ``open()`` gives (0o666 less the umask) and is never one
+    this call did not create."""
     tmps = []
     try:
         for path, text in files:
@@ -96,7 +98,7 @@ def cmd_plan(args) -> int:
     _atomic_write((out, dumps_geojson(export_geojson(grid, plan, config.fleet))))
     _say(f"waypoints: {len(grid.points)} at spacing {grid.spacing_m:.3f} m")
     for agent in config.fleet:
-        route = plan.routes[agent.id]
+        route = plan[agent.id]
         _say(f"  {agent.id}: {len(route)} waypoints, {route_length(agent.home, route):.1f} m")
     _say(f"makespan: {makespan(plan, config.fleet):.1f} s")
     _say(f"wrote {out}")
@@ -136,7 +138,7 @@ def cmd_bound(args) -> int:
     grid, plan = _plan_mission(config)
     fleet = config.fleet
     nn_makespan = makespan(plan, fleet)
-    longest = max(route_length(a.home, plan.routes[a.id]) for a in fleet)
+    longest = max(route_length(a.home, plan[a.id]) for a in fleet)
     n_points = len(grid.points)
     _say(f"waypoints: {n_points}, agents: {len(fleet)}")
     _say(f"nearest-neighbor makespan: {nn_makespan:.3f} s (longest route {longest:.1f} m)")

@@ -27,8 +27,9 @@ class FlatPlaneWarning(UserWarning):
 class GeoPoint:
     """A WGS-84 position: latitude/longitude in degrees, altitude in meters.
 
-    Longitude is normalized into [-180, 180); latitude must lie in [-90, 90]
-    and altitude must be non-negative.
+    Each coordinate is a finite int or float, not a bool. Longitude is
+    normalized into [-180, 180); latitude must lie in [-90, 90] and altitude
+    must be non-negative.
     """
 
     lat_deg: float
@@ -37,7 +38,10 @@ class GeoPoint:
 
     def __post_init__(self) -> None:
         for name in ("lat_deg", "lon_deg", "alt_m"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if type(value) is bool:
+                raise ValueError(f"{name} must be a number, got bool")
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if not -90.0 <= self.lat_deg <= 90.0:
             raise ValueError(f"lat_deg must be within [-90, 90], got {self.lat_deg}")

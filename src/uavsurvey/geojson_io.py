@@ -20,49 +20,55 @@ import hashlib
 import json
 from typing import TYPE_CHECKING, Sequence
 
-from .grid import CameraModel, WaypointGrid, _int_pair, footprint_width
+from .grid import CameraModel, Waypoint, WaypointGrid, _int_pair, footprint_width
 from .radiation import NoiseSpec, RadiationSource
-from .routing import Agent, RoutePlan, _check_fleet, route_length
+from .routing import Agent, _check_fleet, route_length
 
 if TYPE_CHECKING:
     from .sim import EventLog
 
 
-def _check_on_grid(grid: WaypointGrid, plan: RoutePlan, assignment: dict) -> None:
+def _check_on_grid(grid: WaypointGrid, plan: dict[str, list[Waypoint]], assignment: dict) -> None:
     """Refuse a plan with a waypoint not in ``grid``, ``assignment`` being keyed
-    as ``export_geojson`` keys it. The set of grid keys is freed on return,
-    before the features are built."""
+    as ``export_geojson`` keys it and the plan routing each waypoint once.
+    The set of grid keys is freed on return, before the features are built."""
     on_grid = {(wp.point.lat_deg, wp.point.lon_deg, wp.point.alt_m, wp.index) for wp in grid.points}
     if not on_grid.issuperset(assignment):
-        stray = dict.fromkeys(
+        stray = [
             wp
-            for route in plan.routes.values()
+            for route in plan.values()
             for wp in route
             if (wp.point.lat_deg, wp.point.lon_deg, wp.point.alt_m, wp.index) not in on_grid
-        )
-        raise ValueError(f"plan contains waypoints not in the grid: {list(stray)[:3]}")
+        ]
+        raise ValueError(f"plan contains waypoints not in the grid: {stray[:3]}")
 
 
-def export_geojson(grid: WaypointGrid, plan: RoutePlan, fleet: Sequence[Agent]) -> dict:
+def export_geojson(grid: WaypointGrid, plan: dict[str, list[Waypoint]], fleet: Sequence[Agent]) -> dict:
     """FeatureCollection with one Point per waypoint and one LineString per
     non-empty agent route (starting at that agent's home in ``fleet``).
 
     Point properties carry the lattice index plus the assigned agent and
     1-based visit order (null when unassigned). Route properties carry the
     agent id, leg count, and total length in meters. ``fleet`` obeys the
-    fleet rules of ``makespan`` and ``simulate`` or ValueError is raised.
+    fleet rules of ``makespan`` and ``simulate``, and every waypoint of the
+    plan is in ``grid`` and routed once, or ValueError is raised.
 
     A route's waypoint is matched to the grid's by ``(lat, lon, alt,
     index)``, a tuple equal exactly when the waypoints are, but hashed in C
     instead of by two dataclass ``__hash__`` calls.
     """
-    _check_fleet(fleet, plan)
-    homes = {a.id: a.home for a in fleet}
+    by_id = _check_fleet(fleet, plan)
     assignment: dict = {}
-    for aid, route in plan.routes.items():
+    for aid, route in plan.items():
         for order, wp in enumerate(route, start=1):
             p = wp.point
             assignment[p.lat_deg, p.lon_deg, p.alt_m, wp.index] = (aid, order)
+    if len(assignment) != sum(map(len, plan.values())):
+        seen = set()
+        for wp in (wp for route in plan.values() for wp in route):
+            if wp in seen:
+                raise ValueError(f"plan routes a waypoint more than once: {wp}")
+            seen.add(wp)
     _check_on_grid(grid, plan, assignment)
 
     features = []
@@ -80,10 +86,10 @@ def export_geojson(grid: WaypointGrid, plan: RoutePlan, fleet: Sequence[Agent]) 
                 },
             }
         )
-    for aid, route in plan.routes.items():
+    for aid, route in plan.items():
         if not route:
             continue  # a LineString needs at least two positions
-        home = homes[aid]
+        home = by_id[aid].home
         coordinates = [[p.lon_deg, p.lat_deg, p.alt_m] for p in (home, *[wp.point for wp in route])]
         features.append(
             {
@@ -269,7 +275,7 @@ def _geo(cache: dict, p) -> str:
 
 
 def config_digest(
-    plan: RoutePlan,
+    plan: dict[str, list[Waypoint]],
     fleet: Sequence[Agent],
     sources: Sequence[RadiationSource],
     noise: NoiseSpec,
@@ -284,8 +290,8 @@ def config_digest(
     _check_fleet(fleet, plan)
     cache: dict = {}
     routes = []
-    for aid in sorted(plan.routes):
-        items = ",".join(["[%s,[%d,%d]]" % (_geo(cache, w.point), *w.index) for w in plan.routes[aid]])
+    for aid in sorted(plan):
+        items = ",".join(["[%s,[%d,%d]]" % (_geo(cache, w.point), *w.index) for w in plan[aid]])
         routes.append("%s:[%s]" % (_cached(cache, aid), items))
     blob = _DIGEST % (
         _encode(camera.half_fov_deg), _encode(camera.overlap_fraction), _encode(camera.altitude_m), _encode(dwell_s),

@@ -52,13 +52,9 @@ def strength_at(source: RadiationSource, p: GeoPoint) -> float:
     return source.sigma / (d * d)
 
 
-def total_intensity(sources, p: GeoPoint) -> float:
-    """Superposed level at p from all sources; zero for an empty list."""
-    return field_levels(sources, (p,))[0]
-
-
 def field_levels(sources, points) -> list[float]:
-    """:func:`total_intensity` at every point of the sequence ``points``, in order.
+    """The superposed level from all ``sources`` at every point of the sequence
+    ``points``, in order; zero everywhere for no sources.
 
     Points are grouped into rows of one exact latitude and altitude, and each
     source's north offset, longitude scale and climb to a row are computed

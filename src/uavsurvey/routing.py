@@ -45,28 +45,20 @@ class Agent:
             raise ValueError(f"velocity_mps must be positive and finite, got {self.velocity_mps}")
 
 
-@dataclass
-class RoutePlan:
-    """Ordered per-agent waypoint sequences forming a partition of the input set.
-
-    Routes exclude the launch point; each agent's home is read from the fleet.
-    """
-
-    routes: dict[str, list[Waypoint]]
-
-
-def _check_fleet(agents: Sequence[Agent], plan: RoutePlan | None = None) -> None:
-    """The fleet rules: at least one agent, unique ids and, given a plan, no
-    route of an agent outside the fleet."""
+def _check_fleet(agents: Sequence[Agent], plan: dict[str, list[Waypoint]] | None = None) -> dict[str, Agent]:
+    """The fleet rules: at least one agent, unique ids and, given a plan (agent
+    id -> that agent's ordered Waypoints, home excluded), no route of an
+    agent outside the fleet. Returns the fleet by id."""
     if not agents:
         raise ValueError("fleet must have at least one agent")
-    ids = {a.id for a in agents}
-    if len(ids) != len(agents):
+    by_id = {a.id: a for a in agents}
+    if len(by_id) != len(agents):
         raise ValueError("agent ids must be unique within the fleet")
     if plan is not None:
-        unknown = [aid for aid in plan.routes if aid not in ids]
+        unknown = [aid for aid in plan if aid not in by_id]
         if unknown:
             raise ValueError(f"plan references agents not in the fleet: {unknown}")
+    return by_id
 
 
 # Pruning bounds are scaled by this: the ring lower bound is multiplied by
@@ -154,7 +146,7 @@ def _ring(cells: list[list[int]], rows: int, cols: int, qi: int, qj: int, r: int
     return ring
 
 
-def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> RoutePlan:
+def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> dict[str, list[Waypoint]]:
     """Assign every waypoint to exactly one agent by round-robin nearest neighbor.
 
     Each agent's path is seeded at its home. On its turn an agent claims the
@@ -178,8 +170,8 @@ def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> Route
 
     Every waypoint goes into one cell, and the search is that scan, when the
     waypoints and homes span 180 degrees of longitude or more, or when they
-    all share one latitude/longitude. The plan holds routes only: each home
-    stays on its ``Agent``.
+    all share one latitude/longitude. The plan is the routes, keyed by agent
+    id in fleet order; each home stays on its ``Agent``.
     """
     agents = list(agents)
     _check_fleet(agents)
@@ -239,7 +231,7 @@ def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> Route
         i, j = where[best_k]
         ends[aid] = ((lats[best_k], lons[best_k], alts[best_k]), i, j)
         cells[i * cols + j].remove(best_k)
-    return RoutePlan(routes=routes)
+    return routes
 
 
 def _leg_lengths(home: GeoPoint, route: Sequence[Waypoint]) -> Iterator[float]:
@@ -269,16 +261,15 @@ def route_length(home: GeoPoint, route: Sequence[Waypoint]) -> float:
     return total
 
 
-def makespan(plan: RoutePlan, agents: Sequence[Agent]) -> float:
+def makespan(plan: dict[str, list[Waypoint]], agents: Sequence[Agent]) -> float:
     """Longest per-agent flight time, all agents launching at once.
 
     Per agent: (home-to-first leg plus consecutive legs) / velocity, without
     dwell: the makespan the CLI prints, not the last ``route_complete`` time.
     """
-    _check_fleet(agents, plan)
-    by_id = {a.id: a for a in agents}
+    by_id = _check_fleet(agents, plan)
     worst = 0.0
-    for aid, route in plan.routes.items():
+    for aid, route in plan.items():
         agent = by_id[aid]
         duration = route_length(agent.home, route) / agent.velocity_mps
         if duration > worst:

@@ -12,11 +12,10 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geodesy import GeoPoint, distance_m
 from .geojson_io import config_digest
 from .grid import CameraModel, Waypoint
 from .radiation import NoiseSpec, RadiationSource, field_levels, sample_reading
-from .routing import Agent, RoutePlan, _check_fleet, _leg_lengths
+from .routing import Agent, _check_fleet, _leg_lengths
 
 TAKEOFF = "takeoff"
 WAYPOINT_REACHED = "waypoint_reached"
@@ -51,13 +50,6 @@ class EventLog:
         return [e for e in self.events if e.kind == WAYPOINT_REACHED]
 
 
-def leg_duration(a: GeoPoint, b: GeoPoint, velocity_mps: float) -> float:
-    """Travel time between two points at constant speed."""
-    if not velocity_mps > 0.0:
-        raise ValueError(f"velocity_mps must be > 0, got {velocity_mps}")
-    return distance_m(a, b) / velocity_mps
-
-
 def _check_dwell(dwell_s: float) -> None:
     """The dwell rule: a finite number of seconds, >= 0."""
     if not math.isfinite(dwell_s):
@@ -67,7 +59,7 @@ def _check_dwell(dwell_s: float) -> None:
 
 
 def simulate(
-    plan: RoutePlan,
+    plan: dict[str, list[Waypoint]],
     fleet: Sequence[Agent],
     sources: Sequence[RadiationSource] = (),
     noise: NoiseSpec = NoiseSpec(),
@@ -83,10 +75,9 @@ def simulate(
     defaults to zero. Noise draws use one generator per agent keyed on
     (seed, agent id), so per-agent results do not depend on fleet order.
     """
-    _check_fleet(fleet, plan)
-    by_id = {a.id: a for a in fleet}
+    by_id = _check_fleet(fleet, plan)
     _check_dwell(dwell_s)
-    altitudes = {w.point.alt_m for route in plan.routes.values() for w in route}
+    altitudes = {w.point.alt_m for route in plan.values() for w in route}
     if len(altitudes) > 1:
         raise ValueError(f"waypoints must share the mission altitude, got {sorted(altitudes)}")
 
@@ -94,18 +85,17 @@ def simulate(
     if mission_id is None:
         mission_id = f"mission-{digest[:12]}"
 
-    positions = [w.point for route in plan.routes.values() for w in route]
+    positions = [w.point for route in plan.values() for w in route]
     levels = iter(field_levels(sources, positions))
 
     events: list[Event] = []
-    for aid, route in plan.routes.items():
+    for aid, route in plan.items():
         agent = by_id[aid]
         rng = random.Random(f"{seed}:{aid}")
         events.append(Event(t=0.0, agent_id=aid, kind=TAKEOFF))
         t = 0.0
         velocity = agent.velocity_mps
-        # leg / velocity is leg_duration's float; Agent already refuses a
-        # velocity that is not positive.
+        # Each leg is distance_m's float; Agent refuses a velocity <= 0.
         for wp, leg in zip(route, _leg_lengths(agent.home, route)):
             t += leg / velocity
             reading = sample_reading(next(levels), noise, rng)

@@ -19,7 +19,6 @@ from uavsurvey import (
     distance_m,
     footprint_width,
     gps_offset,
-    leg_duration,
     strength_at,
 )
 from uavsurvey.grid import _segments_intersect
@@ -314,8 +313,8 @@ def claim_order(plan, agents) -> list:
     balanced raises IndexError.
     """
     ids = [a.id for a in agents]
-    n = sum(len(route) for route in plan.routes.values())
-    return [plan.routes[ids[t % len(ids)]][t // len(ids)] for t in range(n)]
+    n = sum(len(route) for route in plan.values())
+    return [plan[ids[t % len(ids)]][t // len(ids)] for t in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +331,17 @@ def loop_route_length(home, route) -> float:
 
 
 def leg_duration_times(plan, fleet, dwell_s: float = 0.0) -> dict[str, list[float]]:
-    """Each agent's ``waypoint_reached`` times: ``leg_duration`` of every leg
-    added with +=, then the dwell, from t = 0 at home."""
+    """Each agent's ``waypoint_reached`` times: ``distance_m / velocity`` of
+    every leg added with +=, then the dwell, from t = 0 at home."""
     by_id = {a.id: a for a in fleet}
     times = {}
-    for aid, route in plan.routes.items():
+    for aid, route in plan.items():
         agent = by_id[aid]
         t = 0.0
         here = agent.home
         times[aid] = []
         for wp in route:
-            t += leg_duration(here, wp.point, agent.velocity_mps)
+            t += distance_m(here, wp.point) / agent.velocity_mps
             times[aid].append(t)
             here = wp.point
             t += dwell_s
@@ -407,7 +406,7 @@ def json_config_digest(plan, fleet, sources, noise, seed, camera, dwell_s) -> st
     payload = {
         "routes": {
             aid: [[geo(w.point), int_pair(w.index)] for w in route]
-            for aid, route in plan.routes.items()
+            for aid, route in plan.items()
         },
         "fleet": [[a.id, geo(a.home), a.velocity_mps] for a in fleet],
         "sources": [[geo(s.position), s.sigma] for s in sources],

@@ -95,10 +95,10 @@ def test_criterion_3_partition_and_balance():
             for k in range(n_agents)
         ]
         plan = plan_routes(fleet, grid.points)
-        combined = [wp for route in plan.routes.values() for wp in route]
+        combined = [wp for route in plan.values() for wp in route]
         assert len(combined) == len(grid.points)
         assert set(combined) == set(grid.points)
-        lengths = [len(route) for route in plan.routes.values()]
+        lengths = [len(route) for route in plan.values()]
         assert max(lengths) - min(lengths) <= 1
     report(3, f"200 instances partitioned with spread <= 1 (largest grid {max_waypoints})")
 

@@ -208,6 +208,35 @@ class TestSimulate:
         assert [p.name.split(".")[1] for p in created] == ["plan", "observations"]
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_second_rename_failing_leaves_each_file_old_or_new(self, tiny_config, tmp_path, monkeypatch, capsys):
+        # POSIX has no rename of two files at once: when the second
+        # os.replace fails, the first file is already renamed. simulate exits
+        # 1, leaves no temp file, and each file holds its earlier or its new
+        # bytes. The earlier pair flies one agent, so both files differ.
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["simulate", "--config", str(tiny_config), "--agents", "1", "--out", str(out)]) == 0
+        assert main(["simulate", "--config", str(tiny_config), "--out", str(fresh)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        new = {p.name: p.read_bytes() for p in fresh.iterdir()}
+        assert sorted(before) == sorted(new) == ["observations.jsonl", "plan.geojson"]
+        assert all(before[name] != new[name] for name in before)
+        capsys.readouterr()
+        replace = os.replace
+        renames = []
+
+        def second_fails(src, dst):
+            renames.append(dst)
+            if len(renames) == 2:
+                raise OSError("replace refused")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_fails)
+        assert main(["simulate", "--config", str(tiny_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: replace refused\n"
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)
+        for name in before:
+            assert (out / name).read_bytes() in (before[name], new[name])
+
     def test_region_at_north_pole_refused(self, tmp_path, capsys):
         doc = dict(TINY, region=[[89.9997, 0.0], [89.99995, 0.0], [89.99995, 10.0]])
         path = tmp_path / "pole.json"

@@ -34,18 +34,23 @@ from helpers import (
 )
 from uavsurvey import (
     Agent,
+    CameraModel,
     EnuOffset,
     GeoPoint,
     Waypoint,
+    NoiseSpec,
+    WaypointGrid,
     brute_force_mtsp,
     distance_m,
+    export_geojson,
     gps_offset,
     makespan,
+    simulate,
     tsp_optimal,
 )
 from uavsurvey import routing
 from uavsurvey.geodesy import meters_per_degree
-from uavsurvey.routing import RoutePlan
+from uavsurvey.sim import WAYPOINT_REACHED, config_digest
 
 ORIGIN = GeoPoint(47.6, -122.3, 0.0)
 
@@ -85,7 +90,7 @@ def assert_oracle_matches(pts, agents):
     # The partition holds the caller's Waypoint objects.
     visited = sorted(id(w) for route in partition.values() for w in route)
     assert visited == sorted(map(id, pts))
-    assert makespan(RoutePlan(routes=partition), agents) == value
+    assert makespan(partition, agents) == value
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -94,6 +99,31 @@ def test_oracle_equals_permutation_reference(n, n_agents):
     rng = random.Random(1000 * n + n_agents)
     for pts in instances(300 + 10 * n + n_agents, n):
         assert_oracle_matches(pts, fleet(rng, n_agents))
+
+
+def test_oracle_partition_is_a_plan():
+    """The oracle's partition goes unchanged into every consumer of a plan."""
+    rng = random.Random(77)
+    pts = lattice_row(random_points(rng, ORIGIN, 7, 300.0, alt_m=32.0))
+    agents = fleet(rng, 3)
+    value, partition = brute_force_mtsp(pts, agents)
+    assert type(partition) is dict and any(partition.values())
+    assert makespan(partition, agents) == value
+    camera = CameraModel()
+    log = simulate(partition, agents, seed=5, camera=camera)
+    assert log.config_digest == config_digest(partition, agents, (), NoiseSpec(), 5, camera, 0.0)
+    for aid, route in partition.items():
+        flown = [e.waypoint for e in log.events if e.agent_id == aid and e.kind == WAYPOINT_REACHED]
+        assert len(flown) == len(route) and all(f is w for f, w in zip(flown, route))
+    doc = export_geojson(WaypointGrid(10.0, tuple(pts)), partition, agents)
+    visits = {}
+    for feature in doc["features"]:
+        props = feature["properties"]
+        if feature["geometry"]["type"] == "Point":
+            visits[tuple(props["lattice_index"])] = (props["agent_id"], props["visit_order"])
+        else:
+            assert props["leg_count"] == len(partition[props["agent_id"]])
+    assert visits == {w.index: (aid, k) for aid, route in partition.items() for k, w in enumerate(route, start=1)}
 
 
 def rectangle(rows: int, cols: int, spacing_m: float, lat_deg: float) -> list[Waypoint]:

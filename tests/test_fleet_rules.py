@@ -93,7 +93,7 @@ def test_export_starts_each_route_at_the_fleets_home():
     for agent in moved:
         line = lines[agent.id]
         assert line["geometry"]["coordinates"][0] == [agent.home.lon_deg, agent.home.lat_deg, agent.home.alt_m]
-        assert line["properties"]["total_length_m"] == route_length(agent.home, PLAN.routes[agent.id])
+        assert line["properties"]["total_length_m"] == route_length(agent.home, PLAN[agent.id])
 
 
 def test_mission_config_is_frozen():

@@ -43,6 +43,15 @@ class TestGeoPoint:
         with pytest.raises(ValueError, match="alt_m"):
             GeoPoint(0.0, 0.0, -1.0)
 
+    @pytest.mark.parametrize("field", ["lat_deg", "lon_deg", "alt_m"])
+    def test_bool_coordinate_rejected(self, field):
+        # A bool would be written as an RFC 7946 position of true/false.
+        coords = {"lat_deg": 1, "lon_deg": 2, "alt_m": 3}
+        for value in (True, False):
+            with pytest.raises(ValueError, match=f"^{field} must be a number, got bool$"):
+                GeoPoint(**{**coords, field: value})
+        assert GeoPoint(**coords) == GeoPoint(1.0, 2.0, 3.0)  # ints stay accepted
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             GeoPoint(math.nan, 0.0)

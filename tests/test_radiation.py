@@ -21,7 +21,6 @@ from uavsurvey import (
     plan_routes,
     sample_reading,
     strength_at,
-    total_intensity,
 )
 from uavsurvey.radiation import GAUSS_MAX_Z, MIN_DISTANCE_M, field_levels
 
@@ -84,25 +83,25 @@ class TestStrengthAt:
 
 class TestTotalIntensity:
     def test_empty(self):
-        assert total_intensity([], ORIGIN) == 0.0
+        assert field_levels([], [ORIGIN])[0] == 0.0
 
     def test_single_source_matches_strength(self):
         src = RadiationSource(ORIGIN, 42.0)
         p = at_distance(7.0)
-        assert total_intensity([src], p) == strength_at(src, p)
+        assert field_levels([src], [p])[0] == strength_at(src, p)
 
     def test_two_sources_at_ten_meters(self):
         left = RadiationSource(at_distance(-10.0), 100.0)
         right = RadiationSource(at_distance(10.0), 100.0)
-        assert total_intensity([left, right], ORIGIN) == pytest.approx(2.0, rel=1e-9)
+        assert field_levels([left, right], [ORIGIN])[0] == pytest.approx(2.0, rel=1e-9)
 
     def test_superposition_over_concatenation(self):
         rng = random.Random(23)
         sources_a = [RadiationSource(at_distance(rng.uniform(1, 100)), rng.uniform(0, 100)) for _ in range(4)]
         sources_b = [RadiationSource(at_distance(rng.uniform(1, 100)), rng.uniform(0, 100)) for _ in range(3)]
         p = at_distance(55.0)
-        assert total_intensity(sources_a + sources_b, p) == pytest.approx(
-            total_intensity(sources_a, p) + total_intensity(sources_b, p), rel=1e-12
+        assert field_levels(sources_a + sources_b, [p])[0] == pytest.approx(
+            field_levels(sources_a, [p])[0] + field_levels(sources_b, [p])[0], rel=1e-12
         )
 
 
@@ -120,7 +119,7 @@ class TestTotalIntensity:
                 for _ in range(100)
             ]
             p = gps_offset(center, EnuOffset(rng.uniform(-200, 200), rng.uniform(-200, 200), 32.0))
-            assert total_intensity(sources, p) == loop_total_intensity(sources, p)
+            assert field_levels(sources, [p])[0] == loop_total_intensity(sources, p)
 
 
 class TestFieldLevels:
@@ -235,7 +234,7 @@ class TestFieldLevels:
         )))
         grid = generate_waypoints(region, CameraModel(altitude_m=20.0))
         fleet = [Agent(f"rav-{k}", GeoPoint(53.269, -9.061), 5.0) for k in range(3)]
-        route_order = [w for route in plan_routes(fleet, grid.points).routes.values() for w in route]
+        route_order = [w for route in plan_routes(fleet, grid.points).values() for w in route]
         columns = {}
         for w in route_order:
             columns.setdefault(w.index[0], []).append(w.index[1])

@@ -60,7 +60,7 @@ class TestPlanRoutes:
     def test_empty_waypoints(self):
         fleet = agents(3)
         plan = plan_routes(fleet, [])
-        assert all(route == [] for route in plan.routes.values())
+        assert all(route == [] for route in plan.values())
         assert claim_order(plan, fleet) == []
 
     def test_two_agent_collinear_trace(self):
@@ -69,15 +69,15 @@ class TestPlanRoutes:
         p1, p2, p3, p4 = east_points(1.0, 2.0, 3.0, 4.0)
         fleet = agents(2)
         plan = plan_routes(fleet, [p1, p2, p3, p4])
-        assert plan.routes["A"] == [p1, p3]
-        assert plan.routes["B"] == [p2, p4]
+        assert plan["A"] == [p1, p3]
+        assert plan["B"] == [p2, p4]
         assert claim_order(plan, fleet) == [p1, p2, p3, p4]
 
     def test_single_agent_sweeps_in_order(self):
         pts = east_points(1.0, 2.0, 3.0)
         plan = plan_routes(agents(1), pts)
-        assert plan.routes["A"] == pts
-        assert route_length(HOME, plan.routes["A"]) == pytest.approx(3.0, rel=1e-9)
+        assert plan["A"] == pts
+        assert route_length(HOME, plan["A"]) == pytest.approx(3.0, rel=1e-9)
 
     def test_no_agents_rejected(self):
         with pytest.raises(ValueError, match="agent"):
@@ -115,7 +115,7 @@ class TestPlanRoutes:
         wp_hi = Waypoint(east, (1, 0))
         wp_lo = Waypoint(west, (0, 0))
         plan = plan_routes(agents(1), [wp_hi, wp_lo])
-        assert plan.routes["A"][0] is wp_lo
+        assert plan["A"][0] is wp_lo
 
     def test_partition_and_balance_property(self):
         rng = random.Random(2026)
@@ -125,10 +125,10 @@ class TestPlanRoutes:
             fleet = agents(n_agents, velocity=rng.uniform(1.0, 10.0))
             pts = random_points(rng, HOME, n_points, 500.0)
             plan = plan_routes(fleet, lattice_row(pts))
-            combined = [wp.point for route in plan.routes.values() for wp in route]
+            combined = [wp.point for route in plan.values() for wp in route]
             assert len(combined) == n_points
             assert {(p.lat_deg, p.lon_deg) for p in combined} == {(p.lat_deg, p.lon_deg) for p in pts}
-            lengths = [len(route) for route in plan.routes.values()]
+            lengths = [len(route) for route in plan.values()]
             assert max(lengths) - min(lengths) <= 1
 
     def test_round_robin_interleaves_agents(self):
@@ -136,7 +136,7 @@ class TestPlanRoutes:
         pts = lattice_row(random_points(rng, HOME, 9, 200.0))
         fleet = agents(3)
         plan = plan_routes(fleet, pts)
-        claimed = {aid: list(route) for aid, route in plan.routes.items()}
+        claimed = {aid: list(route) for aid, route in plan.items()}
         ends = {a.id: a.home for a in fleet}
         remaining = list(pts)
         for turn, wp in enumerate(claim_order(plan, fleet)):
@@ -154,7 +154,7 @@ class TestPlanRoutes:
         fleet = agents(4, velocity=3.0)
         first = plan_routes(fleet, pts)
         second = plan_routes(fleet, pts)
-        assert first.routes == second.routes
+        assert first == second
         assert claim_order(first, fleet) == claim_order(second, fleet)
 
 
@@ -282,7 +282,7 @@ class TestMatchesFullScan:
 
             assert ids(claim_order(plan, fleet)) == ids(sequence)
             for aid, route in routes.items():
-                assert ids(plan.routes[aid]) == ids(route)
+                assert ids(plan[aid]) == ids(route)
 
     def test_ring_bound_at_closest_cell_edges(self):
         """Points r cell rings apart are at least (r - 1) * cell_m * slack apart.
@@ -343,8 +343,8 @@ class TestMatchesFullScan:
         fleet = [Agent("a", home, 1.0), Agent("b", home, 1.0)]
         assert _cell_layout([w.point for w in stack] + [home, home], len(stack)) == _ONE_CELL
         plan = plan_routes(fleet, stack)
-        assert plan.routes == scan_plan_routes(fleet, stack)[0]
-        altitudes = {aid: [w.point.alt_m for w in route] for aid, route in plan.routes.items()}
+        assert plan == scan_plan_routes(fleet, stack)[0]
+        altitudes = {aid: [w.point.alt_m for w in route] for aid, route in plan.items()}
         assert altitudes == {"a": [10.0, 30.0], "b": [20.0]}
 
     def test_cell_count_bound(self):
@@ -469,10 +469,10 @@ class TestRouteLength:
         rng = random.Random("legs")
         for fleet, points in leg_walk_missions(rng):
             plan = plan_routes(fleet, points)
-            assert plan.routes == scan_plan_routes(fleet, points)[0]
+            assert plan == scan_plan_routes(fleet, points)[0]
             shuffled = rng.sample(points, len(points))
             for agent in fleet:
-                for route in (plan.routes[agent.id], points, shuffled, shuffled[:1], []):
+                for route in (plan[agent.id], points, shuffled, shuffled[:1], []):
                     assert route_length(agent.home, route).hex() == loop_route_length(agent.home, route).hex()
 
     def test_legs_added_left_to_right(self):
@@ -523,7 +523,7 @@ class TestMakespan:
             by_id = {a.id: a for a in fleet}
             total = sum(
                 route_length(by_id[aid].home, route) / by_id[aid].velocity_mps
-                for aid, route in plan.routes.items()
+                for aid, route in plan.items()
             )
             assert len(fleet) * mk >= total * (1.0 - 1e-12)
 

@@ -16,13 +16,12 @@ from uavsurvey import (
     NoiseSpec,
     RadiationSource,
     Waypoint,
+    field_levels,
     gps_offset,
-    leg_duration,
     makespan,
     plan_routes,
     route_length,
     simulate,
-    total_intensity,
     write_observation_log,
 )
 from uavsurvey.sim import ROUTE_COMPLETE, TAKEOFF, WAYPOINT_REACHED
@@ -36,20 +35,23 @@ def fleet_of(n: int, velocity: float = 5.0) -> list[Agent]:
 
 
 class TestLegDuration:
+    """A one-waypoint flight from HOME observes at distance_m / velocity."""
+
+    @staticmethod
+    def arrival(p: GeoPoint, velocity: float) -> float:
+        (obs,) = simulate({"rav-0": [Waypoint(p, (0, 0))]}, fleet_of(1, velocity), camera=CAM).observations
+        return obs.t
+
     def test_zero_leg(self):
-        assert leg_duration(HOME, HOME, 3.0) == 0.0
+        assert self.arrival(HOME, 3.0) == 0.0
 
     def test_hundred_meters_at_five(self):
         p = gps_offset(HOME, EnuOffset(100.0, 0.0, 0.0))
-        assert leg_duration(HOME, p, 5.0) == pytest.approx(20.0, rel=1e-9)
+        assert self.arrival(p, 5.0) == pytest.approx(20.0, rel=1e-9)
 
     def test_velocity_scaling(self):
         p = gps_offset(HOME, EnuOffset(60.0, 80.0, 0.0))
-        assert leg_duration(HOME, p, 10.0) == pytest.approx(leg_duration(HOME, p, 5.0) / 2.0, rel=1e-12)
-
-    def test_bad_velocity(self):
-        with pytest.raises(ValueError, match="velocity"):
-            leg_duration(HOME, HOME, 0.0)
+        assert self.arrival(p, 10.0) == pytest.approx(self.arrival(p, 5.0) / 2.0, rel=1e-12)
 
 
 class TestSimulate:
@@ -124,9 +126,9 @@ class TestSimulate:
         log = simulate(plan, fleet, camera=CAM)
         finals = {
             aid: max((e.t for e in log.events if e.agent_id == aid), default=0.0)
-            for aid in plan.routes
+            for aid in plan
         }
-        for aid, route in plan.routes.items():
+        for aid, route in plan.items():
             expected = route_length(HOME, route)
             assert finals[aid] * 6.0 == pytest.approx(expected, rel=1e-9)
         assert max(finals.values()) == pytest.approx(makespan(plan, fleet), rel=1e-9)
@@ -154,7 +156,7 @@ class TestSimulate:
         ]
         log = simulate(plan_routes(fleet, pts), fleet, sources, camera=CAM)
         for obs in log.observations:
-            assert obs.radiation_usv_s == total_intensity(sources, obs.waypoint.point)
+            assert obs.radiation_usv_s == field_levels(sources, [obs.waypoint.point])[0]
 
     def test_events_globally_ordered(self):
         rng = random.Random(35)
@@ -185,7 +187,7 @@ class TestSimulate:
         plan = plan_routes(fleet, pts)
         log = simulate(plan, fleet, camera=CAM)
         assert log.camera is CAM
-        for aid, route in plan.routes.items():
+        for aid, route in plan.items():
             flown = [e.waypoint for e in log.observations if e.agent_id == aid]
             assert len(flown) == len(route) and all(e is w for e, w in zip(flown, route))
         assert all(e.waypoint is None and e.radiation_usv_s is None for e in log.events if e.kind != WAYPOINT_REACHED)

@@ -25,7 +25,6 @@ from uavsurvey import (
     GeoPoint,
     NoiseSpec,
     RadiationSource,
-    RoutePlan,
     dumps_geojson,
     export_geojson,
     generate_waypoints,
@@ -443,13 +442,13 @@ class TestDigestEdgeCases:
             Waypoint(GeoPoint(lat, lon, alt), (k, 0))
             for k, (lat, lon, alt) in enumerate([(0.0, -0.0, 0.0), (-0.0, 0.0, -0.0), (1, 1.0, 2.5), (1.0, 1, 2.5)])
         ]
-        assert_same_digest(RoutePlan({"rav-1": route}), fleet)
+        assert_same_digest({"rav-1": route}, fleet)
 
     def test_empty_routes(self):
         fleet = [Agent(f"rav-{k}", ORIGIN, 5.0) for k in range(3)]
         grid = int_grid()
         assert_same_digest(plan_routes(fleet, grid.points[:1]), fleet)
-        assert_same_digest(RoutePlan({}), fleet)
+        assert_same_digest({}, fleet)
 
     @pytest.mark.parametrize(
         "ids",
@@ -475,7 +474,7 @@ class TestDigestEdgeCases:
         grid, _, _, _ = random_mission(random.Random(3))
         fleet = [Agent(aid, ORIGIN, 5.0 + k) for k, aid in enumerate(ids)]
         plan = plan_routes(fleet, grid.points)
-        assert list(plan.routes) != sorted(plan.routes)
+        assert list(plan) != sorted(plan)
         assert_same_digest(plan, fleet)
 
     def test_index_not_an_int_pair(self):
@@ -483,7 +482,7 @@ class TestDigestEdgeCases:
         # index. The log writer applies it again to an event built by hand.
         fleet = [Agent("rav-1", ORIGIN, 5.0)]
         p = GeoPoint(53.28, -9.06, 32.0)
-        log = simulate(RoutePlan({"rav-1": [Waypoint(p, (0, 0)), Waypoint(p, (0, 1))]}), fleet, camera=CameraModel())
+        log = simulate({"rav-1": [Waypoint(p, (0, 0)), Waypoint(p, (0, 1))]}, fleet, camera=CameraModel())
         assert log.events[2].kind == WAYPOINT_REACHED
         for index in [(1, 2.0), (True, None), ("x", -0.0), (1, 2, 3), [4, 5], (1, {"b": 1, "a": [2.5, 0]}), (), None]:
             message = re.escape(f"lattice index must be a pair of ints, got {index!r}") + "$"
@@ -511,15 +510,15 @@ def _copy(w: Waypoint, point: GeoPoint | None = None, index: tuple | None = None
 class TestExportMatching:
     def test_equal_copies_give_the_same_document(self):
         grid, plan, fleet, _ = random_mission(random.Random(11))
-        copies = RoutePlan({aid: [_copy(w) for w in route] for aid, route in plan.routes.items()})
-        w, c = next(iter(plan.routes.values()))[0], next(iter(copies.routes.values()))[0]
+        copies = {aid: [_copy(w) for w in route] for aid, route in plan.items()}
+        w, c = next(iter(plan.values()))[0], next(iter(copies.values()))[0]
         assert c == w and c is not w and c.point.lat_deg is not w.point.lat_deg
         assert export_geojson(grid, copies, fleet) == export_geojson(grid, plan, fleet)
 
     @pytest.mark.parametrize("moved", ["index", "position"])
     def test_a_waypoint_off_the_grid_is_refused(self, moved):
         grid, plan, fleet, _ = random_mission(random.Random(14))
-        route = max(plan.routes.values(), key=len)
+        route = max(plan.values(), key=len)
         assert len(route) >= 5
         stray = []
         for w in route[:4]:
@@ -528,8 +527,20 @@ class TestExportMatching:
             else:
                 p = w.point
                 stray.append(_copy(w, point=GeoPoint(p.lat_deg + 1e-9, p.lon_deg, p.alt_m)))
-        route[1:5] = [stray[0], _copy(stray[0]), *stray[1:]]  # a repeat is named once
+        route[1:5] = stray
         message = f"plan contains waypoints not in the grid: {stray[:3]}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            export_geojson(grid, plan, fleet)
+
+    @pytest.mark.parametrize("across", [True, False], ids=["two_routes", "one_route"])
+    def test_a_waypoint_routed_twice_is_refused(self, across):
+        # An equal copy of a routed waypoint, added to another route or to
+        # its own, would move the waypoint's Point to the later visit.
+        grid, plan, fleet, _ = random_mission(random.Random(15))
+        first, second = sorted(plan, key=lambda aid: -len(plan[aid]))[:2]
+        twice = plan[first][1]
+        plan[second if across else first].append(_copy(twice))
+        message = f"plan routes a waypoint more than once: {twice}"
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             export_geojson(grid, plan, fleet)
 
