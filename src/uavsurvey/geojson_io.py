@@ -28,21 +28,6 @@ if TYPE_CHECKING:
     from .sim import EventLog
 
 
-def _check_on_grid(grid: WaypointGrid, plan: dict[str, list[Waypoint]], assignment: dict) -> None:
-    """Refuse a plan with a waypoint not in ``grid``, ``assignment`` being keyed
-    as ``export_geojson`` keys it and the plan routing each waypoint once.
-    The set of grid keys is freed on return, before the features are built."""
-    on_grid = {(wp.point.lat_deg, wp.point.lon_deg, wp.point.alt_m, wp.index) for wp in grid.points}
-    if not on_grid.issuperset(assignment):
-        stray = [
-            wp
-            for route in plan.values()
-            for wp in route
-            if (wp.point.lat_deg, wp.point.lon_deg, wp.point.alt_m, wp.index) not in on_grid
-        ]
-        raise ValueError(f"plan contains waypoints not in the grid: {stray[:3]}")
-
-
 def export_geojson(grid: WaypointGrid, plan: dict[str, list[Waypoint]], fleet: Sequence[Agent]) -> dict:
     """FeatureCollection with one Point per waypoint and one LineString per
     non-empty agent route (starting at that agent's home in ``fleet``).
@@ -50,31 +35,41 @@ def export_geojson(grid: WaypointGrid, plan: dict[str, list[Waypoint]], fleet: S
     Point properties carry the lattice index plus the assigned agent and
     1-based visit order (null when unassigned). Route properties carry the
     agent id, leg count, and total length in meters. ``fleet`` obeys the
-    fleet rules of ``makespan`` and ``simulate``, and every waypoint of the
-    plan is in ``grid`` and routed once, or ValueError is raised.
+    fleet rules of ``makespan`` and ``simulate``, ``grid`` holds each
+    waypoint once, and every waypoint of the plan is in ``grid`` and routed
+    once, or ValueError is raised. Of a stray and a repeat, the one first in
+    plan order is named.
 
-    A route's waypoint is matched to the grid's by ``(lat, lon, alt,
-    index)``, a tuple equal exactly when the waypoints are, but hashed in C
-    instead of by two dataclass ``__hash__`` calls.
+    A waypoint is keyed by ``(lat, lon, alt, index)``, a tuple equal exactly
+    when the waypoints are, but hashed in C instead of by two dataclass
+    ``__hash__`` calls. One dict maps each grid key to its position, and one
+    walk of the plan fills each position's owner.
     """
     by_id = _check_fleet(fleet, plan)
-    assignment: dict = {}
+    points = grid.points
+    slot = {(w.point.lat_deg, w.point.lon_deg, w.point.alt_m, w.index): k for k, w in enumerate(points)}
+    if len(slot) != len(points):  # a repeated key keeps its last position
+        for k, w in enumerate(points):
+            if slot[w.point.lat_deg, w.point.lon_deg, w.point.alt_m, w.index] != k:
+                raise ValueError(f"grid holds a waypoint more than once: {w}")
+    free = (None, None)
+    owners = [free] * len(points)
     for aid, route in plan.items():
         for order, wp in enumerate(route, start=1):
             p = wp.point
-            assignment[p.lat_deg, p.lon_deg, p.alt_m, wp.index] = (aid, order)
-    if len(assignment) != sum(map(len, plan.values())):
-        seen = set()
-        for wp in (wp for route in plan.values() for wp in route):
-            if wp in seen:
+            k = slot.get((p.lat_deg, p.lon_deg, p.alt_m, wp.index))
+            if k is None:
+                every = (w for r in plan.values() for w in r)
+                stray = [w for w in every if (w.point.lat_deg, w.point.lon_deg, w.point.alt_m, w.index) not in slot]
+                raise ValueError(f"plan contains waypoints not in the grid: {stray[:3]}")
+            if owners[k] is not free:
                 raise ValueError(f"plan routes a waypoint more than once: {wp}")
-            seen.add(wp)
-    _check_on_grid(grid, plan, assignment)
+            owners[k] = (aid, order)
+    del slot
 
     features = []
-    for wp in grid.points:
+    for wp, (aid, order) in zip(points, owners):
         p = wp.point
-        aid, order = assignment.get((p.lat_deg, p.lon_deg, p.alt_m, wp.index), (None, None))
         features.append(
             {
                 "type": "Feature",

@@ -252,6 +252,9 @@ def _leg_lengths(home: GeoPoint, route: Sequence[Waypoint]) -> Iterator[float]:
 def route_length(home: GeoPoint, route: Sequence[Waypoint]) -> float:
     """Metres flown home -> route[0] -> ... -> route[-1].
 
+    Any route is measured as it would be flown, a waypoint routed twice
+    included.
+
     The legs are added left to right with ``+=``: ``sum()`` of floats is
     compensated from Python 3.12 on and would give other bits there.
     """
@@ -266,6 +269,8 @@ def makespan(plan: dict[str, list[Waypoint]], agents: Sequence[Agent]) -> float:
 
     Per agent: (home-to-first leg plus consecutive legs) / velocity, without
     dwell: the makespan the CLI prints, not the last ``route_complete`` time.
+    Any plan is evaluated as it would be flown, a waypoint routed twice
+    included; ``simulate`` and ``export_geojson`` refuse such a plan.
     """
     by_id = _check_fleet(agents, plan)
     worst = 0.0

@@ -71,13 +71,25 @@ def simulate(
 ) -> EventLog:
     """Fly the plan and log an observation at every waypoint.
 
+    A plan that routes one waypoint twice (equal position and index) is
+    refused, as ``export_geojson`` refuses it, and so is one whose
+    waypoints do not share one altitude.
+
     All agents launch at t = 0; turns are instantaneous and per-waypoint dwell
     defaults to zero. Noise draws use one generator per agent keyed on
     (seed, agent id), so per-agent results do not depend on fleet order.
     """
     by_id = _check_fleet(fleet, plan)
     _check_dwell(dwell_s)
-    altitudes = {w.point.alt_m for route in plan.values() for w in route}
+    keys = {(w.point.lat_deg, w.point.lon_deg, w.point.alt_m, w.index) for route in plan.values() for w in route}
+    if len(keys) != sum(map(len, plan.values())):
+        seen: set = set()
+        for w in (w for route in plan.values() for w in route):
+            key = (w.point.lat_deg, w.point.lon_deg, w.point.alt_m, w.index)
+            if key in seen:
+                raise ValueError(f"plan routes a waypoint more than once: {w}")
+            seen.add(key)
+    altitudes = {key[2] for key in keys}
     if len(altitudes) > 1:
         raise ValueError(f"waypoints must share the mission altitude, got {sorted(altitudes)}")
 

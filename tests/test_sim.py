@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -221,6 +222,27 @@ class TestSimulate:
         wps = lattice_row([GeoPoint(0.0, 0.001, 32.0), GeoPoint(0.0, 0.002, 33.0)])
         plan = plan_routes(fleet, wps)
         with pytest.raises(ValueError, match="altitude"):
+            simulate(plan, fleet, camera=CAM)
+
+    @pytest.mark.parametrize("across", [True, False], ids=["two_routes", "one_route"])
+    def test_a_waypoint_routed_twice_is_refused(self, across, monkeypatch):
+        # The log holds one observation per waypoint. An equal copy (new
+        # floats, new index tuple) in another route or in its own is refused
+        # with export_geojson's message, before the digest is computed.
+        fleet = fleet_of(2)
+        wps = lattice_row([GeoPoint(0.0, 0.001 * k, 32.0) for k in range(1, 7)])
+        plan = {"rav-0": wps[:3], "rav-1": wps[3:]}
+        twice = wps[1]
+        p = twice.point
+        copy = Waypoint(GeoPoint(float(repr(p.lat_deg)), float(repr(p.lon_deg)), 32.0), (0, 1))
+        plan["rav-1" if across else "rav-0"].append(copy)
+
+        def refuse(*args):
+            raise AssertionError("config_digest called")
+
+        monkeypatch.setattr("uavsurvey.sim.config_digest", refuse)
+        message = f"plan routes a waypoint more than once: {twice}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             simulate(plan, fleet, camera=CAM)
 
     def test_mission_id_defaults_to_digest_prefix(self):

@@ -544,6 +544,30 @@ class TestExportMatching:
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             export_geojson(grid, plan, fleet)
 
+    @pytest.mark.parametrize("first", ["stray", "repeat"])
+    def test_the_first_fault_in_plan_order_is_named(self, first):
+        grid, plan, fleet, _ = random_mission(random.Random(16))
+        route = max(plan.values(), key=len)
+        assert len(route) >= 3
+        w = route[2]
+        stray, repeat = _copy(w, index=(w.index[0] + 1000, w.index[1])), _copy(route[1])
+        route[3:3] = [stray, repeat] if first == "stray" else [repeat, stray]
+        if first == "stray":
+            message = f"plan contains waypoints not in the grid: {[stray]}"
+        else:
+            message = f"plan routes a waypoint more than once: {repeat}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            export_geojson(grid, plan, fleet)
+
+    def test_a_grid_holding_a_waypoint_twice_is_refused(self):
+        # Both copies would get the Point of the one routed visit.
+        grid, plan, fleet, _ = random_mission(random.Random(17))
+        twice = grid.points[2]
+        points = (*grid.points[:5], _copy(twice), *grid.points[5:])
+        message = f"grid holds a waypoint more than once: {twice}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            export_geojson(WaypointGrid(grid.spacing_m, points), plan, fleet)
+
     def test_no_waypoint_or_point_is_hashed(self, monkeypatch):
         grid, plan, fleet, _ = random_mission(random.Random(13))
         expected = export_geojson(grid, plan, fleet)
