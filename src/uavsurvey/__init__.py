@@ -19,7 +19,6 @@ from .geojson_io import dumps_geojson, export_geojson, write_observation_log
 from .grid import (
     CameraModel,
     CircumRectangle,
-    DegenerateGridWarning,
     EmptyGridWarning,
     PolygonRegion,
     Waypoint,
@@ -50,7 +49,6 @@ __all__ = [
     "CameraModel",
     "CircumRectangle",
     "ConfigError",
-    "DegenerateGridWarning",
     "EmptyGridWarning",
     "EnuOffset",
     "Event",

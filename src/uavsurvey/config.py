@@ -48,7 +48,7 @@ class MissionConfig:
         _check_fleet(self.fleet)
         _check_dwell(self.dwell_s)
         try:
-            lats, lons = _lattice_axes(bounding_rectangle(self.region), grid_spacing(self.camera), warn=False)
+            lats, lons = _lattice_axes(bounding_rectangle(self.region), grid_spacing(self.camera))
         except ValueError as exc:
             raise _fail("camera", exc) from None
         # An agent flies at most one leg and one dwell per lattice point. A leg

@@ -23,10 +23,6 @@ from .geodesy import GeoPoint, _warn_if_wide, meters_per_degree
 MAX_LATTICE_POINTS = 1_000_000
 
 
-class DegenerateGridWarning(UserWarning):
-    """Grid spacing dwarfs the survey rectangle; a single point is returned."""
-
-
 class EmptyGridWarning(UserWarning):
     """No lattice point fell inside the polygon."""
 
@@ -201,31 +197,22 @@ def _axis_count(low: float, high: float, step: float, quotient: float) -> int:
     return n
 
 
-def _lattice_axes(rect: CircumRectangle, spacing_m: float, warn: bool = True) -> tuple[list[float], list[float]]:
+def _lattice_axes(rect: CircumRectangle, spacing_m: float) -> tuple[list[float], list[float]]:
     """The lattice's row latitudes and column longitudes, from the
     rectangle's SW corner.
 
     Rows and columns extend one spacing past the north/east edges so tiles
-    may overhang the rectangle. Degree increments are fixed, converted once
-    at the rectangle's southern latitude. A spacing over 10x the span on both
-    axes gives the SW corner alone, with :class:`DegenerateGridWarning` if
-    ``warn``. Refused before any point is built: a spacing that is not
-    positive, a lattice of more than :data:`MAX_LATTICE_POINTS` points, and
-    a last row north of 90 degrees.
+    may overhang the rectangle; a spacing many times its size leaves only
+    the SW corner in it. Degree steps are converted once at the southern
+    latitude. Refused before any point is built, whatever the spacing: one
+    that is not positive, a lattice of more than :data:`MAX_LATTICE_POINTS`
+    points, and a last row north of 90 degrees.
     """
     if not spacing_m > 0.0:
         raise ValueError(f"spacing_m must be > 0, got {spacing_m}")
     m_lat, m_lon = meters_per_degree(rect.min_lat)
     span_lat_m = (rect.max_lat - rect.min_lat) * m_lat
     span_lon_m = (rect.max_lon - rect.min_lon) * m_lon
-    if spacing_m > 10.0 * span_lat_m and spacing_m > 10.0 * span_lon_m:
-        if warn:
-            warnings.warn(
-                f"spacing {spacing_m:.1f} m exceeds 10x the rectangle span; returning a single point",
-                DegenerateGridWarning,
-                stacklevel=3,
-            )
-        return [rect.min_lat], [rect.min_lon]
     dlat = spacing_m / m_lat
     dlon = spacing_m / m_lon
     rows = _axis_count(rect.min_lat, rect.max_lat, dlat, span_lat_m / spacing_m)

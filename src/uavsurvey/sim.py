@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from .geojson_io import config_digest
@@ -20,7 +21,6 @@ from .routing import Agent, _check_fleet, _leg_lengths
 TAKEOFF = "takeoff"
 WAYPOINT_REACHED = "waypoint_reached"
 ROUTE_COMPLETE = "route_complete"
-_EVENT_RANK = {TAKEOFF: 0, WAYPOINT_REACHED: 1, ROUTE_COMPLETE: 2}
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,8 @@ def simulate(
     All agents launch at t = 0; turns are instantaneous and per-waypoint dwell
     defaults to zero. Noise draws use one generator per agent keyed on
     (seed, agent id), so per-agent results do not depend on fleet order.
+    Events sort stably by (t, agent id): legs and dwell are >= 0, so one
+    agent's ties keep takeoff, its route's order, then completion.
     """
     by_id = _check_fleet(fleet, plan)
     _check_dwell(dwell_s)
@@ -113,8 +115,7 @@ def simulate(
             reading = sample_reading(next(levels), noise, rng)
             events.append(Event(t, aid, WAYPOINT_REACHED, wp, reading))
             t += dwell_s
-        final_t = events[-1].t if route else 0.0
-        events.append(Event(t=final_t, agent_id=aid, kind=ROUTE_COMPLETE))
+        events.append(Event(t=events[-1].t, agent_id=aid, kind=ROUTE_COMPLETE))
 
-    events.sort(key=lambda e: (e.t, e.agent_id, _EVENT_RANK[e.kind]))
+    events.sort(key=attrgetter("t", "agent_id"))
     return EventLog(mission_id, digest, events, camera)

@@ -111,6 +111,13 @@ CASES = [
     ("camera-lattice-past-the-pole", put("region", [[89.9995, -9.0], [89.9999, -9.0], [89.9999, -9.002]]),
      "camera: lattice row at 90.00026656237578 degrees passes the north pole: the region ends within "
      "one grid spacing (42.667 m) of 90 degrees north"),
+    # A 26.7 km spacing over a region 11 m across: the pole rule holds for
+    # a spacing many times the region too.
+    ("camera-wide-spacing-past-the-pole",
+     whole({"region": [[89.9, -9.0], [89.9001, -9.0], [89.9001, -9.0001]], "fleet": [AGENT],
+            "camera": {"altitude_m": 20000.0}}),
+     "camera: lattice row at 90.13955074243188 degrees passes the north pole: the region ends within "
+     "one grid spacing (26666.667 m) of 90 degrees north"),
     # fleet[k]
     ("fleet-not-list", put("fleet", {}), "fleet: expected a list of agents"),
     ("fleet-item-not-object", put("fleet", 0, "rav-1"), "fleet[0]: expected an object"),

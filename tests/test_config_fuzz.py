@@ -117,14 +117,10 @@ def _axis_count(low: float, high: float, step: float) -> int:
 
 def lattice_size(config) -> int:
     """The number of points generate_lattice builds for the mission, counted
-    with its own degree steps but without building them: one point where the
-    spacing exceeds 10x the rectangle on both axes."""
+    with its own degree steps but without building them."""
     rect = bounding_rectangle(config.region)
     spacing = grid_spacing(config.camera)
     m_lat, m_lon = meters_per_degree(rect.min_lat)
-    span_lat_m, span_lon_m = (rect.max_lat - rect.min_lat) * m_lat, (rect.max_lon - rect.min_lon) * m_lon
-    if spacing > 10.0 * span_lat_m and spacing > 10.0 * span_lon_m:
-        return 1
     rows = _axis_count(rect.min_lat, rect.max_lat, spacing / m_lat)
     cols = _axis_count(rect.min_lon, rect.max_lon, spacing / m_lon)
     return rows * cols

@@ -22,12 +22,12 @@ from helpers import (
 from uavsurvey import (
     CameraModel,
     CircumRectangle,
-    DegenerateGridWarning,
     EmptyGridWarning,
     EnuOffset,
     FlatPlaneWarning,
     GeoPoint,
     PolygonRegion,
+    Waypoint,
     bounding_rectangle,
     footprint_width,
     generate_lattice,
@@ -259,8 +259,7 @@ class TestGenerateLattice:
 
     def test_zero_area_rect_single_point(self):
         rect = CircumRectangle(10.0, 10.0, 20.0, 20.0)
-        with pytest.warns(DegenerateGridWarning):
-            points = generate_lattice(rect, 5.0, 32.0)
+        points = generate_lattice(rect, 5.0, 32.0)
         assert len(points) == 1
         assert points[0].point == GeoPoint(10.0, 20.0, 32.0)
         assert points[0].index == (0, 0)
@@ -327,9 +326,43 @@ class TestGenerateLattice:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             survey = generate_waypoints(config.region, config.camera)
-        # The single point is the rectangle's SW corner, outside the campus.
-        assert [w.category for w in caught] == [DegenerateGridWarning, EmptyGridWarning]
+        # The only lattice point in the rectangle is its SW corner, outside the campus.
+        assert [w.category for w in caught] == [EmptyGridWarning]
         assert survey.points == ()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_spacing_past_ten_rectangles_keeps_at_most_the_sw_corner(self, seed):
+        # Small regions under a spacing over 10x their rectangle on both
+        # axes: the one lattice rule puts every point but the SW corner past
+        # the north or east edge, so the grid is that corner where the
+        # region holds it and empty, with EmptyGridWarning alone, elsewhere.
+        rng = random.Random(seed)
+        found = {True: 0, False: 0}
+        for _ in range(60):
+            lat, lon = rng.uniform(-60.0, 60.0), rng.uniform(-170.0, 170.0)
+            if rng.random() < 0.3:
+                dlat, dlon = rng.uniform(1e-6, 1e-3), rng.uniform(1e-6, 1e-3)
+                region = poly((lat, lon), (lat + dlat, lon), (lat + dlat, lon + dlon), (lat, lon + dlon))
+            else:
+                region = random_star_polygon(rng, GeoPoint(lat, lon), rng.randint(3, 9), 1.0, rng.uniform(2.0, 500.0))
+            rect = bounding_rectangle(region)
+            m_lat, m_lon = meters_per_degree(rect.min_lat)
+            span_m = max((rect.max_lat - rect.min_lat) * m_lat, (rect.max_lon - rect.min_lon) * m_lon)
+            camera = CameraModel(altitude_m=span_m * rng.uniform(7.6, 1000.0))
+            assert grid_spacing(camera) > 10.0 * span_m
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                points = generate_waypoints(region, camera).points
+            corner = GeoPoint(rect.min_lat, rect.min_lon, camera.altitude_m)
+            held = point_in_polygon(corner, region)
+            found[held] += 1
+            if held:
+                assert points == (Waypoint(corner, (0, 0)),)
+                assert caught == []
+            else:
+                assert points == ()
+                assert [w.category for w in caught] == [EmptyGridWarning]
+        assert min(found.values()) > 5, found
 
     def test_altitude_applied(self):
         rect = CircumRectangle(0.0, 0.001, 0.0, 0.001)

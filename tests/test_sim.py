@@ -170,6 +170,39 @@ class TestSimulate:
             times = [e.t for e in log.events if e.agent_id == aid]
             assert times == sorted(times)
 
+    def test_ties_keep_each_agents_order(self):
+        # Zero legs (the first waypoint at home, then one position under two
+        # indexes), zero dwell and an empty route put most events at t = 0,
+        # and two agents reach one position at the same time. Within one
+        # agent a tie keeps takeoff, the route's order, then completion.
+        fleet = fleet_of(3)
+        far = gps_offset(HOME, EnuOffset(100.0, 0.0, 0.0))
+        plan = {
+            "rav-0": [Waypoint(HOME, (0, 0)), Waypoint(HOME, (0, 1)), Waypoint(far, (1, 0))],
+            "rav-1": [],
+            "rav-2": [Waypoint(HOME, (0, 2)), Waypoint(far, (1, 1))],
+        }
+        log = simulate(plan, fleet, camera=CAM)
+        rows = [(e.t, e.agent_id, e.kind, e.waypoint and e.waypoint.index) for e in log.events]
+        leg = rows[-1][0]
+        assert leg > 0.0
+        assert rows == [
+            (0.0, "rav-0", TAKEOFF, None),
+            (0.0, "rav-0", WAYPOINT_REACHED, (0, 0)),
+            (0.0, "rav-0", WAYPOINT_REACHED, (0, 1)),
+            (0.0, "rav-1", TAKEOFF, None),
+            (0.0, "rav-1", ROUTE_COMPLETE, None),
+            (0.0, "rav-2", TAKEOFF, None),
+            (0.0, "rav-2", WAYPOINT_REACHED, (0, 2)),
+            (leg, "rav-0", WAYPOINT_REACHED, (1, 0)),
+            (leg, "rav-0", ROUTE_COMPLETE, None),
+            (leg, "rav-2", WAYPOINT_REACHED, (1, 1)),
+            (leg, "rav-2", ROUTE_COMPLETE, None),
+        ]
+        for aid, route in plan.items():
+            kinds = [e.kind for e in log.events if e.agent_id == aid]
+            assert kinds == [TAKEOFF] + [WAYPOINT_REACHED] * len(route) + [ROUTE_COMPLETE]
+
     def test_camera_metadata(self):
         fleet = fleet_of(1)
         wp = Waypoint(GeoPoint(0.0, 0.001, 32.0), (2, 3))
