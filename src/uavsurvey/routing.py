@@ -21,8 +21,8 @@ from .grid import Waypoint
 # can still close within its budget, at most (n - 1) * 2^(n - 2), but holds
 # only two layers of set sizes at a time. At n = 18 (tracemalloc peak, one
 # tsp_optimal, CPython 3.11 on a 2-core x86 VM): on coincident points
-# nothing prunes, 17 MB and 2.0 s; on points in a line about a fifth of the
-# entries live, 9.6 MB and 1.0 s. Larger instances have no exact reference.
+# nothing prunes, 17 MB and 1.7-2.0 s; on points in a line about a fifth of
+# the entries live, 9.6 MB and 0.9 s. Larger instances have no exact reference.
 HELD_KARP_MAX_POINTS = 18
 ORACLE_MAX_POINTS = 8
 ORACLE_MAX_AGENTS = 3
@@ -73,9 +73,10 @@ _ONE_CELL = (0.0, 0.0, 0.0, math.inf, math.inf, 1, 1)
 def _cell_layout(points: list[GeoPoint], n: int):
     """Cell grid for exact nearest queries: ``(cell_m, lat0, lon0, dlat, dlon, rows, cols)``.
 
-    ``points`` holds the ``n`` waypoints and the homes, so every query point
-    falls inside the grid. A cell is ``cell_m`` tall and, at the largest
-    |latitude| in ``points``, ``cell_m`` wide. ``distance_m`` scales
+    ``points`` holds the ``n`` waypoints, then the homes. The grid and
+    ``cell_m`` cover the waypoints; a home outside queries from the edge cell
+    nearest it, beyond which it lies. A cell is ``cell_m`` tall and, at the
+    largest |latitude| in ``points``, ``cell_m`` wide. ``distance_m`` scales
     longitude by cos(midpoint latitude), which is never smaller, and the
     vertical term only adds, so a point ``r`` cell rings from a query is at
     least ``(r - 1) * cell_m`` away. Near a pole the longitude cells widen to
@@ -88,11 +89,12 @@ def _cell_layout(points: list[GeoPoint], n: int):
         return _ONE_CELL
     lats = [p.lat_deg for p in points]
     lons = [p.lon_deg for p in points]
-    lat0, lon0 = min(lats), min(lons)
-    lon_span = max(lons) - lon0
-    if lon_span >= 180.0:
+    if max(lons) - min(lons) >= 180.0:
         return _ONE_CELL
     cos_min = math.cos(math.radians(max(map(abs, lats))))
+    lats, lons = lats[:n], lons[:n]
+    lat0, lon0 = min(lats), min(lons)
+    lon_span = max(lons) - lon0
     height_m = (max(lats) - lat0) * METERS_PER_DEG_LAT
     width_m = lon_span * METERS_PER_DEG_LAT * cos_min
     # About 1.25 waypoints per cell of the bounding box; a line-like extent
@@ -169,8 +171,8 @@ def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> dict[
     cells, never more than the grid's 1.8n + 1.8 at most.
 
     Every waypoint goes into one cell, and the search is that scan, when the
-    waypoints and homes span 180 degrees of longitude or more, or when they
-    all share one latitude/longitude. The plan is the routes, keyed by agent
+    waypoints and homes span 180 degrees of longitude or more, or when the
+    waypoints all share one latitude/longitude. The plan is the routes, keyed by agent
     id in fleet order; each home stays on its ``Agent``.
     """
     agents = list(agents)
@@ -200,7 +202,9 @@ def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> dict[
     ends = {}
     for a in agents:
         h = a.home
-        ends[a.id] = ((h.lat_deg, h.lon_deg, h.alt_m), int((h.lat_deg - lat0) / dlat), int((h.lon_deg - lon0) / dlon))
+        qi = min(max(int((h.lat_deg - lat0) / dlat), 0), rows - 1)
+        qj = min(max(int((h.lon_deg - lon0) / dlon), 0), cols - 1)
+        ends[a.id] = ((h.lat_deg, h.lon_deg, h.alt_m), qi, qj)
     nearest = _nearest
     ids = [a.id for a in agents]
     # Ring 2's stop test, (2 - 1) * cell_m * _RING_SLACK > best, ends most
@@ -306,62 +310,48 @@ def _path_rows(
     ``first``: the legs back must equal them. An entry is kept only if its
     value plus each of two floors on the rest of the tour is within it:
 
-    - the cheapest legs into the points outside ``s``, a point's being its
-      cheapest leg from another point, plus the cheapest leg back;
+    - the shortest leg between two points once per point outside ``s``,
+      each still to be entered from another point, plus the cheapest leg back;
     - the shortest path from ``k`` back to the start through the farthest
       point outside ``s``, or straight back when none is left. Paths are
       measured in ``D``, the Floyd-Warshall closure of the legs.
 
     A real rest of the tour is never shorter, with no triangle inequality
-    needed. An entry over its limit only offers entries over theirs, so
-    every entry that can end within the budget is kept, with its value, and
-    offers over a limit are not stored.
+    needed. One point fewer outside lowers the first floor by the shortest
+    leg, which no leg undercuts, so an entry over its limit only offers
+    entries over theirs: every entry that can end within the budget is
+    kept, with its value, and offers over a limit are not stored.
     """
     m = len(first)
     inf = math.inf
     bits = [(k, 1 << k) for k in range(m)]
-    bounded = budget < inf
-    if bounded:
-        floors = [min([row[k] for row in pair[:k] + pair[k + 1:]], default=0.0) for k in range(m)]
-        # The first limit of s, budget - (the floors of the points outside s
-        # and of the leg back), is base + low[s & mask] + high[s >> half]:
-        # subset sums of the floors of the low and the high half of the points.
-        half = m // 2
-        low, high = [0.0], [0.0]
-        for k, floor in enumerate(floors):
-            sums = low if k < half else high
-            sums += [x + floor for x in sums]
-        base = budget - min(first, default=0.0) - sum(floors)
-        mask = (1 << half) - 1
+    # by_size[j]: the first limit of a set with j points outside it.
+    # tails[k]: (budget - (D[k][t] + D[t][start]), bit of t), smallest first,
+    # then (budget - D[k][start], 0), which every bit set leaves outside.
+    by_size, tails = [inf] * (m + 1), [[(inf, 0)]] * m
+    if budget < inf:
+        shortest = min([x for j, row in enumerate(pair) for x in row[:j] + row[j + 1:]], default=0.0)
+        by_size = [budget - min(first, default=0.0) - j * shortest for j in range(m + 1)]
         # D over the points and the start, which is point m.
         dist = [row + [leg] for row, leg in zip(pair, first)] + [first + [0.0]]
         for w, via in enumerate(dist):
             for row in dist:
                 row[:] = [min(x, row[w] + y) for x, y in zip(row, via)]
-        # tails[k]: (D[k][t] + D[t][start], bit of t), farthest first, then
-        # (D[k][start], 0), which every bit set leaves outside.
-        tails = [
-            sorted([(dist[k][t] + dist[t][m], 1 << t) for t in range(m) if t != k], reverse=True) + [(dist[k][m], 0)]
-            for k in range(m)
-        ]
+        tails = [sorted([(budget - (row[t] + dist[t][m]), 1 << t) for t in range(m) if t != k]) + [(budget - row[m], 0)]
+                 for k, row in enumerate(dist[:m])]
 
     def targets(s: int) -> list[tuple[int, int, float]]:
         """``(k, s | 1 << k, the largest value entry (s | 1 << k, k) keeps)``
         for every k outside ``s``."""
+        cap = by_size[m - 1 - s.bit_count()]
         out = []
         for k, b in bits:
             if not s & b:
                 t = s | b
-                if bounded:
-                    for tail, c in tails[k]:
-                        if not t & c:
-                            break
-                    limit = base + low[t & mask] + high[t >> half]
-                    if budget - tail < limit:
-                        limit = budget - tail
-                    out.append((k, t, limit))
-                else:
-                    out.append((k, t, inf))
+                for limit, c in tails[k]:
+                    if not t & c:
+                        break
+                out.append((k, t, limit if limit < cap else cap))
         return out
 
     # One slot per bit set, so an offer finds its row by index; a slot holds
@@ -437,10 +427,10 @@ def tsp_optimal(points: Sequence[Waypoint]) -> float:
     length = 0.0
     for a, b in zip(tour, tour[1:]):
         length += c[a][b]
-    closing = [row[0] for row in c[1:]]
-    for _, full in _path_rows(c[0][1:], [row[1:] for row in c[1:]], length / _RING_SLACK):
+    first = c[0][1:]
+    for _, full in _path_rows(first, [row[1:] for row in c[1:]], length / _RING_SLACK):
         pass
-    return min([v + closing[k] for k, v in full.items()])
+    return min([v + first[k] for k, v in full.items()])
 
 
 def mtsp_lower_bound(points: Sequence[Waypoint], n_agents: int) -> float:

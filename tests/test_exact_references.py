@@ -191,11 +191,14 @@ LATTICES = [(1, 9), (11, 1), (1, 13), (1, 16), (2, 5), (6, 2), (2, 7), (2, 8), (
 
 @pytest.mark.parametrize("rows, cols", LATTICES)
 def test_bounded_held_karp_equals_unbounded_on_lattices(rows, cols, kernel_calls):
-    """Also a pruning guard: a 2x8 lattice keeps under 10 % of its rows. On a
-    line every subset lies on an optimal out-and-back tour, so every row
-    keeps an entry. But entry (s, k) lives only if k is the last point of s
-    on the way out, or the way back has passed every point outside s: a
-    1x16 line keeps about 1.5 of the m 2^(m - 1) dense entries per row."""
+    """Also a pruning guard: a 2x8 lattice keeps under 10 % of its rows, and
+    the row floor keeps 3x4, 4x4 and 6x2 under 10, 25 and 5 % (they read
+    0.050, 0.144 and 0.015; with the return-trip floor alone, 0.546, 0.867
+    and 0.191). On a line every subset lies on an optimal out-and-back
+    tour, so every row keeps an entry. But entry (s, k) lives only if k is
+    the last point of s on the way out, or the way back has passed every
+    point outside s: a 1x16 line keeps about 1.5 of the m 2^(m - 1) dense
+    entries per row."""
     rng = random.Random(rows * 100 + cols)
     pts = rectangle(rows, cols, rng.uniform(5.0, 40.0), rng.uniform(-60.0, 60.0))
     assert tsp_optimal(pts) == unbounded_tsp_optimal(pts)
@@ -207,8 +210,9 @@ def test_bounded_held_karp_equals_unbounded_on_lattices(rows, cols, kernel_calls
     if (rows, cols) == (1, 16):
         m = len(first)
         assert entries(table) <= 0.25 * m * 2 ** (m - 1)
-    if (rows, cols) == (2, 8):
-        assert live < 0.10 * len(table)
+    ceiling = {(2, 8): 0.10, (3, 4): 0.10, (4, 4): 0.25, (6, 2): 0.05}.get((rows, cols))
+    if ceiling is not None:
+        assert live < ceiling * len(table)
 
 
 @pytest.mark.parametrize("n", range(9, 17))
@@ -259,19 +263,20 @@ def test_no_budget_keeps_every_row():
 
 def tail_floors(first, pair):
     """The kernel's two floors on the rest of a tour from entry (s, k), by
-    the definitions: ``rows(s)``, the cheapest legs into the points outside
-    s plus the cheapest leg back, and ``paths(s, k)``, the shortest path
-    from k back to the start through a point outside s, or straight back."""
+    the definitions: ``rows(s)``, the shortest leg between two points once
+    per point outside s plus the cheapest leg back, and ``paths(s, k)``, the
+    shortest path from k back to the start through a point outside s, or
+    straight back."""
     m = len(first)
     dist = [row + [leg] for row, leg in zip(pair, first)] + [first + [0.0]]
     for w in range(m + 1):
         for i in range(m + 1):
             for j in range(m + 1):
                 dist[i][j] = min(dist[i][j], dist[i][w] + dist[w][j])
-    into = [min(pair[j][k] for j in range(m) if j != k) for k in range(m)]
+    shortest = min(pair[j][k] for j in range(m) for k in range(m) if j != k)
 
     def rows(s):
-        return sum(into[t] for t in range(m) if not s >> t & 1) + min(first)
+        return (m - s.bit_count()) * shortest + min(first)
 
     def paths(s, k):
         return max([dist[k][m]] + [dist[k][t] + dist[t][m] for t in range(m) if not s >> t & 1])
@@ -288,7 +293,10 @@ def tail_floors(first, pair):
 def test_kept_rows_are_those_that_can_end_within_the_budget(pts):
     """Entry (s, k) is kept iff its unbounded value plus each floor on the
     rest of the tour is within the budget, and a kept entry holds the
-    unbounded value. Entries within 1e-12 of the budget are left out."""
+    unbounded value. The row floor is (points outside s) x (shortest leg
+    between two points) + (cheapest leg back); the return-trip floor is the
+    shortest path from k back through the farthest point outside s.
+    Entries within 1e-12 of the budget are left out."""
     first, pair, closing = legs(pts)
     assert first == closing
     m = len(first)

@@ -39,6 +39,7 @@ from uavsurvey import (
     route_length,
     tsp_optimal,
 )
+from uavsurvey.geodesy import METERS_PER_DEG_LAT
 from uavsurvey.routing import _ONE_CELL, _RING_SLACK, _cell_layout
 
 HOME = GeoPoint(0.0, 0.0, 0.0)
@@ -262,12 +263,32 @@ def large_lattice_instance(rng: random.Random):
     return _fleet(rng, homes), points
 
 
+def far_home_instance(rng: random.Random):
+    """A dyadic lattice of 3-14 rows and columns at longitude -9.0625 with
+    one home on it and one far away: 50 km or 500 km north or south, or at
+    longitude 170 (179 degrees of raw span, cells still built) or 175
+    (across the antimeridian from the lattice, so one cell)."""
+    step = 2.0 ** -rng.randint(12, 15)
+    lat0, lon0 = rng.choice([0.0, 45.0, -60.0, 53.25]), -9.0625
+    rows, cols = rng.randint(3, 14), rng.randint(3, 14)
+    points = [Waypoint(GeoPoint(lat0 + i * step, lon0 + j * step, 32.0), (i, j)) for i in range(rows) for j in range(cols)]
+    rng.shuffle(points)
+    north = rng.choice([1.0, -1.0]) / METERS_PER_DEG_LAT
+    far = rng.choice([GeoPoint(lat0 + 50e3 * north, lon0), GeoPoint(lat0 + 500e3 * north, lon0),
+                      GeoPoint(lat0, 170.0), GeoPoint(lat0, 175.0)])
+    near = GeoPoint(lat0 + rng.randrange(rows) * step, lon0 + rng.randrange(cols) * step)
+    homes = [far, near] + [rng.choice([far, near]) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(homes)
+    return [Agent(f"a{k}", home, rng.uniform(1.0, 10.0)) for k, home in enumerate(homes)], points
+
+
 class TestMatchesFullScan:
     """The bucketed planner claims exactly what the full scan claims."""
 
     @pytest.mark.parametrize(
         "family",
-        [lattice_instance, scattered_instance, polar_instance, antimeridian_instance, large_lattice_instance],
+        [lattice_instance, scattered_instance, polar_instance, antimeridian_instance, large_lattice_instance,
+         far_home_instance],
     )
     def test_identical_routes_and_sequence(self, family):
         rng = random.Random(f"scan:{family.__name__}")
@@ -419,30 +440,48 @@ class TestDistanceEvaluations:
                 points = [w.point for w in full_rectangle(GeoPoint(lat, -9.066), rows, cols, spacing)]
                 assert spacing < _cell_layout(points, len(points))[0] < math.sqrt(1.25) * spacing
 
+    @staticmethod
+    def campus(scale: int):
+        """The campus config and the waypoints of its region scaled about
+        the vertex centroid."""
+        config = parse_mission_config(REPO_CONFIG.read_text(encoding="utf-8"))
+        vertices = config.region.vertices
+        clat = sum(v.lat_deg for v in vertices) / len(vertices)
+        clon = sum(v.lon_deg for v in vertices) / len(vertices)
+        region = PolygonRegion(
+            [GeoPoint(clat + scale * (v.lat_deg - clat), clon + scale * (v.lon_deg - clon)) for v in vertices]
+        )
+        return config, generate_waypoints(region, config.camera).points
+
     def test_campus_lattice(self, monkeypatch):
         """The campus region scaled about its vertex centroid, with its
         3-agent fleet: about 7.4 evaluations per claim at x6 and 7.65 at x8
         (12.4 at x6 with two waypoints per cell). x8 is the survey_large
         benchmark mission."""
-        config = parse_mission_config(REPO_CONFIG.read_text(encoding="utf-8"))
-        vertices = config.region.vertices
-        clat = sum(v.lat_deg for v in vertices) / len(vertices)
-        clon = sum(v.lon_deg for v in vertices) / len(vertices)
         for scale, n_points, evaluations in ((6, 2855, 21236), (8, 5086, 38924)):
-            region = PolygonRegion(
-                [GeoPoint(clat + scale * (v.lat_deg - clat), clon + scale * (v.lon_deg - clon)) for v in vertices]
-            )
-            points = generate_waypoints(region, config.camera).points
+            config, points = self.campus(scale)
             assert len(points) == n_points
             calls = self.evaluations(monkeypatch, config.fleet, points)
             assert calls / len(points) <= 9.0
             assert calls == evaluations
 
+    def test_far_home_keeps_the_cells(self, monkeypatch):
+        """Campus x4 with the third home 500 km north: the cells cover the
+        waypoints only, and the far home starts from the edge cell nearest
+        it. 8.4 evaluations per claim; with the home in the cells' extent
+        it was 633."""
+        config, points = self.campus(4)
+        fleet = list(config.fleet)
+        moved = fleet[2]
+        north = GeoPoint(moved.home.lat_deg + 500e3 / METERS_PER_DEG_LAT, moved.home.lon_deg)
+        fleet[2] = Agent(moved.id, north, moved.velocity_mps)
+        assert self.evaluations(monkeypatch, fleet, points) / len(points) <= 9.0
+
     # One agent then three, from the corner, then from the centre.
     FULL_RECTANGLE_EVALUATIONS = {
-        (11, 11): [556, 487, 507, 560],
-        (24, 40): [4672, 4078, 4432, 4365],
-        (60, 60): [18606, 16599, 18280, 17989],
+        (11, 11): [493, 426, 507, 560],
+        (24, 40): [4393, 3801, 4432, 4365],
+        (60, 60): [18209, 16169, 18280, 17989],
     }
 
     @pytest.mark.parametrize("rows, cols", [(11, 11), (24, 40), (60, 60)])
