@@ -66,47 +66,47 @@ def _check_fleet(agents: Sequence[Agent], plan: dict[str, list[Waypoint]] | None
 # factor. Rounding in the cell indices, in distance_m and in sums of a few
 # dozen legs is orders of magnitude below 1e-9 relative.
 _RING_SLACK = 1.0 - 1e-9
-# Infinite cell sizes map every point to cell (0, 0): the plain scan.
-_ONE_CELL = (0.0, 0.0, 0.0, math.inf, math.inf, 1, 1)
 
 
 def _cell_layout(points: list[GeoPoint], n: int):
     """Cell grid for exact nearest queries: ``(cell_m, lat0, lon0, dlat, dlon, rows, cols)``.
 
-    ``points`` holds the ``n`` waypoints, then the homes. The grid and
-    ``cell_m`` cover the waypoints; a home outside queries from the edge cell
-    nearest it, beyond which it lies. A cell is ``cell_m`` tall and, at the
-    largest |latitude| in ``points``, ``cell_m`` wide. ``distance_m`` scales
+    ``points`` holds the ``n`` waypoints, then the homes; the waypoints alone
+    lay the grid out. A cell is ``cell_m`` tall and, at the largest
+    |latitude| in ``points``, ``cell_m`` wide. ``distance_m`` scales
     longitude by cos(midpoint latitude), which is never smaller, and the
-    vertical term only adds, so a point ``r`` cell rings from a query is at
-    least ``(r - 1) * cell_m`` away. Near a pole the longitude cells widen to
-    a single column. The argument assumes no longitude wrap-around: when the
-    points span 180 degrees of longitude or more, everything goes into one
-    cell. For a box H x W metres, c = ``cell_m`` is at least max(H, W) / n
-    and sqrt(1.25 * H * W / n), so rows * cols <= (H/c + 1)(W/c + 1) <= 1.8n + 1.8.
+    vertical term only adds, so a waypoint ``r`` cell rings from a query's
+    cell is at least ``(r - 1) * cell_m`` away if their wrapped longitude
+    offset is no shorter than the offset x - y the columns measure.
+    ``plan_routes`` puts a home in the cell of its wrapped offset
+    y = remainder(lon - lon0, 360), clamped onto the grid, so it lies in or
+    beyond that cell. While the waypoints span less than 90 degrees, two of
+    them never wrap, and a waypoint at offset x wraps against a home only if
+    x - y > 180: then y < -90 puts the home in column 0, and the leg the
+    other way round, 360 - (x - y) >= 180 - x > 90 > x, is longer than the
+    columns measure. A layout the search cannot use (fewer than two
+    waypoints, no extent, or a span of 90 degrees or more, as across the
+    antimeridian) gets ``cell_m`` = inf: every point in cell (0, 0), the scan.
+
+    The homes count towards the largest |latitude|: a home's midpoint cosine
+    with a waypoint can be below every waypoint's. So a home nearer a pole
+    than every waypoint widens every longitude cell (campus x8 with a home
+    at 89 N: 86 evaluations per claim, not 7.7). For a box H x W metres,
+    c = ``cell_m`` is at least max(H, W) / n and sqrt(1.25 * H * W / n), so
+    rows * cols <= (H/c + 1)(W/c + 1) <= 1.8n + 1.8.
     """
-    if n < 2:
-        return _ONE_CELL
     lats = [p.lat_deg for p in points]
-    lons = [p.lon_deg for p in points]
-    if max(lons) - min(lons) >= 180.0:
-        return _ONE_CELL
-    cos_min = math.cos(math.radians(max(map(abs, lats))))
-    lats, lons = lats[:n], lons[:n]
-    lat0, lon0 = min(lats), min(lons)
-    lon_span = max(lons) - lon0
-    height_m = (max(lats) - lat0) * METERS_PER_DEG_LAT
-    width_m = lon_span * METERS_PER_DEG_LAT * cos_min
-    # About 1.25 waypoints per cell of the bounding box; a line-like extent
-    # falls back to n cells along its length.
-    cell_m = max(math.sqrt(1.25 * height_m * width_m / n), max(height_m, width_m) / n)
-    if not cell_m > 0.0:
-        return _ONE_CELL
-    dlat = cell_m / METERS_PER_DEG_LAT
-    dlon = cell_m / (METERS_PER_DEG_LAT * cos_min)
-    rows = int((max(lats) - lat0) / dlat) + 1
-    cols = int(lon_span / dlon) + 1
-    return cell_m, lat0, lon0, dlat, dlon, rows, cols
+    cos_min = math.cos(math.radians(max(map(abs, lats), default=0.0)))
+    lats, lons = lats[:n], [p.lon_deg for p in points[:n]]
+    lat0, lon0 = min(lats, default=0.0), min(lons, default=0.0)
+    lat_span, lon_span = max(lats, default=0.0) - lat0, max(lons, default=0.0) - lon0
+    height_m, width_m = lat_span * METERS_PER_DEG_LAT, lon_span * METERS_PER_DEG_LAT * cos_min
+    cell_m = math.inf
+    if n > 1 and lon_span < 90.0:
+        # About 1.25 waypoints per cell of the box, n cells along a line-like one.
+        cell_m = max(math.sqrt(1.25 * height_m * width_m / n), max(height_m, width_m) / n) or math.inf
+    dlat, dlon = cell_m / METERS_PER_DEG_LAT, cell_m / (METERS_PER_DEG_LAT * cos_min)
+    return cell_m, lat0, lon0, dlat, dlon, int(lat_span / dlat) + 1, int(lon_span / dlon) + 1
 
 
 def _nearest(
@@ -170,10 +170,10 @@ def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> dict[
     against O(n^2) for the scan. Sparse or clustered layouts visit more empty
     cells, never more than the grid's 1.8n + 1.8 at most.
 
-    Every waypoint goes into one cell, and the search is that scan, when the
-    waypoints and homes span 180 degrees of longitude or more, or when the
-    waypoints all share one latitude/longitude. The plan is the routes, keyed by agent
-    id in fleet order; each home stays on its ``Agent``.
+    The waypoints alone lay the cells out. Every waypoint goes into one cell,
+    and the search is that scan, when they span 90 degrees of longitude or
+    more or all share one latitude/longitude. The plan is the routes, keyed
+    by agent id in fleet order; each home stays on its ``Agent``.
     """
     agents = list(agents)
     _check_fleet(agents)
@@ -203,7 +203,7 @@ def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> dict[
     for a in agents:
         h = a.home
         qi = min(max(int((h.lat_deg - lat0) / dlat), 0), rows - 1)
-        qj = min(max(int((h.lon_deg - lon0) / dlon), 0), cols - 1)
+        qj = min(max(int(math.remainder(h.lon_deg - lon0, 360.0) / dlon), 0), cols - 1)
         ends[a.id] = ((h.lat_deg, h.lon_deg, h.alt_m), qi, qj)
     nearest = _nearest
     ids = [a.id for a in agents]

@@ -40,7 +40,7 @@ from uavsurvey import (
     tsp_optimal,
 )
 from uavsurvey.geodesy import METERS_PER_DEG_LAT
-from uavsurvey.routing import _ONE_CELL, _RING_SLACK, _cell_layout
+from uavsurvey.routing import _RING_SLACK, _cell_layout
 
 HOME = GeoPoint(0.0, 0.0, 0.0)
 
@@ -266,8 +266,8 @@ def large_lattice_instance(rng: random.Random):
 def far_home_instance(rng: random.Random):
     """A dyadic lattice of 3-14 rows and columns at longitude -9.0625 with
     one home on it and one far away: 50 km or 500 km north or south, or at
-    longitude 170 (179 degrees of raw span, cells still built) or 175
-    (across the antimeridian from the lattice, so one cell)."""
+    longitude 170 or 175 (179 and 184 degrees of raw longitude east of the
+    lattice, whose cells are built from the waypoints alone either way)."""
     step = 2.0 ** -rng.randint(12, 15)
     lat0, lon0 = rng.choice([0.0, 45.0, -60.0, 53.25]), -9.0625
     rows, cols = rng.randint(3, 14), rng.randint(3, 14)
@@ -282,13 +282,37 @@ def far_home_instance(rng: random.Random):
     return [Agent(f"a{k}", home, rng.uniform(1.0, 10.0)) for k, home in enumerate(homes)], points
 
 
+def wrap_limit_instance(rng: random.Random):
+    """Waypoints spanning just under or just over 90 degrees of longitude,
+    the span below which cells are built, or 135 or 179 degrees, at
+    latitudes from 80 S to 65 N. Homes lie anywhere in the gap east of the
+    region, near a waypoint's antipode, or 180 degrees from either edge."""
+    lat0 = rng.choice([0.0, 30.0, -45.0, 60.0, -80.0])
+    span = rng.choice([90.0 - 1e-9, 90.0 - 1e-6, 89.99, 89.0, 90.0, 90.0 + 1e-9, 90.01, 135.0, 179.0])
+    lon0 = rng.uniform(-180.0, 179.0 - span)
+    lons = [lon0, lon0 + span] + [lon0 + rng.uniform(0.0, span) for _ in range(rng.randint(0, 40))]
+    points = list({GeoPoint(lat0 + rng.uniform(0.0, 5.0), lon, 32.0) for lon in lons})
+    homes = []
+    for _ in range(2):
+        kind = rng.randrange(3)
+        if kind == 0:
+            home = GeoPoint(lat0 + rng.uniform(-5.0, 10.0), lon0 + span + rng.uniform(0.0, 360.0 - span))
+        elif kind == 1:
+            p = rng.choice(points)
+            home = GeoPoint(-p.lat_deg + rng.uniform(-0.01, 0.01), p.lon_deg + 180.0 + rng.uniform(-0.01, 0.01))
+        else:
+            home = GeoPoint(lat0 + rng.uniform(0.0, 5.0), rng.choice([lon0, lon0 + span]) + 180.0)
+        homes.append(home)
+    return _fleet(rng, homes), lattice_row(points)
+
+
 class TestMatchesFullScan:
     """The bucketed planner claims exactly what the full scan claims."""
 
     @pytest.mark.parametrize(
         "family",
         [lattice_instance, scattered_instance, polar_instance, antimeridian_instance, large_lattice_instance,
-         far_home_instance],
+         far_home_instance, wrap_limit_instance],
     )
     def test_identical_routes_and_sequence(self, family):
         rng = random.Random(f"scan:{family.__name__}")
@@ -362,7 +386,8 @@ class TestMatchesFullScan:
         home = GeoPoint(10.0, 20.0, 0.0)
         stack = [Waypoint(GeoPoint(10.0, 20.0, alt), (0, k)) for k, alt in enumerate((30.0, 10.0, 20.0))]
         fleet = [Agent("a", home, 1.0), Agent("b", home, 1.0)]
-        assert _cell_layout([w.point for w in stack] + [home, home], len(stack)) == _ONE_CELL
+        cell_m, *_, rows, cols = _cell_layout([w.point for w in stack] + [home, home], len(stack))
+        assert (cell_m, rows, cols) == (math.inf, 1, 1)
         plan = plan_routes(fleet, stack)
         assert plan == scan_plan_routes(fleet, stack)[0]
         altitudes = {aid: [w.point.alt_m for w in route] for aid, route in plan.items()}
@@ -475,6 +500,21 @@ class TestDistanceEvaluations:
         moved = fleet[2]
         north = GeoPoint(moved.home.lat_deg + 500e3 / METERS_PER_DEG_LAT, moved.home.lon_deg)
         fleet[2] = Agent(moved.id, north, moved.velocity_mps)
+        assert self.evaluations(monkeypatch, fleet, points) / len(points) <= 9.0
+
+    @pytest.mark.parametrize("far", ["lon_175", "west_edge_plus_180"])
+    def test_home_across_the_antimeridian_keeps_the_cells(self, monkeypatch, far):
+        """Campus x8 with the third home at longitude 175, or exactly 180
+        degrees east of the waypoints' west edge: the waypoints alone lay the
+        cells out, and the home queries from the edge cell its wrapped
+        longitude clamps to, at 8.1 and 8.4 evaluations per claim."""
+        config, points = self.campus(8)
+        lon = 175.0 if far == "lon_175" else min(w.point.lon_deg for w in points) + 180.0
+        fleet = list(config.fleet)
+        moved = fleet[2]
+        fleet[2] = Agent(moved.id, GeoPoint(moved.home.lat_deg, lon), moved.velocity_mps)
+        rows, cols = _cell_layout([w.point for w in points] + [a.home for a in fleet], len(points))[5:]
+        assert rows * cols > 1
         assert self.evaluations(monkeypatch, fleet, points) / len(points) <= 9.0
 
     # One agent then three, from the corner, then from the centre.
