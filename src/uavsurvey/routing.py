@@ -72,41 +72,48 @@ def _cell_layout(points: list[GeoPoint], n: int):
     """Cell grid for exact nearest queries: ``(cell_m, lat0, lon0, dlat, dlon, rows, cols)``.
 
     ``points`` holds the ``n`` waypoints, then the homes; the waypoints alone
-    lay the grid out. A cell is ``cell_m`` tall and, at the largest
-    |latitude| in ``points``, ``cell_m`` wide. ``distance_m`` scales
-    longitude by cos(midpoint latitude), which is never smaller, and the
-    vertical term only adds, so a waypoint ``r`` cell rings from a query's
-    cell is at least ``(r - 1) * cell_m`` away if their wrapped longitude
-    offset is no shorter than the offset x - y the columns measure.
-    ``plan_routes`` puts a home in the cell of its wrapped offset
-    y = remainder(lon - lon0, 360), clamped onto the grid, so it lies in or
-    beyond that cell. While the waypoints span less than 90 degrees, two of
-    them never wrap, and a waypoint at offset x wraps against a home only if
-    x - y > 180: then y < -90 puts the home in column 0, and the leg the
-    other way round, 360 - (x - y) >= 180 - x > 90 > x, is longer than the
-    columns measure. A layout the search cannot use (fewer than two
-    waypoints, no extent, or a span of 90 degrees or more, as across the
-    antimeridian) gets ``cell_m`` = inf: every point in cell (0, 0), the scan.
+    lay the grid out. A cell is ``cell_m`` tall and ``cell_m`` wide at the
+    largest |latitude| in ``points``, homes included: a home's midpoint
+    cosine with a waypoint can be below every waypoint's, so a home nearer a
+    pole than every waypoint widens every longitude cell. ``distance_m``
+    scales longitude by cos(midpoint latitude), which is never smaller, and
+    the vertical term only adds, so a waypoint ``r`` cell rings from a
+    query's cell is at least ``(r - 1) * cell_m`` away if their wrapped
+    longitude offset is no shorter than the offset the columns measure.
 
-    The homes count towards the largest |latitude|: a home's midpoint cosine
-    with a waypoint can be below every waypoint's. So a home nearer a pole
-    than every waypoint widens every longitude cell (campus x8 with a home
-    at 89 N: 86 evaluations per claim, not 7.7). For a box H x W metres,
-    c = ``cell_m`` is at least max(H, W) / n and sqrt(1.25 * H * W / n), so
-    rows * cols <= (H/c + 1)(W/c + 1) <= 1.8n + 1.8.
+    The waypoints span S < 180 degrees east of ``lon0``, so two of them never
+    wrap. ``plan_routes`` puts a home in the cell of its wrapped offset
+    y = remainder(lon - lon0, 360), clamped onto the grid. A waypoint at
+    offset x <= S wraps against it only if x - y > 180: then y < S - 180 < 0
+    puts the home in column 0, where the columns measure x, and the leg the
+    other way round, 360 - (x - y), is at least x when y >= 2S - 360 (always
+    while S < 90). A layout with fewer than two waypoints, no extent, or a
+    home short of that offset gets ``cell_m`` = inf: one cell, the scan. For
+    a box H x W metres, c = ``cell_m`` is at least max(H, W) / n and
+    sqrt(1.25 * H * W / n), so rows * cols <= (H/c + 1)(W/c + 1) <= 1.8n + 1.8.
     """
     lats = [p.lat_deg for p in points]
     cos_min = math.cos(math.radians(max(map(abs, lats), default=0.0)))
-    lats, lons = lats[:n], [p.lon_deg for p in points[:n]]
-    lat0, lon0 = min(lats, default=0.0), min(lons, default=0.0)
-    lat_span, lon_span = max(lats, default=0.0) - lat0, max(lons, default=0.0) - lon0
-    height_m, width_m = lat_span * METERS_PER_DEG_LAT, lon_span * METERS_PER_DEG_LAT * cos_min
+    lats = lats[:n]
+    lons = [p.lon_deg for p in points[:n]]
+    lat0 = min(lats, default=0.0)
+    lon0 = min(lons, default=0.0)
+    lat_span = max(lats, default=0.0) - lat0
+    lon_span = max(lons, default=0.0) - lon0
+    height_m = lat_span * METERS_PER_DEG_LAT
+    width_m = lon_span * METERS_PER_DEG_LAT * cos_min
     cell_m = math.inf
-    if n > 1 and lon_span < 90.0:
-        # About 1.25 waypoints per cell of the box, n cells along a line-like one.
+    if n > 1 and lon_span < 180.0 and all(
+        math.remainder(p.lon_deg - lon0, 360.0) >= 2.0 * lon_span - 360.0 for p in points[n:]
+    ):
+        # About 1.25 waypoints per cell of the bounding box; a line-like extent
+        # falls back to n cells along its length.
         cell_m = max(math.sqrt(1.25 * height_m * width_m / n), max(height_m, width_m) / n) or math.inf
-    dlat, dlon = cell_m / METERS_PER_DEG_LAT, cell_m / (METERS_PER_DEG_LAT * cos_min)
-    return cell_m, lat0, lon0, dlat, dlon, int(lat_span / dlat) + 1, int(lon_span / dlon) + 1
+    dlat = cell_m / METERS_PER_DEG_LAT
+    dlon = cell_m / (METERS_PER_DEG_LAT * cos_min)
+    rows = int(lat_span / dlat) + 1
+    cols = int(lon_span / dlon) + 1
+    return cell_m, lat0, lon0, dlat, dlon, rows, cols
 
 
 def _nearest(
@@ -171,9 +178,11 @@ def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> dict[
     cells, never more than the grid's 1.8n + 1.8 at most.
 
     The waypoints alone lay the cells out. Every waypoint goes into one cell,
-    and the search is that scan, when they span 90 degrees of longitude or
-    more or all share one latitude/longitude. The plan is the routes, keyed
-    by agent id in fleet order; each home stays on its ``Agent``.
+    and the search is that scan, when they span 180 degrees of longitude or
+    more, all share one latitude/longitude, or span 90 or more with a home
+    so far west round the globe that a leg from it could wrap shorter than
+    the columns measure (``_cell_layout``). The plan is the routes, keyed by
+    agent id in fleet order; each home stays on its ``Agent``.
     """
     agents = list(agents)
     _check_fleet(agents)

@@ -283,25 +283,29 @@ def far_home_instance(rng: random.Random):
 
 
 def wrap_limit_instance(rng: random.Random):
-    """Waypoints spanning just under or just over 90 degrees of longitude,
-    the span below which cells are built, or 135 or 179 degrees, at
-    latitudes from 80 S to 65 N. Homes lie anywhere in the gap east of the
-    region, near a waypoint's antipode, or 180 degrees from either edge."""
+    """Waypoints spanning S degrees of longitude, just under or just over 90
+    or up to 179.99, at latitudes from 80 S to 65 N. Homes lie anywhere in
+    the gap east of the region, near a waypoint's antipode, 180 degrees from
+    either edge, or near the wrapped offset 2S - 360 from the west edge, the
+    westmost at which cells are built."""
     lat0 = rng.choice([0.0, 30.0, -45.0, 60.0, -80.0])
-    span = rng.choice([90.0 - 1e-9, 90.0 - 1e-6, 89.99, 89.0, 90.0, 90.0 + 1e-9, 90.01, 135.0, 179.0])
-    lon0 = rng.uniform(-180.0, 179.0 - span)
+    span = rng.choice([89.0, 89.99, 90.0 - 1e-9, 90.0, 90.0 + 1e-9, 90.01, 120.0, 135.0, 179.0, 179.99])
+    lon0 = rng.uniform(-180.0, 179.999 - span)
     lons = [lon0, lon0 + span] + [lon0 + rng.uniform(0.0, span) for _ in range(rng.randint(0, 40))]
     points = list({GeoPoint(lat0 + rng.uniform(0.0, 5.0), lon, 32.0) for lon in lons})
     homes = []
     for _ in range(2):
-        kind = rng.randrange(3)
+        kind = rng.randrange(4)
         if kind == 0:
             home = GeoPoint(lat0 + rng.uniform(-5.0, 10.0), lon0 + span + rng.uniform(0.0, 360.0 - span))
         elif kind == 1:
             p = rng.choice(points)
             home = GeoPoint(-p.lat_deg + rng.uniform(-0.01, 0.01), p.lon_deg + 180.0 + rng.uniform(-0.01, 0.01))
-        else:
+        elif kind == 2:
             home = GeoPoint(lat0 + rng.uniform(0.0, 5.0), rng.choice([lon0, lon0 + span]) + 180.0)
+        else:
+            limit = lon0 + 2.0 * span - 360.0
+            home = GeoPoint(lat0 + rng.uniform(-5.0, 10.0), limit + rng.choice([-1.0, -1e-6, 0.0, 1e-6, 1.0]))
         homes.append(home)
     return _fleet(rng, homes), lattice_row(points)
 
@@ -379,6 +383,16 @@ class TestMatchesFullScan:
         # widen to one column and only latitude rows prune.
         pole = [GeoPoint(90.0, 0.0), GeoPoint(89.999, 1.0), GeoPoint(89.999, 2.0)]
         assert _cell_layout(pole, 3)[6] == 1
+
+    @pytest.mark.parametrize("home_lon, gridded", [(-180.0, True), (-179.999, True), (179.999, False), (120.0, True)])
+    def test_west_home_limit(self, home_lon, gridded):
+        """Waypoints spanning 120 degrees east of longitude -60 keep their
+        cells while every home's wrapped offset from -60 is at least
+        2 * 120 - 360 = -120 degrees: at longitude -180 it is -120, at
+        179.999 it is -120.001."""
+        pts = [GeoPoint(lat, lon) for lat in (0.0, 5.0) for lon in (-60.0, 0.0, 60.0)]
+        cell_m, *_, rows, cols = _cell_layout(pts + [GeoPoint(0.0, home_lon)], len(pts))
+        assert (cell_m < math.inf and rows * cols > 1) == gridded
 
     def test_zero_extent_is_one_cell(self):
         # Waypoints stacked at one lat/lon, homes below them: the box has no
@@ -513,6 +527,19 @@ class TestDistanceEvaluations:
         fleet = list(config.fleet)
         moved = fleet[2]
         fleet[2] = Agent(moved.id, GeoPoint(moved.home.lat_deg, lon), moved.velocity_mps)
+        rows, cols = _cell_layout([w.point for w in points] + [a.home for a in fleet], len(points))[5:]
+        assert rows * cols > 1
+        assert self.evaluations(monkeypatch, fleet, points) / len(points) <= 9.0
+
+    def test_wide_region_keeps_the_cells(self, monkeypatch):
+        """A 21 x 121 lattice at one-degree steps, 10 S to 10 N and 60 W to
+        60 E, with three homes on it: 120 degrees of longitude, and no home
+        far enough west round the globe to wrap, so the cells are built.
+        About 4.8 evaluations per claim."""
+        points = [
+            Waypoint(GeoPoint(float(i - 10), float(j - 60), 32.0), (i, j)) for i in range(21) for j in range(121)
+        ]
+        fleet = [Agent(f"a{k}", GeoPoint(lat, lon), 5.0) for k, (lat, lon) in enumerate(((0, 0), (-10, -60), (10, 60)))]
         rows, cols = _cell_layout([w.point for w in points] + [a.home for a in fleet], len(points))[5:]
         assert rows * cols > 1
         assert self.evaluations(monkeypatch, fleet, points) / len(points) <= 9.0
