@@ -68,34 +68,24 @@ def _check_fleet(agents: Sequence[Agent], plan: dict[str, list[Waypoint]] | None
 _RING_SLACK = 1.0 - 1e-9
 
 
-def _cell_layout(points: list[GeoPoint], n: int):
-    """Cell grid for exact nearest queries: ``(cell_m, lat0, lon0, dlat, dlon, rows, cols)``.
+def _cell_layout(points: list[GeoPoint]):
+    """Cell grid for exact nearest queries among the waypoints ``points``:
+    ``(cell_m, lat0, lon0, dlat, dlon, rows, cols)``.
 
-    ``points`` holds the ``n`` waypoints, then the homes; the waypoints alone
-    lay the grid out. A cell is ``cell_m`` tall and ``cell_m`` wide at the
-    largest |latitude| in ``points``, homes included: a home's midpoint
-    cosine with a waypoint can be below every waypoint's, so a home nearer a
-    pole than every waypoint widens every longitude cell. ``distance_m``
-    scales longitude by cos(midpoint latitude), which is never smaller, and
-    the vertical term only adds, so a waypoint ``r`` cell rings from a
-    query's cell is at least ``(r - 1) * cell_m`` away if their wrapped
-    longitude offset is no shorter than the offset the columns measure.
-
-    The waypoints span S < 180 degrees east of ``lon0``, so two of them never
-    wrap. ``plan_routes`` puts a home in the cell of its wrapped offset
-    y = remainder(lon - lon0, 360), clamped onto the grid. A waypoint at
-    offset x <= S wraps against it only if x - y > 180: then y < S - 180 < 0
-    puts the home in column 0, where the columns measure x, and the leg the
-    other way round, 360 - (x - y), is at least x when y >= 2S - 360 (always
-    while S < 90). A layout with fewer than two waypoints, no extent, or a
-    home short of that offset gets ``cell_m`` = inf: one cell, the scan. For
-    a box H x W metres, c = ``cell_m`` is at least max(H, W) / n and
+    A cell is ``cell_m`` tall and ``cell_m`` wide at the largest |latitude|
+    in ``points``. ``distance_m`` between two of them scales longitude by
+    cos(midpoint latitude), which is never smaller, and the vertical term
+    only adds; they span S < 180 degrees east of ``lon0``, so no leg between
+    two of them wraps. A point ``r`` cell rings from another is therefore at
+    least ``(r - 1) * cell_m`` away. Fewer than two points, no extent or
+    S >= 180 give ``cell_m`` = inf: one cell, the scan. For a box H x W
+    metres, c = ``cell_m`` is at least max(H, W) / n and
     sqrt(1.25 * H * W / n), so rows * cols <= (H/c + 1)(W/c + 1) <= 1.8n + 1.8.
     """
+    n = len(points)
     lats = [p.lat_deg for p in points]
+    lons = [p.lon_deg for p in points]
     cos_min = math.cos(math.radians(max(map(abs, lats), default=0.0)))
-    lats = lats[:n]
-    lons = [p.lon_deg for p in points[:n]]
     lat0 = min(lats, default=0.0)
     lon0 = min(lons, default=0.0)
     lat_span = max(lats, default=0.0) - lat0
@@ -103,9 +93,7 @@ def _cell_layout(points: list[GeoPoint], n: int):
     height_m = lat_span * METERS_PER_DEG_LAT
     width_m = lon_span * METERS_PER_DEG_LAT * cos_min
     cell_m = math.inf
-    if n > 1 and lon_span < 180.0 and all(
-        math.remainder(p.lon_deg - lon0, 360.0) >= 2.0 * lon_span - 360.0 for p in points[n:]
-    ):
+    if n > 1 and lon_span < 180.0:
         # About 1.25 waypoints per cell of the bounding box; a line-like extent
         # falls back to n cells along its length.
         cell_m = max(math.sqrt(1.25 * height_m * width_m / n), max(height_m, width_m) / n) or math.inf
@@ -138,17 +126,18 @@ def _nearest(
     return best_cost, best_k
 
 
-def _ring(cells: list[list[int]], rows: int, cols: int, qi: int, qj: int, r: int) -> list[int]:
-    """The waypoints of the cells at Chebyshev distance ``r`` >= 1 from cell
-    ``(qi, qj)``: row slices above and below, then column steps left and right."""
+def _ring(cells: list[list[int]], rows: int, cols: int, qi: int, west: int, east: int, r: int) -> list[int]:
+    """The waypoints of the cells at Chebyshev distance ``r`` >= 1 from the
+    cells ``(qi, west .. east)``: row slices above and below, then column
+    steps left and right."""
     ring = []
-    lo, hi = max(qj - r, 0), min(qj + r, cols - 1)
+    lo, hi = max(west - r, 0), min(east + r, cols - 1)
     for row in (qi - r, qi + r):
         if 0 <= row < rows:
             for cell in cells[row * cols + lo: row * cols + hi + 1]:
                 ring += cell
     top, bottom = max(qi - r + 1, 0), min(qi + r, rows)
-    for col in (qj - r, qj + r):
+    for col in (west - r, east + r):
         if 0 <= col < cols:
             for cell in cells[top * cols + col: bottom * cols + col: cols]:
                 ring += cell
@@ -177,12 +166,17 @@ def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> dict[
     against O(n^2) for the scan. Sparse or clustered layouts visit more empty
     cells, never more than the grid's 1.8n + 1.8 at most.
 
-    The waypoints alone lay the cells out. Every waypoint goes into one cell,
-    and the search is that scan, when they span 180 degrees of longitude or
-    more, all share one latitude/longitude, or span 90 or more with a home
-    so far west round the globe that a leg from it could wrap shorter than
-    the columns measure (``_cell_layout``). The plan is the routes, keyed by
-    agent id in fleet order; each home stays on its ``Agent``.
+    The waypoints alone lay the cells out (``_cell_layout``). A home is
+    queried once, for its agent's first claim, from its row clamped onto the
+    grid across every column, so its block and rings are whole rows. A
+    waypoint ``r`` rows from that row is at least ``(r - 1) * cell_m`` north
+    or south of the home, which ``distance_m``'s hypot never undercuts: the
+    stop test holds whatever the home's latitude or longitude, and no home
+    is placed in a column. Every waypoint goes into one cell, and the search
+    is that scan, when there are fewer than two, they span 180 degrees of
+    longitude or more, or all share one latitude/longitude. The plan is the
+    routes, keyed by agent id in fleet order; each home stays on its
+    ``Agent``.
     """
     agents = list(agents)
     _check_fleet(agents)
@@ -200,49 +194,49 @@ def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> dict[
                 raise ValueError(f"duplicate waypoint at {key}; each point must be visited exactly once")
             seen.add(key)
 
-    cell_m, lat0, lon0, dlat, dlon, rows, cols = _cell_layout(positions + [a.home for a in agents], n)
+    cell_m, lat0, lon0, dlat, dlon, rows, cols = _cell_layout(positions)
     where = [(int((lat - lat0) / dlat), int((lon - lon0) / dlon)) for lat, lon in zip(lats, lons)]
     cells: list[list[int]] = [[] for _ in range(rows * cols)]
     for k, (i, j) in enumerate(where):
         cells[i * cols + j].append(k)  # ascending k within every cell
 
     routes: dict[str, list[Waypoint]] = {a.id: [] for a in agents}
-    # An agent's path end as (lat, lon, alt), and its cell.
+    # Per row, the first cell of each row of its 3 x 3 block; per column, a
+    # query from it: its first and last column, then its block's column
+    # bounds, clipped to the grid. A home's query spans every column.
+    block_rows = [range(max(i - 1, 0) * cols, min(i + 2, rows) * cols, cols) for i in range(rows)]
+    block_cols = [(j, j, max(j - 1, 0), min(j + 2, cols)) for j in range(cols)]
+    # An agent's path end as (lat, lon, alt), its row and its columns.
     ends = {}
     for a in agents:
         h = a.home
         qi = min(max(int((h.lat_deg - lat0) / dlat), 0), rows - 1)
-        qj = min(max(int(math.remainder(h.lon_deg - lon0, 360.0) / dlon), 0), cols - 1)
-        ends[a.id] = ((h.lat_deg, h.lon_deg, h.alt_m), qi, qj)
+        ends[a.id] = ((h.lat_deg, h.lon_deg, h.alt_m), qi, (0, cols - 1, 0, cols))
     nearest = _nearest
     ids = [a.id for a in agents]
     # Ring 2's stop test, (2 - 1) * cell_m * _RING_SLACK > best, ends most
     # claims after the block.
     ring_2 = cell_m * _RING_SLACK
-    # The block's first cell of each row and its column bounds, clipped to the grid.
-    block_rows = [range(max(i - 1, 0) * cols, min(i + 2, rows) * cols, cols) for i in range(rows)]
-    block_cols = [(max(j - 1, 0), min(j + 2, cols)) for j in range(cols)]
     for turn in range(n):
         aid = ids[turn % len(ids)]
-        here, qi, qj = ends[aid]
+        here, qi, (west, east, lo, hi) = ends[aid]
         # Rings 0 and 1 as one block of row slices: ring 1's stop test,
         # 0 * cell_m > best, never fires.
         block = []
-        lo, hi = block_cols[qj]
         for row in block_rows[qi]:
             for cell in cells[row + lo: row + hi]:
                 block += cell
         # (inf, n) loses to every candidate, even one at an overflowed distance.
         best_cost, best_k = nearest(block, here, lats, lons, alts, math.inf, n)
         if not ring_2 > best_cost:
-            for r in range(2, max(qi, rows - 1 - qi, qj, cols - 1 - qj) + 1):
+            for r in range(2, max(qi, rows - 1 - qi, west, cols - 1 - east) + 1):
                 if (r - 1) * cell_m * _RING_SLACK > best_cost:
                     break
-                ring = _ring(cells, rows, cols, qi, qj, r)
+                ring = _ring(cells, rows, cols, qi, west, east, r)
                 best_cost, best_k = nearest(ring, here, lats, lons, alts, best_cost, best_k)
         routes[aid].append(order[best_k])
         i, j = where[best_k]
-        ends[aid] = ((lats[best_k], lons[best_k], alts[best_k]), i, j)
+        ends[aid] = ((lats[best_k], lons[best_k], alts[best_k]), i, block_cols[j])
         cells[i * cols + j].remove(best_k)
     return routes
 

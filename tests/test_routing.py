@@ -310,13 +310,41 @@ def wrap_limit_instance(rng: random.Random):
     return _fleet(rng, homes), lattice_row(points)
 
 
+def polar_home_instance(rng: random.Random):
+    """Waypoints in a band up to 2 degrees tall between 60 S and 52 N,
+    spanning 45-120 degrees of longitude, and homes 85-90 degrees north or
+    south: near a waypoint's antipode, or just west of the wrapped offset
+    2S - 360 from the waypoints' west edge. A home's midpoint cosine with a
+    waypoint can be far below every waypoint's, and a leg from a home west
+    of its nearest edge can wrap shorter than the columns measure."""
+    lat0 = rng.uniform(-60.0, 50.0)
+    span = rng.uniform(45.0, 120.0)
+    lon0 = rng.uniform(-180.0, 179.999 - span)
+    coords = {(lat0 + rng.uniform(0.0, 2.0), lon0 + rng.uniform(0.0, span)) for _ in range(rng.randint(2, 60))}
+    points = [GeoPoint(lat, lon, 32.0) for lat, lon in coords]
+    homes = []
+    for _ in range(2):
+        lat = rng.choice([1.0, -1.0]) * rng.uniform(85.0, 90.0)
+        if rng.random() < 0.5:
+            lon = rng.choice(points).lon_deg + 180.0 + rng.uniform(-1.0, 1.0)
+        else:
+            lon = lon0 + 2.0 * span - 360.0 - rng.uniform(0.0, 1.0)
+        homes.append(GeoPoint(lat, lon))
+    return _fleet(rng, homes), lattice_row(points)
+
+
+def one_degree_lattice() -> list[Waypoint]:
+    """A 21 x 121 lattice at one-degree steps, 10 S to 10 N and 60 W to 60 E."""
+    return [Waypoint(GeoPoint(float(i - 10), float(j - 60), 32.0), (i, j)) for i in range(21) for j in range(121)]
+
+
 class TestMatchesFullScan:
     """The bucketed planner claims exactly what the full scan claims."""
 
     @pytest.mark.parametrize(
         "family",
         [lattice_instance, scattered_instance, polar_instance, antimeridian_instance, large_lattice_instance,
-         far_home_instance, wrap_limit_instance],
+         far_home_instance, wrap_limit_instance, polar_home_instance],
     )
     def test_identical_routes_and_sequence(self, family):
         rng = random.Random(f"scan:{family.__name__}")
@@ -355,7 +383,7 @@ class TestMatchesFullScan:
         for _ in range(200):
             origin = GeoPoint(rng.uniform(-85.0, 85.0), rng.uniform(-179.0, 170.0))
             pts = random_points(rng, origin, 40, 10.0 ** rng.uniform(1.0, 4.0))
-            cell_m, lat0, lon0, dlat, dlon, rows, cols = _cell_layout(pts, len(pts))
+            cell_m, lat0, lon0, dlat, dlon, rows, cols = _cell_layout(pts)
             polar_lat = max((p.lat_deg for p in pts), key=abs)
             for size, origin_deg, step in ((rows, lat0, dlat), (cols, lon0, dlon)):
                 if size < 3:
@@ -374,25 +402,35 @@ class TestMatchesFullScan:
         assert probes > 200
 
     def test_one_cell_cases(self):
-        home = GeoPoint(10.0, 20.0)
-        pts = [gps_offset(home, EnuOffset(100.0 * k, 50.0 * (k % 3), 0.0)) for k in range(40)]
-        assert _cell_layout(pts + [home], len(pts))[5:] != (1, 1)
+        origin = GeoPoint(10.0, 20.0)
+        pts = [gps_offset(origin, EnuOffset(100.0 * k, 50.0 * (k % 3), 0.0)) for k in range(40)]
+        assert _cell_layout(pts)[5:] != (1, 1)
+        assert _cell_layout(pts[:1])[5:] == (1, 1)
         straddle = [GeoPoint(0.0, 179.9999), GeoPoint(0.0, -179.9999), GeoPoint(0.001, 179.9999)]
-        assert _cell_layout(straddle, 3)[5:] == (1, 1)
+        assert _cell_layout(straddle)[5:] == (1, 1)
         # cos(90 deg) rounds to 6e-17, not 0: at a pole the longitude cells
         # widen to one column and only latitude rows prune.
         pole = [GeoPoint(90.0, 0.0), GeoPoint(89.999, 1.0), GeoPoint(89.999, 2.0)]
-        assert _cell_layout(pole, 3)[6] == 1
+        assert _cell_layout(pole)[6] == 1
 
-    @pytest.mark.parametrize("home_lon, gridded", [(-180.0, True), (-179.999, True), (179.999, False), (120.0, True)])
-    def test_west_home_limit(self, home_lon, gridded):
-        """Waypoints spanning 120 degrees east of longitude -60 keep their
-        cells while every home's wrapped offset from -60 is at least
-        2 * 120 - 360 = -120 degrees: at longitude -180 it is -120, at
-        179.999 it is -120.001."""
-        pts = [GeoPoint(lat, lon) for lat in (0.0, 5.0) for lon in (-60.0, 0.0, 60.0)]
-        cell_m, *_, rows, cols = _cell_layout(pts + [GeoPoint(0.0, home_lon)], len(pts))
-        assert (cell_m < math.inf and rows * cols > 1) == gridded
+    @pytest.mark.parametrize(
+        "home_lon, within_limit", [(-180.0, True), (-179.999, True), (179.999, False), (120.0, True)]
+    )
+    def test_west_home_limit(self, monkeypatch, home_lon, within_limit):
+        """A 21 x 121 lattice at one-degree steps, 10 S to 10 N and 60 W to
+        60 E (S = 120 degrees of longitude), with a home on either side of
+        the wrapped offset 2S - 360 = -120 degrees from its west edge: at
+        longitude -180 the offset is -120, at 179.999 it is -120.001. West
+        of that offset a leg from a home clamped to the west column could
+        wrap shorter than the columns measure; a home queries whole rows, so
+        the planner keeps its cells and claims what the full scan claims
+        either way, at about 6.1 evaluations per claim."""
+        assert (math.remainder(home_lon + 60.0, 360.0) >= 2.0 * 120.0 - 360.0) == within_limit
+        points = one_degree_lattice()
+        homes = [GeoPoint(0.0, 0.0), GeoPoint(-10.0, -60.0), GeoPoint(0.0, home_lon)]
+        fleet = [Agent(f"a{k}", home, 5.0) for k, home in enumerate(homes)]
+        assert TestDistanceEvaluations.evaluations(monkeypatch, fleet, points) / len(points) <= 9.0
+        assert plan_routes(fleet, points) == scan_plan_routes(fleet, points)[0]
 
     def test_zero_extent_is_one_cell(self):
         # Waypoints stacked at one lat/lon, homes below them: the box has no
@@ -400,7 +438,7 @@ class TestMatchesFullScan:
         home = GeoPoint(10.0, 20.0, 0.0)
         stack = [Waypoint(GeoPoint(10.0, 20.0, alt), (0, k)) for k, alt in enumerate((30.0, 10.0, 20.0))]
         fleet = [Agent("a", home, 1.0), Agent("b", home, 1.0)]
-        cell_m, *_, rows, cols = _cell_layout([w.point for w in stack] + [home, home], len(stack))
+        cell_m, *_, rows, cols = _cell_layout([w.point for w in stack])
         assert (cell_m, rows, cols) == (math.inf, 1, 1)
         plan = plan_routes(fleet, stack)
         assert plan == scan_plan_routes(fleet, stack)[0]
@@ -408,10 +446,9 @@ class TestMatchesFullScan:
         assert altitudes == {"a": [10.0, 30.0], "b": [20.0]}
 
     def test_cell_count_bound(self):
-        """rows * cols <= 2n + 2 for n waypoints plus homes: clusters, lines
-        and strips 1e-6 degrees tall, homes up to 179 degrees of longitude
-        away, latitudes up to +-89.9 degrees. The cell size gives at most
-        1.8n + 1.8 in exact arithmetic."""
+        """rows * cols <= 2n + 2 for n waypoints: clusters, lines and strips
+        1e-6 degrees tall, latitudes up to +-89.9 degrees. The cell size
+        gives at most 1.8n + 1.8 in exact arithmetic."""
         rng = random.Random(2026)
         gridded = 0
         for _ in range(2000):
@@ -430,11 +467,7 @@ class TestMatchesFullScan:
                 else:
                     dlat, dlon = 1e-6 * v, span * u
                 pts.append(GeoPoint(max(-90.0, min(90.0, lat0 + dlat)), lon0 + dlon))
-            homes = [pts[0]]
-            if rng.random() < 0.5:
-                far_lat = max(-90.0, min(90.0, lat0 + rng.uniform(-1.0, 1.0)))
-                homes.append(GeoPoint(far_lat, lon0 + rng.uniform(0.0, 179.0)))
-            rows, cols = _cell_layout(pts + homes, n)[5:]
+            rows, cols = _cell_layout(pts)[5:]
             assert rows * cols <= 2 * n + 2
             gridded += rows * cols > 1
         assert gridded > 1500
@@ -477,7 +510,7 @@ class TestDistanceEvaluations:
         for lat in (0.0, 53.276, -70.0, 84.0):
             for rows, cols in ((11, 11), (11, 40), (12, 17), (30, 30), (100, 11)):
                 points = [w.point for w in full_rectangle(GeoPoint(lat, -9.066), rows, cols, spacing)]
-                assert spacing < _cell_layout(points, len(points))[0] < math.sqrt(1.25) * spacing
+                assert spacing < _cell_layout(points)[0] < math.sqrt(1.25) * spacing
 
     @staticmethod
     def campus(scale: int):
@@ -494,10 +527,10 @@ class TestDistanceEvaluations:
 
     def test_campus_lattice(self, monkeypatch):
         """The campus region scaled about its vertex centroid, with its
-        3-agent fleet: about 7.4 evaluations per claim at x6 and 7.65 at x8
+        3-agent fleet: about 7.7 evaluations per claim at x6 and 7.9 at x8
         (12.4 at x6 with two waypoints per cell). x8 is the survey_large
         benchmark mission."""
-        for scale, n_points, evaluations in ((6, 2855, 21236), (8, 5086, 38924)):
+        for scale, n_points, evaluations in ((6, 2855, 21995), (8, 5086, 39986)):
             config, points = self.campus(scale)
             assert len(points) == n_points
             calls = self.evaluations(monkeypatch, config.fleet, points)
@@ -506,8 +539,8 @@ class TestDistanceEvaluations:
 
     def test_far_home_keeps_the_cells(self, monkeypatch):
         """Campus x4 with the third home 500 km north: the cells cover the
-        waypoints only, and the far home starts from the edge cell nearest
-        it. 8.4 evaluations per claim; with the home in the cells' extent
+        waypoints only, and the far home starts from the whole row nearest
+        it. 8.6 evaluations per claim; with the home in the cells' extent
         it was 633."""
         config, points = self.campus(4)
         fleet = list(config.fleet)
@@ -516,44 +549,52 @@ class TestDistanceEvaluations:
         fleet[2] = Agent(moved.id, north, moved.velocity_mps)
         assert self.evaluations(monkeypatch, fleet, points) / len(points) <= 9.0
 
+    def test_polar_home_keeps_the_cells(self, monkeypatch):
+        """Campus x8 with the third home at 89 N: its first claim scans whole
+        rows, and the cells stay as narrow as the waypoints make them. 8.6
+        evaluations per claim; with the cells sized at the home's latitude
+        it was 86.4."""
+        config, points = self.campus(8)
+        fleet = list(config.fleet)
+        moved = fleet[2]
+        fleet[2] = Agent(moved.id, GeoPoint(89.0, moved.home.lon_deg), moved.velocity_mps)
+        assert self.evaluations(monkeypatch, fleet, points) / len(points) <= 9.0
+
     @pytest.mark.parametrize("far", ["lon_175", "west_edge_plus_180"])
     def test_home_across_the_antimeridian_keeps_the_cells(self, monkeypatch, far):
         """Campus x8 with the third home at longitude 175, or exactly 180
         degrees east of the waypoints' west edge: the waypoints alone lay the
-        cells out, and the home queries from the edge cell its wrapped
-        longitude clamps to, at 8.1 and 8.4 evaluations per claim."""
+        cells out, and the home queries whole rows, at 8.2 and 8.6
+        evaluations per claim."""
         config, points = self.campus(8)
         lon = 175.0 if far == "lon_175" else min(w.point.lon_deg for w in points) + 180.0
         fleet = list(config.fleet)
         moved = fleet[2]
         fleet[2] = Agent(moved.id, GeoPoint(moved.home.lat_deg, lon), moved.velocity_mps)
-        rows, cols = _cell_layout([w.point for w in points] + [a.home for a in fleet], len(points))[5:]
+        rows, cols = _cell_layout([w.point for w in points])[5:]
         assert rows * cols > 1
         assert self.evaluations(monkeypatch, fleet, points) / len(points) <= 9.0
 
     def test_wide_region_keeps_the_cells(self, monkeypatch):
         """A 21 x 121 lattice at one-degree steps, 10 S to 10 N and 60 W to
-        60 E, with three homes on it: 120 degrees of longitude, and no home
-        far enough west round the globe to wrap, so the cells are built.
-        About 4.8 evaluations per claim."""
-        points = [
-            Waypoint(GeoPoint(float(i - 10), float(j - 60), 32.0), (i, j)) for i in range(21) for j in range(121)
-        ]
+        60 E, with three homes on it: the cells are built for 120 degrees of
+        longitude. About 5.2 evaluations per claim."""
+        points = one_degree_lattice()
         fleet = [Agent(f"a{k}", GeoPoint(lat, lon), 5.0) for k, (lat, lon) in enumerate(((0, 0), (-10, -60), (10, 60)))]
-        rows, cols = _cell_layout([w.point for w in points] + [a.home for a in fleet], len(points))[5:]
+        rows, cols = _cell_layout([w.point for w in points])[5:]
         assert rows * cols > 1
         assert self.evaluations(monkeypatch, fleet, points) / len(points) <= 9.0
 
     # One agent then three, from the corner, then from the centre.
     FULL_RECTANGLE_EVALUATIONS = {
-        (11, 11): [493, 426, 507, 560],
-        (24, 40): [4393, 3801, 4432, 4365],
-        (60, 60): [18209, 16169, 18280, 17989],
+        (11, 11): [517, 506, 531, 644],
+        (24, 40): [4504, 4200, 4543, 4797],
+        (60, 60): [18380, 16788, 18451, 18502],
     }
 
     @pytest.mark.parametrize("rows, cols", [(11, 11), (24, 40), (60, 60)])
     def test_full_rectangle(self, monkeypatch, rows, cols):
-        """About 4-5 evaluations per claim from a corner or the centre; the
+        """About 4-5.5 evaluations per claim from a corner or the centre; the
         60 x 60 lattice read 7.9 with two waypoints per cell."""
         spacing = grid_spacing(CameraModel())
         origin = GeoPoint(53.276, -9.066)
