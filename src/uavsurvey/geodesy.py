@@ -23,7 +23,7 @@ class FlatPlaneWarning(UserWarning):
     """Points are far enough apart to strain the flat-plane assumption."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     """A WGS-84 position: latitude/longitude in degrees, altitude in meters.
 

@@ -16,7 +16,6 @@ text of the mission's inputs, rendered by the same helpers.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import TYPE_CHECKING, Sequence
 
@@ -294,4 +293,5 @@ def config_digest(
         _encode(noise.kind), _encode(noise.relative_sd), ",".join(routes), _encode(seed),
         ",".join(["[%s,%s]" % (_geo(cache, s.position), _encode(s.sigma)) for s in sources]),
     )
+    import hashlib  # here, not at the top: only simulate hashes, so no other command loads OpenSSL
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -148,7 +148,7 @@ def _int_pair(index) -> tuple[int, int]:
     raise ValueError(f"lattice index must be a pair of ints, got {index!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Waypoint:
     """A survey point and its (row, column) lattice index, two ints by ``_int_pair``'s rule."""
 

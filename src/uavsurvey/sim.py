@@ -23,7 +23,7 @@ WAYPOINT_REACHED = "waypoint_reached"
 ROUTE_COMPLETE = "route_complete"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One entry of the log. A ``waypoint_reached`` event stands in for an
     image: it carries the plan's own waypoint and the reading taken there."""

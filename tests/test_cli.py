@@ -463,6 +463,22 @@ class TestUnencodablePrintouts:
         assert sorted(os.listdir(os.fsencode(tmp_path / out))) == [b"observations.jsonl", b"plan.geojson"]
 
 
+class TestHashlibImport:
+    """Only ``simulate`` hashes (``config_digest``), so in a fresh interpreter
+    no other command imports ``hashlib`` or loads OpenSSL's ``_hashlib``."""
+
+    @pytest.mark.parametrize("command", ["validate", "plan", "bound", "simulate"])
+    def test_only_simulate_imports_hashlib(self, tmp_path, monkeypatch, command):
+        monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")  # the child lists each module it imports on stderr
+        argv = [command, "--config", str(REPO_CONFIG)] + (["--out", "out"] if command in ("plan", "simulate") else [])
+        proc = run_cli(argv, "utf-8", tmp_path)
+        assert proc.returncode == 0
+        imported = {line.rsplit(b"|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert b"uavsurvey.geojson_io" in imported
+        hashing = {b"hashlib", b"_hashlib"} & imported
+        assert hashing == ({b"hashlib", b"_hashlib"} if command == "simulate" else set())
+
+
 class TestBound:
     def test_reports_all_references(self, tiny_config, capsys):
         assert main(["bound", "--config", str(tiny_config)]) == 0

@@ -1,9 +1,12 @@
-"""One set of fleet rules for every entry point that takes a fleet, and the
-immutable mission config the CLI derives its overrides from."""
+"""One set of fleet rules for every entry point that takes a fleet, the
+immutable mission config the CLI derives its overrides from, and the frozen,
+slotted value classes built once per waypoint."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -11,6 +14,7 @@ from helpers import REPO_CONFIG, json_config_digest, lattice_row
 from uavsurvey import (
     Agent,
     CameraModel,
+    Event,
     GeoPoint,
     MissionConfig,
     NoiseSpec,
@@ -100,6 +104,29 @@ def test_mission_config_is_frozen():
     config = parse_mission_config(REPO_CONFIG.read_text(encoding="utf-8"))
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.seed = 7
+
+
+# An instance of each value class built once per waypoint.
+VALUES = {
+    "GeoPoint": GeoPoint(0.0, 190.0, 5.0),
+    "Waypoint": POINTS[0],
+    "Event": Event(1.5, "A", "waypoint_reached", POINTS[0], 0.25),
+}
+
+
+@pytest.mark.parametrize("name", list(VALUES))
+def test_value_class_is_frozen_and_slotted(name):
+    value = VALUES[name]
+    assert not hasattr(value, "__dict__")
+    for field in dataclasses.fields(value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field.name, 1)
+    with pytest.raises((AttributeError, TypeError)):  # a TypeError on Python 3.10-3.13
+        value.extra = 1
+    for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin is not value
+        assert twin == value
+        assert hash(twin) == hash(value)
 
 
 def test_cli_overrides_match_the_api(tmp_path):

@@ -31,6 +31,7 @@ class TestGeoPoint:
     def test_longitude_normalized(self):
         assert GeoPoint(0.0, 180.0).lon_deg == -180.0
         assert GeoPoint(0.0, 181.0).lon_deg == -179.0
+        assert GeoPoint(0.0, 190.0).lon_deg == -170.0
         assert GeoPoint(0.0, -180.0).lon_deg == -180.0
         assert GeoPoint(0.0, 540.0).lon_deg == -180.0
         assert GeoPoint(0.0, -540.0).lon_deg == -180.0
