@@ -194,6 +194,7 @@ def parse_mission_config(text: str) -> MissionConfig:
         fleet.append(_build(path, lambda: Agent(
             item["id"], home, _number(item["velocity_mps"], f"{path}.velocity_mps"),
         )))
+    _build("fleet", lambda: _check_fleet(fleet))
 
     sources_raw = raw.get("sources", [])
     if not isinstance(sources_raw, list):

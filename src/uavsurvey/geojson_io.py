@@ -261,11 +261,7 @@ _DIGEST = '{"camera":[%s,%s,%s],"dwell_s":%s,"fleet":[%s],"noise":[%s,%s],"route
 
 def _geo(cache: dict, p) -> str:
     """A position in the digest: "[lat,lon,alt]"."""
-    x, y, z = p.lat_deg, p.lon_deg, p.alt_m
-    if type(x) is float and type(y) is float and type(z) is float:
-        get = cache.get  # a cached text is never empty; a miss or a zero goes to _cached
-        return "[%s,%s,%s]" % (get(x) or _cached(cache, x), get(y) or _cached(cache, y), get(z) or _cached(cache, z))
-    return "[%s,%s,%s]" % (_cached(cache, x), _cached(cache, y), _cached(cache, z))  # an int 1 is not "1.0"
+    return "[%s,%s,%s]" % (_cached(cache, p.lat_deg), _cached(cache, p.lon_deg), _cached(cache, p.alt_m))
 
 
 def config_digest(

@@ -241,21 +241,6 @@ def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> dict[
     return routes
 
 
-def _leg_lengths(home: GeoPoint, route: Sequence[Waypoint]) -> Iterator[float]:
-    """Metres of each leg home -> route[0] -> ... -> route[-1], in order.
-
-    Each leg is ``distance_m(previous point, next point)``'s expression
-    evaluated inline from the same operands in the same order: the same float.
-    """
-    hypot, remainder, cos, radians, m = math.hypot, math.remainder, math.cos, math.radians, METERS_PER_DEG_LAT
-    lat, lon, alt = home.lat_deg, home.lon_deg, home.alt_m
-    for wp in route:
-        p = wp.point
-        b_lat, b_lon, b_alt = p.lat_deg, p.lon_deg, p.alt_m
-        yield hypot(remainder(b_lon - lon, 360.0) * m * cos(radians(0.5 * (lat + b_lat))), (b_lat - lat) * m, b_alt - alt)
-        lat, lon, alt = b_lat, b_lon, b_alt
-
-
 def route_length(home: GeoPoint, route: Sequence[Waypoint]) -> float:
     """Metres flown home -> route[0] -> ... -> route[-1].
 
@@ -266,8 +251,10 @@ def route_length(home: GeoPoint, route: Sequence[Waypoint]) -> float:
     compensated from Python 3.12 on and would give other bits there.
     """
     total = 0.0
-    for leg in _leg_lengths(home, route):
-        total += leg
+    previous = home
+    for wp in route:
+        total += distance_m(previous, wp.point)
+        previous = wp.point
     return total
 
 

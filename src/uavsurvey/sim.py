@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Sequence
 
+from .geodesy import distance_m
 from .geojson_io import config_digest
 from .grid import CameraModel, Waypoint
 from .radiation import NoiseSpec, RadiationSource, field_levels, sample_reading
-from .routing import Agent, _check_fleet, _leg_lengths
+from .routing import Agent, _check_fleet
 
 TAKEOFF = "takeoff"
 WAYPOINT_REACHED = "waypoint_reached"
@@ -108,10 +109,11 @@ def simulate(
         rng = random.Random(f"{seed}:{aid}")
         events.append(Event(t=0.0, agent_id=aid, kind=TAKEOFF))
         t = 0.0
-        velocity = agent.velocity_mps
-        # Each leg is distance_m's float; Agent refuses a velocity <= 0.
-        for wp, leg in zip(route, _leg_lengths(agent.home, route)):
-            t += leg / velocity
+        previous = agent.home
+        # One distance_m call per leg, as in route_length; Agent refuses a velocity <= 0.
+        for wp in route:
+            t += distance_m(previous, wp.point) / agent.velocity_mps
+            previous = wp.point
             reading = sample_reading(next(levels), noise, rng)
             events.append(Event(t, aid, WAYPOINT_REACHED, wp, reading))
             t += dwell_s

@@ -70,7 +70,7 @@ class TestValidate:
         bad = tmp_path / "bad.json"
         bad.write_text('{"region": [[0, 0], [0, 1], [1, 0]], "fleet": []}', encoding="utf-8")
         assert main(["validate", "--config", str(bad)]) == 1
-        assert "fleet" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: fleet: fleet must have at least one agent\n"
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 1

@@ -144,8 +144,8 @@ CASES = [
     ("fleet-home-event-times", put("fleet", [AGENT, {**AGENT, "id": "rav-2", "home": [53.0, -9.0, 1e308]}]),
      "fleet[1].home: event times up to 20 x (0.0 s dwell + 2e+307 s leg) overflow"),
     ("fleet-empty-id", put("fleet", 0, "id", ""), "fleet[0]: agent id must be non-empty"),
-    ("fleet-duplicate-ids", put("fleet", [AGENT, AGENT]), "agent ids must be unique within the fleet"),
-    ("fleet-empty", put("fleet", []), "fleet must have at least one agent"),
+    ("fleet-duplicate-ids", put("fleet", [AGENT, AGENT]), "fleet: agent ids must be unique within the fleet"),
+    ("fleet-empty", put("fleet", []), "fleet: fleet must have at least one agent"),
     ("fleet-second-item-bad", put("fleet", [AGENT, {**AGENT, "id": "rav-2", "home": [-91.0, 0.0]}]),
      "fleet[1].home: lat_deg must be within [-90, 90], got -91.0"),
     # sources[k]
