@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import os
@@ -26,26 +27,32 @@ from .routing import (
 from .sim import simulate
 
 
-def _atomic_write(*files: tuple[Path, str]) -> None:
-    """Write each ``(path, text)`` to a new file beside ``path``, close them
-    all, then rename each over its ``path``. A failure before the renames
-    removes every new file and leaves every ``path`` as it was. POSIX has no
-    rename of two files at once: if a later ``os.replace`` fails, the files
-    renamed before it are new beside older ones. Opened with "x", a new file
-    takes the mode ``open()`` gives (0o666 less the umask) and is never one
-    this call did not create."""
-    tmps = []
+@contextlib.contextmanager
+def _staged_writes():
+    """Yield ``stage(path, text)``, which writes ``text`` to a new file beside
+    ``path`` and closes it at once, so the caller can drop ``text`` before it
+    renders the next output. When the block ends, each new file is renamed
+    over its ``path`` in the order staged. A failure before the renames,
+    in the block or in a write, removes every new file and leaves every
+    ``path`` as it was. POSIX has no rename of two files at once: if a later
+    ``os.replace`` fails, the files renamed before it are new beside older
+    ones. Opened with "x", a new file takes the mode ``open()`` gives (0o666
+    less the umask) and is never one this call did not create."""
+    staged = []
+
+    def stage(path: Path, text: str) -> None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+        with open(tmp, "x", encoding="utf-8") as handle:
+            staged.append((tmp, path))
+            handle.write(text)
+
     try:
-        for path, text in files:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
-            with open(tmp, "x", encoding="utf-8") as handle:
-                tmps.append(tmp)
-                handle.write(text)
-        for tmp, (path, _) in zip(tmps, files):
+        yield stage
+        for tmp, path in staged:
             os.replace(tmp, path)
     except BaseException:
-        for tmp in tmps:
+        for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
         raise
 
@@ -95,7 +102,8 @@ def cmd_plan(args) -> int:
     config = _load_config(args)
     grid, plan = _plan_mission(config)
     out = Path(args.out) / "plan.geojson"
-    _atomic_write((out, dumps_geojson(export_geojson(grid, plan, config.fleet))))
+    with _staged_writes() as stage:
+        stage(out, dumps_geojson(export_geojson(grid, plan, config.fleet)))
     _say(f"waypoints: {len(grid.points)} at spacing {grid.spacing_m:.3f} m")
     for agent in config.fleet:
         route = plan[agent.id]
@@ -108,24 +116,25 @@ def cmd_plan(args) -> int:
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     grid, plan = _plan_mission(config)
-    log = simulate(
-        plan,
-        config.fleet,
-        config.sources,
-        config.noise,
-        config.seed,
-        camera=config.camera,
-        dwell_s=config.dwell_s,
-        mission_id=config.mission_id,
-    )
     out_dir = Path(args.out)
     geojson_path = out_dir / "plan.geojson"
     log_path = out_dir / "observations.jsonl"
-    # Render both before writing either, so a value one of them refuses
-    # leaves no half-written pair behind.
-    plan_text = dumps_geojson(export_geojson(grid, plan, config.fleet))
-    log_text = write_observation_log(log)
-    _atomic_write((geojson_path, plan_text), (log_path, log_text))
+    # Each text is written and dropped before the next phase builds its
+    # objects, so peak memory is the larger phase, not the sum of both. A
+    # refusal in simulate or in the log writer removes the plan's new file.
+    with _staged_writes() as stage:
+        stage(geojson_path, dumps_geojson(export_geojson(grid, plan, config.fleet)))
+        log = simulate(
+            plan,
+            config.fleet,
+            config.sources,
+            config.noise,
+            config.seed,
+            camera=config.camera,
+            dwell_s=config.dwell_s,
+            mission_id=config.mission_id,
+        )
+        stage(log_path, write_observation_log(log))
     _say(f"mission {log.mission_id}: {len(log.observations)} observations, seed {config.seed}")
     _say(f"makespan: {makespan(plan, config.fleet):.1f} s")
     _say(f"wrote {geojson_path}")

@@ -172,10 +172,11 @@ class TestSimulate:
             raise OSError("replace refused")
 
         monkeypatch.setattr(os, "replace", no_replace)
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(tiny_config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: replace refused\n"
-        assert list(out.iterdir()) == []
+        for command in ("plan", "simulate"):
+            out = tmp_path / command
+            assert main([command, "--config", str(tiny_config), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == "error: replace refused\n"
+            assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("earlier", [False, True], ids=["empty_out", "earlier_pair"])
     @pytest.mark.parametrize("step", ["open", "write"])
@@ -236,6 +237,60 @@ class TestSimulate:
         assert sorted(p.name for p in out.iterdir()) == sorted(before)
         for name in before:
             assert (out / name).read_bytes() in (before[name], new[name])
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["empty_out", "earlier_pair"])
+    @pytest.mark.parametrize("refuser", ["simulate", "write_observation_log"])
+    def test_refusal_after_the_plan_is_written(self, tiny_config, tmp_path, monkeypatch, capsys, refuser, earlier):
+        # The plan's new file is written before simulate flies: a refusal
+        # there or in the log writer removes it, and --out holds what it
+        # held before. The earlier pair flies one agent, so its files differ.
+        out = tmp_path / "out"
+        out.mkdir()
+        if earlier:
+            assert main(["simulate", "--config", str(tiny_config), "--agents", "1", "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def refused(*args, **kwargs):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(cli, refuser, refused)
+        assert main(["simulate", "--config", str(tiny_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: refused\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_interrupt_in_simulate_leaves_no_temp_file(self, tiny_config, tmp_path, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "simulate", interrupted)
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(KeyboardInterrupt):
+            main(["simulate", "--config", str(tiny_config), "--out", str(out)])
+        assert list(out.iterdir()) == []
+
+    def test_plan_is_written_before_simulate_flies(self, tiny_config, tmp_path, monkeypatch):
+        # The memory bound rests on this order: when simulate is called, the
+        # plan's text is already in its new file, and no target is renamed.
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["simulate", "--config", str(tiny_config), "--agents", "1", "--out", str(out)]) == 0
+        assert main(["simulate", "--config", str(tiny_config), "--out", str(fresh)]) == 0
+        old_plan = (out / "plan.geojson").read_bytes()
+        seen = []
+        real_simulate = cli.simulate
+
+        def looked(*args, **kwargs):
+            staged = sorted(p for p in out.iterdir() if p.name.startswith("."))
+            seen.append(([p.name.split(".")[1] for p in staged], [p.read_bytes() for p in staged],
+                         (out / "plan.geojson").read_bytes()))
+            return real_simulate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate", looked)
+        assert main(["simulate", "--config", str(tiny_config), "--out", str(out)]) == 0
+        new_plan = (fresh / "plan.geojson").read_bytes()
+        assert new_plan != old_plan
+        assert seen == [(["plan"], [new_plan], old_plan)]
+        assert (out / "plan.geojson").read_bytes() == new_plan
 
     def test_region_at_north_pole_refused(self, tmp_path, capsys):
         doc = dict(TINY, region=[[89.9997, 0.0], [89.99995, 0.0], [89.99995, 10.0]])
