@@ -23,6 +23,16 @@ class FlatPlaneWarning(UserWarning):
     """Points are far enough apart to strain the flat-plane assumption."""
 
 
+def _is_finite(value) -> bool:
+    """``math.isfinite(value)``, except that an int beyond the float range is
+    not finite instead of raising OverflowError: the rule by which every value
+    class refuses a non-finite number with ValueError."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True, slots=True)
 class GeoPoint:
     """A WGS-84 position: latitude/longitude in degrees, altitude in meters.
@@ -37,11 +47,19 @@ class GeoPoint:
     alt_m: float = 0.0
 
     def __post_init__(self) -> None:
+        lat, lon, alt = self.lat_deg, self.lon_deg, self.alt_m
+        # Floats already in range, such as every lattice point, need nothing
+        # more; any other value takes the checks below.
+        if (
+            type(lat) is float and type(lon) is float and type(alt) is float
+            and -90.0 <= lat <= 90.0 and -180.0 <= lon < 180.0 and 0.0 <= alt < math.inf
+        ):
+            return
         for name in ("lat_deg", "lon_deg", "alt_m"):
             value = getattr(self, name)
             if type(value) is bool:
                 raise ValueError(f"{name} must be a number, got bool")
-            if not math.isfinite(value):
+            if not _is_finite(value):
                 raise ValueError(f"{name} must be finite")
         if not -90.0 <= self.lat_deg <= 90.0:
             raise ValueError(f"lat_deg must be within [-90, 90], got {self.lat_deg}")
@@ -63,7 +81,7 @@ class EnuOffset:
 
     def __post_init__(self) -> None:
         for name in ("east_m", "north_m", "up_m"):
-            if not math.isfinite(getattr(self, name)):
+            if not _is_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
 

@@ -176,29 +176,55 @@ def _position(cache: dict, c) -> str:
     raise _OffTemplate
 
 
-def _feature(cache: dict, feature) -> str:
-    """A Point or LineString feature as ``export_geojson`` builds it, filled
-    into its template; any other feature is off-template."""
-    if type(feature) is dict and tuple(feature) == ("type", "geometry", "properties") and feature["type"] == "Feature":
-        geometry, props = feature["geometry"], feature["properties"]
-        if type(geometry) is dict and tuple(geometry) == ("type", "coordinates") and type(props) is dict:
-            kind, coords, keys = geometry["type"], geometry["coordinates"], tuple(props)
-            if kind == "Point" and keys == _POINT_KEYS and type(coords) is list and len(coords) == 3:
-                (x, y, z), (index, aid, order) = coords, props.values()
-                if (
-                    type(x) is float and type(y) is float and type(z) is float
-                    and type(index) is list and len(index) == 2
-                    and type(index[0]) is int and type(index[1]) is int
-                ):
-                    get = cache.get
-                    return _POINT_FEATURE % (
-                        get(x) or _scalar(cache, x), get(y) or _scalar(cache, y), get(z) or _scalar(cache, z),
-                        index[0], index[1], _scalar(cache, aid), _scalar(cache, order),
-                    )
-            elif kind == "LineString" and keys == _LINE_KEYS and type(coords) is list and coords:
-                text = ",\n          ".join([_position(cache, c) for c in coords])
-                return _LINE_FEATURE % (text, *[_scalar(cache, v) for v in props.values()])
+def _line_feature(cache: dict, coords, props: dict) -> str:
+    """A LineString feature's template filled from its coordinates and
+    properties as ``export_geojson`` builds them; any other is off-template."""
+    if tuple(props) == _LINE_KEYS and type(coords) is list and coords:
+        text = ",\n          ".join([_position(cache, c) for c in coords])
+        return _LINE_FEATURE % (text, *[_scalar(cache, v) for v in props.values()])
     raise _OffTemplate
+
+
+def _features(features: list) -> str:
+    """The texts of ``features``, joined: each a Point or LineString feature
+    as ``export_geojson`` builds it, filled into its template; any other
+    feature is off-template.
+
+    A Point is matched and filled here, a LineString by ``_line_feature``.
+    An int visit order and the lattice index are formatted by ``%``; an
+    agent id is looked up in the cache only once it is known to be a str, as
+    ``cache.get`` of an unhashable value raises TypeError. The parts die with
+    this call, before the caller wraps their join in the collection.
+    """
+    cache: dict = {}
+    get = cache.get  # a cached text is never empty; a miss or a zero goes to _scalar
+    parts = []
+    append = parts.append
+    for feature in features:
+        if type(feature) is dict and tuple(feature) == ("type", "geometry", "properties") and feature["type"] == "Feature":
+            geometry, props = feature["geometry"], feature["properties"]
+            if type(geometry) is dict and tuple(geometry) == ("type", "coordinates") and type(props) is dict:
+                kind, coords = geometry["type"], geometry["coordinates"]
+                if kind == "Point":
+                    if tuple(props) == _POINT_KEYS and type(coords) is list and len(coords) == 3:
+                        (x, y, z), (index, aid, order) = coords, props.values()
+                        if (
+                            type(x) is float and type(y) is float and type(z) is float
+                            and type(index) is list and len(index) == 2
+                            and type(index[0]) is int and type(index[1]) is int
+                        ):
+                            append(_POINT_FEATURE % (
+                                get(x) or _scalar(cache, x), get(y) or _scalar(cache, y),
+                                get(z) or _scalar(cache, z), index[0], index[1],
+                                (get(aid) or _scalar(cache, aid)) if type(aid) is str else _scalar(cache, aid),
+                                order if type(order) is int else _scalar(cache, order),
+                            ))
+                            continue
+                elif kind == "LineString":
+                    append(_line_feature(cache, coords, props))
+                    continue
+        raise _OffTemplate
+    return ",\n".join(parts)
 
 
 def dumps_geojson(doc: dict) -> str:
@@ -208,11 +234,12 @@ def dumps_geojson(doc: dict) -> str:
         if type(features) is list:
             if not features:
                 return _EMPTY_COLLECTION
-            cache: dict = {}
             try:
-                return _COLLECTION % ",\n".join([_feature(cache, f) for f in features])
+                body = _features(features)
             except _OffTemplate:
                 pass
+            else:
+                return _COLLECTION % body
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 

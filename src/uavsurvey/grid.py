@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress
 
-from .geodesy import GeoPoint, _warn_if_wide, meters_per_degree
+from .geodesy import GeoPoint, _is_finite, _warn_if_wide, meters_per_degree
 
 
 # Most lattice points one mission may ask for. A camera spacing of
@@ -129,13 +129,13 @@ class CameraModel:
     altitude_m: float = 32.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.half_fov_deg) and 0.0 < self.half_fov_deg < 90.0):
+        if not (_is_finite(self.half_fov_deg) and 0.0 < self.half_fov_deg < 90.0):
             raise ValueError(f"half_fov_deg must be within (0, 90), got {self.half_fov_deg}")
-        if not (math.isfinite(self.overlap_fraction) and 0.0 <= self.overlap_fraction < 1.0):
+        if not (_is_finite(self.overlap_fraction) and 0.0 <= self.overlap_fraction < 1.0):
             raise ValueError(
                 f"overlap_fraction must satisfy 0 <= overlap_fraction < 1, got {self.overlap_fraction}"
             )
-        if not (math.isfinite(self.altitude_m) and self.altitude_m > 0.0):
+        if not (_is_finite(self.altitude_m) and self.altitude_m > 0.0):
             raise ValueError(f"altitude_m must be > 0, got {self.altitude_m}")
         if not math.isfinite(footprint_width(self)):
             raise ValueError("footprint width 2 * altitude_m * tan(half_fov_deg) must be finite, got inf")

@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .geodesy import METERS_PER_DEG_LAT, GeoPoint, distance_m
+from .geodesy import METERS_PER_DEG_LAT, GeoPoint, _is_finite, distance_m
 
 # Distances clamp here to keep readings finite near the emitter; a drone
 # never physically reaches the point source.
@@ -26,7 +26,7 @@ class RadiationSource:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+        if not (_is_finite(self.sigma) and self.sigma >= 0.0):
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
@@ -40,7 +40,7 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "gaussian"):
             raise ValueError(f"noise kind must be 'none' or 'gaussian', got {self.kind!r}")
-        if not (math.isfinite(self.relative_sd) and self.relative_sd >= 0.0):
+        if not (_is_finite(self.relative_sd) and self.relative_sd >= 0.0):
             raise ValueError(f"relative_sd must be finite and >= 0, got {self.relative_sd}")
 
 

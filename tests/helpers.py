@@ -18,13 +18,28 @@ from uavsurvey import (
     Waypoint,
     distance_m,
     footprint_width,
+    generate_waypoints,
     gps_offset,
+    parse_mission_config,
     strength_at,
 )
 from uavsurvey.grid import _segments_intersect
 from uavsurvey.sim import WAYPOINT_REACHED
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "campus_mission.json"
+
+
+def scaled_campus(scale: int):
+    """The campus config and the waypoints of its region scaled about the
+    vertex centroid; x8 is the survey_large benchmark mission."""
+    config = parse_mission_config(REPO_CONFIG.read_text(encoding="utf-8"))
+    vertices = config.region.vertices
+    clat = sum(v.lat_deg for v in vertices) / len(vertices)
+    clon = sum(v.lon_deg for v in vertices) / len(vertices)
+    region = PolygonRegion(
+        [GeoPoint(clat + scale * (v.lat_deg - clat), clon + scale * (v.lon_deg - clon)) for v in vertices]
+    )
+    return config, generate_waypoints(region, config.camera).points
 
 
 # ---------------------------------------------------------------------------

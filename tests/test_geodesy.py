@@ -8,14 +8,19 @@ import random
 import pytest
 
 from uavsurvey import (
+    Agent,
+    CameraModel,
     EnuOffset,
     FlatPlaneWarning,
     GeoPoint,
+    NoiseSpec,
+    RadiationSource,
     distance_m,
     gps_difference,
     gps_offset,
     meters_per_degree,
 )
+from uavsurvey.sim import _check_dwell
 
 # pi * 6378137 / 180 evaluated at 40 decimal digits, rounded to float64.
 M_PER_DEG_ORACLE = 111319.49079327357
@@ -60,6 +65,91 @@ class TestGeoPoint:
             GeoPoint(0.0, math.inf)
         with pytest.raises(ValueError):
             EnuOffset(math.nan, 0.0, 0.0)
+
+    # Coordinates at and just past the edges of the float fast path, with
+    # what GeoPoint stores (a float as float.hex, an int as itself) or the
+    # error it raises.
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            ((90.0, 0.0), ("0x1.6800000000000p+6", "0x0.0p+0", "0x0.0p+0")),
+            ((-90.0, 0.0), ("-0x1.6800000000000p+6", "0x0.0p+0", "0x0.0p+0")),
+            ((90.00000000000001, 0.0), "lat_deg must be within [-90, 90], got 90.00000000000001"),
+            ((-90.00000000000001, 0.0), "lat_deg must be within [-90, 90], got -90.00000000000001"),
+            ((0.0, -180.0), ("0x0.0p+0", "-0x1.6800000000000p+7", "0x0.0p+0")),
+            ((0.0, 180.0), ("0x0.0p+0", "-0x1.6800000000000p+7", "0x0.0p+0")),
+            ((0.0, 179.99999999999997), ("0x0.0p+0", "0x1.67fffffffffffp+7", "0x0.0p+0")),
+            ((0.0, -180.00000000000003), ("0x0.0p+0", "0x1.67fffffffffffp+7", "0x0.0p+0")),
+            ((0.0, 0.0, -0.0), ("0x0.0p+0", "0x0.0p+0", "-0x0.0p+0")),
+            ((-0.0, -0.0, 0.0), ("-0x0.0p+0", "-0x0.0p+0", "0x0.0p+0")),
+            ((0.0, 0.0, 5e-324), ("0x0.0p+0", "0x0.0p+0", "0x0.0000000000001p-1022")),
+            ((0.0, 0.0, -5e-324), "alt_m must be >= 0, got -5e-324"),
+            ((0.0, 0.0, 1.7976931348623157e308), ("0x0.0p+0", "0x0.0p+0", "0x1.fffffffffffffp+1023")),
+            ((0.0, 0.0, math.inf), "alt_m must be finite"),
+            ((0.0, 0.0, -math.inf), "alt_m must be finite"),
+            ((0.0, 0.0, math.nan), "alt_m must be finite"),
+            ((math.nan, 0.0), "lat_deg must be finite"),
+            ((math.inf, 0.0), "lat_deg must be finite"),
+            ((0.0, math.nan), "lon_deg must be finite"),
+            ((0.0, -math.inf), "lon_deg must be finite"),
+            ((0, 0, 0), (0, 0, 0)),
+            ((90, 180, 5), (90, "-0x1.6800000000000p+7", 5)),
+            ((-90, -180, 0), (-90, -180, 0)),
+            ((1, 2.5, 3), (1, "0x1.4000000000000p+1", 3)),
+            ((91, 0), "lat_deg must be within [-90, 90], got 91"),
+            ((0, 0, -1), "alt_m must be >= 0, got -1"),
+            ((True, 0.0), "lat_deg must be a number, got bool"),
+            ((0.0, False), "lon_deg must be a number, got bool"),
+            ((0.0, 0.0, True), "alt_m must be a number, got bool"),
+        ],
+        ids=repr,
+    )
+    def test_stored_values_and_errors(self, args, expected):
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as caught:
+                GeoPoint(*args)
+            assert str(caught.value) == expected
+        else:
+            p = GeoPoint(*args)
+            stored = tuple(v.hex() if type(v) is float else v for v in (p.lat_deg, p.lon_deg, p.alt_m))
+            assert stored == expected
+            assert [type(v) for v in stored] == [type(v) for v in expected]
+
+
+BEYOND_FLOAT = 10**400
+
+
+# Every value-class number check, given an int too large to convert to a
+# float: each refuses it with ValueError, as a non-finite value.
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: GeoPoint(BEYOND_FLOAT, 0.0), "lat_deg must be finite"),
+        (lambda: GeoPoint(0.0, -BEYOND_FLOAT), "lon_deg must be finite"),
+        (lambda: GeoPoint(0.0, 0.0, BEYOND_FLOAT), "alt_m must be finite"),
+        (lambda: EnuOffset(BEYOND_FLOAT, 0.0), "east_m must be finite"),
+        (lambda: EnuOffset(0.0, -BEYOND_FLOAT), "north_m must be finite"),
+        (lambda: EnuOffset(0.0, 0.0, BEYOND_FLOAT), "up_m must be finite"),
+        (lambda: Agent("a", GeoPoint(0.0, 0.0), BEYOND_FLOAT), "velocity_mps must be positive and finite, got 1000"),
+        (lambda: RadiationSource(GeoPoint(0.0, 0.0), BEYOND_FLOAT), "sigma must be finite and >= 0, got 1000"),
+        (lambda: NoiseSpec("gaussian", BEYOND_FLOAT), "relative_sd must be finite and >= 0, got 1000"),
+        (lambda: CameraModel(half_fov_deg=BEYOND_FLOAT), "half_fov_deg must be within (0, 90), got 1000"),
+        (
+            lambda: CameraModel(overlap_fraction=-BEYOND_FLOAT),
+            "overlap_fraction must satisfy 0 <= overlap_fraction < 1, got -1000",
+        ),
+        (lambda: CameraModel(altitude_m=BEYOND_FLOAT), "altitude_m must be > 0, got 1000"),
+        (lambda: _check_dwell(BEYOND_FLOAT), "dwell_s: expected a finite number, got 1000"),
+    ],
+    ids=[
+        "lat_deg", "lon_deg", "alt_m", "east_m", "north_m", "up_m", "velocity_mps", "sigma", "relative_sd",
+        "half_fov_deg", "overlap_fraction", "altitude_m", "dwell_s",
+    ],
+)
+def test_int_beyond_the_float_range_is_refused_with_value_error(make, message):
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert str(caught.value).startswith(message)
 
 
 class TestMetersPerDegree:

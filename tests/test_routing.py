@@ -8,13 +8,13 @@ import random
 import pytest
 
 from helpers import (
-    REPO_CONFIG,
     claim_order,
     lattice_row,
     leg_walk_missions,
     loop_route_length,
     permutation_tour_cost,
     random_points,
+    scaled_campus,
     scan_plan_routes,
 )
 import uavsurvey.routing
@@ -24,17 +24,14 @@ from uavsurvey import (
     CircumRectangle,
     EnuOffset,
     GeoPoint,
-    PolygonRegion,
     Waypoint,
     brute_force_mtsp,
     distance_m,
     generate_lattice,
-    generate_waypoints,
     gps_offset,
     grid_spacing,
     makespan,
     mtsp_lower_bound,
-    parse_mission_config,
     plan_routes,
     route_length,
     tsp_optimal,
@@ -512,26 +509,13 @@ class TestDistanceEvaluations:
                 points = [w.point for w in full_rectangle(GeoPoint(lat, -9.066), rows, cols, spacing)]
                 assert spacing < _cell_layout(points)[0] < math.sqrt(1.25) * spacing
 
-    @staticmethod
-    def campus(scale: int):
-        """The campus config and the waypoints of its region scaled about
-        the vertex centroid."""
-        config = parse_mission_config(REPO_CONFIG.read_text(encoding="utf-8"))
-        vertices = config.region.vertices
-        clat = sum(v.lat_deg for v in vertices) / len(vertices)
-        clon = sum(v.lon_deg for v in vertices) / len(vertices)
-        region = PolygonRegion(
-            [GeoPoint(clat + scale * (v.lat_deg - clat), clon + scale * (v.lon_deg - clon)) for v in vertices]
-        )
-        return config, generate_waypoints(region, config.camera).points
-
     def test_campus_lattice(self, monkeypatch):
         """The campus region scaled about its vertex centroid, with its
         3-agent fleet: about 7.7 evaluations per claim at x6 and 7.9 at x8
         (12.4 at x6 with two waypoints per cell). x8 is the survey_large
         benchmark mission."""
         for scale, n_points, evaluations in ((6, 2855, 21995), (8, 5086, 39986)):
-            config, points = self.campus(scale)
+            config, points = scaled_campus(scale)
             assert len(points) == n_points
             calls = self.evaluations(monkeypatch, config.fleet, points)
             assert calls / len(points) <= 9.0
@@ -542,7 +526,7 @@ class TestDistanceEvaluations:
         waypoints only, and the far home starts from the whole row nearest
         it. 8.6 evaluations per claim; with the home in the cells' extent
         it was 633."""
-        config, points = self.campus(4)
+        config, points = scaled_campus(4)
         fleet = list(config.fleet)
         moved = fleet[2]
         north = GeoPoint(moved.home.lat_deg + 500e3 / METERS_PER_DEG_LAT, moved.home.lon_deg)
@@ -554,7 +538,7 @@ class TestDistanceEvaluations:
         rows, and the cells stay as narrow as the waypoints make them. 8.6
         evaluations per claim; with the cells sized at the home's latitude
         it was 86.4."""
-        config, points = self.campus(8)
+        config, points = scaled_campus(8)
         fleet = list(config.fleet)
         moved = fleet[2]
         fleet[2] = Agent(moved.id, GeoPoint(89.0, moved.home.lon_deg), moved.velocity_mps)
@@ -566,7 +550,7 @@ class TestDistanceEvaluations:
         degrees east of the waypoints' west edge: the waypoints alone lay the
         cells out, and the home queries whole rows, at 8.2 and 8.6
         evaluations per claim."""
-        config, points = self.campus(8)
+        config, points = scaled_campus(8)
         lon = 175.0 if far == "lon_175" else min(w.point.lon_deg for w in points) + 180.0
         fleet = list(config.fleet)
         moved = fleet[2]
@@ -607,6 +591,51 @@ class TestDistanceEvaluations:
                 counts.append(self.evaluations(monkeypatch, fleet, points))
                 assert counts[-1] / len(points) <= 7.0
         assert counts == self.FULL_RECTANGLE_EVALUATIONS[rows, cols]
+
+
+class TestNorthGapSkip:
+    """``_nearest`` skips a waypoint whose north offset alone exceeds the best
+    distance so far, which is exact when ``math.hypot`` never returns less
+    than the magnitude of an argument."""
+
+    @staticmethod
+    def coordinate(rng: random.Random) -> float:
+        """A signed zero, a subnormal or a normal float from 1e-300 to 1e300."""
+        sign = rng.choice((1.0, -1.0))
+        kind = rng.randrange(5)
+        if kind == 0:
+            return sign * 0.0
+        if kind == 1:
+            return sign * rng.randrange(1, 2**52) * 5e-324  # exact: a multiple of the least subnormal
+        return sign * rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-300, 299)
+
+    def test_hypot_is_at_least_each_argument(self):
+        rng = random.Random(35)
+        for _ in range(100_000):
+            args = [self.coordinate(rng) for _ in range(3)]
+            if rng.random() < 0.3:
+                # One argument at least 1e8 times each of the others.
+                args[0] = args[0] or 1.0
+                args[1:] = [math.copysign(args[0], x) * 10.0 ** -rng.uniform(8.0, 40.0) for x in args[1:]]
+                rng.shuffle(args)
+            assert math.hypot(*args) >= max(map(abs, args)), args
+
+    def test_campus_lattice_measures_few_candidates(self, monkeypatch):
+        """Campus x8, the survey_large mission: about 2.2 distances measured
+        per claim of the 7.86 gathered (``TestDistanceEvaluations``)."""
+        config, points = scaled_campus(8)
+        calls = 0
+        hypot = math.hypot
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return hypot(*args)
+
+        monkeypatch.setattr(math, "hypot", counted)
+        plan_routes(config.fleet, points)
+        monkeypatch.undo()
+        assert 0 < calls <= 2.5 * len(points)
 
 
 class TestRouteLength:

@@ -9,16 +9,25 @@ templates cover, and must refuse a non-finite number in every float slot.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
 import random
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
 
-from helpers import REPO_CONFIG, json_config_digest, json_dumps_geojson, json_observation_log, random_star_polygon
+from helpers import (
+    REPO_CONFIG,
+    json_config_digest,
+    json_dumps_geojson,
+    json_observation_log,
+    random_star_polygon,
+    scaled_campus,
+)
 from uavsurvey import (
     Agent,
     CameraModel,
@@ -120,6 +129,46 @@ def _slots(node):
         yield from _slots(node[key])
 
 
+def _set(*path):
+    """A mutation that sets the value at ``path`` in a feature, the last item being the value."""
+    *keys, last, value = path
+
+    def mutate(feature):
+        node = feature
+        for key in keys:
+            node = node[key]
+        node[last] = value
+
+    return mutate
+
+
+def _reorder(*keys):
+    """A mutation that reverses the key order of the dict at ``keys`` in a feature."""
+
+    def mutate(feature):
+        node = feature
+        for key in keys:
+            node = node[key]
+        items = list(node.items())
+        node.clear()
+        node.update(reversed(items))
+
+    return mutate
+
+
+# Near misses of the Point template, each swapped into one Point feature.
+POINT_MUTATIONS = [
+    *[_set("properties", "visit_order", v) for v in (True, False, 2.0, -0.0, None, 10**20)],
+    *[_set("properties", "agent_id", v) for v in (None, 7, 2.5, True, ["rav-1"])],
+    *[_set("geometry", "coordinates", axis, v) for axis in range(3) for v in (0, 53, -0.0, True, None)],
+    *[_set("properties", "lattice_index", v) for v in ([1, 2, 3], [1], (1, 2), [1.0, 2], [True, 2], [-1, 10**20])],
+    _set("geometry", "coordinates", [0, 0, 0]),
+    _reorder("properties"),
+    _reorder("geometry"),
+    _reorder(),
+]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_mutated_documents_match_json_dumps(seed):
     """Random values swapped into an exported document, one at a time, so
@@ -128,6 +177,10 @@ def test_mutated_documents_match_json_dumps(seed):
     grid, plan, fleet, _ = random_mission(rng)
     doc = export_geojson(grid, plan, fleet)
     doc["features"][8:-3] = []  # a few Points, then the routes
+    for mutate in POINT_MUTATIONS:
+        mutated = copy.deepcopy(doc)
+        mutate(rng.choice([f for f in mutated["features"] if f["geometry"]["type"] == "Point"]))
+        assert_same_bytes(mutated)
     for _ in range(150):
         slots = list(_slots(doc))
         container, key = rng.choice(slots)
@@ -387,6 +440,22 @@ def test_json_dumps_calls_depend_on_the_fleet_not_the_waypoints(monkeypatch):
     assert many > 3 * few
     agents = len(config.fleet)
     assert few_calls == many_calls == 1 + 2 * agents + 2  # header; ids twice; two bookend kinds
+
+
+def test_plan_writer_peak_memory_is_bounded_by_its_output():
+    """Campus x8, the survey_large mission: ``dumps_geojson`` allocates at
+    most 2.5 times its output's length at its peak, the document it reads
+    excluded. It reads 2.25; a writer that keeps its list of feature texts
+    alive while it wraps their join in the collection reads 3.4."""
+    config, points = scaled_campus(8)
+    doc = export_geojson(WaypointGrid(1.0, points), plan_routes(config.fleet, points), config.fleet)
+    tracemalloc.start()
+    try:
+        text = dumps_geojson(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
 
 
 def test_an_off_template_feature_sends_the_whole_document_to_json_dumps(monkeypatch):
