@@ -33,6 +33,17 @@ def _is_finite(value) -> bool:
         return False
 
 
+def _shown(value, show=format) -> str:
+    """``show(value)`` for a refusal message, as an f-string field shows it.
+    Python refuses to print an int of more than ``sys.get_int_max_str_digits()``
+    digits, so such a value, or one holding it, is shown as a placeholder and
+    the message still names its field."""
+    try:
+        return show(value)
+    except ValueError:
+        return "<int too large to print>"
+
+
 @dataclass(frozen=True, slots=True)
 class GeoPoint:
     """A WGS-84 position: latitude/longitude in degrees, altitude in meters.
@@ -94,7 +105,7 @@ def meters_per_degree(lat_deg: float) -> tuple[float, float]:
         vanishes at the poles.
     """
     if not -90.0 <= lat_deg <= 90.0:
-        raise ValueError(f"latitude out of range [-90, 90]: {lat_deg}")
+        raise ValueError(f"latitude out of range [-90, 90]: {_shown(lat_deg)}")
     return METERS_PER_DEG_LAT, METERS_PER_DEG_LAT * math.cos(math.radians(lat_deg))
 
 

@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress
 
-from .geodesy import GeoPoint, _is_finite, _warn_if_wide, meters_per_degree
+from .geodesy import GeoPoint, _is_finite, _shown, _warn_if_wide, meters_per_degree
 
 
 # Most lattice points one mission may ask for. A camera spacing of
@@ -130,13 +130,13 @@ class CameraModel:
 
     def __post_init__(self) -> None:
         if not (_is_finite(self.half_fov_deg) and 0.0 < self.half_fov_deg < 90.0):
-            raise ValueError(f"half_fov_deg must be within (0, 90), got {self.half_fov_deg}")
+            raise ValueError(f"half_fov_deg must be within (0, 90), got {_shown(self.half_fov_deg)}")
         if not (_is_finite(self.overlap_fraction) and 0.0 <= self.overlap_fraction < 1.0):
             raise ValueError(
-                f"overlap_fraction must satisfy 0 <= overlap_fraction < 1, got {self.overlap_fraction}"
+                f"overlap_fraction must satisfy 0 <= overlap_fraction < 1, got {_shown(self.overlap_fraction)}"
             )
         if not (_is_finite(self.altitude_m) and self.altitude_m > 0.0):
-            raise ValueError(f"altitude_m must be > 0, got {self.altitude_m}")
+            raise ValueError(f"altitude_m must be > 0, got {_shown(self.altitude_m)}")
         if not math.isfinite(footprint_width(self)):
             raise ValueError("footprint width 2 * altitude_m * tan(half_fov_deg) must be finite, got inf")
 
@@ -145,7 +145,7 @@ def _int_pair(index) -> tuple[int, int]:
     """The lattice index rule: ``index`` if it is a tuple of two ints, else ValueError naming it."""
     if type(index) is tuple and len(index) == 2 and type(index[0]) is int and type(index[1]) is int:
         return index
-    raise ValueError(f"lattice index must be a pair of ints, got {index!r}")
+    raise ValueError(f"lattice index must be a pair of ints, got {_shown(index, repr)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,7 +209,7 @@ def _lattice_axes(rect: CircumRectangle, spacing_m: float) -> tuple[list[float],
     points, and a last row north of 90 degrees.
     """
     if not spacing_m > 0.0:
-        raise ValueError(f"spacing_m must be > 0, got {spacing_m}")
+        raise ValueError(f"spacing_m must be > 0, got {_shown(spacing_m)}")
     m_lat, m_lon = meters_per_degree(rect.min_lat)
     span_lat_m = (rect.max_lat - rect.min_lat) * m_lat
     span_lon_m = (rect.max_lon - rect.min_lon) * m_lon

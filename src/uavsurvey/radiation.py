@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .geodesy import METERS_PER_DEG_LAT, GeoPoint, _is_finite, distance_m
+from .geodesy import METERS_PER_DEG_LAT, GeoPoint, _is_finite, _shown, distance_m
 
 # Distances clamp here to keep readings finite near the emitter; a drone
 # never physically reaches the point source.
@@ -27,7 +27,7 @@ class RadiationSource:
 
     def __post_init__(self) -> None:
         if not (_is_finite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+            raise ValueError(f"sigma must be finite and >= 0, got {_shown(self.sigma)}")
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,9 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in ("none", "gaussian"):
-            raise ValueError(f"noise kind must be 'none' or 'gaussian', got {self.kind!r}")
+            raise ValueError(f"noise kind must be 'none' or 'gaussian', got {_shown(self.kind, repr)}")
         if not (_is_finite(self.relative_sd) and self.relative_sd >= 0.0):
-            raise ValueError(f"relative_sd must be finite and >= 0, got {self.relative_sd}")
+            raise ValueError(f"relative_sd must be finite and >= 0, got {_shown(self.relative_sd)}")
 
 
 def strength_at(source: RadiationSource, p: GeoPoint) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator, Sequence
 
-from .geodesy import METERS_PER_DEG_LAT, GeoPoint, _is_finite, distance_m
+from .geodesy import METERS_PER_DEG_LAT, GeoPoint, _is_finite, _shown, distance_m
 from .grid import Waypoint
 
 # Held-Karp makes a dict entry per path over the n - 1 other points that
@@ -38,11 +38,11 @@ class Agent:
 
     def __post_init__(self) -> None:
         if type(self.id) is not str:
-            raise ValueError(f"agent id must be a string, got {self.id!r}")
+            raise ValueError(f"agent id must be a string, got {_shown(self.id, repr)}")
         if not self.id:
             raise ValueError("agent id must be non-empty")
         if not (_is_finite(self.velocity_mps) and self.velocity_mps > 0.0):
-            raise ValueError(f"velocity_mps must be positive and finite, got {self.velocity_mps}")
+            raise ValueError(f"velocity_mps must be positive and finite, got {_shown(self.velocity_mps)}")
 
 
 def _check_fleet(agents: Sequence[Agent], plan: dict[str, list[Waypoint]] | None = None) -> dict[str, Agent]:
@@ -443,7 +443,7 @@ def mtsp_lower_bound(points: Sequence[Waypoint], n_agents: int) -> float:
     bound on the makespan.
     """
     if n_agents < 1:
-        raise ValueError(f"n_agents must be >= 1, got {n_agents}")
+        raise ValueError(f"n_agents must be >= 1, got {_shown(n_agents)}")
     return tsp_optimal(points) / n_agents
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Sequence
 
-from .geodesy import _is_finite, distance_m
+from .geodesy import _is_finite, _shown, distance_m
 from .geojson_io import config_digest
 from .grid import CameraModel, Waypoint
 from .radiation import NoiseSpec, RadiationSource, field_levels, sample_reading
@@ -53,7 +53,7 @@ class EventLog:
 def _check_dwell(dwell_s: float) -> None:
     """The dwell rule: a finite number of seconds, >= 0."""
     if not _is_finite(dwell_s):
-        raise ValueError(f"dwell_s: expected a finite number, got {dwell_s}")
+        raise ValueError(f"dwell_s: expected a finite number, got {_shown(dwell_s)}")
     if dwell_s < 0.0:
         raise ValueError("dwell_s: must be >= 0")
 

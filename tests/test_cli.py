@@ -482,10 +482,12 @@ class TestPrintouts:
         assert f"{max(ends):.1f}" == "321.8"
 
 
-def run_cli(argv, encoding, cwd):
+def run_cli(argv, encoding, cwd, **env):
     """``python -m uavsurvey.cli`` in a child process whose stdout encodes
-    with ``encoding`` and strict errors."""
-    env = dict(os.environ, PYTHONIOENCODING=f"{encoding}:strict", PYTHONPATH=str(Path(uavsurvey.__file__).parents[1]))
+    with ``encoding`` and strict errors, with ``env`` added to its environment."""
+    env = dict(
+        os.environ, PYTHONIOENCODING=f"{encoding}:strict", PYTHONPATH=str(Path(uavsurvey.__file__).parents[1]), **env
+    )
     argv = [sys.executable, "-m", "uavsurvey.cli", *argv]
     return subprocess.run(argv, env=env, cwd=cwd, capture_output=True, timeout=120, check=False)
 
@@ -523,15 +525,139 @@ class TestHashlibImport:
     no other command imports ``hashlib`` or loads OpenSSL's ``_hashlib``."""
 
     @pytest.mark.parametrize("command", ["validate", "plan", "bound", "simulate"])
-    def test_only_simulate_imports_hashlib(self, tmp_path, monkeypatch, command):
-        monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")  # the child lists each module it imports on stderr
+    def test_only_simulate_imports_hashlib(self, tmp_path, command):
         argv = [command, "--config", str(REPO_CONFIG)] + (["--out", "out"] if command in ("plan", "simulate") else [])
-        proc = run_cli(argv, "utf-8", tmp_path)
+        # The child lists each module it imports on stderr.
+        proc = run_cli(argv, "utf-8", tmp_path, PYTHONPROFILEIMPORTTIME="1")
         assert proc.returncode == 0
         imported = {line.rsplit(b"|", 1)[-1].strip() for line in proc.stderr.splitlines()}
         assert b"uavsurvey.geojson_io" in imported
         hashing = {b"hashlib", b"_hashlib"} & imported
         assert hashing == ({b"hashlib", b"_hashlib"} if command == "simulate" else set())
+
+
+class TestCampusEndToEnd:
+    """Whole commands on the campus mission and on variants of it: the bytes
+    each writes, how its two files agree, and what ``bound`` prints at the
+    Held-Karp limit. A successful run leaves its outputs and no temp file."""
+
+    @staticmethod
+    def variant(tmp_path: Path, name: str, change) -> Path:
+        """The campus config after ``change(doc)``, written to ``name``.json."""
+        doc = json.loads(REPO_CONFIG.read_text(encoding="utf-8"))
+        change(doc)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return path
+
+    @staticmethod
+    def run(command: str, config: Path, out: Path, *options: str) -> Path:
+        """``command`` exits 0 and leaves exactly its outputs in ``out``."""
+        assert main([command, "--config", str(config), "--out", str(out), *options]) == 0
+        written = ["plan.geojson"] if command == "plan" else ["observations.jsonl", "plan.geojson"]
+        assert sorted(os.listdir(out)) == written
+        return out
+
+    def test_plan_and_simulate_write_the_same_plan(self, tmp_path):
+        plan = self.run("plan", REPO_CONFIG, tmp_path / "plan")
+        simulated = self.run("simulate", REPO_CONFIG, tmp_path / "simulate")
+        assert (plan / "plan.geojson").read_bytes() == (simulated / "plan.geojson").read_bytes()
+
+    def test_same_bytes_under_any_string_hash_seed(self, tmp_path):
+        here = self.run("simulate", REPO_CONFIG, tmp_path / "here", "--seed", "4")
+        for hash_seed in ("0", "4242"):
+            out = tmp_path / f"hash-{hash_seed}"
+            argv = ["simulate", "--config", str(REPO_CONFIG), "--seed", "4", "--out", str(out)]
+            proc = run_cli(argv, "utf-8", tmp_path, PYTHONHASHSEED=hash_seed)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            assert sorted(os.listdir(out)) == ["observations.jsonl", "plan.geojson"]
+            for name in ("plan.geojson", "observations.jsonl"):
+                assert (out / name).read_bytes() == (here / name).read_bytes(), (hash_seed, name)
+
+    def test_files_agree_with_each_other(self, tmp_path):
+        out = self.run("simulate", REPO_CONFIG, tmp_path, "--seed", "4")
+        text = (out / "plan.geojson").read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, allow_nan=False) + "\n"
+        lines = (out / "observations.jsonl").read_text(encoding="utf-8").splitlines()
+        for line in lines:
+            assert line == json.dumps(json.loads(line), separators=(",", ":"), allow_nan=False)
+        # Lattice indexes are int pairs, agent ids strings, and the plan's
+        # Points are the waypoints observed.
+        features = json.loads(text)["features"]
+        points = [f for f in features if f["geometry"]["type"] == "Point"]
+        events = [json.loads(line) for line in lines[1:]]
+        observed = [e["camera"]["lattice_index"] for e in events if e["event"] == "waypoint_reached"]
+        indexes = [p["properties"]["lattice_index"] for p in points] + observed
+        assert all(type(i) is list and len(i) == 2 and all(type(v) is int for v in i) for i in indexes)
+        ids = [f["properties"]["agent_id"] for f in features] + [e["agent_id"] for e in events]
+        assert all(type(a) is str for a in ids)
+        assert {tuple(p["properties"]["lattice_index"]) for p in points} == {tuple(i) for i in observed}
+        # Each LineString flies, after its home, its agent's Points in visit
+        # order, one leg each; an unassigned Point has no visit order.
+        routes = [f for f in features if f["geometry"]["type"] == "LineString"]
+        assert len(routes) == 3
+        for route in routes:
+            aid = route["properties"]["agent_id"]
+            mine = sorted(
+                (p for p in points if p["properties"]["agent_id"] == aid), key=lambda p: p["properties"]["visit_order"]
+            )
+            assert route["geometry"]["coordinates"][1:] == [p["geometry"]["coordinates"] for p in mine]
+            assert route["properties"]["leg_count"] == len(mine)
+        assert all(p["properties"]["visit_order"] is None for p in points if p["properties"]["agent_id"] is None)
+
+    def test_camera_high_above_the_campus_leaves_an_empty_grid(self, tmp_path):
+        # A 133 km spacing over the 480 m campus rectangle: the lattice's one
+        # point in it, its SW corner, lies outside the campus, so each of
+        # the 3 agents logs a takeoff and a completion under the header.
+        config = self.variant(tmp_path, "high", lambda doc: doc["camera"].update(altitude_m=100000))
+        assert main(["validate", "--config", str(config)]) == 0
+        with pytest.warns(grid.EmptyGridWarning):
+            out = self.run("simulate", config, tmp_path / "out")
+        empty = '{\n  "type": "FeatureCollection",\n  "features": []\n}\n'
+        assert (out / "plan.geojson").read_text(encoding="utf-8") == empty
+        assert len((out / "observations.jsonl").read_text(encoding="utf-8").splitlines()) == 7
+
+    # The third home across the antimeridian at longitude 175: its first leg
+    # is the wrapped one, about 176 degrees of longitude at latitude 53, not
+    # the 184 degrees east (12,250 km). At 89 N its first leg runs about
+    # 35.7 degrees south to the campus.
+    @pytest.mark.parametrize(
+        "home, start, low, high",
+        [
+            ([53.276164, 175.0, 0.0], [175.0, 53.276164, 0.0], 11.6e6, 11.8e6),
+            ([89.0, -9.065406], [-9.065406, 89.0, 0.0], 3.9e6, 4.0e6),
+        ],
+        ids=["longitude_175", "latitude_89"],
+    )
+    def test_far_home_flies_its_route_from_that_home(self, tmp_path, home, start, low, high):
+        config = self.variant(tmp_path, "far", lambda doc: doc["fleet"][2].update(home=home))
+        assert main(["validate", "--config", str(config)]) == 0
+        out = self.run("simulate", config, tmp_path / "out")
+        features = json.loads((out / "plan.geojson").read_text(encoding="utf-8"))["features"]
+        far = [f for f in features if f["geometry"]["type"] == "LineString"][2]
+        assert far["properties"]["agent_id"] == "rav-3"
+        assert far["geometry"]["coordinates"][0] == start
+        assert low < far["properties"]["total_length_m"] < high
+
+    @pytest.mark.parametrize("rows, cols", [(3, 6), (6, 3), (1, 19)], ids=["3x6", "6x3", "1x19"])
+    def test_bound_at_the_held_karp_limit(self, tmp_path, capsys, rows, cols):
+        # A rectangle from the campus's first vertex holding exactly rows x
+        # cols lattice points: the first row and column lie on its south and
+        # west edges, the far edges half a spacing past the last ones.
+        config = parse_mission_config(REPO_CONFIG.read_text(encoding="utf-8"))
+        spacing = grid.grid_spacing(config.camera)
+        lat, lon = config.region.vertices[0].lat_deg, config.region.vertices[0].lon_deg
+        m_lat, m_lon = meters_per_degree(lat)
+        top, east = lat + (rows - 0.5) * spacing / m_lat, lon + (cols - 0.5) * spacing / m_lon
+        region = [[lat, lon], [lat, east], [top, east], [top, lon]]
+        path = self.variant(tmp_path, "limit", lambda doc: doc.update(region=region))
+        assert main(["bound", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"waypoints: {rows * cols}, agents: 3"
+        if rows * cols <= 18:
+            assert lines[2].startswith("lower bound (optimal tour / n): ") and lines[2].endswith(" m")
+        else:
+            assert lines[2] == "lower bound unavailable: 19 waypoints exceeds the exact limit of 18"
 
 
 class TestBound:

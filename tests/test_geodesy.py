@@ -15,11 +15,15 @@ from uavsurvey import (
     GeoPoint,
     NoiseSpec,
     RadiationSource,
+    Waypoint,
     distance_m,
+    generate_lattice,
     gps_difference,
     gps_offset,
     meters_per_degree,
+    mtsp_lower_bound,
 )
+from uavsurvey.grid import CircumRectangle
 from uavsurvey.sim import _check_dwell
 
 # pi * 6378137 / 180 evaluated at 40 decimal digits, rounded to float64.
@@ -117,10 +121,17 @@ class TestGeoPoint:
 
 
 BEYOND_FLOAT = 10**400
+# Past the 4,300 digits Python prints by default, so a message that shows it
+# shows a placeholder instead.
+TOO_LONG = 10**5000
+SHOWN = "<int too large to print>"
+ORIGIN = GeoPoint(0.0, 0.0)
 
 
 # Every value-class number check, given an int too large to convert to a
-# float: each refuses it with ValueError, as a non-finite value.
+# float: each refuses it with ValueError, as a non-finite value. Every check
+# that shows the refused value still names its field for an int too long to
+# print.
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -140,10 +151,50 @@ BEYOND_FLOAT = 10**400
         ),
         (lambda: CameraModel(altitude_m=BEYOND_FLOAT), "altitude_m must be > 0, got 1000"),
         (lambda: _check_dwell(BEYOND_FLOAT), "dwell_s: expected a finite number, got 1000"),
+        (lambda: Agent(TOO_LONG, ORIGIN, 5.0), f"agent id must be a string, got {SHOWN}"),
+        (lambda: Agent(-TOO_LONG, ORIGIN, 5.0), f"agent id must be a string, got {SHOWN}"),
+        (lambda: Agent("a", ORIGIN, TOO_LONG), f"velocity_mps must be positive and finite, got {SHOWN}"),
+        (lambda: Agent("a", ORIGIN, -TOO_LONG), f"velocity_mps must be positive and finite, got {SHOWN}"),
+        (lambda: RadiationSource(ORIGIN, TOO_LONG), f"sigma must be finite and >= 0, got {SHOWN}"),
+        (lambda: RadiationSource(ORIGIN, -TOO_LONG), f"sigma must be finite and >= 0, got {SHOWN}"),
+        (lambda: NoiseSpec(TOO_LONG), f"noise kind must be 'none' or 'gaussian', got {SHOWN}"),
+        (lambda: NoiseSpec(-TOO_LONG), f"noise kind must be 'none' or 'gaussian', got {SHOWN}"),
+        (lambda: NoiseSpec("gaussian", TOO_LONG), f"relative_sd must be finite and >= 0, got {SHOWN}"),
+        (lambda: NoiseSpec("gaussian", -TOO_LONG), f"relative_sd must be finite and >= 0, got {SHOWN}"),
+        (lambda: CameraModel(half_fov_deg=TOO_LONG), f"half_fov_deg must be within (0, 90), got {SHOWN}"),
+        (lambda: CameraModel(half_fov_deg=-TOO_LONG), f"half_fov_deg must be within (0, 90), got {SHOWN}"),
+        (
+            lambda: CameraModel(overlap_fraction=TOO_LONG),
+            f"overlap_fraction must satisfy 0 <= overlap_fraction < 1, got {SHOWN}",
+        ),
+        (
+            lambda: CameraModel(overlap_fraction=-TOO_LONG),
+            f"overlap_fraction must satisfy 0 <= overlap_fraction < 1, got {SHOWN}",
+        ),
+        (lambda: CameraModel(altitude_m=TOO_LONG), f"altitude_m must be > 0, got {SHOWN}"),
+        (lambda: CameraModel(altitude_m=-TOO_LONG), f"altitude_m must be > 0, got {SHOWN}"),
+        (lambda: _check_dwell(TOO_LONG), f"dwell_s: expected a finite number, got {SHOWN}"),
+        (lambda: _check_dwell(-TOO_LONG), f"dwell_s: expected a finite number, got {SHOWN}"),
+        (lambda: Waypoint(ORIGIN, (TOO_LONG,)), f"lattice index must be a pair of ints, got {SHOWN}"),
+        (lambda: Waypoint(ORIGIN, (0, -TOO_LONG, 0)), f"lattice index must be a pair of ints, got {SHOWN}"),
+        (
+            lambda: generate_lattice(CircumRectangle(0.0, 0.001, 0.0, 0.001), -TOO_LONG, 0.0),
+            f"spacing_m must be > 0, got {SHOWN}",
+        ),
+        (lambda: mtsp_lower_bound([], -TOO_LONG), f"n_agents must be >= 1, got {SHOWN}"),
+        (lambda: meters_per_degree(TOO_LONG), f"latitude out of range [-90, 90]: {SHOWN}"),
+        (lambda: meters_per_degree(-TOO_LONG), f"latitude out of range [-90, 90]: {SHOWN}"),
     ],
     ids=[
         "lat_deg", "lon_deg", "alt_m", "east_m", "north_m", "up_m", "velocity_mps", "sigma", "relative_sd",
         "half_fov_deg", "overlap_fraction", "altitude_m", "dwell_s",
+        "id_too_long", "id_too_long_negative", "velocity_mps_too_long", "velocity_mps_too_long_negative",
+        "sigma_too_long", "sigma_too_long_negative", "kind_too_long", "kind_too_long_negative",
+        "relative_sd_too_long", "relative_sd_too_long_negative", "half_fov_deg_too_long",
+        "half_fov_deg_too_long_negative", "overlap_fraction_too_long", "overlap_fraction_too_long_negative",
+        "altitude_m_too_long", "altitude_m_too_long_negative", "dwell_s_too_long", "dwell_s_too_long_negative",
+        "index_too_long", "index_too_long_negative", "spacing_m_too_long_negative", "n_agents_too_long_negative",
+        "latitude_too_long", "latitude_too_long_negative",
     ],
 )
 def test_int_beyond_the_float_range_is_refused_with_value_error(make, message):
