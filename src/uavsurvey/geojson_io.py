@@ -5,13 +5,14 @@ coordinate order, WGS-84. All float output uses Python's shortest
 round-trip repr, so identical inputs serialize to identical bytes.
 
 ``dumps_geojson`` writes the bytes of ``json.dumps(doc, indent=2,
-allow_nan=False) + "\n"``, which CPython encodes only in pure Python. When
-every feature is a Point or LineString of the shape ``export_geojson``
-builds, with finite floats, it fills templates; any other document is that
-one ``json.dumps`` call. ``write_observation_log`` fills a template per
-event line, the bytes of one compact ``json.dumps(record, separators=(",",
-":"), allow_nan=False)`` per line, and ``config_digest`` hashes the compact
-text of the mission's inputs, rendered by the same helpers.
+allow_nan=False) + "\n"``, which CPython before 3.13 encodes only in pure
+Python. When every feature is a Point or LineString of the shape
+``export_geojson`` builds, with finite floats, it fills templates; any
+other document is that one ``json.dumps`` call. ``write_observation_log``
+fills a template per event line, the bytes of one compact
+``json.dumps(record, separators=(",", ":"), allow_nan=False)`` per line,
+and ``config_digest`` hashes the compact text of the mission's inputs,
+rendered by the same helpers.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ def export_geojson(grid: WaypointGrid, plan: dict[str, list[Waypoint]], fleet: S
     agent id, leg count, and total length in meters. ``fleet`` obeys the
     fleet rules of ``makespan`` and ``simulate``, ``grid`` holds each
     waypoint once, and every waypoint of the plan is in ``grid`` and routed
-    once, or ValueError is raised. Of a stray and a repeat, the one first in
-    plan order is named.
+    once, or ValueError is raised: a grid's copies would share one owner. Of
+    a stray and a repeat, the one first in plan order is named.
 
     A waypoint is keyed by ``(lat, lon, alt, index)``, a tuple equal exactly
     when the waypoints are, but hashed in C instead of by two dataclass
@@ -228,7 +229,11 @@ def _features(features: list) -> str:
 
 
 def dumps_geojson(doc: dict) -> str:
-    """Strict JSON: a NaN or infinite coordinate raises ValueError."""
+    """Strict JSON: a NaN or infinite coordinate raises ValueError.
+
+    An empty collection is fixed text, so it makes no ``json.dumps`` call,
+    whose pure-Python encoder leaves a cycle under ``cli.main``'s paused
+    collector."""
     if type(doc) is dict and tuple(doc) == ("type", "features") and doc["type"] == "FeatureCollection":
         features = doc["features"]
         if type(features) is list:

@@ -205,11 +205,13 @@ def _lattice_axes(rect: CircumRectangle, spacing_m: float) -> tuple[list[float],
     may overhang the rectangle; a spacing many times its size leaves only
     the SW corner in it. Degree steps are converted once at the southern
     latitude. Refused before any point is built, whatever the spacing: one
-    that is not positive, a lattice of more than :data:`MAX_LATTICE_POINTS`
-    points, and a last row north of 90 degrees.
+    that is not positive and finite, a lattice of more than
+    :data:`MAX_LATTICE_POINTS` points, and a last row north of 90 degrees.
     """
     if not spacing_m > 0.0:
         raise ValueError(f"spacing_m must be > 0, got {_shown(spacing_m)}")
+    if not _is_finite(spacing_m):
+        raise ValueError(f"spacing_m must be finite, got {_shown(spacing_m)}")
     m_lat, m_lon = meters_per_degree(rect.min_lat)
     span_lat_m = (rect.max_lat - rect.min_lat) * m_lat
     span_lon_m = (rect.max_lon - rect.min_lon) * m_lon
@@ -263,15 +265,17 @@ def _rows_inside(edges, lats, lons):
     """:func:`point_in_polygon` over a lattice: yields one keep-mask over
     ``lons`` per row latitude of ``lats``, both ascending.
 
-    Scanline order: an edge enters the active list when the rows reach its
-    south end and leaves once a row lies north of its north end, so a row
-    sees only the edges whose latitude range holds it. Their crossings come
-    in pairs (each flips whether the boundary lies north of the row, and a
-    closed boundary ends where it starts), and each pair of sorted crossings
-    bounds one inside run of columns, filled by one slice. A column parity left outside is inside if it lies on an active
-    edge: within its longitude range (found by bisect) and collinear with it
-    (cross product exactly 0). O(V log V + active edges per row + columns
-    in their ranges) in all.
+    Polygon scan conversion with an active edge table (Foley, van Dam,
+    Feiner and Hughes, Computer Graphics, 2nd ed., 1990, 3.6), in scanline
+    order: an edge enters the active list when the rows reach its south end
+    and leaves once a row lies north of its north end, so a row sees only
+    the edges whose latitude range holds it. Their crossings come in pairs
+    (each flips whether the boundary lies north of the row, and a closed
+    boundary ends where it starts), and each pair of sorted crossings bounds
+    one inside run of columns, filled by one slice. A column parity left
+    outside is inside if it lies on an active edge: within its longitude
+    range (found by bisect) and collinear with it (cross product exactly 0).
+    O(V log V + active edges per row + columns in their ranges) in all.
     """
     order = sorted(  # by south end first
         (min(alat, blat), max(alat, blat), min(alon, blon), max(alon, blon), alat, alon, blat, blon)

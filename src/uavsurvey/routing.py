@@ -19,10 +19,11 @@ from .grid import Waypoint
 
 # Held-Karp makes a dict entry per path over the n - 1 other points that
 # can still close within its budget, at most (n - 1) * 2^(n - 2), but holds
-# only two layers of set sizes at a time. At n = 18 (tracemalloc peak, one
-# tsp_optimal, CPython 3.11 on a 2-core x86 VM): on coincident points
-# nothing prunes, 17 MB and 1.7-2.0 s; on points in a line about a fifth of
-# the entries live, 9.6 MB and 0.9 s. Larger instances have no exact reference.
+# only two layers of set sizes at a time. At n = 18 (one tsp_optimal, CPU
+# best of 3 and tracemalloc peak, Python 3.11.7 on a 2-core x86 VM): on
+# coincident points nothing prunes, 1.3 s and 17 MB; on a line at 20 m
+# spacing about a fifth of the entries live, 0.50 s and 9.6 MB. Larger
+# instances have no exact reference.
 HELD_KARP_MAX_POINTS = 18
 ORACLE_MAX_POINTS = 8
 ORACLE_MAX_AGENTS = 3
@@ -68,12 +69,12 @@ def _check_fleet(agents: Sequence[Agent], plan: dict[str, list[Waypoint]] | None
 _RING_SLACK = 1.0 - 1e-9
 
 
-def _cell_layout(points: list[GeoPoint]):
-    """Cell grid for exact nearest queries among the waypoints ``points``:
-    ``(cell_m, lat0, lon0, dlat, dlon, rows, cols)``.
+def _cell_layout(lats: list[float], lons: list[float]):
+    """Cell grid for exact nearest queries among the waypoints at ``lats``
+    and ``lons``: ``(cell_m, lat0, lon0, dlat, dlon, rows, cols)``.
 
     A cell is ``cell_m`` tall and ``cell_m`` wide at the largest |latitude|
-    in ``points``. ``distance_m`` between two of them scales longitude by
+    of the waypoints. ``distance_m`` between two of them scales longitude by
     cos(midpoint latitude), which is never smaller, and the vertical term
     only adds; they span S < 180 degrees east of ``lon0``, so no leg between
     two of them wraps. A point ``r`` cell rings from another is therefore at
@@ -82,9 +83,7 @@ def _cell_layout(points: list[GeoPoint]):
     metres, c = ``cell_m`` is at least max(H, W) / n and
     sqrt(1.25 * H * W / n), so rows * cols <= (H/c + 1)(W/c + 1) <= 1.8n + 1.8.
     """
-    n = len(points)
-    lats = [p.lat_deg for p in points]
-    lons = [p.lon_deg for p in points]
+    n = len(lats)
     cos_min = math.cos(math.radians(max(map(abs, lats), default=0.0)))
     lat0 = min(lats, default=0.0)
     lon0 = min(lons, default=0.0)
@@ -95,7 +94,9 @@ def _cell_layout(points: list[GeoPoint]):
     cell_m = math.inf
     if n > 1 and lon_span < 180.0:
         # About 1.25 waypoints per cell of the bounding box; a line-like extent
-        # falls back to n cells along its length.
+        # falls back to n cells along its length. Bucketed search is cheapest
+        # near one per cell (Bentley, Weide and Yao, ACM TOMS 6(4), 1980), but
+        # at one a full lattice's cells fall below its spacing.
         cell_m = max(math.sqrt(1.25 * height_m * width_m / n), max(height_m, width_m) / n) or math.inf
     dlat = cell_m / METERS_PER_DEG_LAT
     dlon = cell_m / (METERS_PER_DEG_LAT * cos_min)
@@ -164,12 +165,12 @@ def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> dict[
 
     The remaining waypoints are bucketed on a lat/lon grid of about 1.25 per
     cell, which makes a cell wider than the spacing of any lattice of 11 or
-    more rows and columns. A claim first measures the 3 x 3 block of cells
-    around the cell of the path end (rings 0 and 1: ring 1 is always
-    measured), then gathers rings of cells further out, one list per ring,
-    and stops when the next ring cannot hold a waypoint as near as the best
-    so far; while a lattice neighbour of the path end is free, that is after
-    the block. ``_nearest`` measures each list, skipping a waypoint whose
+    more rows and columns (a polygon's mask only widens it). A claim first
+    measures the 3 x 3 block of cells around the cell of the path end
+    (rings 0 and 1: ring 1 is always measured), then gathers rings of cells
+    further out, one list per ring, and stops when the next ring cannot
+    hold a waypoint as near as the best so far; while a lattice neighbour
+    of the path end is free, that is after the block. ``_nearest`` measures each list, skipping a waypoint whose
     north offset alone rules it out; the block lists the path end's own row
     first. The claimed waypoint leaves its cell. On the campus lattice
     scaled 1x to 16x a claim gathers 6-8 waypoints and measures 2.2-2.5 of
@@ -205,7 +206,7 @@ def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> dict[
                 raise ValueError(f"duplicate waypoint at {key}; each point must be visited exactly once")
             seen.add(key)
 
-    cell_m, lat0, lon0, dlat, dlon, rows, cols = _cell_layout(positions)
+    cell_m, lat0, lon0, dlat, dlon, rows, cols = _cell_layout(lats, lons)
     where = [(int((lat - lat0) / dlat), int((lon - lon0) / dlon)) for lat, lon in zip(lats, lons)]
     cells: list[list[int]] = [[] for _ in range(rows * cols)]
     for k, (i, j) in enumerate(where):
@@ -302,12 +303,14 @@ def _path_rows(
     offers ``v + pair[j][k]`` to the entry ``(s | 1 << k, k)`` for every k
     outside ``s``, which keeps the smallest offer. Float addition is
     monotone, so taking the minimum before adding the next leg gives the same
-    float as minimising over every order.
+    float as minimising over every order. ``GeoPoint`` refuses NaN, so no
+    leg is NaN and no minimum depends on the order of its arguments.
 
     Every offer into ``(t, k)`` comes from the one row ``t ^ 1 << k``, in the
-    layer of sets one point smaller, so the order of the rows within a layer
-    changes no value. The kernel holds only the layer being read and the one
-    being built, and lets go of a row once it has made that row's offers.
+    layer of sets one point smaller (Held and Karp, J. SIAM 10(1), 1962), so
+    the order of the rows within a layer changes no value. The kernel holds
+    only the layer being read and the one being built, and lets go of a row
+    once it has made that row's offers.
 
     A ``budget`` bounds closed tours that go back to the start by the legs in
     ``first``: the legs back must equal them. An entry is kept only if its
@@ -444,6 +447,8 @@ def mtsp_lower_bound(points: Sequence[Waypoint], n_agents: int) -> float:
     """
     if n_agents < 1:
         raise ValueError(f"n_agents must be >= 1, got {_shown(n_agents)}")
+    if not _is_finite(n_agents):
+        raise ValueError(f"n_agents must be finite, got {_shown(n_agents)}")
     return tsp_optimal(points) / n_agents
 
 

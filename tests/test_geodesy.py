@@ -182,6 +182,20 @@ ORIGIN = GeoPoint(0.0, 0.0)
             f"spacing_m must be > 0, got {SHOWN}",
         ),
         (lambda: mtsp_lower_bound([], -TOO_LONG), f"n_agents must be >= 1, got {SHOWN}"),
+        (
+            lambda: generate_lattice(CircumRectangle(0.0, 0.001, 0.0, 0.001), BEYOND_FLOAT, 0.0),
+            "spacing_m must be finite, got 1000",
+        ),
+        (
+            lambda: generate_lattice(CircumRectangle(0.0, 0.001, 0.0, 0.001), TOO_LONG, 0.0),
+            f"spacing_m must be finite, got {SHOWN}",
+        ),
+        (
+            lambda: generate_lattice(CircumRectangle(0.0, 0.001, 0.0, 0.001), math.inf, 0.0),
+            "spacing_m must be finite, got inf",
+        ),
+        (lambda: mtsp_lower_bound([], BEYOND_FLOAT), "n_agents must be finite, got 1000"),
+        (lambda: mtsp_lower_bound([], TOO_LONG), f"n_agents must be finite, got {SHOWN}"),
         (lambda: meters_per_degree(TOO_LONG), f"latitude out of range [-90, 90]: {SHOWN}"),
         (lambda: meters_per_degree(-TOO_LONG), f"latitude out of range [-90, 90]: {SHOWN}"),
     ],
@@ -194,6 +208,8 @@ ORIGIN = GeoPoint(0.0, 0.0)
         "half_fov_deg_too_long_negative", "overlap_fraction_too_long", "overlap_fraction_too_long_negative",
         "altitude_m_too_long", "altitude_m_too_long_negative", "dwell_s_too_long", "dwell_s_too_long_negative",
         "index_too_long", "index_too_long_negative", "spacing_m_too_long_negative", "n_agents_too_long_negative",
+        "spacing_m_beyond_float", "spacing_m_too_long", "spacing_m_infinite",
+        "n_agents_beyond_float", "n_agents_too_long",
         "latitude_too_long", "latitude_too_long_negative",
     ],
 )

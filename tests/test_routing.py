@@ -50,6 +50,11 @@ def agents(n: int, velocity: float = 1.0, home: GeoPoint = HOME) -> list[Agent]:
     return [Agent(chr(ord("A") + k), home, velocity) for k in range(n)]
 
 
+def cell_layout(points: list[GeoPoint]):
+    """``_cell_layout`` over the latitudes and longitudes of ``points``."""
+    return _cell_layout([p.lat_deg for p in points], [p.lon_deg for p in points])
+
+
 def unit_square_points() -> list[Waypoint]:
     return lattice_row(gps_offset(HOME, EnuOffset(e, n, 0.0)) for e, n in ((0, 0), (0, 1), (1, 1), (1, 0)))
 
@@ -380,7 +385,7 @@ class TestMatchesFullScan:
         for _ in range(200):
             origin = GeoPoint(rng.uniform(-85.0, 85.0), rng.uniform(-179.0, 170.0))
             pts = random_points(rng, origin, 40, 10.0 ** rng.uniform(1.0, 4.0))
-            cell_m, lat0, lon0, dlat, dlon, rows, cols = _cell_layout(pts)
+            cell_m, lat0, lon0, dlat, dlon, rows, cols = cell_layout(pts)
             polar_lat = max((p.lat_deg for p in pts), key=abs)
             for size, origin_deg, step in ((rows, lat0, dlat), (cols, lon0, dlon)):
                 if size < 3:
@@ -401,14 +406,14 @@ class TestMatchesFullScan:
     def test_one_cell_cases(self):
         origin = GeoPoint(10.0, 20.0)
         pts = [gps_offset(origin, EnuOffset(100.0 * k, 50.0 * (k % 3), 0.0)) for k in range(40)]
-        assert _cell_layout(pts)[5:] != (1, 1)
-        assert _cell_layout(pts[:1])[5:] == (1, 1)
+        assert cell_layout(pts)[5:] != (1, 1)
+        assert cell_layout(pts[:1])[5:] == (1, 1)
         straddle = [GeoPoint(0.0, 179.9999), GeoPoint(0.0, -179.9999), GeoPoint(0.001, 179.9999)]
-        assert _cell_layout(straddle)[5:] == (1, 1)
+        assert cell_layout(straddle)[5:] == (1, 1)
         # cos(90 deg) rounds to 6e-17, not 0: at a pole the longitude cells
         # widen to one column and only latitude rows prune.
         pole = [GeoPoint(90.0, 0.0), GeoPoint(89.999, 1.0), GeoPoint(89.999, 2.0)]
-        assert _cell_layout(pole)[6] == 1
+        assert cell_layout(pole)[6] == 1
 
     @pytest.mark.parametrize(
         "home_lon, within_limit", [(-180.0, True), (-179.999, True), (179.999, False), (120.0, True)]
@@ -435,7 +440,7 @@ class TestMatchesFullScan:
         home = GeoPoint(10.0, 20.0, 0.0)
         stack = [Waypoint(GeoPoint(10.0, 20.0, alt), (0, k)) for k, alt in enumerate((30.0, 10.0, 20.0))]
         fleet = [Agent("a", home, 1.0), Agent("b", home, 1.0)]
-        cell_m, *_, rows, cols = _cell_layout([w.point for w in stack])
+        cell_m, *_, rows, cols = cell_layout([w.point for w in stack])
         assert (cell_m, rows, cols) == (math.inf, 1, 1)
         plan = plan_routes(fleet, stack)
         assert plan == scan_plan_routes(fleet, stack)[0]
@@ -464,7 +469,7 @@ class TestMatchesFullScan:
                 else:
                     dlat, dlon = 1e-6 * v, span * u
                 pts.append(GeoPoint(max(-90.0, min(90.0, lat0 + dlat)), lon0 + dlon))
-            rows, cols = _cell_layout(pts)[5:]
+            rows, cols = cell_layout(pts)[5:]
             assert rows * cols <= 2 * n + 2
             gridded += rows * cols > 1
         assert gridded > 1500
@@ -507,7 +512,7 @@ class TestDistanceEvaluations:
         for lat in (0.0, 53.276, -70.0, 84.0):
             for rows, cols in ((11, 11), (11, 40), (12, 17), (30, 30), (100, 11)):
                 points = [w.point for w in full_rectangle(GeoPoint(lat, -9.066), rows, cols, spacing)]
-                assert spacing < _cell_layout(points)[0] < math.sqrt(1.25) * spacing
+                assert spacing < cell_layout(points)[0] < math.sqrt(1.25) * spacing
 
     def test_campus_lattice(self, monkeypatch):
         """The campus region scaled about its vertex centroid, with its
@@ -555,7 +560,7 @@ class TestDistanceEvaluations:
         fleet = list(config.fleet)
         moved = fleet[2]
         fleet[2] = Agent(moved.id, GeoPoint(moved.home.lat_deg, lon), moved.velocity_mps)
-        rows, cols = _cell_layout([w.point for w in points])[5:]
+        rows, cols = cell_layout([w.point for w in points])[5:]
         assert rows * cols > 1
         assert self.evaluations(monkeypatch, fleet, points) / len(points) <= 9.0
 
@@ -565,7 +570,7 @@ class TestDistanceEvaluations:
         longitude. About 5.2 evaluations per claim."""
         points = one_degree_lattice()
         fleet = [Agent(f"a{k}", GeoPoint(lat, lon), 5.0) for k, (lat, lon) in enumerate(((0, 0), (-10, -60), (10, 60)))]
-        rows, cols = _cell_layout([w.point for w in points])[5:]
+        rows, cols = cell_layout([w.point for w in points])[5:]
         assert rows * cols > 1
         assert self.evaluations(monkeypatch, fleet, points) / len(points) <= 9.0
 
