@@ -8,43 +8,37 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
-from .geodesy import METERS_PER_DEG_LAT, GeoPoint
+from .geodesy import METERS_PER_DEG_LAT, GeoPoint, _utf8_error
 from .grid import CameraModel, PolygonRegion, _lattice_axes, bounding_rectangle, grid_spacing
 from .radiation import GAUSS_MAX_Z, MIN_DISTANCE_M, NoiseSpec, RadiationSource
 from .routing import Agent, _check_fleet
 from .sim import _check_dwell
-
-# Each config object's allowed keys, then its required keys in the order checked.
-_TOP_KEYS = (
-    {"mission_id", "region", "camera", "fleet", "sources", "noise", "seed", "dwell_s"},
-    ("region", "fleet"),
-)
-_CAMERA_KEYS = {"half_fov_deg", "overlap_fraction", "altitude_m"}, ()
-_AGENT_KEYS = {"id", "home", "velocity_mps"}, ("id", "home", "velocity_mps")
-_SOURCE_KEYS = {"position", "sigma"}, ("position", "sigma")
-_NOISE_KEYS = {"kind", "relative_sd"}, ()
 
 
 class ConfigError(ValueError):
     """A mission config failed schema or invariant validation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class MissionConfig:
-    """Everything one survey mission needs, validated."""
+    """Everything one survey mission needs, validated: the document's keys, in its order."""
 
+    mission_id: str | None = None
     region: PolygonRegion
-    fleet: tuple[Agent, ...]
     camera: CameraModel = field(default_factory=CameraModel)
+    fleet: tuple[Agent, ...]
     sources: tuple[RadiationSource, ...] = ()
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     seed: int = 0
     dwell_s: float = 0.0
-    mission_id: str | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise _fail("seed", f"expected an integer, got {type(self.seed).__name__}")
+        if self.mission_id is not None:
+            _string(self.mission_id, "mission_id")
         _check_fleet(self.fleet)
         _check_dwell(self.dwell_s)
         try:
@@ -91,57 +85,77 @@ class MissionConfig:
 
 
 def _fail(path: str, message) -> ConfigError:
-    return ConfigError(f"{path}: {message}")
+    """``message`` as a ConfigError naming ``path``, unless that is the top level ("")."""
+    return ConfigError(f"{path}: {message}" if path else str(message))
 
 
-def _object(value, path: str, keys, expected: str = "an object") -> dict:
-    """``value`` checked as the config object at ``path`` ("" for the top
-    level): its type, then unknown keys, then ``keys``' required keys."""
-    allowed, required = keys
-    where = path or "top level"
-    if not isinstance(value, dict):
-        raise _fail(where, f"expected {expected}")
-    extra = set(value) - allowed
-    if extra:
-        raise _fail(where, f"unknown key(s) {sorted(extra)}; allowed: {sorted(allowed)}")
-    for key in required:
-        if key not in value:
-            raise _fail(f"{path}.{key}" if path else key, "required key is missing")
-    return value
-
-
-def _build(path: str, make):
-    """``make()``, with the path prefixed to any ValueError it raises other
-    than a ConfigError, which already names its own path."""
+def _build(path: str, make, *args):
+    """``make(*args)``, with the path prefixed to any ValueError it raises
+    other than a ConfigError, which already names its own path."""
     try:
-        return make()
+        return make(*args)
     except ConfigError:
         raise
     except ValueError as exc:
         raise _fail(path, exc) from None
 
 
+def _object(value, path: str, cls, table: dict, required: tuple, expected: str = "an object"):
+    """``cls`` built from the config object ``value`` at ``path`` ("" for the
+    top level): its type, unknown keys and ``required`` keys checked in that
+    order, then each key present converted in ``table``'s order. An absent key
+    takes ``cls``'s default."""
+    where = path or "top level"
+    if not isinstance(value, dict):
+        raise _fail(where, f"expected {expected}")
+    if not value.keys() <= table.keys():
+        raise _fail(where, f"unknown key(s) {sorted(value.keys() - table.keys())}; allowed: {sorted(table)}")
+    for key in required:
+        if key not in value:
+            raise _fail(f"{path}.{key}" if path else key, "required key is missing")
+    prefix = f"{path}." if path else ""
+    kwargs = {key: convert(value[key], prefix + key) for key, convert in table.items() if key in value}
+    try:  # not _build: its call per agent and source shows in parse time
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise _fail(path, exc) from None
+
+
+def _list(value, path: str, expected: str, convert, *args) -> tuple:
+    """The list ``value`` at ``path``, item k converted by ``convert(item, f"{path}[{k}]", *args)``."""
+    if not isinstance(value, list):
+        raise _fail(path, f"expected {expected}")
+    return tuple([convert(item, f"{path}[{k}]", *args) for k, item in enumerate(value)])
+
+
 def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(path, f"expected a number, got {type(value).__name__}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise _fail(path, f"expected a finite number, got {number}")
-    return number
+    # A JSON value's type is exact: a bool's is bool, not int.
+    if type(value) is not float:
+        if type(value) is not int:
+            raise _fail(path, f"expected a number, got {type(value).__name__}")
+        try:
+            value = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            value = math.inf
+    if not math.isfinite(value):
+        raise _fail(path, f"expected a finite number, got {value}")
+    return value
 
 
-def _string(value, path: str) -> None:
-    """Refuse a value that is not a str, or one with a lone surrogate (JSON's
-    "\\ud800"), which has no UTF-8 encoding to print or write."""
+def _string(value, path: str) -> str:
+    """``value``, refused if it is not a str or has no UTF-8 encoding."""
     if not isinstance(value, str):
         raise _fail(path, "expected a string")
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise _fail(path, f"lone surrogate {value[exc.start]!r} at index {exc.start} has no UTF-8 encoding") from None
+    if _utf8_error(value):
+        raise _fail(path, _utf8_error(value))
+    return value
+
+
+def _given(value, path: str):
+    """``value`` as it is, for a key whose class checks it."""
+    return value
 
 
 def _geopoint(value, path: str) -> GeoPoint:
@@ -149,118 +163,72 @@ def _geopoint(value, path: str) -> GeoPoint:
         raise _fail(path, "expected [lat_deg, lon_deg] or [lat_deg, lon_deg, alt_m]")
     lat = _number(value[0], f"{path}[0]")
     lon = _number(value[1], f"{path}[1]")
-    alt = _number(value[2], f"{path}[2]") if len(value) == 3 else 0.0
-    try:  # not _build: a closure per vertex and source shows in parse time
-        return GeoPoint(lat, lon, alt)
+    try:  # not _build: its call per vertex and source shows in parse time
+        return GeoPoint(lat, lon, _number(value[2], f"{path}[2]")) if len(value) == 3 else GeoPoint(lat, lon)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise _fail(path, exc) from None
 
 
-def parse_mission_config(text: str) -> MissionConfig:
-    """Parse and fully validate a mission config document.
+def _fleet(value, path: str) -> tuple[Agent, ...]:
+    fleet = _list(value, path, "a list of agents", _object, *_AGENT)
+    _build(path, _check_fleet, fleet)
+    return fleet
 
-    Defaults: camera altitude 32 m, overlap 0.2, half FOV 45 degrees; no
-    sources; noise none; seed 0; dwell 0.
-    """
+
+def _schema(cls, **table) -> tuple:
+    """``_object``'s ``cls``, ``table`` (a converter per field, in declaration
+    order) and ``required`` (the fields with no default)."""
+    required = tuple(f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
+    return cls, table, required
+
+
+_CAMERA = _schema(CameraModel, half_fov_deg=_number, overlap_fraction=_number, altitude_m=_number)
+_AGENT = _schema(Agent, id=_string, home=_geopoint, velocity_mps=_number)
+_SOURCE = _schema(RadiationSource, position=_geopoint, sigma=_number)
+_NOISE = _schema(NoiseSpec, kind=_given, relative_sd=_number)
+_MISSION = _schema(
+    MissionConfig,
+    mission_id=_given,
+    region=lambda value, path: _build(path, PolygonRegion, _list(value, path, "a list of vertices", _geopoint)),
+    camera=lambda value, path: _object(value, path, *_CAMERA),
+    fleet=_fleet,
+    sources=lambda value, path: _list(value, path, "a list", _object, *_SOURCE),
+    noise=lambda value, path: _object(  # the object, or its kind alone as a string
+        {"kind": value} if isinstance(value, str) else value, path, *_NOISE, expected="'none', 'gaussian', or an object"
+    ),
+    seed=_given,
+    dwell_s=_number,
+)
+
+
+def parse_mission_config(text: str) -> MissionConfig:
+    """Parse and fully validate a mission config document. An absent key takes
+    its value class's default (``MissionConfig``, ``CameraModel``, ``NoiseSpec``)."""
     try:
         raw = json.loads(text)
     # ValueError: a JSONDecodeError, or an integer literal longer than
     # sys.get_int_max_str_digits(); RecursionError: nesting too deep.
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON: {exc}") from None
-    _object(raw, "", _TOP_KEYS)
+    return _object(raw, "", *_MISSION)
 
-    region_raw = raw["region"]
-    if not isinstance(region_raw, list):
-        raise _fail("region", "expected a list of vertices")
-    vertices = tuple(
-        _geopoint(v, f"region[{k}]") for k, v in enumerate(region_raw)
-    )
-    region = _build("region", lambda: PolygonRegion(vertices))
 
-    camera_raw = _object(raw.get("camera", {}), "camera", _CAMERA_KEYS)
-    camera_kwargs = {k: _number(v, f"camera.{k}") for k, v in camera_raw.items()}
-    camera = _build("camera", lambda: CameraModel(**camera_kwargs))
-
-    fleet_raw = raw["fleet"]
-    if not isinstance(fleet_raw, list):
-        raise _fail("fleet", "expected a list of agents")
-    fleet = []
-    for k, item in enumerate(fleet_raw):
-        path = f"fleet[{k}]"
-        _object(item, path, _AGENT_KEYS)
-        _string(item["id"], f"{path}.id")
-        home = _geopoint(item["home"], f"{path}.home")
-        fleet.append(_build(path, lambda: Agent(
-            item["id"], home, _number(item["velocity_mps"], f"{path}.velocity_mps"),
-        )))
-    _build("fleet", lambda: _check_fleet(fleet))
-
-    sources_raw = raw.get("sources", [])
-    if not isinstance(sources_raw, list):
-        raise _fail("sources", "expected a list")
-    sources = []
-    for k, item in enumerate(sources_raw):
-        path = f"sources[{k}]"
-        _object(item, path, _SOURCE_KEYS)
-        sources.append(_build(path, lambda: RadiationSource(
-            _geopoint(item["position"], f"{path}.position"), _number(item["sigma"], f"{path}.sigma"),
-        )))
-
-    noise_raw = raw.get("noise", "none")
-    if isinstance(noise_raw, str):
-        noise_raw = {"kind": noise_raw}
-    _object(noise_raw, "noise", _NOISE_KEYS, expected="'none', 'gaussian', or an object")
-    noise = _build("noise", lambda: NoiseSpec(
-        kind=noise_raw.get("kind", "none"),
-        relative_sd=_number(noise_raw.get("relative_sd", 0.0), "noise.relative_sd"),
-    ))
-
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise _fail("seed", f"expected an integer, got {type(seed).__name__}")
-
-    dwell_s = _number(raw.get("dwell_s", 0.0), "dwell_s")
-
-    mission_id = raw.get("mission_id")
-    if mission_id is not None:
-        _string(mission_id, "mission_id")
-
-    try:
-        return MissionConfig(
-            region=region,
-            fleet=tuple(fleet),
-            camera=camera,
-            sources=tuple(sources),
-            noise=noise,
-            seed=seed,
-            dwell_s=dwell_s,
-            mission_id=mission_id,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _document(value):
+    """``value`` in its document form: a GeoPoint as [lat, lon, alt], a region as
+    its vertices, a tuple as a list, a config object as its fields but None ones."""
+    if isinstance(value, GeoPoint):
+        return [value.lat_deg, value.lon_deg, value.alt_m]
+    if isinstance(value, PolygonRegion):
+        value = value.vertices
+    if isinstance(value, tuple):
+        return [_document(item) for item in value]
+    if is_dataclass(value):
+        return {f.name: _document(getattr(value, f.name)) for f in fields(value) if getattr(value, f.name) is not None}
+    return value
 
 
 def serialize_mission_config(config: MissionConfig) -> str:
     """Render a config back to its JSON document form (parse round-trips)."""
-    doc: dict = {}
-    if config.mission_id is not None:
-        doc["mission_id"] = config.mission_id
-    doc["region"] = [[v.lat_deg, v.lon_deg, v.alt_m] for v in config.region.vertices]
-    doc["camera"] = {
-        "half_fov_deg": config.camera.half_fov_deg,
-        "overlap_fraction": config.camera.overlap_fraction,
-        "altitude_m": config.camera.altitude_m,
-    }
-    doc["fleet"] = [
-        {"id": a.id, "home": [a.home.lat_deg, a.home.lon_deg, a.home.alt_m], "velocity_mps": a.velocity_mps}
-        for a in config.fleet
-    ]
-    doc["sources"] = [
-        {"position": [s.position.lat_deg, s.position.lon_deg, s.position.alt_m], "sigma": s.sigma}
-        for s in config.sources
-    ]
-    doc["noise"] = {"kind": config.noise.kind, "relative_sd": config.noise.relative_sd}
-    doc["seed"] = config.seed
-    doc["dwell_s"] = config.dwell_s
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return json.dumps(_document(config), indent=2, allow_nan=False) + "\n"

@@ -24,13 +24,23 @@ class FlatPlaneWarning(UserWarning):
 
 
 def _is_finite(value) -> bool:
-    """``math.isfinite(value)``, except that an int beyond the float range is
-    not finite instead of raising OverflowError: the rule by which every value
-    class refuses a non-finite number with ValueError."""
+    """``math.isfinite(value)``, except that a bool is not a number and an int
+    beyond the float range is not finite instead of raising OverflowError: the
+    rule by which every value class refuses a non-finite number with ValueError."""
     try:
-        return math.isfinite(value)
+        return type(value) is not bool and math.isfinite(value)
     except OverflowError:
         return False
+
+
+def _utf8_error(text: str) -> str | None:
+    """Why ``text`` has no UTF-8 encoding to print or write, or None if it has
+    one: a lone surrogate (JSON's "\\ud800") has none."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return f"lone surrogate {text[exc.start]!r} at index {exc.start} has no UTF-8 encoding"
+    return None
 
 
 def _shown(value, show=format) -> str:

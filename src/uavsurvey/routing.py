@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator, Sequence
 
-from .geodesy import METERS_PER_DEG_LAT, GeoPoint, _is_finite, _shown, distance_m
+from .geodesy import METERS_PER_DEG_LAT, GeoPoint, _is_finite, _shown, _utf8_error, distance_m
 from .grid import Waypoint
 
 # Held-Karp makes a dict entry per path over the n - 1 other points that
@@ -31,7 +31,7 @@ ORACLE_MAX_AGENTS = 3
 
 @dataclass(frozen=True)
 class Agent:
-    """A survey drone: unique non-empty ``str`` id, launch point, constant cruise speed."""
+    """A survey drone: unique non-empty ``str`` id with a UTF-8 encoding, launch point, constant cruise speed."""
 
     id: str
     home: GeoPoint
@@ -42,6 +42,8 @@ class Agent:
             raise ValueError(f"agent id must be a string, got {_shown(self.id, repr)}")
         if not self.id:
             raise ValueError("agent id must be non-empty")
+        if _utf8_error(self.id):
+            raise ValueError(f"agent id: {_utf8_error(self.id)}")
         if not (_is_finite(self.velocity_mps) and self.velocity_mps > 0.0):
             raise ValueError(f"velocity_mps must be positive and finite, got {_shown(self.velocity_mps)}")
 

@@ -8,12 +8,14 @@ re-prefixes or reorders an error shows up here.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import sys
 
 import pytest
 
-from uavsurvey import ConfigError, parse_mission_config
+from uavsurvey import Agent, ConfigError, GeoPoint, MissionConfig, PolygonRegion, parse_mission_config
+from uavsurvey.config import _AGENT, _CAMERA, _MISSION, _NOISE, _SOURCE
 
 MINIMAL = {
     "region": [[53.0, -9.0], [53.001, -9.0], [53.001, -9.002]],
@@ -197,6 +199,23 @@ CASES = [
     ("mission-id-wrong-type", put("mission_id", 5), "mission_id: expected a string"),
     ("mission-id-lone-surrogate", put("mission_id", "m\ud800"),
      "mission_id: lone surrogate '\\ud800' at index 1 has no UTF-8 encoding"),
+    # Two bad values in one object: the first in the schema's key order is
+    # named, whatever the document's order.
+    ("camera-two-bad-numbers", put("camera", {"altitude_m": "high", "half_fov_deg": "wide"}),
+     "camera.half_fov_deg: expected a number, got str"),
+    ("fleet-two-bad-values", put("fleet", 0, {"velocity_mps": "fast", "home": "base", "id": 7}),
+     "fleet[0].id: expected a string"),
+    ("sources-two-bad-values", put("sources", [{"sigma": "hot", "position": "here"}]),
+     "sources[0].position: expected [lat_deg, lon_deg] or [lat_deg, lon_deg, alt_m]"),
+    ("noise-two-bad-values", put("noise", {"relative_sd": "high", "kind": 3}),
+     "noise.relative_sd: expected a number, got str"),
+    # MissionConfig checks seed after every key converts, so a dwell_s that
+    # is not a finite number is named first; it checks seed before its own
+    # dwell_s rule, so a negative dwell_s is named after seed.
+    ("seed-and-dwell-wrong-type", lambda doc: {**doc, "dwell_s": "long", "seed": 1.5},
+     "dwell_s: expected a number, got str"),
+    ("seed-and-dwell-invariant", lambda doc: {**doc, "dwell_s": -1.0, "seed": 1.5},
+     "seed: expected an integer, got float"),
 ]
 
 
@@ -206,6 +225,20 @@ def document(mutate) -> str:
 
 def test_minimal_document_parses():
     parse_mission_config(json.dumps(MINIMAL))
+
+
+def test_minimal_document_takes_the_dataclass_defaults():
+    region = PolygonRegion(tuple(GeoPoint(*v) for v in MINIMAL["region"]))
+    fleet = (Agent(AGENT["id"], GeoPoint(*AGENT["home"]), AGENT["velocity_mps"]),)
+    assert parse_mission_config(json.dumps(MINIMAL)) == MissionConfig(region=region, fleet=fleet)
+
+
+# Each config object's converter table: its keys are the value class's
+# fields, in declaration order. Serialization writes the fields in that order.
+@pytest.mark.parametrize("schema", [_MISSION, _CAMERA, _AGENT, _SOURCE, _NOISE], ids=lambda schema: schema[0].__name__)
+def test_converter_table_is_the_dataclass_fields(schema):
+    cls, table, _ = schema
+    assert list(table) == [f.name for f in dataclasses.fields(cls)]
 
 
 @pytest.mark.parametrize("mutate, message", [c[1:] for c in CASES], ids=[c[0] for c in CASES])

@@ -13,7 +13,9 @@ from uavsurvey import (
     EnuOffset,
     FlatPlaneWarning,
     GeoPoint,
+    MissionConfig,
     NoiseSpec,
+    PolygonRegion,
     RadiationSource,
     Waypoint,
     distance_m,
@@ -217,6 +219,47 @@ def test_int_beyond_the_float_range_is_refused_with_value_error(make, message):
     with pytest.raises(ValueError) as caught:
         make()
     assert str(caught.value).startswith(message)
+
+
+def _mission(dwell_s):
+    region = PolygonRegion((GeoPoint(53.0, -9.0), GeoPoint(53.001, -9.0), GeoPoint(53.001, -9.002)))
+    return MissionConfig(region=region, fleet=(Agent("a", GeoPoint(53.0, -9.0), 5.0),), dwell_s=dwell_s)
+
+
+# Every value-class number field given a bool: each refuses it, as the parser
+# does, so no value built in code serializes to a document the parser refuses
+# with "expected a number, got bool". GeoPoint names the bool; "{}" in a
+# message stands for the bool shown.
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda b: GeoPoint(b, 0.0), "lat_deg must be a number, got bool"),
+        (lambda b: GeoPoint(0.0, b), "lon_deg must be a number, got bool"),
+        (lambda b: GeoPoint(0.0, 0.0, b), "alt_m must be a number, got bool"),
+        (lambda b: EnuOffset(b, 0.0), "east_m must be finite"),
+        (lambda b: EnuOffset(0.0, b), "north_m must be finite"),
+        (lambda b: EnuOffset(0.0, 0.0, b), "up_m must be finite"),
+        (lambda b: Agent("a", ORIGIN, b), "velocity_mps must be positive and finite, got {}"),
+        (lambda b: RadiationSource(ORIGIN, b), "sigma must be finite and >= 0, got {}"),
+        (lambda b: NoiseSpec("gaussian", b), "relative_sd must be finite and >= 0, got {}"),
+        (lambda b: CameraModel(half_fov_deg=b), "half_fov_deg must be within (0, 90), got {}"),
+        (
+            lambda b: CameraModel(overlap_fraction=b),
+            "overlap_fraction must satisfy 0 <= overlap_fraction < 1, got {}",
+        ),
+        (lambda b: CameraModel(altitude_m=b), "altitude_m must be > 0, got {}"),
+        (_mission, "dwell_s: expected a finite number, got {}"),
+    ],
+    ids=[
+        "lat_deg", "lon_deg", "alt_m", "east_m", "north_m", "up_m", "velocity_mps", "sigma", "relative_sd",
+        "half_fov_deg", "overlap_fraction", "altitude_m", "dwell_s",
+    ],
+)
+def test_bool_is_refused_as_a_number(make, message, flag):
+    with pytest.raises(ValueError) as caught:
+        make(flag)
+    assert str(caught.value) == message.format(flag)
 
 
 class TestMetersPerDegree:

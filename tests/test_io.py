@@ -183,6 +183,84 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="JSON compliant"):
             serialize_mission_config(config)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("seed", 1.5, "seed: expected an integer, got float"),
+            ("seed", True, "seed: expected an integer, got bool"),
+            ("seed", "7", "seed: expected an integer, got str"),
+            ("mission_id", 5, "mission_id: expected a string"),
+            ("mission_id", "m\ud800", "mission_id: lone surrogate '\\ud800' at index 1 has no UTF-8 encoding"),
+        ],
+    )
+    def test_seed_and_mission_id_rules_in_dataclass(self, key, value, message):
+        config = parse_mission_config(MINIMAL)
+        doc = json.loads(MINIMAL)
+        doc[key] = value
+        for make in (
+            lambda: parse_mission_config(json.dumps(doc)),
+            lambda: dataclasses.replace(config, **{key: value}),
+            # Checked first: before the fleet rules.
+            lambda: MissionConfig(region=config.region, fleet=(), **{key: value}),
+        ):
+            with pytest.raises(ConfigError) as caught:
+                make()
+            assert str(caught.value) == message
+
+    def test_agent_id_without_utf8_encoding_refused_in_dataclass(self):
+        with pytest.raises(ValueError) as caught:
+            Agent("\udfff-rav", GeoPoint(53.0, -9.0), 5.0)
+        assert str(caught.value) == "agent id: lone surrogate '\\udfff' at index 0 has no UTF-8 encoding"
+
+    def test_config_built_in_code_is_refused_or_round_trips(self):
+        rng = random.Random(38)
+        round_trips = 0
+        for case in range(1000):
+            try:
+                config = drawn_config(rng)
+            except ValueError:
+                continue
+            assert parse_mission_config(serialize_mission_config(config)) == config, case
+            round_trips += 1
+        # Both outcomes are reached.
+        assert 100 < round_trips < 900
+
+
+# Wrong values a config built in code might hold: for a number field, numbers
+# and bools (a number field given a str or None raises TypeError, as Python's
+# arithmetic does); for an id, kind, seed or mission_id, any JSON value.
+ODD_NUMBERS = [True, False, 0, -1, 2**63, 10**400, -0.0, 1e308, -1e308, float("inf"), float("nan")]
+ODD_VALUES = [True, None, 7, 1.5, "", "m\ud800", "none", [], {}]
+
+
+def drawn_config(rng: random.Random) -> MissionConfig:
+    """A MissionConfig built with each field of it and of its values drawn from
+    valid values, but one time in 30 from ODD_NUMBERS or ODD_VALUES: it raises
+    ValueError, or it is a mission the parser could give."""
+
+    def number(*good):
+        return rng.choice(ODD_NUMBERS) if rng.random() < 1 / 30 else rng.choice(good)
+
+    def value(*good):
+        return rng.choice(ODD_VALUES) if rng.random() < 1 / 30 else rng.choice(good)
+
+    def point(lat, lon):
+        alt = rng.choice([(), (number(0.0, 2, 12.5),)])
+        return GeoPoint(number(lat, lat + 0.0002), number(lon, lon - 0.0002), *alt)
+
+    return MissionConfig(
+        mission_id=value(None, "campus-demo"),
+        region=PolygonRegion((point(53.0, -9.0), point(53.001, -9.0), point(53.001, -9.002))),
+        camera=CameraModel(number(45.0, 30), number(0.2, 0), number(32.0, 50)),
+        fleet=tuple(
+            Agent(value(f"rav-{k}"), point(53.0, -9.0), number(5.0, 8, 0.25)) for k in range(rng.randint(1, 3))
+        ),
+        sources=tuple(RadiationSource(point(53.0005, -9.001), number(0.0, 90.0, 120)) for _ in range(rng.randint(0, 2))),
+        noise=NoiseSpec(value("none", "gaussian"), number(0.0, 0.1)),
+        seed=value(0, 7, -3, 2**70),
+        dwell_s=number(0.0, 1.5, 2),
+    )
+
 
 def small_mission():
     m_lat, m_lon = meters_per_degree(0.0)
