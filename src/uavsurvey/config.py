@@ -41,10 +41,7 @@ class MissionConfig:
             _string(self.mission_id, "mission_id")
         _check_fleet(self.fleet)
         _check_dwell(self.dwell_s)
-        try:
-            lats, lons = _lattice_axes(bounding_rectangle(self.region), grid_spacing(self.camera))
-        except ValueError as exc:
-            raise _fail("camera", exc) from None
+        lats, lons = _build("camera", _lattice_axes, bounding_rectangle(self.region), grid_spacing(self.camera))
         # An agent flies at most one leg and one dwell per lattice point. A leg
         # is at most the sum of the spans over the lattice and the homes below,
         # since distance_m is a hypot of wrapped differences. Twice the bound
@@ -115,12 +112,7 @@ def _object(value, path: str, cls, table: dict, required: tuple, expected: str =
             raise _fail(f"{path}.{key}" if path else key, "required key is missing")
     prefix = f"{path}." if path else ""
     kwargs = {key: convert(value[key], prefix + key) for key, convert in table.items() if key in value}
-    try:  # not _build: its call per agent and source shows in parse time
-        return cls(**kwargs)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise _fail(path, exc) from None
+    return _build(path, lambda: cls(**kwargs))
 
 
 def _list(value, path: str, expected: str, convert, *args) -> tuple:
@@ -163,12 +155,9 @@ def _geopoint(value, path: str) -> GeoPoint:
         raise _fail(path, "expected [lat_deg, lon_deg] or [lat_deg, lon_deg, alt_m]")
     lat = _number(value[0], f"{path}[0]")
     lon = _number(value[1], f"{path}[1]")
-    try:  # not _build: its call per vertex and source shows in parse time
-        return GeoPoint(lat, lon, _number(value[2], f"{path}[2]")) if len(value) == 3 else GeoPoint(lat, lon)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise _fail(path, exc) from None
+    if len(value) == 3:
+        return _build(path, GeoPoint, lat, lon, _number(value[2], f"{path}[2]"))
+    return _build(path, GeoPoint, lat, lon)
 
 
 def _fleet(value, path: str) -> tuple[Agent, ...]:

@@ -24,11 +24,15 @@ class FlatPlaneWarning(UserWarning):
 
 
 def _is_finite(value) -> bool:
-    """``math.isfinite(value)``, except that a bool is not a number and an int
-    beyond the float range is not finite instead of raising OverflowError: the
-    rule by which every value class refuses a non-finite number with ValueError."""
+    """True for a finite float and for an int that some float equals. A bool,
+    a value that is not an int or a float (``"7"``, None), an int beyond the
+    float range and one no float equals (``2**53 + 1``) are not finite. By
+    this rule every value class refuses a non-finite number with ValueError,
+    and keeps only ints that parse back equal from their serialized form."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        return False
     try:
-        return type(value) is not bool and math.isfinite(value)
+        return math.isfinite(value) and float(value) == value
     except OverflowError:
         return False
 
@@ -114,7 +118,7 @@ def meters_per_degree(lat_deg: float) -> tuple[float, float]:
         pi * R / 180; the longitude figure shrinks with cos(latitude) and
         vanishes at the poles.
     """
-    if not -90.0 <= lat_deg <= 90.0:
+    if not (isinstance(lat_deg, (int, float)) and -90.0 <= lat_deg <= 90.0):
         raise ValueError(f"latitude out of range [-90, 90]: {_shown(lat_deg)}")
     return METERS_PER_DEG_LAT, METERS_PER_DEG_LAT * math.cos(math.radians(lat_deg))
 

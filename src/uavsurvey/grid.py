@@ -208,7 +208,7 @@ def _lattice_axes(rect: CircumRectangle, spacing_m: float) -> tuple[list[float],
     that is not positive and finite, a lattice of more than
     :data:`MAX_LATTICE_POINTS` points, and a last row north of 90 degrees.
     """
-    if not spacing_m > 0.0:
+    if isinstance(spacing_m, (int, float)) and not spacing_m > 0.0:
         raise ValueError(f"spacing_m must be > 0, got {_shown(spacing_m)}")
     if not _is_finite(spacing_m):
         raise ValueError(f"spacing_m must be finite, got {_shown(spacing_m)}")

@@ -108,30 +108,25 @@ def _cell_layout(lats: list[float], lons: list[float]):
 
 
 def _nearest(
-    ring: list[int], here: tuple[float, float, float], lats: list[float], lons: list[float], alts: list[float],
-    best_cost: float, best_k: int,
+    ring: list[int], here: GeoPoint, positions: list[GeoPoint], lats: list[float], best_cost: float, best_k: int,
 ) -> tuple[float, int]:
     """The smallest ``(distance, k)`` over the waypoints ``k`` of ``ring`` and
-    the best so far, measured from ``here``, a ``(lat, lon, alt)`` path end.
-
-    Each distance is ``distance_m(here, waypoint k)``'s expression evaluated
-    inline from the same operands in the same order, so it is the same float
-    without a call and six attribute loads around each one.
+    the best so far, measured from the path end ``here``. Every distance it
+    measures is ``distance_m(here, positions[k])``.
 
     A waypoint whose north offset alone exceeds the best distance so far is
-    skipped unmeasured: ``math.hypot`` is faithfully rounded (Python 3.10 and
-    later), so it never returns less than the magnitude of an argument, and
-    that waypoint's distance would be larger still. The test is strict, so a
-    tie on the distance is still measured and broken by ``k``.
+    skipped unmeasured: the offset is ``distance_m``'s own north term, and
+    ``math.hypot`` is faithfully rounded (Python 3.10 and later), so it never
+    returns less than the magnitude of an argument, and that waypoint's
+    distance would be larger still. The test is strict, so a tie on the
+    distance is still measured and broken by ``k``.
     """
-    lat, lon, alt = here
-    hypot, remainder, cos, radians, m = math.hypot, math.remainder, math.cos, math.radians, METERS_PER_DEG_LAT
+    lat = here.lat_deg
     for k in ring:
-        b_lat = lats[k]
-        north = (b_lat - lat) * m
+        north = (lats[k] - lat) * METERS_PER_DEG_LAT
         if north > best_cost or -north > best_cost:
             continue
-        c = hypot(remainder(lons[k] - lon, 360.0) * m * cos(radians(0.5 * (lat + b_lat))), north, alts[k] - alt)
+        c = distance_m(here, positions[k])
         if c < best_cost or (c == best_cost and k < best_k):
             best_cost = c
             best_k = k
@@ -222,12 +217,11 @@ def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> dict[
     # column.
     block_rows = [[r * cols for r in (i, i - 1, i + 1) if 0 <= r < rows] for i in range(rows)]
     block_cols = [(j, j, max(j - 1, 0), min(j + 2, cols)) for j in range(cols)]
-    # An agent's path end as (lat, lon, alt), its row and its columns.
+    # An agent's path end, its row and its columns.
     ends = {}
     for a in agents:
-        h = a.home
-        qi = min(max(int((h.lat_deg - lat0) / dlat), 0), rows - 1)
-        ends[a.id] = ((h.lat_deg, h.lon_deg, h.alt_m), qi, (0, cols - 1, 0, cols))
+        qi = min(max(int((a.home.lat_deg - lat0) / dlat), 0), rows - 1)
+        ends[a.id] = (a.home, qi, (0, cols - 1, 0, cols))
     nearest = _nearest
     ids = [a.id for a in agents]
     # Ring 2's stop test, (2 - 1) * cell_m * _RING_SLACK > best, ends most
@@ -243,16 +237,16 @@ def plan_routes(agents: Sequence[Agent], waypoints: Sequence[Waypoint]) -> dict[
             for cell in cells[row + lo: row + hi]:
                 block += cell
         # (inf, n) loses to every candidate, even one at an overflowed distance.
-        best_cost, best_k = nearest(block, here, lats, lons, alts, math.inf, n)
+        best_cost, best_k = nearest(block, here, positions, lats, math.inf, n)
         if not ring_2 > best_cost:
             for r in range(2, max(qi, rows - 1 - qi, west, cols - 1 - east) + 1):
                 if (r - 1) * cell_m * _RING_SLACK > best_cost:
                     break
                 ring = _ring(cells, rows, cols, qi, west, east, r)
-                best_cost, best_k = nearest(ring, here, lats, lons, alts, best_cost, best_k)
+                best_cost, best_k = nearest(ring, here, positions, lats, best_cost, best_k)
         routes[aid].append(order[best_k])
         i, j = where[best_k]
-        ends[aid] = ((lats[best_k], lons[best_k], alts[best_k]), i, block_cols[j])
+        ends[aid] = (positions[best_k], i, block_cols[j])
         cells[i * cols + j].remove(best_k)
     return routes
 
@@ -447,7 +441,7 @@ def mtsp_lower_bound(points: Sequence[Waypoint], n_agents: int) -> float:
     It ignores the legs from the agents' homes, so it is not a proven lower
     bound on the makespan.
     """
-    if n_agents < 1:
+    if isinstance(n_agents, (int, float)) and n_agents < 1:
         raise ValueError(f"n_agents must be >= 1, got {_shown(n_agents)}")
     if not _is_finite(n_agents):
         raise ValueError(f"n_agents must be finite, got {_shown(n_agents)}")

@@ -262,6 +262,45 @@ def test_bool_is_refused_as_a_number(make, message, flag):
     assert str(caught.value) == message.format(flag)
 
 
+# Every value-class number field and numeric parameter, given a value no
+# float equals: a str, None, or an int that would serialize as itself and
+# parse back as the nearest float. Each refuses it with ValueError, not the
+# TypeError a comparison or math.isfinite raises for a str or None, and the
+# message starts with its name.
+@pytest.mark.parametrize("odd", ["7", None, 2**53 + 1], ids=repr)
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("lat_deg", lambda x: GeoPoint(x, 0.0)),
+        ("lon_deg", lambda x: GeoPoint(0.0, x)),
+        ("alt_m", lambda x: GeoPoint(0.0, 0.0, x)),
+        ("east_m", lambda x: EnuOffset(x, 0.0)),
+        ("north_m", lambda x: EnuOffset(0.0, x)),
+        ("up_m", lambda x: EnuOffset(0.0, 0.0, x)),
+        ("velocity_mps", lambda x: Agent("a", ORIGIN, x)),
+        ("sigma", lambda x: RadiationSource(ORIGIN, x)),
+        ("relative_sd", lambda x: NoiseSpec("gaussian", x)),
+        ("half_fov_deg", lambda x: CameraModel(half_fov_deg=x)),
+        ("overlap_fraction", lambda x: CameraModel(overlap_fraction=x)),
+        ("altitude_m", lambda x: CameraModel(altitude_m=x)),
+        ("dwell_s", _check_dwell),
+        ("dwell_s", _mission),
+        ("spacing_m", lambda x: generate_lattice(CircumRectangle(0.0, 0.001, 0.0, 0.001), x, 0.0)),
+        ("n_agents", lambda x: mtsp_lower_bound([], x)),
+        ("latitude", meters_per_degree),
+    ],
+    ids=[
+        "lat_deg", "lon_deg", "alt_m", "east_m", "north_m", "up_m", "velocity_mps", "sigma", "relative_sd",
+        "half_fov_deg", "overlap_fraction", "altitude_m", "check_dwell", "mission_dwell_s", "spacing_m",
+        "n_agents", "latitude",
+    ],
+)
+def test_value_no_float_equals_is_refused_naming_its_field(name, make, odd):
+    with pytest.raises(ValueError) as caught:
+        make(odd)
+    assert str(caught.value).startswith(name)
+
+
 class TestMetersPerDegree:
     def test_equator(self):
         m_lat, m_lon = meters_per_degree(0.0)

@@ -227,9 +227,12 @@ class TestParseConfig:
 
 
 # Wrong values a config built in code might hold: for a number field, numbers
-# and bools (a number field given a str or None raises TypeError, as Python's
-# arithmetic does); for an id, kind, seed or mission_id, any JSON value.
-ODD_NUMBERS = [True, False, 0, -1, 2**63, 10**400, -0.0, 1e308, -1e308, float("inf"), float("nan")]
+# (an int no float equals among them), bools, a str and None; for an id,
+# kind, seed or mission_id, any JSON value.
+ODD_NUMBERS = [
+    True, False, 0, -1, 2**63, 2**53 + 1, -(2**53 + 1), 10**400, -0.0, 1e308, -1e308, float("inf"), float("nan"),
+    "7", None,
+]
 ODD_VALUES = [True, None, 7, 1.5, "", "m\ud800", "none", [], {}]
 
 

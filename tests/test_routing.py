@@ -643,6 +643,47 @@ class TestNorthGapSkip:
         assert 0 < calls <= 2.5 * len(points)
 
 
+def stretched(a: GeoPoint, b: GeoPoint) -> float:
+    """``distance_m`` with its east term tripled, from the same operands: never
+    below it, with the same north term, so the ring stop and the north-gap
+    skip stay exact under it."""
+    north = (b.lat_deg - a.lat_deg) * METERS_PER_DEG_LAT
+    dlon = math.remainder(b.lon_deg - a.lon_deg, 360.0)
+    east = dlon * METERS_PER_DEG_LAT * math.cos(math.radians(0.5 * (a.lat_deg + b.lat_deg)))
+    return math.hypot(3.0 * east, north, b.alt_m - a.alt_m)
+
+
+class TestOneDistanceFormula:
+    """``plan_routes`` measures every leg with ``routing.distance_m``: under a
+    stretched metric it claims what the full scan by that metric claims."""
+
+    @staticmethod
+    def assert_plans_by(monkeypatch, fleet, points):
+        monkeypatch.setattr(uavsurvey.routing, "distance_m", stretched)
+        plan = plan_routes(fleet, points)
+        monkeypatch.undo()
+        assert plan == scan_plan_routes(fleet, points, cost=stretched)[0]
+        assert plan != plan_routes(fleet, points)
+
+    def test_full_lattice(self, monkeypatch):
+        spacing = grid_spacing(CameraModel())
+        points = full_rectangle(GeoPoint(53.276, -9.066), 24, 40, spacing)
+        home = gps_offset(points[0].point, EnuOffset(-20.0, -20.0, 0.0))
+        self.assert_plans_by(monkeypatch, agents(3, velocity=8.0, home=home), points)
+
+    def test_campus_lattice(self, monkeypatch):
+        config, points = scaled_campus(3)
+        self.assert_plans_by(monkeypatch, config.fleet, points)
+
+    def test_seeded_random_points(self, monkeypatch):
+        rng = random.Random("stretched")
+        for _ in range(20):
+            origin = GeoPoint(rng.uniform(-70.0, 70.0), rng.uniform(-170.0, 170.0))
+            points = lattice_row(random_points(rng, origin, 200, 10.0 ** rng.uniform(1.0, 4.0)))
+            fleet = [Agent(f"a{k}", gps_offset(origin, EnuOffset(50.0 * k, 0.0, 0.0)), 5.0) for k in range(3)]
+            self.assert_plans_by(monkeypatch, fleet, points)
+
+
 class TestRouteLength:
     """``route_length`` is the += loop over ``distance_m``, bit for bit."""
 
