@@ -10,11 +10,10 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
-from .geodesy import METERS_PER_DEG_LAT, GeoPoint, _utf8_error
+from .geodesy import _NON_NEGATIVE, METERS_PER_DEG_LAT, GeoPoint, _check_number, _utf8_error
 from .grid import CameraModel, PolygonRegion, _lattice_axes, bounding_rectangle, grid_spacing
 from .radiation import GAUSS_MAX_Z, MIN_DISTANCE_M, NoiseSpec, RadiationSource
 from .routing import Agent, _check_fleet
-from .sim import _check_dwell
 
 
 class ConfigError(ValueError):
@@ -39,8 +38,8 @@ class MissionConfig:
             raise _fail("seed", f"expected an integer, got {type(self.seed).__name__}")
         if self.mission_id is not None:
             _string(self.mission_id, "mission_id")
-        _check_fleet(self.fleet)
-        _check_dwell(self.dwell_s)
+        _build("fleet", _check_fleet, self.fleet)
+        _check_number("dwell_s", self.dwell_s, *_NON_NEGATIVE)
         lats, lons = _build("camera", _lattice_axes, bounding_rectangle(self.region), grid_spacing(self.camera))
         # An agent flies at most one leg and one dwell per lattice point. A leg
         # is at most the sum of the spans over the lattice and the homes below,
@@ -160,12 +159,6 @@ def _geopoint(value, path: str) -> GeoPoint:
     return _build(path, GeoPoint, lat, lon)
 
 
-def _fleet(value, path: str) -> tuple[Agent, ...]:
-    fleet = _list(value, path, "a list of agents", _object, *_AGENT)
-    _build(path, _check_fleet, fleet)
-    return fleet
-
-
 def _schema(cls, **table) -> tuple:
     """``_object``'s ``cls``, ``table`` (a converter per field, in declaration
     order) and ``required`` (the fields with no default)."""
@@ -182,7 +175,7 @@ _MISSION = _schema(
     mission_id=_given,
     region=lambda value, path: _build(path, PolygonRegion, _list(value, path, "a list of vertices", _geopoint)),
     camera=lambda value, path: _object(value, path, *_CAMERA),
-    fleet=_fleet,
+    fleet=lambda value, path: _list(value, path, "a list of agents", _object, *_AGENT),
     sources=lambda value, path: _list(value, path, "a list", _object, *_SOURCE),
     noise=lambda value, path: _object(  # the object, or its kind alone as a string
         {"kind": value} if isinstance(value, str) else value, path, *_NOISE, expected="'none', 'gaussian', or an object"

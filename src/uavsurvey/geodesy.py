@@ -23,20 +23,6 @@ class FlatPlaneWarning(UserWarning):
     """Points are far enough apart to strain the flat-plane assumption."""
 
 
-def _is_finite(value) -> bool:
-    """True for a finite float and for an int that some float equals. A bool,
-    a value that is not an int or a float (``"7"``, None), an int beyond the
-    float range and one no float equals (``2**53 + 1``) are not finite. By
-    this rule every value class refuses a non-finite number with ValueError,
-    and keeps only ints that parse back equal from their serialized form."""
-    if type(value) is bool or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value) and float(value) == value
-    except OverflowError:
-        return False
-
-
 def _utf8_error(text: str) -> str | None:
     """Why ``text`` has no UTF-8 encoding to print or write, or None if it has
     one: a lone surrogate (JSON's "\\ud800") has none."""
@@ -58,11 +44,34 @@ def _shown(value, show=format) -> str:
         return "<int too large to print>"
 
 
+def _check_number(name: str, value, rule: str = "be finite", ok=None) -> None:
+    """The number rule of every value class and numeric parameter. A bool, or a
+    value that is not an int or a float (``"7"``, None), raises ValueError
+    "{name} must be a number, got {type}". So does, as "{name} must {rule},
+    got {value}", a value that is not finite, an int that no float equals
+    (``2**53 + 1``; an int beyond the float range is not finite) or one that
+    fails ``ok``. An accepted int thus parses back equal from its serialized
+    form."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {type(value).__name__}")
+    try:
+        exact = math.isfinite(value) and float(value) == value
+    except OverflowError:
+        exact = False
+    if not (exact and (ok is None or ok(value))):
+        raise ValueError(f"{name} must {rule}, got {_shown(value)}")
+
+
+# Rules that more than one field takes, as _check_number's rule and ok.
+_LATITUDE = ("be within [-90, 90]", lambda v: -90.0 <= v <= 90.0)
+_NON_NEGATIVE = ("be finite and >= 0", lambda v: v >= 0.0)
+
+
 @dataclass(frozen=True, slots=True)
 class GeoPoint:
     """A WGS-84 position: latitude/longitude in degrees, altitude in meters.
 
-    Each coordinate is a finite int or float, not a bool. Longitude is
+    Each coordinate takes :func:`_check_number`'s rule. Longitude is
     normalized into [-180, 180); latitude must lie in [-90, 90] and altitude
     must be non-negative.
     """
@@ -80,20 +89,20 @@ class GeoPoint:
             and -90.0 <= lat <= 90.0 and -180.0 <= lon < 180.0 and 0.0 <= alt < math.inf
         ):
             return
-        for name in ("lat_deg", "lon_deg", "alt_m"):
-            value = getattr(self, name)
-            if type(value) is bool:
-                raise ValueError(f"{name} must be a number, got bool")
-            if not _is_finite(value):
-                raise ValueError(f"{name} must be finite")
-        if not -90.0 <= self.lat_deg <= 90.0:
-            raise ValueError(f"lat_deg must be within [-90, 90], got {self.lat_deg}")
-        if self.alt_m < 0.0:
-            raise ValueError(f"alt_m must be >= 0, got {self.alt_m}")
-        if not -180.0 <= self.lon_deg < 180.0:
+        _check_number("lat_deg", lat, *_LATITUDE)
+        _check_number("lon_deg", lon)
+        _check_number("alt_m", alt, "be >= 0", lambda v: v >= 0.0)
+        if not -180.0 <= lon < 180.0:
             # Wrap only when out of range so in-range values stay bit-identical.
-            lon = math.remainder(self.lon_deg, 360.0)  # exact, within [-180, 180]
+            lon = math.remainder(lon, 360.0)  # exact, within [-180, 180]
             object.__setattr__(self, "lon_deg", -180.0 if lon == 180.0 else lon)
+
+
+def _check_point(name: str, value) -> None:
+    """The position rule: ``value`` is a GeoPoint, else ValueError
+    "{name} must be a GeoPoint, got {type}"."""
+    if not isinstance(value, GeoPoint):
+        raise ValueError(f"{name} must be a GeoPoint, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -105,9 +114,9 @@ class EnuOffset:
     up_m: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("east_m", "north_m", "up_m"):
-            if not _is_finite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _check_number("east_m", self.east_m)
+        _check_number("north_m", self.north_m)
+        _check_number("up_m", self.up_m)
 
 
 def meters_per_degree(lat_deg: float) -> tuple[float, float]:
@@ -118,8 +127,7 @@ def meters_per_degree(lat_deg: float) -> tuple[float, float]:
         pi * R / 180; the longitude figure shrinks with cos(latitude) and
         vanishes at the poles.
     """
-    if not (isinstance(lat_deg, (int, float)) and -90.0 <= lat_deg <= 90.0):
-        raise ValueError(f"latitude out of range [-90, 90]: {_shown(lat_deg)}")
+    _check_number("lat_deg", lat_deg, *_LATITUDE)
     return METERS_PER_DEG_LAT, METERS_PER_DEG_LAT * math.cos(math.radians(lat_deg))
 
 

@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress
 
-from .geodesy import GeoPoint, _is_finite, _shown, _warn_if_wide, meters_per_degree
+from .geodesy import GeoPoint, _check_number, _check_point, _shown, _warn_if_wide, meters_per_degree
 
 
 # Most lattice points one mission may ask for. A camera spacing of
@@ -69,6 +69,8 @@ class PolygonRegion:
         object.__setattr__(self, "vertices", tuple(self.vertices))
         if len(self.vertices) < 3:
             raise ValueError(f"polygon needs at least 3 vertices, got {len(self.vertices)}")
+        for k, v in enumerate(self.vertices):
+            _check_point(f"vertices[{k}]", v)
         pts = [_xy(v) for v in self.vertices]
         lon_span = max(pts)[0] - min(pts)[0]  # (lon, lat) tuples order by longitude first
         if lon_span >= 180.0:
@@ -116,6 +118,8 @@ class CircumRectangle:
     max_lon: float
 
     def __post_init__(self) -> None:
+        for name in ("min_lat", "max_lat", "min_lon", "max_lon"):
+            _check_number(name, getattr(self, name))
         if self.min_lat > self.max_lat or self.min_lon > self.max_lon:
             raise ValueError("rectangle bounds must satisfy min <= max on both axes")
 
@@ -129,14 +133,11 @@ class CameraModel:
     altitude_m: float = 32.0
 
     def __post_init__(self) -> None:
-        if not (_is_finite(self.half_fov_deg) and 0.0 < self.half_fov_deg < 90.0):
-            raise ValueError(f"half_fov_deg must be within (0, 90), got {_shown(self.half_fov_deg)}")
-        if not (_is_finite(self.overlap_fraction) and 0.0 <= self.overlap_fraction < 1.0):
-            raise ValueError(
-                f"overlap_fraction must satisfy 0 <= overlap_fraction < 1, got {_shown(self.overlap_fraction)}"
-            )
-        if not (_is_finite(self.altitude_m) and self.altitude_m > 0.0):
-            raise ValueError(f"altitude_m must be > 0, got {_shown(self.altitude_m)}")
+        _check_number("half_fov_deg", self.half_fov_deg, "be within (0, 90)", lambda v: 0.0 < v < 90.0)
+        _check_number(
+            "overlap_fraction", self.overlap_fraction, "satisfy 0 <= overlap_fraction < 1", lambda v: 0.0 <= v < 1.0
+        )
+        _check_number("altitude_m", self.altitude_m, "be > 0", lambda v: v > 0.0)
         if not math.isfinite(footprint_width(self)):
             raise ValueError("footprint width 2 * altitude_m * tan(half_fov_deg) must be finite, got inf")
 
@@ -156,6 +157,8 @@ class Waypoint:
     index: tuple[int, int]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.point, GeoPoint):
+            _check_point("point", self.point)
         _int_pair(self.index)
 
 
@@ -208,10 +211,7 @@ def _lattice_axes(rect: CircumRectangle, spacing_m: float) -> tuple[list[float],
     that is not positive and finite, a lattice of more than
     :data:`MAX_LATTICE_POINTS` points, and a last row north of 90 degrees.
     """
-    if isinstance(spacing_m, (int, float)) and not spacing_m > 0.0:
-        raise ValueError(f"spacing_m must be > 0, got {_shown(spacing_m)}")
-    if not _is_finite(spacing_m):
-        raise ValueError(f"spacing_m must be finite, got {_shown(spacing_m)}")
+    _check_number("spacing_m", spacing_m, "be > 0", lambda v: v > 0.0)
     m_lat, m_lon = meters_per_degree(rect.min_lat)
     span_lat_m = (rect.max_lat - rect.min_lat) * m_lat
     span_lon_m = (rect.max_lon - rect.min_lon) * m_lon

@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .geodesy import METERS_PER_DEG_LAT, GeoPoint, _is_finite, _shown, distance_m
+from .geodesy import _NON_NEGATIVE, METERS_PER_DEG_LAT, GeoPoint, _check_number, _check_point, _shown, distance_m
 
 # Distances clamp here to keep readings finite near the emitter; a drone
 # never physically reaches the point source.
@@ -26,8 +26,8 @@ class RadiationSource:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (_is_finite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError(f"sigma must be finite and >= 0, got {_shown(self.sigma)}")
+        _check_point("position", self.position)
+        _check_number("sigma", self.sigma, *_NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,7 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "gaussian"):
             raise ValueError(f"noise kind must be 'none' or 'gaussian', got {_shown(self.kind, repr)}")
-        if not (_is_finite(self.relative_sd) and self.relative_sd >= 0.0):
-            raise ValueError(f"relative_sd must be finite and >= 0, got {_shown(self.relative_sd)}")
+        _check_number("relative_sd", self.relative_sd, *_NON_NEGATIVE)
 
 
 def strength_at(source: RadiationSource, p: GeoPoint) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator, Sequence
 
-from .geodesy import METERS_PER_DEG_LAT, GeoPoint, _is_finite, _shown, _utf8_error, distance_m
+from .geodesy import METERS_PER_DEG_LAT, GeoPoint, _check_number, _check_point, _shown, _utf8_error, distance_m
 from .grid import Waypoint
 
 # Held-Karp makes a dict entry per path over the n - 1 other points that
@@ -44,8 +44,8 @@ class Agent:
             raise ValueError("agent id must be non-empty")
         if _utf8_error(self.id):
             raise ValueError(f"agent id: {_utf8_error(self.id)}")
-        if not (_is_finite(self.velocity_mps) and self.velocity_mps > 0.0):
-            raise ValueError(f"velocity_mps must be positive and finite, got {_shown(self.velocity_mps)}")
+        _check_point("home", self.home)
+        _check_number("velocity_mps", self.velocity_mps, "be positive and finite", lambda v: v > 0.0)
 
 
 def _check_fleet(agents: Sequence[Agent], plan: dict[str, list[Waypoint]] | None = None) -> dict[str, Agent]:
@@ -441,10 +441,7 @@ def mtsp_lower_bound(points: Sequence[Waypoint], n_agents: int) -> float:
     It ignores the legs from the agents' homes, so it is not a proven lower
     bound on the makespan.
     """
-    if isinstance(n_agents, (int, float)) and n_agents < 1:
-        raise ValueError(f"n_agents must be >= 1, got {_shown(n_agents)}")
-    if not _is_finite(n_agents):
-        raise ValueError(f"n_agents must be finite, got {_shown(n_agents)}")
+    _check_number("n_agents", n_agents, "be >= 1", lambda v: v >= 1)
     return tsp_optimal(points) / n_agents
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Sequence
 
-from .geodesy import _is_finite, _shown, distance_m
+from .geodesy import _NON_NEGATIVE, _check_number, distance_m
 from .geojson_io import config_digest
 from .grid import CameraModel, Waypoint
 from .radiation import NoiseSpec, RadiationSource, field_levels, sample_reading
@@ -50,14 +50,6 @@ class EventLog:
         return [e for e in self.events if e.kind == WAYPOINT_REACHED]
 
 
-def _check_dwell(dwell_s: float) -> None:
-    """The dwell rule: a finite number of seconds, >= 0."""
-    if not _is_finite(dwell_s):
-        raise ValueError(f"dwell_s: expected a finite number, got {_shown(dwell_s)}")
-    if dwell_s < 0.0:
-        raise ValueError("dwell_s: must be >= 0")
-
-
 def simulate(
     plan: dict[str, list[Waypoint]],
     fleet: Sequence[Agent],
@@ -82,7 +74,7 @@ def simulate(
     agent's ties keep takeoff, its route's order, then completion.
     """
     by_id = _check_fleet(fleet, plan)
-    _check_dwell(dwell_s)
+    _check_number("dwell_s", dwell_s, *_NON_NEGATIVE)
     keys = {(w.point.lat_deg, w.point.lon_deg, w.point.alt_m, w.index) for route in plan.values() for w in route}
     if len(keys) != sum(map(len, plan.values())):
         seen: set = set()

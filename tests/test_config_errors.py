@@ -192,7 +192,7 @@ CASES = [
     # dwell_s
     ("dwell-wrong-type", put("dwell_s", "long"), "dwell_s: expected a number, got str"),
     ("dwell-non-finite", put("dwell_s", NAN), "dwell_s: expected a finite number, got nan"),
-    ("dwell-invariant", put("dwell_s", -1.0), "dwell_s: must be >= 0"),
+    ("dwell-invariant", put("dwell_s", -1.0), "dwell_s must be finite and >= 0, got -1.0"),
     ("dwell-event-times", put("dwell_s", 1e308),
      "dwell_s: event times up to 20 x (1e+308 s dwell + 88.7173 s leg) overflow"),
     # mission_id
@@ -215,6 +215,14 @@ CASES = [
     ("seed-and-dwell-wrong-type", lambda doc: {**doc, "dwell_s": "long", "seed": 1.5},
      "dwell_s: expected a number, got str"),
     ("seed-and-dwell-invariant", lambda doc: {**doc, "dwell_s": -1.0, "seed": 1.5},
+     "seed: expected an integer, got float"),
+    # MissionConfig checks the fleet rules after every key converts, and after
+    # seed and mission_id, so each of those is named before an empty fleet.
+    ("empty-fleet-and-sources-wrong-type", lambda doc: {**doc, "fleet": [], "sources": "x"},
+     "sources: expected a list"),
+    ("empty-fleet-and-dwell-wrong-type", lambda doc: {**doc, "fleet": [], "dwell_s": "long"},
+     "dwell_s: expected a number, got str"),
+    ("empty-fleet-and-seed-float", lambda doc: {**doc, "fleet": [], "seed": 1.5},
      "seed: expected an integer, got float"),
 ]
 

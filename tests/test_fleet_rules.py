@@ -60,11 +60,12 @@ FLEETS = {
 
 
 @pytest.mark.parametrize("fleet, message", FLEETS.values(), ids=FLEETS)
-@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
-def test_same_fleet_rule_everywhere(call, fleet, message):
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_same_fleet_rule_everywhere(name, fleet, message):
     with pytest.raises(ValueError) as info:
-        call(fleet)
-    assert str(info.value) == message
+        ENTRY_POINTS[name](fleet)
+    # MissionConfig puts its path in front, as the parser does.
+    assert str(info.value) == ("fleet: " if name == "MissionConfig" else "") + message
 
 
 @pytest.mark.parametrize("name", ["makespan", "simulate", "export_geojson", "config_digest"])

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
+from functools import partial
 
 import pytest
 
+import uavsurvey
 from uavsurvey import (
     Agent,
     CameraModel,
@@ -24,9 +27,9 @@ from uavsurvey import (
     gps_offset,
     meters_per_degree,
     mtsp_lower_bound,
+    simulate,
 )
 from uavsurvey.grid import CircumRectangle
-from uavsurvey.sim import _check_dwell
 
 # pi * 6378137 / 180 evaluated at 40 decimal digits, rounded to float64.
 M_PER_DEG_ORACLE = 111319.49079327357
@@ -74,7 +77,7 @@ class TestGeoPoint:
 
     # Coordinates at and just past the edges of the float fast path, with
     # what GeoPoint stores (a float as float.hex, an int as itself) or the
-    # error it raises.
+    # error it raises. RULES below holds the non-finite ones.
     @pytest.mark.parametrize(
         "args, expected",
         [
@@ -91,13 +94,6 @@ class TestGeoPoint:
             ((0.0, 0.0, 5e-324), ("0x0.0p+0", "0x0.0p+0", "0x0.0000000000001p-1022")),
             ((0.0, 0.0, -5e-324), "alt_m must be >= 0, got -5e-324"),
             ((0.0, 0.0, 1.7976931348623157e308), ("0x0.0p+0", "0x0.0p+0", "0x1.fffffffffffffp+1023")),
-            ((0.0, 0.0, math.inf), "alt_m must be finite"),
-            ((0.0, 0.0, -math.inf), "alt_m must be finite"),
-            ((0.0, 0.0, math.nan), "alt_m must be finite"),
-            ((math.nan, 0.0), "lat_deg must be finite"),
-            ((math.inf, 0.0), "lat_deg must be finite"),
-            ((0.0, math.nan), "lon_deg must be finite"),
-            ((0.0, -math.inf), "lon_deg must be finite"),
             ((0, 0, 0), (0, 0, 0)),
             ((90, 180, 5), (90, "-0x1.6800000000000p+7", 5)),
             ((-90, -180, 0), (-90, -180, 0)),
@@ -128,97 +124,7 @@ BEYOND_FLOAT = 10**400
 TOO_LONG = 10**5000
 SHOWN = "<int too large to print>"
 ORIGIN = GeoPoint(0.0, 0.0)
-
-
-# Every value-class number check, given an int too large to convert to a
-# float: each refuses it with ValueError, as a non-finite value. Every check
-# that shows the refused value still names its field for an int too long to
-# print.
-@pytest.mark.parametrize(
-    "make, message",
-    [
-        (lambda: GeoPoint(BEYOND_FLOAT, 0.0), "lat_deg must be finite"),
-        (lambda: GeoPoint(0.0, -BEYOND_FLOAT), "lon_deg must be finite"),
-        (lambda: GeoPoint(0.0, 0.0, BEYOND_FLOAT), "alt_m must be finite"),
-        (lambda: EnuOffset(BEYOND_FLOAT, 0.0), "east_m must be finite"),
-        (lambda: EnuOffset(0.0, -BEYOND_FLOAT), "north_m must be finite"),
-        (lambda: EnuOffset(0.0, 0.0, BEYOND_FLOAT), "up_m must be finite"),
-        (lambda: Agent("a", GeoPoint(0.0, 0.0), BEYOND_FLOAT), "velocity_mps must be positive and finite, got 1000"),
-        (lambda: RadiationSource(GeoPoint(0.0, 0.0), BEYOND_FLOAT), "sigma must be finite and >= 0, got 1000"),
-        (lambda: NoiseSpec("gaussian", BEYOND_FLOAT), "relative_sd must be finite and >= 0, got 1000"),
-        (lambda: CameraModel(half_fov_deg=BEYOND_FLOAT), "half_fov_deg must be within (0, 90), got 1000"),
-        (
-            lambda: CameraModel(overlap_fraction=-BEYOND_FLOAT),
-            "overlap_fraction must satisfy 0 <= overlap_fraction < 1, got -1000",
-        ),
-        (lambda: CameraModel(altitude_m=BEYOND_FLOAT), "altitude_m must be > 0, got 1000"),
-        (lambda: _check_dwell(BEYOND_FLOAT), "dwell_s: expected a finite number, got 1000"),
-        (lambda: Agent(TOO_LONG, ORIGIN, 5.0), f"agent id must be a string, got {SHOWN}"),
-        (lambda: Agent(-TOO_LONG, ORIGIN, 5.0), f"agent id must be a string, got {SHOWN}"),
-        (lambda: Agent("a", ORIGIN, TOO_LONG), f"velocity_mps must be positive and finite, got {SHOWN}"),
-        (lambda: Agent("a", ORIGIN, -TOO_LONG), f"velocity_mps must be positive and finite, got {SHOWN}"),
-        (lambda: RadiationSource(ORIGIN, TOO_LONG), f"sigma must be finite and >= 0, got {SHOWN}"),
-        (lambda: RadiationSource(ORIGIN, -TOO_LONG), f"sigma must be finite and >= 0, got {SHOWN}"),
-        (lambda: NoiseSpec(TOO_LONG), f"noise kind must be 'none' or 'gaussian', got {SHOWN}"),
-        (lambda: NoiseSpec(-TOO_LONG), f"noise kind must be 'none' or 'gaussian', got {SHOWN}"),
-        (lambda: NoiseSpec("gaussian", TOO_LONG), f"relative_sd must be finite and >= 0, got {SHOWN}"),
-        (lambda: NoiseSpec("gaussian", -TOO_LONG), f"relative_sd must be finite and >= 0, got {SHOWN}"),
-        (lambda: CameraModel(half_fov_deg=TOO_LONG), f"half_fov_deg must be within (0, 90), got {SHOWN}"),
-        (lambda: CameraModel(half_fov_deg=-TOO_LONG), f"half_fov_deg must be within (0, 90), got {SHOWN}"),
-        (
-            lambda: CameraModel(overlap_fraction=TOO_LONG),
-            f"overlap_fraction must satisfy 0 <= overlap_fraction < 1, got {SHOWN}",
-        ),
-        (
-            lambda: CameraModel(overlap_fraction=-TOO_LONG),
-            f"overlap_fraction must satisfy 0 <= overlap_fraction < 1, got {SHOWN}",
-        ),
-        (lambda: CameraModel(altitude_m=TOO_LONG), f"altitude_m must be > 0, got {SHOWN}"),
-        (lambda: CameraModel(altitude_m=-TOO_LONG), f"altitude_m must be > 0, got {SHOWN}"),
-        (lambda: _check_dwell(TOO_LONG), f"dwell_s: expected a finite number, got {SHOWN}"),
-        (lambda: _check_dwell(-TOO_LONG), f"dwell_s: expected a finite number, got {SHOWN}"),
-        (lambda: Waypoint(ORIGIN, (TOO_LONG,)), f"lattice index must be a pair of ints, got {SHOWN}"),
-        (lambda: Waypoint(ORIGIN, (0, -TOO_LONG, 0)), f"lattice index must be a pair of ints, got {SHOWN}"),
-        (
-            lambda: generate_lattice(CircumRectangle(0.0, 0.001, 0.0, 0.001), -TOO_LONG, 0.0),
-            f"spacing_m must be > 0, got {SHOWN}",
-        ),
-        (lambda: mtsp_lower_bound([], -TOO_LONG), f"n_agents must be >= 1, got {SHOWN}"),
-        (
-            lambda: generate_lattice(CircumRectangle(0.0, 0.001, 0.0, 0.001), BEYOND_FLOAT, 0.0),
-            "spacing_m must be finite, got 1000",
-        ),
-        (
-            lambda: generate_lattice(CircumRectangle(0.0, 0.001, 0.0, 0.001), TOO_LONG, 0.0),
-            f"spacing_m must be finite, got {SHOWN}",
-        ),
-        (
-            lambda: generate_lattice(CircumRectangle(0.0, 0.001, 0.0, 0.001), math.inf, 0.0),
-            "spacing_m must be finite, got inf",
-        ),
-        (lambda: mtsp_lower_bound([], BEYOND_FLOAT), "n_agents must be finite, got 1000"),
-        (lambda: mtsp_lower_bound([], TOO_LONG), f"n_agents must be finite, got {SHOWN}"),
-        (lambda: meters_per_degree(TOO_LONG), f"latitude out of range [-90, 90]: {SHOWN}"),
-        (lambda: meters_per_degree(-TOO_LONG), f"latitude out of range [-90, 90]: {SHOWN}"),
-    ],
-    ids=[
-        "lat_deg", "lon_deg", "alt_m", "east_m", "north_m", "up_m", "velocity_mps", "sigma", "relative_sd",
-        "half_fov_deg", "overlap_fraction", "altitude_m", "dwell_s",
-        "id_too_long", "id_too_long_negative", "velocity_mps_too_long", "velocity_mps_too_long_negative",
-        "sigma_too_long", "sigma_too_long_negative", "kind_too_long", "kind_too_long_negative",
-        "relative_sd_too_long", "relative_sd_too_long_negative", "half_fov_deg_too_long",
-        "half_fov_deg_too_long_negative", "overlap_fraction_too_long", "overlap_fraction_too_long_negative",
-        "altitude_m_too_long", "altitude_m_too_long_negative", "dwell_s_too_long", "dwell_s_too_long_negative",
-        "index_too_long", "index_too_long_negative", "spacing_m_too_long_negative", "n_agents_too_long_negative",
-        "spacing_m_beyond_float", "spacing_m_too_long", "spacing_m_infinite",
-        "n_agents_beyond_float", "n_agents_too_long",
-        "latitude_too_long", "latitude_too_long_negative",
-    ],
-)
-def test_int_beyond_the_float_range_is_refused_with_value_error(make, message):
-    with pytest.raises(ValueError) as caught:
-        make()
-    assert str(caught.value).startswith(message)
+RECT = CircumRectangle(0.0, 0.001, 0.0, 0.001)
 
 
 def _mission(dwell_s):
@@ -226,79 +132,136 @@ def _mission(dwell_s):
     return MissionConfig(region=region, fleet=(Agent("a", GeoPoint(53.0, -9.0), 5.0),), dwell_s=dwell_s)
 
 
-# Every value-class number field given a bool: each refuses it, as the parser
-# does, so no value built in code serializes to a document the parser refuses
-# with "expected a number, got bool". GeoPoint names the bool; "{}" in a
-# message stands for the bool shown.
+# The table of geodesy._check_number's rule: a row per number field of a
+# public class, per numeric parameter and per position field. A row holds the
+# field (class.field or function.parameter), the name its refusals give, a
+# call that passes it x, the rule as "{name} must {rule}" reads (None for a
+# position, which must be a GeoPoint) and one value outside the rule.
+RULES = {
+    "lat_deg": ("GeoPoint.lat_deg", "lat_deg", lambda x: GeoPoint(x, 0.0), "be within [-90, 90]", 90.5),
+    "lon_deg": ("GeoPoint.lon_deg", "lon_deg", lambda x: GeoPoint(0.0, x), "be finite", -math.inf),
+    "alt_m": ("GeoPoint.alt_m", "alt_m", lambda x: GeoPoint(0.0, 0.0, x), "be >= 0", -math.inf),
+    "east_m": ("EnuOffset.east_m", "east_m", lambda x: EnuOffset(x, 0.0), "be finite", -math.inf),
+    "north_m": ("EnuOffset.north_m", "north_m", lambda x: EnuOffset(0.0, x), "be finite", -math.inf),
+    "up_m": ("EnuOffset.up_m", "up_m", lambda x: EnuOffset(0.0, 0.0, x), "be finite", -math.inf),
+    "min_lat": ("CircumRectangle.min_lat", "min_lat", lambda x: CircumRectangle(x, 1.0, 0.0, 1.0), "be finite", -math.inf),
+    "max_lat": ("CircumRectangle.max_lat", "max_lat", lambda x: CircumRectangle(0.0, x, 0.0, 1.0), "be finite", -math.inf),
+    "min_lon": ("CircumRectangle.min_lon", "min_lon", lambda x: CircumRectangle(0.0, 1.0, x, 1.0), "be finite", -math.inf),
+    "max_lon": ("CircumRectangle.max_lon", "max_lon", lambda x: CircumRectangle(0.0, 1.0, 0.0, x), "be finite", -math.inf),
+    "velocity_mps": (
+        "Agent.velocity_mps", "velocity_mps", lambda x: Agent("a", ORIGIN, x), "be positive and finite", 0.0
+    ),
+    "sigma": ("RadiationSource.sigma", "sigma", lambda x: RadiationSource(ORIGIN, x), "be finite and >= 0", -1.0),
+    "relative_sd": (
+        "NoiseSpec.relative_sd", "relative_sd", lambda x: NoiseSpec("gaussian", x), "be finite and >= 0", -0.5
+    ),
+    "half_fov_deg": (
+        "CameraModel.half_fov_deg", "half_fov_deg", lambda x: CameraModel(half_fov_deg=x), "be within (0, 90)", 90.0
+    ),
+    "overlap_fraction": (
+        "CameraModel.overlap_fraction", "overlap_fraction", lambda x: CameraModel(overlap_fraction=x),
+        "satisfy 0 <= overlap_fraction < 1", 1.0,
+    ),
+    "altitude_m": ("CameraModel.altitude_m", "altitude_m", lambda x: CameraModel(altitude_m=x), "be > 0", 0.0),
+    "mission_dwell_s": ("MissionConfig.dwell_s", "dwell_s", _mission, "be finite and >= 0", -1.0),
+    "dwell_s": (
+        "simulate.dwell_s", "dwell_s", lambda x: simulate({}, [Agent("a", ORIGIN, 5.0)], camera=CameraModel(), dwell_s=x),
+        "be finite and >= 0", -1.0,
+    ),
+    "spacing_m": ("generate_lattice.spacing_m", "spacing_m", lambda x: generate_lattice(RECT, x, 0.0), "be > 0", 0.0),
+    "n_agents": ("mtsp_lower_bound.n_agents", "n_agents", lambda x: mtsp_lower_bound([], x), "be >= 1", 0),
+    "latitude": ("meters_per_degree.lat_deg", "lat_deg", meters_per_degree, "be within [-90, 90]", -90.5),
+    "home": ("Agent.home", "home", lambda x: Agent("a", x, 8.0), None, (53.0, -9.0)),
+    "point": ("Waypoint.point", "point", lambda x: Waypoint(x, (0, 0)), None, (53.0, -9.0)),
+    "position": ("RadiationSource.position", "position", lambda x: RadiationSource(x, 1.0), None, (53.0, -9.0)),
+    "vertices": (
+        "PolygonRegion.vertices", "vertices[2]", lambda x: PolygonRegion((ORIGIN, GeoPoint(0.0, 0.001), x)), None,
+        (0.001, 0.0),
+    ),
+}
+# Output records, filled from checked inputs by simulate and generate_waypoints.
+UNCHECKED = {"Event.t", "Event.radiation_usv_s", "WaypointGrid.spacing_m"}
+
+
+def _raises(make, message: str) -> None:
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert str(caught.value) == message
+
+
+def _refused(row, value) -> str:
+    """Check that the row's call refuses ``value`` with the message of the
+    rule's form, and return it: "{name} must be a number, got {type}" (a
+    GeoPoint, for a position) for a value of another type, else
+    "{name} must {rule}, got {value}"."""
+    _, name, make, rule, _ = RULES[row]
+    if rule is None:
+        message = f"{name} must be a GeoPoint, got {type(value).__name__}"
+    elif type(value) is bool or not isinstance(value, (int, float)):
+        message = f"{name} must be a number, got {type(value).__name__}"
+    else:
+        message = f"{name} must {rule}, got {SHOWN if abs(value) == TOO_LONG else value}"
+    _raises(partial(make, value), message)
+    return message
+
+
+def test_every_number_and_position_field_is_in_the_table():
+    public = [getattr(uavsurvey, name) for name in uavsurvey.__all__]
+    fields = {
+        f"{cls.__name__}.{f.name}"
+        for cls in public if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+        for f in dataclasses.fields(cls)
+        if f.type in ("float", "float | None", "GeoPoint", "tuple[GeoPoint, ...]")
+    }
+    assert fields - {row[0] for row in RULES.values()} == UNCHECKED
+
+
+# The tests below cross RULES with True, False, "7", None, 2**53 + 1, 10**400,
+# +-10**5000, nan, inf and each row's value outside the rule, one test per kind
+# of value. A bool is refused as a number, as the parser refuses it, so no
+# value built in code serializes to a document the parser refuses.
 @pytest.mark.parametrize("flag", [True, False])
-@pytest.mark.parametrize(
-    "make, message",
-    [
-        (lambda b: GeoPoint(b, 0.0), "lat_deg must be a number, got bool"),
-        (lambda b: GeoPoint(0.0, b), "lon_deg must be a number, got bool"),
-        (lambda b: GeoPoint(0.0, 0.0, b), "alt_m must be a number, got bool"),
-        (lambda b: EnuOffset(b, 0.0), "east_m must be finite"),
-        (lambda b: EnuOffset(0.0, b), "north_m must be finite"),
-        (lambda b: EnuOffset(0.0, 0.0, b), "up_m must be finite"),
-        (lambda b: Agent("a", ORIGIN, b), "velocity_mps must be positive and finite, got {}"),
-        (lambda b: RadiationSource(ORIGIN, b), "sigma must be finite and >= 0, got {}"),
-        (lambda b: NoiseSpec("gaussian", b), "relative_sd must be finite and >= 0, got {}"),
-        (lambda b: CameraModel(half_fov_deg=b), "half_fov_deg must be within (0, 90), got {}"),
-        (
-            lambda b: CameraModel(overlap_fraction=b),
-            "overlap_fraction must satisfy 0 <= overlap_fraction < 1, got {}",
-        ),
-        (lambda b: CameraModel(altitude_m=b), "altitude_m must be > 0, got {}"),
-        (_mission, "dwell_s: expected a finite number, got {}"),
-    ],
-    ids=[
-        "lat_deg", "lon_deg", "alt_m", "east_m", "north_m", "up_m", "velocity_mps", "sigma", "relative_sd",
-        "half_fov_deg", "overlap_fraction", "altitude_m", "dwell_s",
-    ],
-)
-def test_bool_is_refused_as_a_number(make, message, flag):
-    with pytest.raises(ValueError) as caught:
-        make(flag)
-    assert str(caught.value) == message.format(flag)
+@pytest.mark.parametrize("row", RULES)
+def test_bool_is_refused_as_a_number(row, flag):
+    assert _refused(row, flag).endswith(" got bool")
 
 
-# Every value-class number field and numeric parameter, given a value no
-# float equals: a str, None, or an int that would serialize as itself and
-# parse back as the nearest float. Each refuses it with ValueError, not the
-# TypeError a comparison or math.isfinite raises for a str or None, and the
-# message starts with its name.
+# A str, None, or an int that would serialize as itself and parse back as the
+# nearest float: a ValueError naming the field, not the TypeError a
+# comparison or math.isfinite raises for a str or None.
 @pytest.mark.parametrize("odd", ["7", None, 2**53 + 1], ids=repr)
+@pytest.mark.parametrize("row", RULES)
+def test_value_no_float_equals_is_refused_naming_its_field(row, odd):
+    _refused(row, odd)
+
+
+# An int too large for a float is not finite: ValueError, not OverflowError.
+# One too long to print is shown as a placeholder, so the message still names
+# its field; so are refused ids, noise kinds and lattice indexes.
 @pytest.mark.parametrize(
-    "name, make",
+    "check",
     [
-        ("lat_deg", lambda x: GeoPoint(x, 0.0)),
-        ("lon_deg", lambda x: GeoPoint(0.0, x)),
-        ("alt_m", lambda x: GeoPoint(0.0, 0.0, x)),
-        ("east_m", lambda x: EnuOffset(x, 0.0)),
-        ("north_m", lambda x: EnuOffset(0.0, x)),
-        ("up_m", lambda x: EnuOffset(0.0, 0.0, x)),
-        ("velocity_mps", lambda x: Agent("a", ORIGIN, x)),
-        ("sigma", lambda x: RadiationSource(ORIGIN, x)),
-        ("relative_sd", lambda x: NoiseSpec("gaussian", x)),
-        ("half_fov_deg", lambda x: CameraModel(half_fov_deg=x)),
-        ("overlap_fraction", lambda x: CameraModel(overlap_fraction=x)),
-        ("altitude_m", lambda x: CameraModel(altitude_m=x)),
-        ("dwell_s", _check_dwell),
-        ("dwell_s", _mission),
-        ("spacing_m", lambda x: generate_lattice(CircumRectangle(0.0, 0.001, 0.0, 0.001), x, 0.0)),
-        ("n_agents", lambda x: mtsp_lower_bound([], x)),
-        ("latitude", meters_per_degree),
-    ],
-    ids=[
-        "lat_deg", "lon_deg", "alt_m", "east_m", "north_m", "up_m", "velocity_mps", "sigma", "relative_sd",
-        "half_fov_deg", "overlap_fraction", "altitude_m", "check_dwell", "mission_dwell_s", "spacing_m",
-        "n_agents", "latitude",
+        pytest.param(partial(_refused, row, value), id=row + suffix)
+        for row in RULES
+        for suffix, value in (("", BEYOND_FLOAT), ("_too_long", TOO_LONG), ("_too_long_negative", -TOO_LONG))
+    ] + [
+        pytest.param(partial(_raises, partial(make, value), message), id=name + suffix)
+        for name, make, message in (
+            ("id", lambda x: Agent(x, ORIGIN, 5.0), f"agent id must be a string, got {SHOWN}"),
+            ("kind", NoiseSpec, f"noise kind must be 'none' or 'gaussian', got {SHOWN}"),
+            ("index", lambda x: Waypoint(ORIGIN, (0, x, 0)), f"lattice index must be a pair of ints, got {SHOWN}"),
+        )
+        for suffix, value in (("_too_long", TOO_LONG), ("_too_long_negative", -TOO_LONG))
     ],
 )
-def test_value_no_float_equals_is_refused_naming_its_field(name, make, odd):
-    with pytest.raises(ValueError) as caught:
-        make(odd)
-    assert str(caught.value).startswith(name)
+def test_int_beyond_the_float_range_is_refused_with_value_error(check):
+    check()
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "outside"])
+@pytest.mark.parametrize("row", RULES)
+def test_non_finite_or_outside_the_rule_is_refused(row, kind):
+    _refused(row, {"nan": math.nan, "inf": math.inf}.get(kind, RULES[row][4]))
 
 
 class TestMetersPerDegree:
@@ -316,7 +279,7 @@ class TestMetersPerDegree:
         assert m_lon == pytest.approx(m_lat / 2.0, rel=1e-12)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError, match="latitude"):
+        with pytest.raises(ValueError, match="lat_deg"):
             meters_per_degree(90.5)
 
     def test_longitude_scale_monotone_in_abs_latitude(self):

@@ -281,6 +281,30 @@ class TestGenerateLattice:
         points = generate_lattice(rect, spacing, 10.0)
         assert [wp.index for wp in points] == sorted(wp.index for wp in points)
 
+    def test_axis_count_matches_a_brute_count_where_the_first_guess_is_low(self):
+        # Spans that are exact multiples of the step, give or take 1-2 ulp,
+        # with the quotient computed as _lattice_axes computes it. Near 6 % of
+        # them start below the count, so the upward correction runs.
+        def brute(low: float, high: float, step: float) -> int:
+            return 1 + sum(1 for k in range(1, 1100) if low + k * step < high + step)
+
+        rng = random.Random(18)
+        low_guesses = 0
+        for _ in range(2000):
+            spacing = 10.0 ** rng.uniform(1.0, 3.0)
+            scale = rng.choice(meters_per_degree(rng.uniform(-80.0, 80.0)))
+            step = spacing / scale
+            low = rng.uniform(-1.0, 1.0)
+            high = low + rng.randint(1, 1000) * step
+            ulps = rng.randint(-2, 2)
+            for _ in range(abs(ulps)):
+                high = math.nextafter(high, math.copysign(math.inf, ulps))
+            quotient = (high - low) * scale / spacing
+            count = brute(low, high, step)
+            assert grid._axis_count(low, high, step, quotient) == count
+            low_guesses += math.ceil(quotient) + 1 < count
+        assert low_guesses > 50
+
     def test_bad_spacing(self):
         rect = CircumRectangle(0.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="spacing_m"):

@@ -165,10 +165,11 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "dwell, message",
         [
-            (float("nan"), "dwell_s: expected a finite number, got nan"),
-            (float("inf"), "dwell_s: expected a finite number, got inf"),
-            (-1.0, "dwell_s: must be >= 0"),
+            (float("nan"), "dwell_s must be finite and >= 0, got nan"),
+            (float("inf"), "dwell_s must be finite and >= 0, got inf"),
+            (-1.0, "dwell_s must be finite and >= 0, got -1.0"),
         ],
+        ids=["nan", "inf", "-1.0"],
     )
     def test_dwell_invariant_in_dataclass(self, dwell, message):
         config = parse_mission_config(MINIMAL)

@@ -1,9 +1,11 @@
 """The README's "Library use" example runs as written against the package,
-and every module pointer in the README names something the package has."""
+every refusal it quotes is the one the package raises, and every module
+pointer in the README names something the package has."""
 
 from __future__ import annotations
 
 import importlib
+import math
 import pkgutil
 import re
 
@@ -39,3 +41,27 @@ def test_module_pointers_resolve():
                 assert hasattr(obj, attribute), f"README names `{name}`, but {attribute!r} is not there"
                 obj = getattr(obj, attribute)
     assert {"routing._path_rows", "uavsurvey.sim.config_digest"} <= pointers
+
+
+def test_quoted_refusals_are_raised():
+    """Each "`expr` raises `ValueError: message`" in the README, its code
+    spans joined across line breaks, raises exactly that message. ``home``
+    and ``p`` stand for any GeoPoint."""
+    text = re.sub(r"^```.*?^```$", "", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+    spans = [" ".join(part.split()) for part in text.split("`")]
+    # Code spans are the odd parts; a pair is a span, " raises ", then a span.
+    pairs = [
+        (spans[k], spans[k + 2].removeprefix("ValueError: "))
+        for k in range(1, len(spans) - 2, 2)
+        if spans[k + 1] == "raises" and spans[k + 2].startswith("ValueError: ")
+    ]
+    names = {name: getattr(uavsurvey, name) for name in uavsurvey.__all__}
+    names.update(math=math, home=uavsurvey.GeoPoint(53.2762, -9.0654), p=uavsurvey.GeoPoint(53.2762, -9.0654))
+    for expr, message in pairs:
+        try:
+            eval(expr, dict(names))
+        except ValueError as exc:
+            assert str(exc) == message, expr
+        else:
+            raise AssertionError(f"README says {expr} raises ValueError; it returned")
+    assert len(pairs) >= 8

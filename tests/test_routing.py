@@ -335,6 +335,20 @@ def polar_home_instance(rng: random.Random):
     return _fleet(rng, homes), lattice_row(points)
 
 
+def wide_instance(rng: random.Random):
+    """Waypoints spanning S = 180-360 degrees of longitude, which no region
+    spans but plan_routes accepts, at latitudes from 60 S to 60 N. A leg
+    between two of them may wrap, so the cells cannot bound it. Homes lie
+    anywhere in longitude."""
+    lat0 = rng.uniform(-60.0, 50.0)
+    span = rng.choice([180.0, rng.uniform(180.0, 270.0), rng.uniform(270.0, 359.9)])
+    lon0 = rng.uniform(-180.0, 179.999 - span)
+    lons = [lon0, lon0 + span] + [lon0 + rng.uniform(0.0, span) for _ in range(rng.randint(0, 40))]
+    points = list({GeoPoint(lat0 + rng.uniform(0.0, 10.0), lon, 32.0) for lon in lons})
+    homes = [GeoPoint(lat0 + rng.uniform(-5.0, 15.0), rng.uniform(-180.0, 180.0)) for _ in range(2)]
+    return _fleet(rng, homes), lattice_row(points)
+
+
 def one_degree_lattice() -> list[Waypoint]:
     """A 21 x 121 lattice at one-degree steps, 10 S to 10 N and 60 W to 60 E."""
     return [Waypoint(GeoPoint(float(i - 10), float(j - 60), 32.0), (i, j)) for i in range(21) for j in range(121)]
@@ -346,7 +360,7 @@ class TestMatchesFullScan:
     @pytest.mark.parametrize(
         "family",
         [lattice_instance, scattered_instance, polar_instance, antimeridian_instance, large_lattice_instance,
-         far_home_instance, wrap_limit_instance, polar_home_instance],
+         far_home_instance, wrap_limit_instance, polar_home_instance, wide_instance],
     )
     def test_identical_routes_and_sequence(self, family):
         rng = random.Random(f"scan:{family.__name__}")
